@@ -23,7 +23,7 @@ from .equilibrium import LqPayoff, lq_s_max, solve_graphon
 from .kernels import GraphonSpec, evaluate
 from .spectral import GridFunction, discretize, dominant_eigenpair, midpoints
 
-__all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon"]
+__all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
 
 DEFAULT_RESOLUTION = 1000
 
@@ -56,6 +56,11 @@ def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x: float) -> float
     return float(np.mean(np.asarray(evaluate(spec, x, m)) * sbar.values))
 
 
+def lq_L_U(p: LqPayoff, lambda_max: float) -> float:
+    """Aggregate Lipschitz constant |alpha| * s_max of an LQ payoff's utility."""
+    return abs(p.alpha) * lq_s_max(p, lambda_max)
+
+
 def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trials: int, seed,
                      sbar: GridFunction | None = None,
                      M: int = DEFAULT_RESOLUTION) -> EpsilonEstimate:
@@ -67,20 +72,24 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     mean deviation, with its standard error.
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
-    |alpha| * s_max is used. ``sbar`` is the precomputed equilibrium on the
-    M-point grid; it is solved here when omitted.
+    ``lq_L_U`` is applied to lambda_max of the operator on sbar's grid.
+    ``sbar`` is the precomputed equilibrium on the M-point grid; it is solved
+    here when omitted, and that solve's lambda_max is reused.
     """
     if N < 2:
         raise ValueError(f"population size must be at least 2, got {N}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    lam = None
     if sbar is None:
-        sbar = solve_graphon(spec, payoff, M).profile
+        limit = solve_graphon(spec, payoff, M)
+        sbar, lam = limit.profile, limit.lambda_max
     if L_U is None:
         if not isinstance(payoff, LqPayoff):
             raise ValueError("L_U must be supplied for generic payoffs")
-        lam = dominant_eigenpair(discretize(spec, sbar.M)).value
-        L_U = abs(payoff.alpha) * lq_s_max(payoff, lam)
+        if lam is None:
+            lam = dominant_eigenpair(discretize(spec, sbar.M)).value
+        L_U = lq_L_U(payoff, lam)
 
     rng = np.random.default_rng(seed)
     deviations = np.empty(trials)

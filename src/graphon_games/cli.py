@@ -20,20 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import estimate_epsilon
-from .equilibrium import (
-    LqPayoff,
-    report_to_json,
-    solve_graphon,
-    solve_graphon_lq,
-    solve_network_lq,
-)
+from . import __version__
+from .bayes import estimate_epsilon, lq_L_U
+from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
-from .experiments import (
-    distance_experiment,
-    intervention_experiment,
-    subseed,
-)
+from .experiments import _fmt, distance_experiment, intervention_experiment, subseed
 from .interventions import (
     evaluate_policy,
     graphon_heuristic,
@@ -64,12 +55,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return "" if math.isnan(x) else repr(float(x))
-    return str(x)
 
 
 def _add_common(sub):
@@ -137,7 +122,7 @@ def _manifest(outdir: Path, command: str, args) -> None:
         "command": command,
         "params": params,
         "versions": {
-            "graphon_games": "0.1.0",
+            "graphon_games": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
@@ -196,7 +181,7 @@ def _network_from_args(args, spec):
 def _cmd_solve_network(args, outdir: Path) -> int:
     spec = None if args.network_json else build_graphon(args)
     matrix, _ = _network_from_args(args, spec)
-    report = solve_network_lq(matrix, LqPayoff(args.alpha, args.beta))
+    report = solve_network(matrix, LqPayoff(args.alpha, args.beta))
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
         with open(outdir / "profile.csv", "w") as fh:
@@ -208,7 +193,7 @@ def _cmd_solve_network(args, outdir: Path) -> int:
 
 def _cmd_solve_graphon(args, outdir: Path) -> int:
     spec = build_graphon(args)
-    report = solve_graphon_lq(spec, LqPayoff(args.alpha, args.beta), args.M)
+    report = solve_graphon(spec, LqPayoff(args.alpha, args.beta), args.M)
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
         with open(outdir / "profile.csv", "w") as fh:
@@ -295,11 +280,12 @@ def _cmd_welfare_exp(args, outdir: Path) -> int:
 def _cmd_bne_epsilon(args, outdir: Path) -> int:
     spec = build_graphon(args)
     payoff = LqPayoff(args.alpha, args.beta)
-    sbar = solve_graphon(spec, payoff, args.M).profile
+    limit = solve_graphon(spec, payoff, args.M)
+    L_U = lq_L_U(payoff, limit.lambda_max) if args.L_U is None else args.L_U
     rows = []
     for n in _parse_ns(args.Ns):
-        est = estimate_epsilon(spec, payoff, args.L_U, n, args.trials,
-                               subseed(args.seed, n), sbar=sbar, M=args.M)
+        est = estimate_epsilon(spec, payoff, L_U, n, args.trials,
+                               subseed(args.seed, n), sbar=limit.profile, M=args.M)
         rows.append(est)
     with open(outdir / "epsilon.csv", "w") as fh:
         fh.write("N,epsilon_hat,stderr\n")

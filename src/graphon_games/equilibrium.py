@@ -1,16 +1,21 @@
 """Nash equilibrium solvers for finite network games and discretized graphon games.
 
-Both game classes share one structure: each agent best-responds to a local
-aggregate, the (1/N)-weighted network average of the other strategies. Under
-the contraction condition (lipschitz ratio of the payoff times the largest
-operator eigenvalue below one) the best-response map is a Banach contraction,
-so the equilibrium is unique and best-response iteration converges
-geometrically.
+A network game on P and a graphon game discretized on the M-grid are one game
+on a normalized operator matrix G: each agent best-responds to the local
+aggregate z = G s, with G = P/N for the network and G = K/M for the midpoint
+kernel matrix K. ``solve_network(P, payoff)`` and
+``solve_graphon(spec, payoff, M)`` build G and hand it to one solver. Under
+the contraction condition (lipschitz ratio of the payoff times lambda_max,
+the largest eigenvalue of G, below one) the best-response map is a Banach
+contraction, so the equilibrium is unique and best-response iteration
+converges geometrically. The returned EquilibriumReport carries lambda_max,
+so callers that need it for bounds do not recompute it.
 
 Linear-quadratic payoffs admit a direct linear-solve path: for complements
-(alpha > 0) the equilibrium is interior and solves (I - (alpha/N) P) s = beta;
+(alpha > 0) the equilibrium is interior and solves (I - alpha G) s = beta;
 for substitutes the direct solution is accepted only if nonnegative, otherwise
-the solver falls back to projected best-response iteration.
+the solver falls back to projected best-response iteration. Generic payoffs
+always use best-response iteration.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .errors import ContractionError, IterationLimitError
 from .kernels import GraphonSpec
-from .spectral import GridFunction, discretize, dominant_eigenpair, power_method
+from .spectral import POWER_MAX_ITER, POWER_TOL, GridFunction, discretize, power_method
 
 __all__ = [
     "LqPayoff",
@@ -50,6 +55,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
+NETWORK_POWER_TOL = 1e-13
 _ACCEPT_NEG = -1e-12
 _BISECT_TOL = 1e-12
 _BISECT_MAX = 200
@@ -121,7 +127,8 @@ class EquilibriumReport:
 
     ``step_norms`` records the Euclidean norm of successive best-response
     steps (empty on the direct-solve path); their ratios measure the realized
-    contraction rate.
+    contraction rate. ``lambda_max`` is the largest eigenvalue of the
+    normalized operator the game was solved on.
     """
 
     profile: object
@@ -130,6 +137,7 @@ class EquilibriumReport:
     contraction_factor: float
     method: str
     step_norms: list = field(default_factory=list)
+    lambda_max: float = math.nan
 
     def profile_array(self) -> np.ndarray:
         if isinstance(self.profile, GridFunction):
@@ -167,7 +175,8 @@ def contraction_factor(payoff, lambda_max: float) -> float:
     return _lipschitz_ratio(payoff) * lambda_max
 
 
-def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000) -> float:
+def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = NETWORK_POWER_TOL,
+                               max_iter: int = POWER_MAX_ITER) -> float:
     """Largest eigenvalue of a symmetric matrix by power iteration.
 
     For the nonnegative matrices arising here this is also the spectral
@@ -208,40 +217,6 @@ def _br_iterate(br, s0: np.ndarray, tol: float, max_iter: int):
     )
 
 
-def _solve_lq_on(A_apply, lam: float, p: LqPayoff, system_matrix: np.ndarray,
-                 tol: float, max_iter: int):
-    """Shared LQ path: direct solve, substitutes fallback to projected BR.
-
-    ``A_apply(s)`` returns the aggregate z; ``system_matrix`` is the linear
-    operator matrix such that the equilibrium solves (I - alpha * M) s = beta.
-    """
-    q = _check_contraction(p, lam)
-    n = system_matrix.shape[0]
-    lin = np.eye(n) - p.alpha * system_matrix
-    s = np.linalg.solve(lin, np.full(n, p.beta))
-    if p.alpha > 0.0 or s.min() >= _ACCEPT_NEG:
-        s = np.maximum(s, 0.0)
-        res = float(np.max(np.abs(s - br_lq(A_apply(s), p))))
-        return s, 0, res, q, "direct-solve", []
-    br = lambda sv: br_lq(A_apply(sv), p)
-    s0 = np.full(n, p.beta)
-    s, iters, res, steps = _br_iterate(br, s0, tol, max_iter)
-    return s, iters, res, q, "br-iteration", steps
-
-
-def solve_network_lq(P: np.ndarray, p: LqPayoff,
-                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumReport:
-    """Equilibrium of the N-agent linear-quadratic game on network P."""
-    P = np.asarray(P, dtype=float)
-    N = P.shape[0]
-    lam = matrix_dominant_eigenvalue(P / N)
-    s, iters, res, q, method, steps = _solve_lq_on(
-        lambda sv: local_aggregate(P, sv), lam, p, P / N, tol, max_iter
-    )
-    return EquilibriumReport(profile=s, iterations=iters, residual=res,
-                             contraction_factor=q, method=method, step_norms=steps)
-
-
 def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
     """Best response by monotone bisection of grad_s over the strategy box.
 
@@ -271,59 +246,56 @@ def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_network_generic(P: np.ndarray, payoff: GenericPayoff,
-                          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                          start: np.ndarray | None = None) -> EquilibriumReport:
-    """Best-response iteration for a generic strongly concave payoff."""
+def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start,
+           eig_tol: float) -> EquilibriumReport:
+    """Equilibrium of the game whose local aggregate is z = G s.
+
+    G is the normalized operator matrix: P/N for a network P, K/M for a
+    kernel sampled on the M-grid. LQ payoffs take the direct solve of
+    (I - alpha G) s = beta, accepted for complements or when nonnegative;
+    otherwise, and for generic payoffs, best-response iteration runs from
+    ``start`` (default: beta for LQ, the best response to z = 0 otherwise).
+    """
+    lam = matrix_dominant_eigenvalue(G, eig_tol)
+    q = _check_contraction(payoff, lam)
+    n = G.shape[0]
+    if isinstance(payoff, LqPayoff):
+        s = np.linalg.solve(np.eye(n) - payoff.alpha * G, np.full(n, payoff.beta))
+        if payoff.alpha > 0.0 or s.min() >= _ACCEPT_NEG:
+            s = np.maximum(s, 0.0)
+            res = float(np.max(np.abs(s - br_lq(G @ s, payoff))))
+            return EquilibriumReport(s, 0, res, q, "direct-solve", [], lam)
+        br = lambda sv: br_lq(G @ sv, payoff)
+        s0 = np.full(n, payoff.beta) if start is None else start
+    else:
+        br = lambda sv: _br_generic(payoff, G @ sv)
+        s0 = _br_generic(payoff, np.zeros(n)) if start is None else start
+    s, iters, res, steps = _br_iterate(br, s0, tol, max_iter)
+    return EquilibriumReport(s, iters, res, q, "br-iteration", steps, lam)
+
+
+def solve_network(P: np.ndarray, payoff, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER, start=None) -> EquilibriumReport:
+    """Equilibrium of the N-agent game on network P (aggregate (1/N) P s)."""
     P = np.asarray(P, dtype=float)
-    N = P.shape[0]
-    lam = matrix_dominant_eigenvalue(P / N)
-    q = _check_contraction(payoff, lam)
-    br = lambda sv: _br_generic(payoff, local_aggregate(P, sv))
-    s0 = np.asarray(start, dtype=float) if start is not None else _br_generic(payoff, np.zeros(N))
-    s, iters, res, steps = _br_iterate(br, s0, tol, max_iter)
-    return EquilibriumReport(profile=s, iterations=iters, residual=res,
-                             contraction_factor=q, method="br-iteration", step_norms=steps)
+    return _solve(P / P.shape[0], payoff, tol, max_iter, start, NETWORK_POWER_TOL)
 
 
-def solve_graphon_lq(spec: GraphonSpec, p: LqPayoff, M: int,
-                     tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> EquilibriumReport:
-    """Equilibrium of the linear-quadratic graphon game on the M-point grid."""
-    op = discretize(spec, M)
-    lam = dominant_eigenpair(op).value
-    A = op.matrix()
-    s, iters, res, q, method, steps = _solve_lq_on(lambda sv: A @ sv, lam, p, A, tol, max_iter)
-    return EquilibriumReport(profile=GridFunction(s), iterations=iters, residual=res,
-                             contraction_factor=q, method=method, step_norms=steps)
+def solve_graphon(spec: GraphonSpec, payoff, M: int, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER, start=None) -> EquilibriumReport:
+    """Equilibrium of the graphon game discretized on the M-point grid.
+
+    This is the network game of the midpoint kernel matrix; only the profile
+    is returned as a GridFunction.
+    """
+    report = _solve(discretize(spec, M).matrix(), payoff, tol, max_iter, start, POWER_TOL)
+    report.profile = GridFunction(report.profile)
+    return report
 
 
-def solve_graphon_generic(spec: GraphonSpec, payoff: GenericPayoff, M: int,
-                          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                          start: np.ndarray | None = None) -> EquilibriumReport:
-    """Best-response iteration for a generic payoff on the discretized kernel."""
-    op = discretize(spec, M)
-    lam = dominant_eigenpair(op).value
-    q = _check_contraction(payoff, lam)
-    A = op.matrix()
-    br = lambda sv: _br_generic(payoff, A @ sv)
-    s0 = np.asarray(start, dtype=float) if start is not None else _br_generic(payoff, np.zeros(M))
-    s, iters, res, steps = _br_iterate(br, s0, tol, max_iter)
-    return EquilibriumReport(profile=GridFunction(s), iterations=iters, residual=res,
-                             contraction_factor=q, method="br-iteration", step_norms=steps)
-
-
-def solve_network(P, payoff, **kwargs) -> EquilibriumReport:
-    """Dispatch on payoff type."""
-    if isinstance(payoff, LqPayoff):
-        return solve_network_lq(P, payoff, **kwargs)
-    return solve_network_generic(P, payoff, **kwargs)
-
-
-def solve_graphon(spec, payoff, M, **kwargs) -> EquilibriumReport:
-    """Dispatch on payoff type."""
-    if isinstance(payoff, LqPayoff):
-        return solve_graphon_lq(spec, payoff, M, **kwargs)
-    return solve_graphon_generic(spec, payoff, M, **kwargs)
+# Payoff-specific names of the two entry points, kept for existing callers.
+solve_network_lq = solve_network_generic = solve_network
+solve_graphon_lq = solve_graphon_generic = solve_graphon
 
 
 def step_function_embed(s) -> GridFunction:
@@ -404,10 +376,20 @@ def lq_s_max(p: LqPayoff, lambda_max: float) -> float:
     return p.beta
 
 
+@dataclass(frozen=True)
+class _LqGradient:
+    """Strategy gradient beta + alpha z - s of an LQ payoff (picklable for worker pools)."""
+
+    p: LqPayoff
+
+    def __call__(self, s, z):
+        return self.p.beta + self.p.alpha * z - s
+
+
 def lq_as_generic(p: LqPayoff, hi: float) -> GenericPayoff:
     """Encode an LQ payoff as a GenericPayoff with strategy box [0, hi]."""
     return GenericPayoff(
-        grad_s=lambda s, z: p.beta + p.alpha * z - s,
+        grad_s=_LqGradient(p),
         alpha_U=1.0,
         ell_U=abs(p.alpha),
         bounds=(0.0, hi),
@@ -421,4 +403,5 @@ def report_to_json(report: EquilibriumReport) -> dict:
         "residual": report.residual,
         "contraction_factor": report.contraction_factor,
         "method": report.method,
+        "lambda_max": report.lambda_max,
     }

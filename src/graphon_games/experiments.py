@@ -41,7 +41,7 @@ from .interventions import (
 )
 from .kernels import GraphonSpec, lipschitz_metadata
 from .sampling import sample_types, simple_network, weighted_network
-from .spectral import GridFunction, discretize, dominant_eigenpair
+from .spectral import GridFunction
 
 __all__ = [
     "DistanceStats",
@@ -157,8 +157,8 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
     if M < 2 * max(Ns):
         raise ValueError(f"reference resolution M={M} must be at least twice max N={max(Ns)}")
 
-    sbar = solve_graphon(spec, payoff, M).profile
-    lam = dominant_eigenpair(discretize(spec, M)).value
+    limit = solve_graphon(spec, payoff, M)
+    sbar, lam = limit.profile, limit.lambda_max
     Ktilde = comparative_statics_bound(payoff, lam, _s_max_for(payoff, lam))
     L, Omega = lipschitz_metadata(spec)
     per_n_bounds = {n: bound_rho(n, delta, L, Omega, Ktilde) for n in Ns}

@@ -21,10 +21,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .equilibrium import NETWORK_POWER_TOL, matrix_dominant_eigenvalue
 from .errors import ContractionError
-from .kernels import GraphonSpec
+from .kernels import GraphonSpec, _sbm_block_index
 from .sampling import SimpleNetwork, TypeVector
-from .spectral import discretize, power_method, sbm_eigen_analytic, top_k_eigen
+from .spectral import (
+    POWER_MAX_ITER,
+    _orient,
+    discretize,
+    power_method,
+    sbm_eigen_analytic,
+    top_k_eigen,
+)
 
 __all__ = [
     "InterventionResult",
@@ -58,32 +66,23 @@ class InterventionResult:
     kkt_multiplier: float | None = None
 
 
-def _power_eigvec(A: np.ndarray, tol: float = 1e-13, max_iter: int = 100_000):
-    """Dominant eigenpair of a symmetric matrix, Perron-oriented."""
-    lam, v = power_method(np.asarray(A, dtype=float), tol, max_iter)
-    if v.sum() < 0.0:
-        v = -v
-    return lam, v
-
-
 def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 at the equilibrium s = (I - alpha P/N)^-1 beta_hat."""
-    P = np.asarray(P, dtype=float)
-    N = P.shape[0]
-    lam, _ = _power_eigvec(P / N)
-    q = abs(alpha) * lam
-    if q >= 1.0:
-        raise ContractionError(q)
-    s = np.linalg.solve(np.eye(N) - (alpha / N) * P, np.asarray(beta_hat, dtype=float))
-    return float(np.sum(s**2) / (2.0 * N))
+    return _welfares(P, alpha, [beta_hat])[0]
 
 
-def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> list[float]:
-    """Welfare of several allocations with one factorization of the game matrix."""
+def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray],
+              lambda_max: float | None = None) -> list[float]:
+    """Welfare of several allocations with one factorization of the game matrix.
+
+    ``lambda_max`` of P/N is computed by power iteration unless the caller
+    already has it.
+    """
     P = np.asarray(P, dtype=float)
     N = P.shape[0]
-    lam, _ = _power_eigvec(P / N)
-    q = abs(alpha) * lam
+    if lambda_max is None:
+        lambda_max = matrix_dominant_eigenvalue(P / N)
+    q = abs(alpha) * lambda_max
     if q >= 1.0:
         raise ContractionError(q)
     B = np.column_stack(allocations)
@@ -110,8 +109,8 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
     if C < 0.0:
         raise ValueError("budget must be nonnegative")
-    P = np.asarray(P, dtype=float)
-    _, v1 = _power_eigvec(P)
+    _, v1 = power_method(np.asarray(P, dtype=float), NETWORK_POWER_TOL, POWER_MAX_ITER)
+    v1 = _orient(v1)
     beta_hat = beta + math.sqrt(C) * v1
     used = float(np.sum((beta_hat - beta) ** 2))
     return InterventionResult(beta_hat=beta_hat, welfare=math.nan,
@@ -133,10 +132,7 @@ def _psi1_at_types(spec: GraphonSpec, t: np.ndarray, M: int):
         pairs = sbm_eigen_analytic(spec.Q, spec.w)
         lam1, blocks = pairs[0]
         lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
-        bounds = np.concatenate(([0.0], np.cumsum(spec.w)))
-        bounds[-1] = 1.0
-        idx = np.clip(np.searchsorted(bounds, t, side="right") - 1, 0, len(spec.w) - 1)
-        return blocks[idx], lam1 - lam2
+        return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
     op = discretize(spec, M)
     pairs = top_k_eigen(op, 2)
     return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value
@@ -198,7 +194,8 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
         raise ContractionError(q)
     if C == 0.0:
         beta_hat = np.full(N, float(beta))
-        return InterventionResult(beta_hat=beta_hat, welfare=welfare(P, alpha, beta_hat),
+        return InterventionResult(beta_hat=beta_hat,
+                                  welfare=_welfares(P, alpha, [beta_hat], lam[-1])[0],
                                   budget_used=0.0, policy="optimal")
 
     d = 1.0 / (1.0 - alpha * lam) ** 2
@@ -244,7 +241,8 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
 
     beta_hat = U @ y
     used = float(np.sum((beta_hat - beta) ** 2))
-    return InterventionResult(beta_hat=beta_hat, welfare=welfare(P, alpha, beta_hat),
+    return InterventionResult(beta_hat=beta_hat,
+                              welfare=_welfares(P, alpha, [beta_hat], lam[-1])[0],
                               budget_used=used, policy="optimal", kkt_multiplier=float(mu))
 
 

@@ -159,9 +159,17 @@ def power_method(A: np.ndarray, tol: float, max_iter: int):
     for it in range(1, max_iter + 1):
         norm = float(np.linalg.norm(Bv))
         if norm == 0.0:
-            # B vanished: for the unshifted nonnegative case the operator is
-            # zero; otherwise A = -shift * I and the whole spectrum is -shift.
-            return -shift, np.full(n, 1.0 / math.sqrt(n))
+            # B v vanished, so v lies in the -shift eigenspace of A (for
+            # [[0, -3], [-3, 0]] the all-ones start does). Restart from the
+            # basis vector of B's heaviest column; if every column is zero,
+            # A = -shift * I and the whole spectrum is -shift.
+            j = int(np.argmax(np.abs(B).sum(axis=0)))
+            if not B[:, j].any():
+                return -shift, np.full(n, 1.0 / math.sqrt(n))
+            v = np.zeros(n)
+            v[j] = 1.0
+            lam, Bv = float(A[j, j]), B[:, j].copy()
+            continue
         v_new = Bv / norm
         Bv_new = B @ v_new
         lam_new = float(v_new @ Bv_new) - shift

@@ -126,3 +126,25 @@ def test_epsilon_estimate_validation():
     gen_like = object()
     with pytest.raises(ValueError):
         bayes.estimate_epsilon(kernels.minmax(), gen_like, None, 10, 10, seed=0, sbar=sbar)
+
+
+def test_epsilon_discretizes_once_when_solving_its_own_profile(monkeypatch, minmax_sbar):
+    # Without sbar, the solve's lambda_max gives L_U; the operator is not
+    # discretized and power-iterated a second time. The result matches the
+    # path that is handed sbar.
+    from graphon_games import equilibrium
+
+    calls = []
+    real = equilibrium.discretize
+
+    def counting(spec, M):
+        calls.append(M)
+        return real(spec, M)
+
+    monkeypatch.setattr(equilibrium, "discretize", counting)
+    monkeypatch.setattr(bayes, "discretize", counting)
+    own = bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, None, 100, 50, seed=2, M=1000)
+    assert calls == [1000]
+    given_sbar = bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, None, 100, 50, seed=2,
+                                        sbar=minmax_sbar)
+    assert own == given_sbar

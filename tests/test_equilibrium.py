@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphon_games import equilibrium as eq
 from graphon_games import kernels, sampling, spectral
@@ -382,3 +384,40 @@ def test_comparative_statics_invariant():
 def test_lq_s_max():
     assert eq.lq_s_max(eq.LqPayoff(0.5, 1.0), 1.0) == pytest.approx(2.0)
     assert eq.lq_s_max(eq.LqPayoff(-0.5, 1.3), 1.0) == 1.3
+
+
+def test_network_lq_signed_pair_uses_largest_eigenvalue():
+    # lambda_max of P/2 is +1.5 (power iteration from all ones used to land
+    # on -1.5), so q = 0.75 and the game is a contraction.
+    rep = eq.solve_network_lq(np.array([[0.0, -3.0], [-3.0, 0.0]]), eq.LqPayoff(0.5, 1.0))
+    assert rep.lambda_max == pytest.approx(1.5, abs=1e-10)
+    assert rep.contraction_factor == pytest.approx(0.75, abs=1e-10)
+    assert np.allclose(rep.profile_array(), 1.0 / 1.75, atol=1e-12)
+
+
+_EQUIVALENCE_PAYOFFS = {
+    "complements": eq.LqPayoff(0.8, 1.0),
+    "substitutes": eq.LqPayoff(-1.8, 1.0),
+    "generic": eq.lq_as_generic(eq.LqPayoff(-0.8, 1.0), hi=5.0),
+}
+
+
+@given(N=st.integers(2, 24), seed=st.integers(0, 2**32 - 1), star=st.booleans(),
+       kind=st.sampled_from(sorted(_EQUIVALENCE_PAYOFFS)))
+@settings(max_examples=80, deadline=None)
+def test_network_game_is_the_graphon_game_of_its_step_kernel(N, seed, star, kind):
+    # Both entry points solve on the same operator matrix P/N, so the
+    # profiles agree exactly, not just to solver tolerance. A hub over a
+    # weak background drives substitutes onto the best-response fallback.
+    P = random_network(np.random.default_rng(seed), N)
+    if star:
+        P *= 0.1
+        P[0, 1:] = P[1:, 0] = 1.0
+    payoff = _EQUIVALENCE_PAYOFFS[kind]
+    lam = eq.matrix_dominant_eigenvalue(P / N)
+    assume(eq.contraction_factor(payoff, lam) < 0.99)
+    rep_net = eq.solve_network(P, payoff)
+    rep_gra = eq.solve_graphon(kernels.grid_kernel(P), payoff, N)
+    assert rep_net.lambda_max == lam
+    assert rep_net.method == rep_gra.method
+    assert np.array_equal(rep_net.profile_array(), rep_gra.profile_array())

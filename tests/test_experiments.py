@@ -8,6 +8,7 @@ from graphon_games import kernels, sampling
 from graphon_games.equilibrium import (
     LqPayoff,
     l2_distance,
+    lq_as_generic,
     solve_graphon_lq,
     solve_network_lq,
     step_function_embed,
@@ -102,6 +103,16 @@ def test_distance_csv_reproducible(tmp_path):
 def test_distance_results_independent_of_jobs(tmp_path):
     args = dict(spec=kernels.minmax(), payoff=LqPayoff(-0.5, 1.0),
                 Ns=[30, 60], trials=4, delta=0.05, M=150, seed=5)
+    p1, p2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
+    ex.distance_experiment(**args, jobs=1, csv_path=p1)
+    ex.distance_experiment(**args, jobs=2, csv_path=p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_generic_payoff_distance_results_independent_of_jobs(tmp_path):
+    # The payoff travels to the worker processes, so it must pickle.
+    args = dict(spec=kernels.minmax(), payoff=lq_as_generic(LqPayoff(-0.5, 1.0), hi=2.0),
+                Ns=[10, 20], trials=2, delta=0.05, M=40, seed=5)
     p1, p2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
     ex.distance_experiment(**args, jobs=1, csv_path=p1)
     ex.distance_experiment(**args, jobs=2, csv_path=p2)

@@ -305,3 +305,16 @@ def test_davis_kahan_bound():
         from graphon_games.equilibrium import l2_distance
 
         assert l2_distance(top[0].function, psi_b) <= 2.0 * math.sqrt(2.0) * dist / gap + 1e-10
+
+
+def test_power_method_restarts_when_start_is_in_bottom_eigenspace():
+    # The all-ones start lies in the -3 eigenspace, so the shifted matrix maps
+    # it to zero although the matrix itself is not -shift * I.
+    lam, v = spectral.power_method(np.array([[0.0, -3.0], [-3.0, 0.0]]), 1e-12, 1000)
+    assert lam == pytest.approx(3.0, abs=1e-10)
+    assert abs(v[0] + v[1]) <= 1e-10
+
+
+def test_power_method_scalar_matrix_returns_its_value():
+    lam, _ = spectral.power_method(-2.0 * np.eye(3), 1e-12, 1000)
+    assert lam == -2.0
