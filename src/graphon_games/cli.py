@@ -24,7 +24,7 @@ from . import __version__
 from .bayes import estimate_epsilon, lq_L_U
 from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
-from .experiments import _fmt, distance_experiment, intervention_experiment, subseed
+from .experiments import _write_csv, distance_experiment, intervention_experiment, subseed
 from .interventions import (
     evaluate_policy,
     graphon_heuristic,
@@ -105,8 +105,9 @@ def build_graphon(args):
     raise UsageError("--graphon grid requires --graphon-json with the cell values")
 
 
-def _parse_ns(text) -> list[int]:
-    return [int(x) for x in str(text).split(",")]
+def _parse_ns(value) -> list[int]:
+    # a comma-separated flag, or a JSON list from --config
+    return [int(x) for x in (value if isinstance(value, list) else str(value).split(","))]
 
 
 def _write_json(outdir: Path, name: str, doc) -> None:
@@ -115,9 +116,18 @@ def _write_json(outdir: Path, name: str, doc) -> None:
         fh.write("\n")
 
 
+def _write_table(args, outdir: Path, name: str, header: str, rows, docs) -> None:
+    # name.csv always; name.json as well under --format json
+    _write_csv(outdir / f"{name}.csv", header, rows)
+    if args.format == "json":
+        _write_json(outdir, f"{name}.json", docs)
+
+
+_NOT_PARAMS = {"func", "config", "required_params"}
+
+
 def _manifest(outdir: Path, command: str, args) -> None:
-    skip = {"func", "config", "required_params"}
-    params = {k: v for k, v in vars(args).items() if k not in skip}
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
     _write_json(outdir, "manifest.json", {
         "command": command,
         "params": params,
@@ -129,14 +139,15 @@ def _manifest(outdir: Path, command: str, args) -> None:
     })
 
 
-def _cmd_sample(args, outdir: Path) -> int:
-    spec = build_graphon(args)
-    types = sample_types(args.N, args.seed)
+def _sample(spec, N: int, seed, simple: bool):
+    """Sampled network matrix (0-1 when ``simple``) and its types."""
+    types = sample_types(N, seed)
     Pw = weighted_network(spec, types)
-    if args.simple:
-        matrix = simple_network(Pw, subseed(args.seed, 1)).A
-    else:
-        matrix = Pw.P
+    return (simple_network(Pw, subseed(seed, 1)).A if simple else Pw.P), types
+
+
+def _cmd_sample(args, outdir: Path) -> int:
+    matrix, types = _sample(build_graphon(args), args.N, args.seed, args.simple)
     _write_json(outdir, "network.json", network_to_json(matrix, types))
     if args.format == "csv":
         write_edge_csv(matrix, outdir / "edges.csv")
@@ -152,42 +163,26 @@ def _cmd_eigen(args, outdir: Path) -> int:
             "functions": [p.function.to_json() for p in pairs],
         })
     else:
-        with open(outdir / "eigenvalues.csv", "w") as fh:
-            fh.write("rank,value\n")
-            for i, p in enumerate(pairs, start=1):
-                fh.write(f"{i},{_fmt(p.value)}\n")
-        with open(outdir / "eigenfunctions.csv", "w") as fh:
-            fh.write("midpoint," + ",".join(f"psi{i}" for i in range(1, len(pairs) + 1)) + "\n")
-            mids = midpoints(args.M)
-            for row, x in enumerate(mids):
-                vals = ",".join(_fmt(float(p.function.values[row])) for p in pairs)
-                fh.write(f"{_fmt(float(x))},{vals}\n")
+        _write_csv(outdir / "eigenvalues.csv", "rank,value",
+                   enumerate((p.value for p in pairs), start=1))
+        header = "midpoint," + ",".join(f"psi{i}" for i in range(1, len(pairs) + 1))
+        _write_csv(outdir / "eigenfunctions.csv", header,
+                   zip(midpoints(args.M), *(p.function.values for p in pairs)))
     return 0
 
 
-def _network_from_args(args, spec):
-    if getattr(args, "network_json", None):
-        matrix, types = load_network_json(args.network_json)
-        return matrix, types
-    if args.N is None:
-        raise UsageError("either --N (to sample) or --network-json is required")
-    types = sample_types(args.N, args.seed)
-    Pw = weighted_network(spec, types)
-    if getattr(args, "simple", False):
-        return simple_network(Pw, subseed(args.seed, 1)).A, types
-    return Pw.P, types
-
-
 def _cmd_solve_network(args, outdir: Path) -> int:
-    spec = None if args.network_json else build_graphon(args)
-    matrix, _ = _network_from_args(args, spec)
+    if args.network_json:
+        matrix, _ = load_network_json(args.network_json)
+    else:
+        spec = build_graphon(args)
+        if args.N is None:
+            raise UsageError("either --N (to sample) or --network-json is required")
+        matrix, _ = _sample(spec, args.N, args.seed, args.simple)
     report = solve_network(matrix, LqPayoff(args.alpha, args.beta))
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
-        with open(outdir / "profile.csv", "w") as fh:
-            fh.write("index,value\n")
-            for i, v in enumerate(report.profile_array()):
-                fh.write(f"{i},{_fmt(float(v))}\n")
+        _write_csv(outdir / "profile.csv", "index,value", enumerate(report.profile_array()))
     return 0
 
 
@@ -196,47 +191,33 @@ def _cmd_solve_graphon(args, outdir: Path) -> int:
     report = solve_graphon(spec, LqPayoff(args.alpha, args.beta), args.M)
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
-        with open(outdir / "profile.csv", "w") as fh:
-            fh.write("midpoint,value\n")
-            for x, v in zip(midpoints(args.M), report.profile_array()):
-                fh.write(f"{_fmt(float(x))},{_fmt(float(v))}\n")
+        _write_csv(outdir / "profile.csv", "midpoint,value",
+                   zip(midpoints(args.M), report.profile_array()))
     return 0
 
 
 def _cmd_intervene(args, outdir: Path) -> int:
     spec = build_graphon(args)
-    types = sample_types(args.N, args.seed)
-    Pw = weighted_network(spec, types)
-    A = simple_network(Pw, subseed(args.seed, 1)).A
+    A, types = _sample(spec, args.N, args.seed, simple=True)
     C = args.C if args.C is not None else args.c_per_agent * args.N
 
-    results = []
-    wanted = ("homogeneous", "network", "graphon", "optimal") if args.policy == "all" else (args.policy,)
-    results.append(evaluate_policy(no_intervention(args.beta, args.N), A, args.alpha))
-    for name in wanted:
-        if name == "homogeneous":
-            res = homogeneous_policy(args.beta, C, args.N)
-        elif name == "network":
-            res = network_heuristic(A, args.beta, C)
-        elif name == "graphon":
-            res = graphon_heuristic(spec, types, args.beta, C, M=args.M)
-        else:
-            res = optimal_intervention(A, args.alpha, args.beta, C)
-        if math.isnan(res.welfare):
-            res = evaluate_policy(res, A, args.alpha)
-        results.append(res)
+    policies = {
+        "homogeneous": lambda: homogeneous_policy(args.beta, C, args.N),
+        "network": lambda: network_heuristic(A, args.beta, C),
+        "graphon": lambda: graphon_heuristic(spec, types, args.beta, C, M=args.M),
+        "optimal": lambda: optimal_intervention(A, args.alpha, args.beta, C),
+    }
+    results = [evaluate_policy(no_intervention(args.beta, args.N), A, args.alpha)]
+    for name in policies if args.policy == "all" else (args.policy,):
+        res = policies[name]()
+        results.append(evaluate_policy(res, A, args.alpha) if math.isnan(res.welfare) else res)
 
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":
-        with open(outdir / "interventions.csv", "w") as fh:
-            fh.write("policy,welfare,budget_used\n")
-            for r in results:
-                fh.write(f"{r.policy},{_fmt(r.welfare)},{_fmt(r.budget_used)}\n")
-        with open(outdir / "allocations.csv", "w") as fh:
-            fh.write("index," + ",".join(r.policy for r in results) + "\n")
-            for i in range(args.N):
-                row = ",".join(_fmt(float(r.beta_hat[i])) for r in results)
-                fh.write(f"{i},{row}\n")
+        _write_csv(outdir / "interventions.csv", "policy,welfare,budget_used",
+                   [(r.policy, r.welfare, r.budget_used) for r in results])
+        _write_csv(outdir / "allocations.csv", "index," + ",".join(r.policy for r in results),
+                   [(i, *row) for i, row in enumerate(zip(*(r.beta_hat for r in results)))])
     return 0
 
 
@@ -247,14 +228,11 @@ def _cmd_distance_exp(args, outdir: Path) -> int:
         spec, payoff, _parse_ns(args.Ns), args.trials, args.delta, args.M, args.seed,
         jobs=args.jobs or os.cpu_count(), csv_path=outdir / "distances.csv",
     )
-    with open(outdir / "summary.csv", "w") as fh:
-        fh.write("N,kind,p0,p25,p50,p75,p95,bound_weighted,bound_simple,failures\n")
-        for st in stats:
-            pct = ",".join(_fmt(st.percentiles.get(f"p{p}", math.nan)) for p in (0, 25, 50, 75, 95))
-            fh.write(f"{st.N},{st.kind},{pct},{_fmt(st.bound_weighted)},"
-                     f"{_fmt(st.bound_simple)},{st.failures}\n")
-    if args.format == "json":
-        _write_json(outdir, "summary.json", [vars(st) for st in stats])
+    rows = [(st.N, st.kind, *(st.percentiles.get(f"p{p}", math.nan) for p in (0, 25, 50, 75, 95)),
+             st.bound_weighted, st.bound_simple, st.failures) for st in stats]
+    _write_table(args, outdir, "summary",
+                 "N,kind,p0,p25,p50,p75,p95,bound_weighted,bound_simple,failures",
+                 rows, [vars(st) for st in stats])
     return 0
 
 
@@ -265,15 +243,12 @@ def _cmd_welfare_exp(args, outdir: Path) -> int:
         args.optimal_cap, args.seed, jobs=args.jobs or os.cpu_count(), M=args.M,
         csv_path=outdir / "welfare.csv",
     )
-    with open(outdir / "summary.csv", "w") as fh:
-        fh.write("N,mean_T,mean_T_hom,mean_T_nh,mean_T_gh,mean_T_opt,gap_p50,ratio_p50,failures\n")
-        for st in stats:
-            fh.write(f"{st.N},{_fmt(st.mean_T)},{_fmt(st.mean_T_hom)},{_fmt(st.mean_T_nh)},"
-                     f"{_fmt(st.mean_T_gh)},{_fmt(st.mean_T_opt)},"
-                     f"{_fmt(st.gap_percentiles.get('p50', math.nan))},"
-                     f"{_fmt(st.ratio_percentiles.get('p50', math.nan))},{st.failures}\n")
-    if args.format == "json":
-        _write_json(outdir, "summary.json", [vars(st) for st in stats])
+    rows = [(st.N, st.mean_T, st.mean_T_hom, st.mean_T_nh, st.mean_T_gh, st.mean_T_opt,
+             st.gap_percentiles.get("p50", math.nan), st.ratio_percentiles.get("p50", math.nan),
+             st.failures) for st in stats]
+    _write_table(args, outdir, "summary",
+                 "N,mean_T,mean_T_hom,mean_T_nh,mean_T_gh,mean_T_opt,gap_p50,ratio_p50,failures",
+                 rows, [vars(st) for st in stats])
     return 0
 
 
@@ -282,118 +257,94 @@ def _cmd_bne_epsilon(args, outdir: Path) -> int:
     payoff = LqPayoff(args.alpha, args.beta)
     limit = solve_graphon(spec, payoff, args.M)
     L_U = lq_L_U(payoff, limit.lambda_max) if args.L_U is None else args.L_U
-    rows = []
-    for n in _parse_ns(args.Ns):
-        est = estimate_epsilon(spec, payoff, L_U, n, args.trials,
-                               subseed(args.seed, n), sbar=limit.profile, M=args.M)
-        rows.append(est)
-    with open(outdir / "epsilon.csv", "w") as fh:
-        fh.write("N,epsilon_hat,stderr\n")
-        for est in rows:
-            fh.write(f"{est.N},{_fmt(est.epsilon_hat)},{_fmt(est.stderr)}\n")
-    if args.format == "json":
-        _write_json(outdir, "epsilon.json", [est.to_json() for est in rows])
+    ests = [estimate_epsilon(spec, payoff, L_U, n, args.trials, subseed(args.seed, n),
+                             sbar=limit.profile, M=args.M) for n in _parse_ns(args.Ns)]
+    _write_table(args, outdir, "epsilon", "N,epsilon_hat,stderr",
+                 [(e.N, e.epsilon_hat, e.stderr) for e in ests], [e.to_json() for e in ests])
     return 0
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphon-games", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    graphon = argparse.ArgumentParser(add_help=False)
+    _add_graphon(graphon)
+    _add_common(graphon)
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("--alpha", type=float, default=None)
+    game.add_argument("--beta", type=float, default=None)
 
-    sp = subs.add_parser("sample", help="sample a network from a graphon")
-    _add_graphon(sp)
-    _add_common(sp)
+    def add(name, summary, func, required=None, parents=(graphon, game)):
+        sp = subs.add_parser(name, help=summary, parents=list(parents))
+        sp.set_defaults(func=func, required_params=required)
+        return sp
+
+    sp = add("sample", "sample a network from a graphon", _cmd_sample, ("N",), (graphon,))
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--simple", action="store_true", help="draw the 0-1 network")
-    sp.set_defaults(func=_cmd_sample, required_params=("N",))
 
-    sp = subs.add_parser("eigen", help="leading spectrum of the discretized kernel")
-    _add_graphon(sp)
-    _add_common(sp)
+    sp = add("eigen", "leading spectrum of the discretized kernel", _cmd_eigen, None, (graphon,))
     sp.add_argument("--M", type=int, default=2000)
     sp.add_argument("--k", type=int, default=1)
-    sp.set_defaults(func=_cmd_eigen)
 
-    sp = subs.add_parser("solve-network", help="equilibrium of a sampled or given network game")
-    _add_graphon(sp)
-    _add_common(sp)
+    sp = add("solve-network", "equilibrium of a sampled or given network game",
+             _cmd_solve_network, ("alpha", "beta"))
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--simple", action="store_true")
     sp.add_argument("--network-json", default=None, help="load the network instead of sampling")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.set_defaults(func=_cmd_solve_network, required_params=("alpha", "beta"))
 
-    sp = subs.add_parser("solve-graphon", help="equilibrium of the discretized graphon game")
-    _add_graphon(sp)
-    _add_common(sp)
+    sp = add("solve-graphon", "equilibrium of the discretized graphon game",
+             _cmd_solve_graphon, ("alpha", "beta"))
     sp.add_argument("--M", type=int, default=2000)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.set_defaults(func=_cmd_solve_graphon, required_params=("alpha", "beta"))
 
-    sp = subs.add_parser("intervene", help="budget allocation policies on a sampled network")
-    _add_graphon(sp)
-    _add_common(sp)
+    sp = add("intervene", "budget allocation policies on a sampled network",
+             _cmd_intervene, ("N", "alpha", "beta"))
     sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--C", type=float, default=None, help="total budget")
     sp.add_argument("--c-per-agent", type=float, default=0.01, help="per-agent budget, C = c N")
     sp.add_argument("--M", type=int, default=1000)
     sp.add_argument("--policy", choices=("optimal", "network", "graphon", "homogeneous", "all"),
                     default="all")
-    sp.set_defaults(func=_cmd_intervene, required_params=("N", "alpha", "beta"))
 
-    sp = subs.add_parser("distance-exp", help="equilibrium distance statistics vs population size")
-    _add_graphon(sp)
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+    sp = add("distance-exp", "equilibrium distance statistics vs population size",
+             _cmd_distance_exp, ("alpha", "beta", "Ns"))
     sp.add_argument("--Ns", default=None, help="comma-separated population sizes")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--M", type=int, default=2000)
     sp.add_argument("--jobs", type=int, default=0,
                     help="worker processes, 0 = all cores; results do not depend on it")
-    sp.set_defaults(func=_cmd_distance_exp, required_params=("alpha", "beta", "Ns"))
 
-    sp = subs.add_parser("welfare-exp", help="welfare of intervention policies vs population size")
-    _add_graphon(sp)
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+    sp = add("welfare-exp", "welfare of intervention policies vs population size",
+             _cmd_welfare_exp, ("alpha", "beta", "Ns"))
     sp.add_argument("--c-per-agent", type=float, default=0.01)
     sp.add_argument("--Ns", default=None)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--optimal-cap", type=int, default=150)
     sp.add_argument("--M", type=int, default=1000)
     sp.add_argument("--jobs", type=int, default=0, help="worker processes, 0 = all cores")
-    sp.set_defaults(func=_cmd_welfare_exp, required_params=("alpha", "beta", "Ns"))
 
-    sp = subs.add_parser("bne-epsilon", help="Monte Carlo Bayesian suboptimality estimates")
-    _add_graphon(sp)
-    _add_common(sp)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+    sp = add("bne-epsilon", "Monte Carlo Bayesian suboptimality estimates",
+             _cmd_bne_epsilon, ("alpha", "beta", "Ns"))
     sp.add_argument("--Ns", default=None)
     sp.add_argument("--trials", type=int, default=2000)
     sp.add_argument("--M", type=int, default=1000)
     sp.add_argument("--L-U", type=float, default=None, dest="L_U")
-    sp.set_defaults(func=_cmd_bne_epsilon, required_params=("alpha", "beta", "Ns"))
 
     return parser
 
 
 def _apply_config(args, argv) -> None:
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     with open(args.config) as fh:
         config = json.load(fh)
+    unknown = sorted(set(config) - (set(vars(args)) - _NOT_PARAMS - {"command"}))
+    if unknown:
+        raise UsageError(f"unknown keys in {args.config}: {', '.join(unknown)}")
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
-        given = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not given and hasattr(args, key):
+        if not any(tok == flag or tok.startswith(flag + "=") for tok in argv):
             setattr(args, key, value)
 
 
@@ -403,8 +354,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(args, argv)
-        missing = [k for k in getattr(args, "required_params", ())
-                   if getattr(args, k, None) is None]
+        missing = [k for k in args.required_params or () if getattr(args, k) is None]
         if missing:
             raise UsageError("missing required parameters: " + ", ".join(missing))
         outdir = Path(args.out)
@@ -412,7 +362,7 @@ def main(argv=None) -> int:
         code = args.func(args, outdir)
         _manifest(outdir, args.command, args)
         return code
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ContractionError, ValueError) as exc:

@@ -5,11 +5,13 @@ on a normalized operator matrix G: each agent best-responds to the local
 aggregate z = G s, with G = P/N for the network and G = K/M for the midpoint
 kernel matrix K. ``solve_network(P, payoff)`` and
 ``solve_graphon(spec, payoff, M)`` build G and hand it to one solver. Under
-the contraction condition (lipschitz ratio of the payoff times lambda_max,
-the largest eigenvalue of G, below one) the best-response map is a Banach
-contraction, so the equilibrium is unique and best-response iteration
-converges geometrically. The returned EquilibriumReport carries lambda_max,
-so callers that need it for bounds do not recompute it.
+the contraction condition (lipschitz ratio of the payoff times the spectral
+radius rho(G) below one) the best-response map is a Banach contraction, so
+the equilibrium is unique and best-response iteration converges
+geometrically. For a nonnegative G, rho(G) is lambda_max, the largest
+eigenvalue of G; a signed G also needs the largest eigenvalue of -G. The
+returned EquilibriumReport carries lambda_max, so callers that need it for
+bounds do not recompute it.
 
 Linear-quadratic payoffs admit a direct linear-solve path: for complements
 (alpha > 0) the equilibrium is interior and solves (I - alpha G) s = beta;
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractionError, IterationLimitError
-from .kernels import GraphonSpec
+from .kernels import GraphonSpec, _validate_symmetric
 from .spectral import POWER_MAX_ITER, POWER_TOL, GridFunction, discretize, power_method
 
 __all__ = [
@@ -128,7 +130,9 @@ class EquilibriumReport:
     ``step_norms`` records the Euclidean norm of successive best-response
     steps (empty on the direct-solve path); their ratios measure the realized
     contraction rate. ``lambda_max`` is the largest eigenvalue of the
-    normalized operator the game was solved on.
+    normalized operator G the game was solved on; ``contraction_factor`` is
+    the lipschitz ratio times the spectral radius of G, which exceeds
+    lambda_max only when G has a dominant negative eigenvalue.
     """
 
     profile: object
@@ -169,7 +173,7 @@ def _lipschitz_ratio(payoff) -> float:
 
 
 def contraction_factor(payoff, lambda_max: float) -> float:
-    """The Banach modulus (ell_U / alpha_U) * lambda_max of the game operator."""
+    """The Banach modulus (ell_U / alpha_U) * lambda_max; pass the spectral radius as lambda_max."""
     if lambda_max < 0.0:
         raise ValueError("lambda_max must be nonnegative")
     return _lipschitz_ratio(payoff) * lambda_max
@@ -186,13 +190,13 @@ def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = NETWORK_POWER_TOL,
     return lam
 
 
-def _check_contraction(payoff, lam: float) -> float:
-    q = contraction_factor(payoff, lam)
+def _check_contraction(payoff, rho: float) -> float:
+    q = contraction_factor(payoff, rho)
     if q >= 1.0:
         raise ContractionError(
             q,
             f"contraction violated: lipschitz ratio {_lipschitz_ratio(payoff):.6g} "
-            f"times lambda_max {lam:.6g} gives {q:.6g} >= 1",
+            f"times spectral radius {rho:.6g} gives {q:.6g} >= 1",
         )
     return q
 
@@ -255,9 +259,12 @@ def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start,
     (I - alpha G) s = beta, accepted for complements or when nonnegative;
     otherwise, and for generic payoffs, best-response iteration runs from
     ``start`` (default: beta for LQ, the best response to z = 0 otherwise).
+    The contraction factor uses the spectral radius of G, max(lambda_max(G),
+    lambda_max(-G)); the second power iteration runs only for a signed G.
     """
     lam = matrix_dominant_eigenvalue(G, eig_tol)
-    q = _check_contraction(payoff, lam)
+    rho = lam if G.min() >= 0.0 else max(lam, matrix_dominant_eigenvalue(-G, eig_tol))
+    q = _check_contraction(payoff, rho)
     n = G.shape[0]
     if isinstance(payoff, LqPayoff):
         s = np.linalg.solve(np.eye(n) - payoff.alpha * G, np.full(n, payoff.beta))
@@ -276,8 +283,8 @@ def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start,
 
 def solve_network(P: np.ndarray, payoff, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, start=None) -> EquilibriumReport:
-    """Equilibrium of the N-agent game on network P (aggregate (1/N) P s)."""
-    P = np.asarray(P, dtype=float)
+    """Equilibrium of the game on a square, symmetric, finite network P (aggregate (1/N) P s)."""
+    P = _validate_symmetric(P, "network matrix")
     return _solve(P / P.shape[0], payoff, tol, max_iter, start, NETWORK_POWER_TOL)
 
 

@@ -292,16 +292,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_distance_csv(rows, path) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """Write the header, then one LF-terminated line per row of ``_fmt`` cells."""
     with open(path, "w", newline="") as fh:
-        fh.write(DISTANCE_CSV_HEADER + "\n")
-        for (n, trial, kind, dist, bound, event) in rows:
-            fh.write(f"{n},{trial},{kind},{_fmt(dist)},{_fmt(bound)},{event}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_distance_csv(rows, path) -> None:
+    _write_csv(path, DISTANCE_CSV_HEADER, rows)
 
 
 def write_welfare_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(WELFARE_CSV_HEADER + "\n")
-        for (n, trial, T, T_hom, T_nh, T_gh, T_opt, gap) in rows:
-            fh.write(f"{n},{trial},{_fmt(T)},{_fmt(T_hom)},{_fmt(T_nh)},{_fmt(T_gh)},"
-                     f"{_fmt(T_opt)},{_fmt(gap)}\n")
+    _write_csv(path, WELFARE_CSV_HEADER, rows)

@@ -1,7 +1,7 @@
 """Planner interventions on standalone marginal returns.
 
 The planner spends a budget C to shift each agent's standalone return from
-beta to beta_hat_i, subject to sum (beta - beta_hat_i)^2 <= C, and wantsted to
+beta to beta_hat_i, subject to sum (beta - beta_hat_i)^2 <= C, and wants to
 maximize average welfare T = (1/(2N)) sum s_i^2 at the resulting equilibrium.
 Restricted to complements (alpha > 0), where the equilibrium is interior and
 linear in beta_hat.

@@ -33,19 +33,26 @@ __all__ = [
 _MASS_TOL = 1e-9
 
 
-def _validate_symmetric_unit(mat, name):
+def _validate_symmetric(mat, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} entries must be finite")
     if not np.array_equal(mat, mat.T):
         raise ValueError(f"{name} must be symmetric")
-    if np.any(mat < 0.0) or np.any(mat > 1.0):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
     return mat
 
 
+def _check_unit_interval(arr, name):
+    # min and max propagate NaN, and NaN fails both comparisons.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError(f"{name} outside [0, 1]")
+
+
 def _validate_sbm(Q, w):
-    Q = _validate_symmetric_unit(Q, "Q")
+    Q = _validate_symmetric(Q, "Q")
+    _check_unit_interval(Q, "Q entries")
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.shape[0] != Q.shape[0]:
         raise ValueError("w must be a vector matching the block count of Q")
@@ -71,18 +78,6 @@ class GraphonSpec:
     Q: np.ndarray | None = None
     w: np.ndarray | None = None
     values: np.ndarray | None = None
-
-    @property
-    def lipschitz_L(self) -> float:
-        return 2.0 if self.kind == "minmax" else 0.0
-
-    @property
-    def block_count_Omega(self) -> int:
-        if self.kind == "sbm":
-            return self.Q.shape[0] - 1
-        if self.kind == "grid":
-            return self.values.shape[0] - 1
-        return 0
 
     def __repr__(self):
         if self.kind == "er":
@@ -120,18 +115,14 @@ def minmax() -> GraphonSpec:
 
 def grid_kernel(values) -> GraphonSpec:
     """Step-function kernel constant on the uniform M x M grid of [0,1]^2."""
-    values = _validate_symmetric_unit(values, "values")
+    values = _validate_symmetric(values, "values")
+    _check_unit_interval(values, "values entries")
     return GraphonSpec(kind="grid", values=values)
 
 
-def step_graphon_from_matrix(P) -> GraphonSpec:
-    """Embed an N x N symmetric matrix in [0,1] as a step-function graphon.
-
-    Cell (i, j) of the uniform N-partition carries the constant value P[i, j],
-    so evaluation at any (x, y) with x in cell i and y in cell j returns
-    P[i, j]. This is the exact kernel counterpart of a finite network.
-    """
-    return grid_kernel(P)
+# An N x N network P embeds as the grid kernel whose cell (i, j) of the uniform
+# N-partition carries P[i, j]: the exact kernel counterpart of the network.
+step_graphon_from_matrix = grid_kernel
 
 
 def _cell_index(x, n_cells):
@@ -155,9 +146,8 @@ def evaluate(spec: GraphonSpec, x, y):
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    for name, arr in (("x", xa), ("y", ya)):
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError(f"coordinate {name} outside [0, 1]")
+    _check_unit_interval(xa, "coordinate x")
+    _check_unit_interval(ya, "coordinate y")
 
     if spec.kind == "er":
         out = np.broadcast_to(np.float64(spec.p), np.broadcast_shapes(xa.shape, ya.shape)).copy()
@@ -183,29 +173,32 @@ def lipschitz_metadata(spec: GraphonSpec) -> tuple[float, int]:
     number of interior cell boundaries); the minmax kernel is globally
     Lipschitz with constant 2 (Omega = 0).
     """
-    return spec.lipschitz_L, spec.block_count_Omega
+    L = 2.0 if spec.kind == "minmax" else 0.0
+    cells = {"sbm": spec.Q, "grid": spec.values}.get(spec.kind)
+    return L, 0 if cells is None else cells.shape[0] - 1
+
+
+_FIELDS = ("p", "Q", "w", "values")
+_CONSTRUCTORS = {"er": erdos_renyi, "sbm": sbm, "minmax": minmax, "grid": grid_kernel}
 
 
 def to_json(spec: GraphonSpec) -> dict:
-    """Serialize to a plain JSON document."""
-    if spec.kind == "er":
-        return {"kind": "er", "p": spec.p}
-    if spec.kind == "sbm":
-        return {"kind": "sbm", "Q": spec.Q.tolist(), "w": spec.w.tolist()}
-    if spec.kind == "grid":
-        return {"kind": "grid", "values": spec.values.tolist()}
-    return {"kind": "minmax"}
+    """Serialize to a plain JSON document: the kind plus the fields it sets."""
+    doc = {"kind": spec.kind}
+    for name in _FIELDS:
+        value = getattr(spec, name)
+        if value is not None:
+            doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
 def from_json(doc: dict) -> GraphonSpec:
-    """Rebuild a GraphonSpec from its JSON document."""
-    kind = doc.get("kind")
-    if kind == "er":
-        return erdos_renyi(doc["p"])
-    if kind == "sbm":
-        return sbm(doc["Q"], doc["w"])
-    if kind == "minmax":
-        return minmax()
-    if kind == "grid":
-        return grid_kernel(doc["values"])
-    raise ValueError(f"unknown graphon kind {kind!r}")
+    """Rebuild a GraphonSpec from its JSON document; a missing or extra field is a ValueError."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
+        raise ValueError(f"unknown graphon kind {kind!r}")
+    fields = {name: value for name, value in doc.items() if name != "kind"}
+    try:
+        return _CONSTRUCTORS[kind](**fields)
+    except TypeError as exc:
+        raise ValueError(f"bad fields for graphon kind {kind!r}: {exc}") from exc

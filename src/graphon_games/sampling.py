@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GraphonSpec, evaluate
+from .kernels import GraphonSpec, _check_unit_interval, _validate_symmetric, evaluate
 
 __all__ = [
     "TypeVector",
@@ -109,9 +109,18 @@ def network_to_json(matrix: np.ndarray, types: TypeVector) -> dict:
 
 
 def network_from_json(doc: dict) -> tuple[np.ndarray, TypeVector]:
-    matrix = np.asarray(doc["matrix"], dtype=float)
-    types = TypeVector(types=np.asarray(doc["types"], dtype=float))
-    return matrix, types
+    """Check and rebuild a network: square, symmetric, finite matrix; N sorted types in [0, 1]."""
+    missing = [key for key in ("matrix", "types") if key not in doc]
+    if missing:
+        raise ValueError(f"network document lacks {', '.join(missing)}")
+    matrix = _validate_symmetric(doc["matrix"], "network matrix")
+    types = np.asarray(doc["types"], dtype=float)
+    if types.shape != (matrix.shape[0],):
+        raise ValueError(f"need {matrix.shape[0]} types, got shape {types.shape}")
+    _check_unit_interval(types, "types")
+    if np.any(np.diff(types) < 0.0):
+        raise ValueError("types must be sorted ascending")
+    return matrix, TypeVector(types=types)
 
 
 def write_edge_csv(matrix: np.ndarray, path) -> None:

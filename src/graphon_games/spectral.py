@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationLimitError
-from .kernels import GraphonSpec, _validate_sbm, evaluate
+from .kernels import GraphonSpec, _cell_index, _validate_sbm, evaluate
 
 __all__ = [
     "GridFunction",
@@ -57,8 +57,7 @@ class GridFunction:
 
     def value_at(self, x):
         """Evaluate the step function at points x in [0, 1]."""
-        idx = np.minimum(np.floor(np.asarray(x) * self.M).astype(int), self.M - 1)
-        out = self.values[idx]
+        out = self.values[_cell_index(x, self.M)]
         return float(out) if np.isscalar(x) else out
 
     def to_json(self) -> list:
@@ -148,8 +147,7 @@ def power_method(A: np.ndarray, tol: float, max_iter: int):
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    row_bound = float(np.max(np.abs(A).sum(axis=1))) if n else 0.0
-    shift = 0.0 if np.all(A >= 0.0) else row_bound
+    shift = float(np.max(np.abs(A).sum(axis=1))) if A.min() < 0.0 else 0.0
     B = A if shift == 0.0 else A + shift * np.eye(n)
     v = np.full(n, 1.0 / math.sqrt(n))
     lam = float(v @ (A @ v))
@@ -179,7 +177,7 @@ def power_method(A: np.ndarray, tol: float, max_iter: int):
             return lam_new, v_new
         stall = stall + 1 if abs(lam_new - lam) <= tol * scale else 0
         if shift == 0.0 and (stall >= 5 or (it % 50 == 0 and resid > 0.5 * resid_checkpoint)):
-            shift = row_bound
+            shift = float(np.max(np.abs(A).sum(axis=1)))
             B = A + shift * np.eye(n)
             Bv_new = B @ v_new
             stall = 0

@@ -168,3 +168,34 @@ def test_numerical_failure_exits_2(tmp_path, monkeypatch):
 
 def test_help_exits_0():
     assert run(["--help"]) == 0
+
+
+def test_bad_graphon_json_exits_1(tmp_path):
+    for i, doc in enumerate([{"kind": "er"}, {"kind": "minmax", "p": 0.5}]):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(doc))
+        assert run(["eigen", "--graphon-json", str(path), "--M", "10",
+                    "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--config", "--graphon-json", "--network-json"])
+def test_missing_input_file_exits_1(tmp_path, flag):
+    assert run(["solve-network", "--er", "0.5", "--N", "5", "--alpha", "0.5", "--beta", "1",
+                flag, str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 1
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpah": 0.5, "beta": 1.0}))
+    assert run(["solve-graphon", "--er", "0.5", "--M", "20", "--alpha", "0.5",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "alpah" in capsys.readouterr().err
+
+
+def test_config_accepts_a_list_of_population_sizes(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"Ns": [50, 100], "trials": 5, "M": 100}))
+    assert run(["bne-epsilon", "--graphon", "minmax", "--alpha", "3", "--beta", "1",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "epsilon.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["50", "100"]

@@ -1,0 +1,208 @@
+"""Every CLI table agrees with the JSON of the same run, and the parser stays pinned.
+
+Cells are compared textually: a float cell must be ``repr(float(v))`` of the
+value in the JSON document, NaN or None must be an empty cell, and every
+table is LF-terminated.
+"""
+
+import argparse
+import json
+import math
+
+import numpy as np
+
+from graphon_games import cli
+from graphon_games.spectral import midpoints
+
+
+def run(tmp_path, name, args):
+    out = tmp_path / name
+    assert cli.main(args + ["--out", str(out)]) == 0
+    return out
+
+
+def read_table(path):
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.endswith(b"\n")
+    lines = raw.decode().split("\n")[:-1]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def cell(v):
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return ""
+    return repr(float(v))
+
+
+def load(path):
+    return json.loads(path.read_text())
+
+
+def test_experiment_summaries_match_their_json(tmp_path):
+    minmax = ["--graphon", "minmax", "--beta", "1", "--format", "json", "--jobs", "1"]
+    out = run(tmp_path, "dist", ["distance-exp", *minmax, "--alpha", "0.5", "--Ns", "10,20",
+                                 "--trials", "3", "--M", "40", "--seed", "7"])
+    header, rows = read_table(out / "summary.csv")
+    assert header == ["N", "kind", "p0", "p25", "p50", "p75", "p95", "bound_weighted",
+                      "bound_simple", "failures"]
+    docs = load(out / "summary.json")
+    assert len(rows) == len(docs) == 4
+    for row, st in zip(rows, docs):
+        pcts = [cell(st["percentiles"][f"p{p}"]) for p in (0, 25, 50, 75, 95)]
+        assert row == [str(st["N"]), st["kind"], *pcts, cell(st["bound_weighted"]),
+                       cell(st["bound_simple"]), str(st["failures"])]
+    header, rows = read_table(out / "distances.csv")
+    assert header == ["N", "trial", "kind", "distance", "bound", "d_N_event"]
+    assert len(rows) == 12
+
+    out = run(tmp_path, "welf", ["welfare-exp", *minmax, "--alpha", "5", "--Ns", "10,20,30",
+                                 "--trials", "2", "--optimal-cap", "20", "--seed", "1"])
+    header, rows = read_table(out / "summary.csv")
+    assert header == ["N", "mean_T", "mean_T_hom", "mean_T_nh", "mean_T_gh", "mean_T_opt",
+                      "gap_p50", "ratio_p50", "failures"]
+    docs = load(out / "summary.json")
+    assert len(rows) == len(docs) == 3
+    for row, st in zip(rows, docs):
+        means = [cell(st[k]) for k in ("mean_T", "mean_T_hom", "mean_T_nh", "mean_T_gh",
+                                       "mean_T_opt")]
+        assert row == [str(st["N"]), *means, cell(st["gap_percentiles"].get("p50")),
+                       cell(st["ratio_percentiles"].get("p50")), str(st["failures"])]
+    # every N=10 trial fails; N=30 is above the optimal-solver cap
+    assert rows[0][1:] == [""] * 7 + ["2"] and rows[1][5] != "" and rows[2][5] == ""
+    header, rows = read_table(out / "welfare.csv")
+    assert header == ["N", "trial", "T", "T_hom", "T_nh", "T_gh", "T_opt", "gap"]
+    assert [r[6] == "" for r in rows] == [False, True, True]
+
+    out = run(tmp_path, "bne", ["bne-epsilon", "--graphon", "minmax", "--alpha", "3", "--beta",
+                                "1", "--Ns", "20,40", "--trials", "30", "--M", "100",
+                                "--seed", "2", "--format", "json"])
+    header, rows = read_table(out / "epsilon.csv")
+    assert header == ["N", "epsilon_hat", "stderr"]
+    docs = load(out / "epsilon.json")
+    assert rows == [[str(d["N"]), cell(d["epsilon_hat"]), cell(d["stderr"])] for d in docs]
+
+
+def test_profiles_match_equilibrium_json(tmp_path):
+    out = run(tmp_path, "net", ["solve-network", "--graphon", "minmax", "--N", "15", "--seed",
+                                "4", "--alpha", "0.5", "--beta", "1"])
+    header, rows = read_table(out / "profile.csv")
+    assert header == ["index", "value"]
+    profile = load(out / "equilibrium.json")["profile"]
+    assert rows == [[str(i), cell(v)] for i, v in enumerate(profile)]
+
+    out = run(tmp_path, "gra", ["solve-graphon", "--graphon", "minmax", "--M", "30",
+                                "--alpha", "-0.5", "--beta", "1"])
+    header, rows = read_table(out / "profile.csv")
+    assert header == ["midpoint", "value"]
+    profile = load(out / "equilibrium.json")["profile"]
+    assert rows == [[cell(x), cell(v)] for x, v in zip(midpoints(30), profile)]
+
+
+def test_intervention_tables_match_their_json(tmp_path):
+    out = run(tmp_path, "int", ["intervene", "--graphon", "minmax", "--N", "12", "--alpha", "5",
+                                "--beta", "1", "--c-per-agent", "0.01", "--seed", "5"])
+    results = load(out / "interventions.json")
+    header, rows = read_table(out / "interventions.csv")
+    assert header == ["policy", "welfare", "budget_used"]
+    assert rows == [[r["policy"], cell(r["welfare"]), cell(r["budget_used"])] for r in results]
+    header, rows = read_table(out / "allocations.csv")
+    assert header == ["index"] + [r["policy"] for r in results]
+    assert rows == [[str(i)] + [cell(r["beta_hat"][i]) for r in results] for i in range(12)]
+
+
+def test_eigen_csv_matches_eigen_json(tmp_path):
+    args = ["eigen", "--graphon", "sbm", "--gin", "0.8", "--gout", "0.1", "--w", "0.75,0.25",
+            "--M", "20", "--k", "2"]
+    csv_out = run(tmp_path, "csv", args)
+    doc = load(run(tmp_path, "json", args + ["--format", "json"]) / "eigen.json")
+    header, rows = read_table(csv_out / "eigenvalues.csv")
+    assert header == ["rank", "value"]
+    assert rows == [[str(i), cell(v)] for i, v in enumerate(doc["values"], start=1)]
+    header, rows = read_table(csv_out / "eigenfunctions.csv")
+    assert header == ["midpoint", "psi1", "psi2"]
+    assert rows == [[cell(x)] + [cell(f[i]) for f in doc["functions"]]
+                    for i, x in enumerate(midpoints(20))]
+
+
+# --- parser pin ----------------------------------------------------------------------
+
+_G = ("er", "sbm", "minmax", "grid")
+COMMON = {
+    "out": (["--out"], ".", None, None, "output directory"),
+    "seed": (["--seed"], 0, "int", None, "root RNG seed"),
+    "format": (["--format"], "csv", None, ("csv", "json"), None),
+    "config": (["--config"], None, None, None, "JSON config file; flags override it"),
+    "graphon": (["--graphon"], None, None, _G, None),
+    "er": (["--er"], None, "float", None, "shorthand: constant kernel with this p"),
+    "p": (["--p"], None, "float", None, "edge probability for --graphon er"),
+    "gin": (["--gin"], None, "float", None, "within-community probability"),
+    "gout": (["--gout"], None, "float", None, "across-community probability"),
+    "w": (["--w"], None, None, None, "comma-separated community masses"),
+    "Q": (["--Q"], None, None, None, "JSON K x K community matrix (overrides gin/gout)"),
+    "graphon_json": (["--graphon-json"], None, None, None, "file with a serialized graphon"),
+}
+ALPHA_BETA = {"alpha": (["--alpha"], None, "float", None, None),
+              "beta": (["--beta"], None, "float", None, None)}
+
+
+def _int(flag, default, help=None):
+    return ([flag], default, "int", None, help)
+
+
+JOBS_HELP = "worker processes, 0 = all cores"
+PINNED = {
+    "sample": (("N",), {"N": _int("--N", None),
+                        "simple": (["--simple"], False, None, None, "draw the 0-1 network")}),
+    "eigen": (None, {"M": _int("--M", 2000), "k": _int("--k", 1)}),
+    "solve-network": (("alpha", "beta"), {
+        **ALPHA_BETA, "N": _int("--N", None), "simple": (["--simple"], False, None, None, None),
+        "network_json": (["--network-json"], None, None, None,
+                         "load the network instead of sampling")}),
+    "solve-graphon": (("alpha", "beta"), {**ALPHA_BETA, "M": _int("--M", 2000)}),
+    "intervene": (("N", "alpha", "beta"), {
+        **ALPHA_BETA, "N": _int("--N", None), "M": _int("--M", 1000),
+        "C": (["--C"], None, "float", None, "total budget"),
+        "c_per_agent": (["--c-per-agent"], 0.01, "float", None, "per-agent budget, C = c N"),
+        "policy": (["--policy"], "all", None,
+                   ("optimal", "network", "graphon", "homogeneous", "all"), None)}),
+    "distance-exp": (("alpha", "beta", "Ns"), {
+        **ALPHA_BETA, "Ns": (["--Ns"], None, None, None, "comma-separated population sizes"),
+        "trials": _int("--trials", 50), "delta": (["--delta"], 0.05, "float", None, None),
+        "M": _int("--M", 2000),
+        "jobs": _int("--jobs", 0, JOBS_HELP + "; results do not depend on it")}),
+    "welfare-exp": (("alpha", "beta", "Ns"), {
+        **ALPHA_BETA, "c_per_agent": (["--c-per-agent"], 0.01, "float", None, None),
+        "Ns": (["--Ns"], None, None, None, None), "trials": _int("--trials", 20),
+        "optimal_cap": _int("--optimal-cap", 150), "M": _int("--M", 1000),
+        "jobs": _int("--jobs", 0, JOBS_HELP)}),
+    "bne-epsilon": (("alpha", "beta", "Ns"), {
+        **ALPHA_BETA, "Ns": (["--Ns"], None, None, None, None), "trials": _int("--trials", 2000),
+        "M": _int("--M", 1000), "L_U": (["--L-U"], None, "float", None, None)}),
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_options_are_pinned():
+    subs = _subparsers()
+    assert list(subs) == list(PINNED)
+    for name, sp in subs.items():
+        required, extra = PINNED[name]
+        options = {a.dest: (a.option_strings, a.default, getattr(a.type, "__name__", None),
+                            a.choices, a.help)
+                   for a in sp._actions if a.dest != "help"}
+        assert options == {**COMMON, **extra}, name
+        assert sp.get_default("required_params") == required, name
+
+
+def test_write_csv_formats_cells(tmp_path):
+    from graphon_games.experiments import _write_csv
+
+    path = tmp_path / "t.csv"
+    _write_csv(path, "a,b,c,d,e", [(1, np.float64(0.1), math.nan, None, "w"),
+                                   (np.int64(2), 1e-20, 3.0, 7, "s")])
+    assert path.read_bytes() == b"a,b,c,d,e\n1,0.1,,,w\n2,1e-20,3.0,7,s\n"

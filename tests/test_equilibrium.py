@@ -421,3 +421,21 @@ def test_network_game_is_the_graphon_game_of_its_step_kernel(N, seed, star, kind
     assert rep_net.lambda_max == lam
     assert rep_net.method == rep_gra.method
     assert np.array_equal(rep_net.profile_array(), rep_gra.profile_array())
+
+
+@pytest.mark.parametrize("payoff", [eq.LqPayoff(-0.5, 1.0),
+                                    eq.lq_as_generic(eq.LqPayoff(0.5, 1.0), hi=2.0)])
+def test_contraction_check_uses_the_spectral_radius(payoff):
+    # P/N has eigenvalues -4 and 0.2: the largest one gives a factor of 0.1,
+    # but the best-response map expands along the -4 direction (q = 2).
+    with pytest.raises(ContractionError) as info:
+        eq.solve_network(np.diag([-8.0, 0.4]), payoff, max_iter=2000)
+    assert info.value.factor == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("P", [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0, 0.5]],
+                               [[0.0, math.nan], [math.nan, 0.0]],
+                               [[0.0, math.inf], [math.inf, 0.0]]])
+def test_solve_network_rejects_non_symmetric_or_non_finite_matrices(P):
+    with pytest.raises(ValueError):
+        eq.solve_network(P, eq.LqPayoff(0.5, 1.0))

@@ -162,3 +162,19 @@ def test_json_round_trip(spec):
     orig = kernels.evaluate(spec, xs[:, None], xs[None, :])
     again = kernels.evaluate(back, xs[:, None], xs[None, :])
     assert np.array_equal(np.asarray(orig), np.asarray(again))
+
+
+@pytest.mark.parametrize("x,y", [(np.nan, 0.5), (0.5, np.nan),
+                                 (np.array([0.1, np.nan]), np.array([0.2, 0.3]))])
+def test_evaluate_rejects_nan_coordinates(x, y):
+    with pytest.raises(ValueError):
+        kernels.evaluate(kernels.minmax(), x, y)
+
+
+@pytest.mark.parametrize("doc", [{"kind": "er"}, {"kind": "sbm", "Q": SBM_Q},
+                                 {"kind": "minmax", "p": 0.5},
+                                 {"kind": "er", "p": 0.5, "w": [1.0]}, {"kind": "star"}, {},
+                                 {"kind": ["er"]}, ["er", 0.5]])
+def test_from_json_rejects_missing_or_extra_fields(doc):
+    with pytest.raises(ValueError):
+        kernels.from_json(doc)

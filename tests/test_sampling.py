@@ -160,3 +160,28 @@ def test_edge_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "i,j,weight"
     assert len(lines) == 4  # three off-diagonal pairs
+
+
+_GOOD_NET = {"types": [0.2, 0.8], "matrix": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("bad", [
+    {"types": [0.2, 0.8]},
+    {"matrix": [[0.0, 1.0], [1.0, 0.0]]},
+    {**_GOOD_NET, "matrix": [[0.0, 1.0], [0.0, 0.0]]},
+    {**_GOOD_NET, "matrix": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]},
+    {**_GOOD_NET, "matrix": [[0.0, math.nan], [math.nan, 0.0]]},
+    {**_GOOD_NET, "types": [0.2, 0.5, 0.8]},
+    {**_GOOD_NET, "types": [0.2, 1.5]},
+    {**_GOOD_NET, "types": [math.nan, 0.8]},
+    {**_GOOD_NET, "types": [0.8, 0.2]},
+])
+def test_network_from_json_rejects_malformed_documents(bad):
+    with pytest.raises(ValueError):
+        sampling.network_from_json(bad)
+
+
+def test_network_from_json_accepts_a_valid_document():
+    matrix, types = sampling.network_from_json(_GOOD_NET)
+    assert matrix.tolist() == _GOOD_NET["matrix"]
+    assert types.types.tolist() == _GOOD_NET["types"]
