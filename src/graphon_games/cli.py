@@ -105,9 +105,8 @@ def build_graphon(args):
     raise UsageError("--graphon grid requires --graphon-json with the cell values")
 
 
-def _parse_ns(value) -> list[int]:
-    # a comma-separated flag, or a JSON list from --config
-    return [int(x) for x in (value if isinstance(value, list) else str(value).split(","))]
+def _parse_ns(value: str) -> list[int]:
+    return [int(x) for x in value.split(",")]
 
 
 def _write_json(outdir: Path, name: str, doc) -> None:
@@ -334,18 +333,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
-    if not args.config:
-        return
-    with open(args.config) as fh:
+def _config_flags(path) -> list[str]:
+    """A JSON config as the flags it stands for; true is the bare flag, false and null none."""
+    with open(path) as fh:
         config = json.load(fh)
-    unknown = sorted(set(config) - (set(vars(args)) - _NOT_PARAMS - {"command"}))
-    if unknown:
-        raise UsageError(f"unknown keys in {args.config}: {', '.join(unknown)}")
+    if not isinstance(config, dict):
+        raise UsageError(f"{path} must hold a JSON object")
+    flags = []
     for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
-        if not any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            setattr(args, key, value)
+        if isinstance(value, list) and not any(isinstance(v, (list, dict)) for v in value):
+            value = ",".join(map(str, value))
+        elif not isinstance(value, (str, bool)) and value is not None:
+            value = json.dumps(value)
+        if value is not False and value is not None:
+            flags.append("--" + key.replace("_", "-") + ("" if value is True else f"={value}"))
+    return flags
 
 
 def main(argv=None) -> int:
@@ -353,15 +355,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        if args.config:  # re-parsed so that config values are checked like flags and flags win
+            args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
         missing = [k for k in args.required_params or () if getattr(args, k) is None]
         if missing:
             raise UsageError("missing required parameters: " + ", ".join(missing))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        code = args.func(args, outdir)
         _manifest(outdir, args.command, args)
-        return code
+        return args.func(args, outdir)
     except (UsageError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1

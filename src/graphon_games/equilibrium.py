@@ -190,12 +190,13 @@ def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = NETWORK_POWER_TOL,
     return lam
 
 
-def _check_contraction(payoff, rho: float) -> float:
-    q = contraction_factor(payoff, rho)
+def _check_contraction(ratio: float, rho: float) -> float:
+    """The contraction factor q = ratio * rho; raises ContractionError unless q < 1."""
+    q = ratio * rho
     if q >= 1.0:
         raise ContractionError(
             q,
-            f"contraction violated: lipschitz ratio {_lipschitz_ratio(payoff):.6g} "
+            f"contraction violated: lipschitz ratio {ratio:.6g} "
             f"times spectral radius {rho:.6g} gives {q:.6g} >= 1",
         )
     return q
@@ -264,7 +265,7 @@ def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start,
     """
     lam = matrix_dominant_eigenvalue(G, eig_tol)
     rho = lam if G.min() >= 0.0 else max(lam, matrix_dominant_eigenvalue(-G, eig_tol))
-    q = _check_contraction(payoff, rho)
+    q = _check_contraction(_lipschitz_ratio(payoff), rho)
     n = G.shape[0]
     if isinstance(payoff, LqPayoff):
         s = np.linalg.solve(np.eye(n) - payoff.alpha * G, np.full(n, payoff.beta))
@@ -363,10 +364,7 @@ def comparative_statics_bound(payoff, lambda_max: float, s_max: float) -> float:
     the equilibrium.
     """
     ratio = _lipschitz_ratio(payoff)
-    q = ratio * lambda_max
-    if q >= 1.0:
-        raise ContractionError(q)
-    return ratio * s_max / (1.0 - q)
+    return ratio * s_max / (1.0 - _check_contraction(ratio, lambda_max))
 
 
 def lq_s_max(p: LqPayoff, lambda_max: float) -> float:
@@ -376,10 +374,7 @@ def lq_s_max(p: LqPayoff, lambda_max: float) -> float:
     Substitutes: best responses never exceed beta.
     """
     if p.alpha > 0.0:
-        q = p.alpha * lambda_max
-        if q >= 1.0:
-            raise ContractionError(q)
-        return p.beta / (1.0 - q)
+        return p.beta / (1.0 - _check_contraction(p.alpha, lambda_max))
     return p.beta
 
 

@@ -102,12 +102,6 @@ def _percentile_dict(values: np.ndarray) -> dict:
     return {f"p{p}": float(q) for p, q in zip(_PCTS, qs)}
 
 
-def _s_max_for(payoff, lam: float) -> float:
-    if isinstance(payoff, LqPayoff):
-        return lq_s_max(payoff, lam)
-    return payoff.bounds[1]
-
-
 def _max_type_deviation(types: np.ndarray) -> float:
     # Worst distance from type i to any point of cell i; the maximum over a
     # cell is attained at one of its endpoints.
@@ -117,27 +111,46 @@ def _max_type_deviation(types: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(types - lefts), np.abs(types - rights))))
 
 
+def _sizes(Ns, trials: int) -> list[int]:
+    Ns = [int(n) for n in Ns]
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if len(set(Ns)) < len(Ns):
+        raise ValueError(f"population sizes must be distinct, got {Ns}")
+    return Ns
+
+
+def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
+    """Types, weighted matrix and 0-1 matrix of one trial, each network from its own subseed."""
+    types = sample_types(N, subseed(seed, N, trial, 0))
+    Pw = weighted_network(spec, types)
+    return types, Pw.P, simple_network(Pw, subseed(seed, N, trial, 1)).A
+
+
+def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
+    """Run ``worker`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}."""
+    tasks = [(*head, n, t, seed, *tail) for n in Ns for t in range(trials)]
+    if jobs is None or jobs <= 1 or len(tasks) <= 1:
+        results = [worker(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    ok = {n: [r for r in results if r[0] == n and r[-1] is None] for n in Ns}
+    return {n: (ok[n], trials - len(ok[n])) for n in Ns}
+
+
 def _distance_trial(args):
     spec, payoff, N, trial, seed, sbar_values = args
     sbar = GridFunction(sbar_values)
     try:
-        types = sample_types(N, subseed(seed, N, trial, 0))
-        Pw = weighted_network(spec, types)
-        Ps = simple_network(Pw, subseed(seed, N, trial, 1))
-        rep_w = solve_network(Pw.P, payoff)
-        rep_s = solve_network(Ps.A, payoff)
+        types, P, A = _trial_networks(spec, N, trial, seed)
+        rep_w = solve_network(P, payoff)
+        rep_s = solve_network(A, payoff)
         dist_w = l2_distance(step_function_embed(rep_w.profile_array()), sbar)
         dist_s = l2_distance(step_function_embed(rep_s.profile_array()), sbar)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:
         return (N, trial, math.nan, math.nan, math.nan, repr(exc))
-
-
-def _run_tasks(worker, tasks, jobs):
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
 
 def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float, M: int,
@@ -151,41 +164,31 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
     order of Ns. When csv_path is given, per-trial rows are also written in
     the fixed distances schema.
     """
-    Ns = [int(n) for n in Ns]
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    Ns = _sizes(Ns, trials)
     if M < 2 * max(Ns):
         raise ValueError(f"reference resolution M={M} must be at least twice max N={max(Ns)}")
 
     limit = solve_graphon(spec, payoff, M)
     sbar, lam = limit.profile, limit.lambda_max
-    Ktilde = comparative_statics_bound(payoff, lam, _s_max_for(payoff, lam))
+    s_max = lq_s_max(payoff, lam) if isinstance(payoff, LqPayoff) else payoff.bounds[1]
+    Ktilde = comparative_statics_bound(payoff, lam, s_max)
     L, Omega = lipschitz_metadata(spec)
     per_n_bounds = {n: bound_rho(n, delta, L, Omega, Ktilde) for n in Ns}
 
-    tasks = [(spec, payoff, n, t, seed, sbar.values) for n in Ns for t in range(trials)]
-    results = _run_tasks(_distance_trial, tasks, jobs)
+    by_n = _run_trials(_distance_trial, (spec, payoff), (sbar.values,), Ns, trials, seed, jobs)
 
     rows = []
     stats = []
     for n in Ns:
         d_N, _, bound_w, bound_s = per_n_bounds[n]
-        dists_w, dists_s, failures = [], [], 0
-        for (rn, trial, dw, ds, dev, err) in results:
-            if rn != n:
-                continue
-            if err is not None:
-                failures += 1
-                continue
-            event = 1 if dev <= d_N else 0
-            rows.append((n, trial, "w", dw, bound_w, event))
-            rows.append((n, trial, "s", ds, bound_s, event))
-            dists_w.append(dw)
-            dists_s.append(ds)
-        for kind, dists in (("weighted", dists_w), ("simple", dists_s)):
+        ok, failures = by_n[n]
+        for (_, trial, dw, ds, dev, _) in ok:
+            rows.append((n, trial, "w", dw, bound_w, int(dev <= d_N)))
+            rows.append((n, trial, "s", ds, bound_s, int(dev <= d_N)))
+        for kind, col in (("weighted", 2), ("simple", 3)):
             stats.append(DistanceStats(
                 N=n, trials=trials, kind=kind,
-                percentiles=_percentile_dict(np.asarray(dists)) if dists else {},
+                percentiles=_percentile_dict(np.asarray([r[col] for r in ok])) if ok else {},
                 bound_weighted=bound_w, bound_simple=bound_s, failures=failures,
             ))
     if csv_path is not None:
@@ -197,10 +200,7 @@ def _intervention_trial(args):
     spec, alpha, beta, c_per_agent, N, trial, seed, optimal_cap, M = args
     C = c_per_agent * N
     try:
-        types = sample_types(N, subseed(seed, N, trial, 0))
-        Pw = weighted_network(spec, types)
-        Ps = simple_network(Pw, subseed(seed, N, trial, 1))
-        A = Ps.A
+        types, _, A = _trial_networks(spec, N, trial, seed)
         allocations = [
             no_intervention(beta, N).beta_hat,
             homogeneous_policy(beta, C, N).beta_hat,
@@ -223,43 +223,32 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     exact optimal policy is computed only for N up to optimal_cap (it needs a
     full eigendecomposition per trial). Returns one WelfareStats per N.
     """
-    Ns = [int(n) for n in Ns]
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    Ns = _sizes(Ns, trials)
     if alpha <= 0.0:
         raise ValueError("intervention experiments require strategic complements (alpha > 0)")
 
-    tasks = [(spec, alpha, beta, c_per_agent, n, t, seed, optimal_cap, M)
-             for n in Ns for t in range(trials)]
-    results = _run_tasks(_intervention_trial, tasks, jobs)
+    by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap, M),
+                       Ns, trials, seed, jobs)
 
     rows = []
     stats = []
     for n in Ns:
-        per_trial = [r for r in results if r[0] == n]
-        ok = [r for r in per_trial if r[8] is None]
-        failures = len(per_trial) - len(ok)
-        for (_, trial, T, T_hom, T_nh, T_gh, T_opt, gap, _) in ok:
-            rows.append((n, trial, T, T_hom, T_nh, T_gh, T_opt, gap))
+        ok, failures = by_n[n]
+        rows.extend(r[:-1] for r in ok)
         if ok:
-            arr = np.asarray([[r[2], r[3], r[4], r[5], r[6], r[7]] for r in ok])
-            opt_col = arr[:, 4]
-            opt_mean = float(np.mean(opt_col)) if not np.isnan(opt_col).any() else math.nan
-            gaps = arr[:, 5]
-            ratios = arr[:, 3] / arr[:, 2]
+            # each mean is a 1-D mean of its own column, so its summation order is fixed
+            T, T_hom, T_nh, T_gh, T_opt, gaps = (np.asarray(col) for col in list(zip(*ok))[2:8])
             stats.append(WelfareStats(
                 N=n, trials=trials,
-                mean_T=float(arr[:, 0].mean()), mean_T_hom=float(arr[:, 1].mean()),
-                mean_T_nh=float(arr[:, 2].mean()), mean_T_gh=float(arr[:, 3].mean()),
-                mean_T_opt=opt_mean,
+                mean_T=float(T.mean()), mean_T_hom=float(T_hom.mean()),
+                mean_T_nh=float(T_nh.mean()), mean_T_gh=float(T_gh.mean()),
+                mean_T_opt=float(T_opt.mean()) if not np.isnan(T_opt).any() else math.nan,
                 gap_percentiles=_percentile_dict(gaps),
-                ratio_percentiles=_percentile_dict(ratios),
+                ratio_percentiles=_percentile_dict(T_gh / T_nh),
                 failures=failures,
             ))
         else:
-            stats.append(WelfareStats(N=n, trials=trials, mean_T=math.nan, mean_T_hom=math.nan,
-                                      mean_T_nh=math.nan, mean_T_gh=math.nan, mean_T_opt=math.nan,
-                                      gap_percentiles={}, ratio_percentiles={}, failures=failures))
+            stats.append(WelfareStats(n, trials, *[math.nan] * 5, {}, {}, failures))
     if csv_path is not None:
         write_welfare_csv(rows, csv_path)
     return stats

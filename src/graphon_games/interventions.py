@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import NETWORK_POWER_TOL, matrix_dominant_eigenvalue
-from .errors import ContractionError
+from .equilibrium import NETWORK_POWER_TOL, _check_contraction, matrix_dominant_eigenvalue
 from .kernels import GraphonSpec, _sbm_block_index
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
@@ -71,22 +70,12 @@ def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     return _welfares(P, alpha, [beta_hat])[0]
 
 
-def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray],
-              lambda_max: float | None = None) -> list[float]:
-    """Welfare of several allocations with one factorization of the game matrix.
-
-    ``lambda_max`` of P/N is computed by power iteration unless the caller
-    already has it.
-    """
+def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> list[float]:
+    """Welfare of several allocations with one factorization of the game matrix."""
     P = np.asarray(P, dtype=float)
     N = P.shape[0]
-    if lambda_max is None:
-        lambda_max = matrix_dominant_eigenvalue(P / N)
-    q = abs(alpha) * lambda_max
-    if q >= 1.0:
-        raise ContractionError(q)
-    B = np.column_stack(allocations)
-    S = np.linalg.solve(np.eye(N) - (alpha / N) * P, B)
+    _check_contraction(abs(alpha), matrix_dominant_eigenvalue(P / N))
+    S = np.linalg.solve(np.eye(N) - (alpha / N) * P, np.column_stack(allocations))
     return [float(np.sum(S[:, j] ** 2) / (2.0 * N)) for j in range(S.shape[1])]
 
 
@@ -180,7 +169,8 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     mu > max d_l solving the secular equation
     sum (d_l c_l / (mu - d_l))^2 = C, found by bisection plus Newton polish.
     When every c_l on the top shell vanishes (hard case) the leftover budget
-    goes into a top-shell eigenvector directly.
+    goes into a top-shell eigenvector directly. The equilibrium of U y is
+    U diag(1/(1 - alpha lambda)) y, so the welfare is sum d_l y_l^2 / (2N).
     """
     P = np.asarray(P, dtype=float)
     N = P.shape[0]
@@ -189,17 +179,14 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     if C < 0.0:
         raise ValueError("budget must be nonnegative")
     lam, U = np.linalg.eigh(P / N)
-    q = alpha * lam[-1]
-    if q >= 1.0:
-        raise ContractionError(q)
-    if C == 0.0:
-        beta_hat = np.full(N, float(beta))
-        return InterventionResult(beta_hat=beta_hat,
-                                  welfare=_welfares(P, alpha, [beta_hat], lam[-1])[0],
-                                  budget_used=0.0, policy="optimal")
-
+    _check_contraction(alpha, lam[-1])
     d = 1.0 / (1.0 - alpha * lam) ** 2
     c = U.T @ np.full(N, float(beta))
+    if C == 0.0:
+        return InterventionResult(beta_hat=np.full(N, float(beta)),
+                                  welfare=float(np.sum(d * c**2)) / (2.0 * N),
+                                  budget_used=0.0, policy="optimal")
+
     dc2 = (d * c) ** 2
     d_max = float(d.max())
 
@@ -241,8 +228,7 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
 
     beta_hat = U @ y
     used = float(np.sum((beta_hat - beta) ** 2))
-    return InterventionResult(beta_hat=beta_hat,
-                              welfare=_welfares(P, alpha, [beta_hat], lam[-1])[0],
+    return InterventionResult(beta_hat=beta_hat, welfare=float(np.sum(d * y**2)) / (2.0 * N),
                               budget_used=used, policy="optimal", kkt_multiplier=float(mu))
 
 

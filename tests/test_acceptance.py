@@ -88,6 +88,30 @@ def test_criterion_03_closed_form_equilibria():
     report(3, "constant-kernel and complete-graph equilibria are exact")
 
 
+def minmax_continuum_equilibrium(alpha, x):
+    # min(x, y) - xy is the Green's function of -d^2/dx^2 on [0, 1] with
+    # Dirichlet ends, so s = 1 + alpha K s solves s'' = -alpha s with s = 1 at
+    # both ends: a cosine profile for 0 < alpha < pi^2, a cosh one for alpha < 0.
+    r = math.sqrt(abs(alpha))
+    if alpha > 0.0:
+        return np.cos(r * (x - 0.5)) / math.cos(r / 2.0)
+    return np.cosh(r * (x - 0.5)) / math.cosh(r / 2.0)
+
+
+@pytest.mark.parametrize("alpha", [5.0, 0.5, -0.5, -3.0])
+def test_criterion_03_minmax_continuum_closed_form(alpha):
+    errs = {}
+    for M in (125, 250, 500, 1000):
+        rep = eq.solve_graphon_lq(kernels.minmax(), eq.LqPayoff(alpha, 1.0), M)
+        exact = minmax_continuum_equilibrium(alpha, spectral.midpoints(M))
+        errs[M] = float(np.max(np.abs(rep.profile_array() - exact)))
+    for M in (125, 250, 500):
+        assert errs[M] <= 4.0 / M**2
+        assert 3.9 <= errs[M] / errs[2 * M] <= 4.1
+    report(3, f"minmax equilibrium at alpha={alpha} converges to the continuum at O(M^-2)",
+           f"M^2 err = {125**2 * errs[125]:.3g}")
+
+
 def test_criterion_04_equivalence_oracle():
     rng = np.random.default_rng(16)
     checked = 0

@@ -199,3 +199,74 @@ def test_config_accepts_a_list_of_population_sizes(tmp_path):
                 "--config", str(cfg), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "epsilon.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["50", "100"]
+
+
+def _matrix(out):
+    return np.array(json.loads((out / "network.json").read_text())["matrix"])
+
+
+def _profile(out):
+    return json.loads((out / "equilibrium.json").read_text())["profile"]
+
+
+# argv, config, exit code, check on the output directory. Config values go through
+# the same parsing as flags: type conversion, choices, store_true, and flags win.
+_CONFIG_CASES = {
+    "string for an int": (["solve-graphon", "--er", "0.5", "--alpha", "0.5", "--beta", "1"],
+                          {"M": "50"}, 0, lambda out: len(_profile(out)) == 50),
+    "float for an int": (["sample", "--er", "0.5"], {"N": 5.7}, 1, None),
+    "list of masses": (["sample", "--graphon", "sbm", "--gin", "0.9", "--gout", "0.1", "--N", "8"],
+                       {"w": [0.75, 0.25]}, 0, lambda out: _matrix(out).shape == (8, 8)),
+    "JSON matrix": (["sample", "--graphon", "sbm", "--w", "0.5,0.5", "--N", "8"],
+                    {"Q": [[0.8, 0.1], [0.1, 0.8]]}, 0, lambda out: _matrix(out).shape == (8, 8)),
+    "value outside the choices": (["eigen", "--graphon", "minmax", "--M", "10"],
+                                  {"format": "xml"}, 1, None),
+    "string for a switch": (["sample", "--er", "0.5", "--N", "8"], {"simple": "false"}, 1, None),
+    "switch on": (["sample", "--er", "0.5", "--N", "8"], {"simple": True}, 0,
+                  lambda out: set(np.unique(_matrix(out))) <= {0.0, 1.0}),
+    "switch off and null": (["sample", "--er", "0.5", "--N", "8"],
+                            {"simple": False, "graphon_json": None}, 0,
+                            lambda out: np.all(_matrix(out) == 0.5 * (1 - np.eye(8)))),
+    "underscored key": (["intervene", "--graphon", "minmax", "--N", "10", "--alpha", "1",
+                         "--beta", "1", "--M", "50", "--policy", "homogeneous"],
+                        {"c_per_agent": 0.5}, 0,
+                        lambda out: json.loads((out / "interventions.json").read_text())[1]
+                        ["budget_used"] == pytest.approx(5.0)),
+    "abbreviated flag wins": (["solve-graphon", "--er", "0.5", "--M", "20", "--beta", "1",
+                               "--alph", "0.2"], {"alpha": 0.9}, 0,
+                              lambda out: _profile(out)[0] == pytest.approx(1 / 0.9, abs=1e-10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_CASES))
+def test_config_values_are_parsed_like_flags(tmp_path, case):
+    argv, config, code, check = _CONFIG_CASES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == code
+    if check is not None:
+        assert check(out)
+
+
+def test_config_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["alpha", 0.5]))
+    assert run(["solve-graphon", "--er", "0.5", "--alpha", "0.5", "--beta", "1",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_manifest_is_written_when_the_run_fails(tmp_path):
+    assert run(["distance-exp", "--graphon", "minmax", "--alpha", "0.5", "--beta", "1",
+                "--Ns", "10", "--trials", "0", "--M", "40", "--out", str(tmp_path)]) == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "distance-exp"
+    assert manifest["params"]["trials"] == 0
+
+
+def test_repeated_population_size_exits_1(tmp_path, capsys):
+    assert run(["distance-exp", "--graphon", "minmax", "--alpha", "0.5", "--beta", "1",
+                "--Ns", "20,20", "--trials", "2", "--M", "60", "--out", str(tmp_path)]) == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not (tmp_path / "distances.csv").exists()

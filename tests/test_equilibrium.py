@@ -439,3 +439,35 @@ def test_contraction_check_uses_the_spectral_radius(payoff):
 def test_solve_network_rejects_non_symmetric_or_non_finite_matrices(P):
     with pytest.raises(ValueError):
         eq.solve_network(P, eq.LqPayoff(0.5, 1.0))
+
+
+@given(N=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), star=st.booleans(),
+       alpha=st.sampled_from([0.8, -0.9, -1.8]))
+@settings(max_examples=80, deadline=None)
+def test_network_equilibrium_is_permutation_equivariant(N, seed, star, alpha):
+    # Relabelling the agents relabels the equilibrium: the profile of
+    # Pi P Pi^T is Pi s. A hub drives substitutes onto the best-response
+    # fallback, which runs to a tolerance well below the 1e-12 compared.
+    rng = np.random.default_rng(seed)
+    P = random_network(rng, N)
+    if star:
+        P *= 0.1
+        P[0, 1:] = P[1:, 0] = 1.0
+    payoff = eq.LqPayoff(alpha, 1.0)
+    assume(eq.contraction_factor(payoff, eq.matrix_dominant_eigenvalue(P / N)) < 0.95)
+    perm = rng.permutation(N)
+    rep = eq.solve_network(P, payoff, tol=1e-14)
+    rep_perm = eq.solve_network(P[np.ix_(perm, perm)], payoff, tol=1e-14)
+    assert rep_perm.method == rep.method
+    assert np.max(np.abs(rep_perm.profile_array() - rep.profile_array()[perm])) <= 1e-12
+
+
+@pytest.mark.parametrize("raise_it", [
+    lambda: eq.solve_network(np.ones((4, 4)), eq.LqPayoff(1.2, 1.0)),
+    lambda: eq.comparative_statics_bound(eq.LqPayoff(-2.0, 1.0), 0.5, 1.0),
+    lambda: eq.lq_s_max(eq.LqPayoff(2.0, 1.0), 0.5),
+])
+def test_every_contraction_failure_reports_ratio_and_radius(raise_it):
+    with pytest.raises(ContractionError, match="lipschitz ratio .* times spectral radius") as err:
+        raise_it()
+    assert err.value.factor >= 1.0

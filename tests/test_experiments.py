@@ -164,3 +164,38 @@ def test_subseed_deterministic_and_distinct():
     assert a == ex.subseed(7, 100, 3, 0)
     assert a != ex.subseed(7, 100, 3, 1)
     assert a != ex.subseed(8, 100, 3, 0)
+
+
+# --- trial runner ------------------------------------------------------------------
+
+def test_repeated_population_size_is_rejected(tmp_path):
+    csv_path = tmp_path / "distances.csv"
+    with pytest.raises(ValueError, match="distinct"):
+        ex.distance_experiment(kernels.minmax(), LqPayoff(0.5, 1.0), [20, 20], 2, 0.05, 60, 1,
+                               csv_path=csv_path)
+    with pytest.raises(ValueError, match="distinct"):
+        ex.intervention_experiment(kernels.minmax(), 5.0, 1.0, 0.01, [20, 20], 2, 30, 1,
+                                   csv_path=csv_path)
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("spec", [kernels.minmax(), kernels.sbm([[0.7, 0.1], [0.1, 0.6]],
+                                                               [0.6, 0.4])])
+def test_intervention_results_independent_of_jobs(tmp_path, spec):
+    args = dict(spec=spec, alpha=2.0, beta=1.0, c_per_agent=0.01, Ns=[20, 40], trials=3,
+                optimal_cap=30, seed=13, M=100)
+    p1, p2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
+    s1 = ex.intervention_experiment(**args, jobs=1, csv_path=p1)
+    s2 = ex.intervention_experiment(**args, jobs=2, csv_path=p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert repr(s1) == repr(s2)  # repr, so that a nan mean_T_opt compares equal
+
+
+def test_failed_trials_are_counted_per_population_size():
+    # p = 1 samples the complete graph, where lambda_max(P/N) = 1 - 1/N: alpha = 1.2
+    # contracts at N = 4 (q = 0.9) and fails every trial at N = 40 (q = 1.17).
+    stats = ex.intervention_experiment(kernels.erdos_renyi(1.0), 1.2, 1.0, 0.01, [4, 40], 2,
+                                       0, 3, M=20)
+    assert [(s.N, s.failures) for s in stats] == [(4, 0), (40, 2)]
+    assert math.isnan(stats[1].mean_T) and stats[1].gap_percentiles == {}
+    assert stats[0].mean_T > 0.0

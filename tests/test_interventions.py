@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphon_games import interventions as iv
 from graphon_games import kernels, sampling
@@ -258,3 +260,37 @@ def test_heuristic_allocation_distance_rate():
     assert medians[-1] < medians[0]
     slope, _, _ = rate_fit(Ns, medians, delta=0.05)
     assert 0.5 <= slope <= 1.5
+
+
+@given(N=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 1.8),
+       c_per_agent=st.sampled_from([0.0, 0.001, 0.01, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_optimal_welfare_is_the_welfare_of_its_allocation(N, seed, alpha, c_per_agent):
+    # The optimum reads its welfare off the eigendecomposition; solving the
+    # game at the returned allocation must give the same number.
+    P = random_network(np.random.default_rng(seed), N)
+    assume(alpha * np.linalg.eigvalsh(P / N)[-1] < 0.95)
+    res = iv.optimal_intervention(P, alpha, 1.0, c_per_agent * N)
+    assert res.welfare == pytest.approx(iv.welfare(P, alpha, res.beta_hat), rel=1e-12)
+
+
+def test_optimal_welfare_in_the_hard_case():
+    # The signed pair of test_optimal_hard_case_allocates_to_top_shell: the
+    # budget left over past the secular equation still has its welfare read
+    # off the eigenbasis correctly.
+    P = np.array([[0.0, -0.5], [-0.5, 0.0]])
+    for C in (8.0, 20.0):
+        res = iv.optimal_intervention(P, 0.5, 1.0, C)
+        assert res.welfare == pytest.approx(iv.welfare(P, 0.5, res.beta_hat), rel=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["welfare", "optimal"])
+def test_contraction_failure_reports_ratio_and_radius(policy):
+    # lambda_max(ones / 4) = 1, so alpha = 1.5 gives q = 1.5 on both paths.
+    P = np.ones((4, 4))
+    with pytest.raises(ContractionError, match="lipschitz ratio 1.5 times spectral radius") as err:
+        if policy == "welfare":
+            iv.welfare(P, 1.5, np.ones(4))
+        else:
+            iv.optimal_intervention(P, 1.5, 1.0, 1.0)
+    assert err.value.factor == pytest.approx(1.5)
