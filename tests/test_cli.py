@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphon_games
 from graphon_games import cli
 from graphon_games.errors import IterationLimitError
 
@@ -270,3 +275,23 @@ def test_repeated_population_size_exits_1(tmp_path, capsys):
                 "--Ns", "20,20", "--trials", "2", "--M", "60", "--out", str(tmp_path)]) == 1
     assert "distinct" in capsys.readouterr().err
     assert not (tmp_path / "distances.csv").exists()
+
+
+def _run_module(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(graphon_games.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "graphon_games.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_invocation_exits_with_the_command_code(tmp_path):
+    bad = _run_module(["eigen", "--graphon", "minmax", "--M", "10", "--k", "11",
+                       "--out", str(tmp_path / "bad")])
+    assert bad.returncode == 1
+    assert "k must lie in" in bad.stderr
+    good = _run_module(["eigen", "--er", "0.5", "--M", "4", "--k", "1",
+                        "--out", str(tmp_path / "good")])
+    assert good.returncode == 0, good.stderr
+    lines = (tmp_path / "good" / "eigenvalues.csv").read_text().splitlines()
+    assert lines[0] == "rank,value"
+    assert float(lines[1].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
+    assert (tmp_path / "good" / "eigenfunctions.csv").exists()

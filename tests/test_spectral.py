@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphon_games import kernels, spectral
 from graphon_games.errors import IterationLimitError
@@ -318,3 +320,161 @@ def test_power_method_restarts_when_start_is_in_bottom_eigenspace():
 def test_power_method_scalar_matrix_returns_its_value():
     lam, _ = spectral.power_method(-2.0 * np.eye(3), 1e-12, 1000)
     assert lam == -2.0
+
+
+# --- top-k by subspace iteration against a full eigendecomposition -------------
+
+def _top_k_and_full_eigh(monkeypatch, op, k):
+    """top_k_eigen's pairs, and whether it ran an M x M eigendecomposition."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", spy)
+        pairs = spectral.top_k_eigen(op, k)
+    return pairs, (op.M, op.M) in shapes
+
+
+def _assert_matches_eigh(op, pairs):
+    """Eigenvalues within 1e-12 |lambda_1|; separated eigenfunctions within 1e-10.
+
+    An eigenvector whose gap to its neighbours is g |lambda_1| moves by about
+    eps / g under round-off in any backward-stable method (2e-10 at
+    g = 1e-6), so below g = 1e-4 the eigenfunction tolerance grows as 1 / g.
+    """
+    evals, evecs = np.linalg.eigh(op.matrix())
+    lam = evals[::-1]
+    scale = abs(lam[0])
+    for i, pair in enumerate(pairs):
+        assert abs(pair.value - lam[i]) <= 1e-12 * scale
+        gap = min(abs(lam[i] - lam[j]) for j in (i - 1, i + 1) if j >= 0)
+        if gap > 1e-6 * scale:
+            want = spectral._orient(evecs[:, -1 - i] * np.sqrt(op.M))
+            tol = 1e-10 * max(1.0, 1e-4 * scale / gap)
+            assert np.max(np.abs(pair.function.values - want)) <= tol
+
+
+@pytest.mark.parametrize("M", [200, 2000])
+@pytest.mark.parametrize("spec", [kernels.minmax(), kernels.sbm(SBM_Q, SBM_W),
+                                  kernels.erdos_renyi(0.5)], ids=["minmax", "sbm", "er"])
+def test_top_k_matches_eigh(spec, M):
+    op = spectral.discretize(spec, M)
+    _assert_matches_eigh(op, spectral.top_k_eigen(op, 3))
+
+
+def test_top_k_minmax_eigenfunctions_match_closed_form():
+    pairs = spectral.top_k_eigen(spectral.discretize(kernels.minmax(), 2000), 3)
+    for h, pair in enumerate(pairs, start=1):
+        _, psi = spectral.minmax_eigen_analytic(h, 2000)
+        assert np.max(np.abs(pair.function.values - psi.values)) <= 1e-10
+
+
+def test_top_k_disassortative_sbm_skips_the_negative_eigenvalue(monkeypatch):
+    # Spectrum 0.5, -0.4, then zeros: the iteration meets -0.4 before the
+    # zeros, yet the top three algebraic eigenvalues are 0.5, 0, 0.
+    op = spectral.discretize(kernels.sbm([[0.1, 0.9], [0.9, 0.1]], [0.5, 0.5]), 1000)
+    pairs, full = _top_k_and_full_eigh(monkeypatch, op, 3)
+    assert not full
+    assert [p.value for p in pairs] == pytest.approx([0.5, 0.0, 0.0], abs=1e-12)
+    _assert_matches_eigh(op, pairs)
+
+
+def test_top_k_repeated_top_eigenvalue(monkeypatch):
+    op = spectral.discretize(kernels.sbm([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5]), 1000)
+    pairs, full = _top_k_and_full_eigh(monkeypatch, op, 3)
+    assert not full
+    assert [p.value for p in pairs] == pytest.approx([0.25, 0.25, 0.0], abs=1e-12)
+    _assert_matches_eigh(op, pairs)
+    # the two top eigenfunctions span the block indicators
+    F = np.array([p.function.values for p in pairs[:2]])
+    assert np.allclose(F @ F.T / op.M, np.eye(2), atol=1e-12)
+    assert np.allclose(F[:, :500], F[:, :1], atol=1e-10)
+    assert np.allclose(F[:, 500:], F[:, 500:501], atol=1e-10)
+
+
+def test_top_k_sampled_network_falls_back_to_eigh(monkeypatch):
+    # A sampled 0-1 network has no spectral decay, so the iteration is not
+    # certified within its cap and the full eigendecomposition is returned.
+    from graphon_games import sampling
+
+    Pw = sampling.weighted_network(kernels.minmax(), sampling.sample_types(300, 1))
+    step = kernels.step_graphon_from_matrix(sampling.simple_network(Pw, 2).A)
+    op = spectral.discretize(step, 600)
+    pairs, full = _top_k_and_full_eigh(monkeypatch, op, 3)
+    assert full
+    _assert_matches_eigh(op, pairs)
+
+
+@pytest.mark.parametrize("M,k", [(10, 3), (10, 10), (11, 3)])
+def test_top_k_small_resolution_is_eigh(monkeypatch, M, k):
+    op = spectral.discretize(kernels.minmax(), M)
+    pairs, full = _top_k_and_full_eigh(monkeypatch, op, k)
+    assert full
+    evals, evecs = np.linalg.eigh(op.matrix())
+    for i, pair in enumerate(pairs, start=1):
+        assert pair.value == float(evals[-i])
+        assert np.array_equal(pair.function.values,
+                              spectral._orient(evecs[:, -i] * np.sqrt(M)))
+
+
+def test_top_k_is_deterministic(monkeypatch):
+    op = spectral.discretize(kernels.minmax(), 1000)
+
+    def digest(pairs):
+        return [(p.value, p.function.values.tobytes()) for p in pairs]
+
+    first, full = _top_k_and_full_eigh(monkeypatch, op, 3)
+    assert not full
+    assert digest(spectral.top_k_eigen(op, 3)) == digest(first)
+    np.random.seed(12345)
+    np.random.standard_normal(7)
+    assert digest(spectral.top_k_eigen(op, 3)) == digest(first)
+
+
+@given(n=st.integers(1, 6), M=st.integers(20, 300), k=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_top_k_matches_eigh_on_random_grid_kernels(n, M, k, data):
+    entries = data.draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False),
+                                 min_size=n * n, max_size=n * n))
+    P = np.array(entries).reshape(n, n)
+    op = spectral.discretize(kernels.grid_kernel(np.triu(P) + np.triu(P, 1).T), M)
+    _assert_matches_eigh(op, spectral.top_k_eigen(op, k))
+
+
+def test_orient_is_stable_under_round_off_at_tied_peaks():
+    # sin(2 pi x) on the midpoint grid has peaks of equal size and opposite
+    # sign; round-off decides which is larger by an ulp, and the orientation
+    # must not follow it.
+    up = np.nextafter(1.0, 2.0)
+    for v in (np.array([0.0, 1.0, 0.0, -up, 0.0]), np.array([0.0, up, 0.0, -1.0, 0.0])):
+        assert spectral._orient(v)[1] > 0.0
+        assert spectral._orient(-v)[1] > 0.0
+
+
+def test_orient_treats_a_round_off_mean_as_zero():
+    # psi2 of two weakly linked equal blocks has zero mean in exact arithmetic;
+    # the subspace iteration leaves a mean of about 3e-12 where eigh leaves
+    # 3e-13, and the sign must not follow that noise.
+    assert spectral._orient(np.array([-1.0, -1.0, 1.0, 1.0 + 1e-11]))[0] > 0.0
+    P = np.array([[1e-12, 1e-15], [1e-15, 1e-12]])
+    op = spectral.discretize(kernels.grid_kernel(P), 242)
+    _assert_matches_eigh(op, spectral.top_k_eigen(op, 2))
+
+
+def test_sbm_analytic_orientation_is_stable_at_tied_peaks():
+    # Two equal communities: psi2 = +-(1, -1) up to round-off, with zero
+    # mass-weighted mean; the first block is the positive one.
+    _, psi2 = spectral.sbm_eigen_analytic([[0.1, 0.9], [0.9, 0.1]], [0.5, 0.5])[1]
+    assert psi2 == pytest.approx([1.0, -1.0], abs=1e-12)
+
+
+def test_top_k_tiny_kernel_is_not_certified_by_underflow():
+    # Squared residual entries of a 1e-179 kernel underflow to zero; the
+    # certificate must still reject an unconverged block.
+    op = spectral.discretize(kernels.erdos_renyi(3.126821774815023e-179), 45)
+    assert spectral.top_k_eigen(op, 1)[0].value == pytest.approx(3.126821774815023e-179,
+                                                                 rel=1e-12)
