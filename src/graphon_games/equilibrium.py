@@ -9,7 +9,8 @@ the contraction condition (lipschitz ratio of the payoff times the spectral
 radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges
 geometrically. For a nonnegative G, rho(G) is lambda_max, the largest
-eigenvalue of G; a signed G also needs the largest eigenvalue of -G. The
+eigenvalue of G; a signed G also needs the largest eigenvalue of -G. Both
+come from the Lanczos routine ``spectral.power_method``. The
 returned EquilibriumReport carries lambda_max, so callers that need it for
 bounds do not recompute it.
 
@@ -57,7 +58,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
-NETWORK_POWER_TOL = 1e-13
 _ACCEPT_NEG = -1e-12
 _BISECT_TOL = 1e-12
 _BISECT_MAX = 200
@@ -179,9 +179,9 @@ def contraction_factor(payoff, lambda_max: float) -> float:
     return _lipschitz_ratio(payoff) * lambda_max
 
 
-def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = NETWORK_POWER_TOL,
+def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = POWER_TOL,
                                max_iter: int = POWER_MAX_ITER) -> float:
-    """Largest eigenvalue of a symmetric matrix by power iteration.
+    """Largest eigenvalue of a symmetric matrix by Lanczos (``power_method``).
 
     For the nonnegative matrices arising here this is also the spectral
     radius (Perron), which is what the contraction checks need.
@@ -251,8 +251,7 @@ def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start,
-           eig_tol: float) -> EquilibriumReport:
+def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:
     """Equilibrium of the game whose local aggregate is z = G s.
 
     G is the normalized operator matrix: P/N for a network P, K/M for a
@@ -261,10 +260,10 @@ def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start,
     otherwise, and for generic payoffs, best-response iteration runs from
     ``start`` (default: beta for LQ, the best response to z = 0 otherwise).
     The contraction factor uses the spectral radius of G, max(lambda_max(G),
-    lambda_max(-G)); the second power iteration runs only for a signed G.
+    lambda_max(-G)); the second eigenvalue is computed only for a signed G.
     """
-    lam = matrix_dominant_eigenvalue(G, eig_tol)
-    rho = lam if G.min() >= 0.0 else max(lam, matrix_dominant_eigenvalue(-G, eig_tol))
+    lam = matrix_dominant_eigenvalue(G)
+    rho = lam if G.min() >= 0.0 else max(lam, matrix_dominant_eigenvalue(-G))
     q = _check_contraction(_lipschitz_ratio(payoff), rho)
     n = G.shape[0]
     if isinstance(payoff, LqPayoff):
@@ -286,7 +285,7 @@ def solve_network(P: np.ndarray, payoff, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, start=None) -> EquilibriumReport:
     """Equilibrium of the game on a square, symmetric, finite network P (aggregate (1/N) P s)."""
     P = _validate_symmetric(P, "network matrix")
-    return _solve(P / P.shape[0], payoff, tol, max_iter, start, NETWORK_POWER_TOL)
+    return _solve(P / P.shape[0], payoff, tol, max_iter, start)
 
 
 def solve_graphon(spec: GraphonSpec, payoff, M: int, tol: float = DEFAULT_TOL,
@@ -296,7 +295,7 @@ def solve_graphon(spec: GraphonSpec, payoff, M: int, tol: float = DEFAULT_TOL,
     This is the network game of the midpoint kernel matrix; only the profile
     is returned as a GridFunction.
     """
-    report = _solve(discretize(spec, M).matrix(), payoff, tol, max_iter, start, POWER_TOL)
+    report = _solve(discretize(spec, M).matrix(), payoff, tol, max_iter, start)
     report.profile = GridFunction(report.profile)
     return report
 
@@ -315,14 +314,13 @@ def step_function_embed(s) -> GridFunction:
 
 
 def l2_distance(f: GridFunction, g: GridFunction) -> float:
-    """L2 distance of two step functions, via the common grid refinement."""
+    """L2 distance of two step functions, integrated over their merged breakpoints."""
     if f.M == g.M:
-        fv, gv = f.values, g.values
-    else:
-        L = math.lcm(f.M, g.M)
-        fv = np.repeat(f.values, L // f.M)
-        gv = np.repeat(g.values, L // g.M)
-    return float(np.sqrt(np.mean((fv - gv) ** 2)))
+        return float(np.sqrt(np.mean((f.values - g.values) ** 2)))
+    # Breakpoints i / f.M and j / g.M in units of 1 / (f.M g.M), exact integers.
+    edges = np.union1d(np.arange(f.M + 1) * g.M, np.arange(g.M + 1) * f.M)
+    diff = f.values[edges[:-1] // g.M] - g.values[edges[:-1] // f.M]
+    return float(np.sqrt(np.sum(np.diff(edges) * diff**2) / (f.M * g.M)))
 
 
 def bound_rho(N: int, delta: float, L: float, Omega: int, Ktilde: float):

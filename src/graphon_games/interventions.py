@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import NETWORK_POWER_TOL, _check_contraction, matrix_dominant_eigenvalue
-from .kernels import GraphonSpec, _sbm_block_index
+from .equilibrium import _check_contraction, matrix_dominant_eigenvalue
+from .kernels import GraphonSpec, _sbm_block_index, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
+    POWER_TOL,
     _orient,
     discretize,
     power_method,
@@ -67,7 +68,7 @@ class InterventionResult:
 
 def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 at the equilibrium s = (I - alpha P/N)^-1 beta_hat."""
-    return _welfares(P, alpha, [beta_hat])[0]
+    return _welfares(_validate_symmetric(P, "network matrix"), alpha, [beta_hat])[0]
 
 
 def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> list[float]:
@@ -98,7 +99,7 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
     if C < 0.0:
         raise ValueError("budget must be nonnegative")
-    _, v1 = power_method(np.asarray(P, dtype=float), NETWORK_POWER_TOL, POWER_MAX_ITER)
+    _, v1 = power_method(_validate_symmetric(P, "network matrix"), POWER_TOL, POWER_MAX_ITER)
     v1 = _orient(v1)
     beta_hat = beta + math.sqrt(C) * v1
     used = float(np.sum((beta_hat - beta) ** 2))
@@ -172,7 +173,7 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     goes into a top-shell eigenvector directly. The equilibrium of U y is
     U diag(1/(1 - alpha lambda)) y, so the welfare is sum d_l y_l^2 / (2N).
     """
-    P = np.asarray(P, dtype=float)
+    P = _validate_symmetric(P, "network matrix")
     N = P.shape[0]
     if alpha <= 0.0:
         raise ValueError("planner interventions require strategic complements (alpha > 0)")

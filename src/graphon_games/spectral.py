@@ -12,7 +12,6 @@ sqrt(M).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,11 @@ __all__ = [
     "operator_distance",
 ]
 
-POWER_TOL = 1e-10
+POWER_TOL = 1e-13
 POWER_MAX_ITER = 100_000
 _SUBSPACE_OVERSAMPLE = 8
 _SUBSPACE_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,59 +143,54 @@ def _orient(v: np.ndarray, weights=None) -> np.ndarray:
 def power_method(A: np.ndarray, tol: float, max_iter: int):
     """Largest (algebraic) eigenvalue and unit eigenvector of a symmetric matrix.
 
-    Plain power iteration from the all-ones direction, declared converged
-    only when both the Rayleigh quotient has settled and the residual
-    ||A v - lam v|| is below tol * max(1, |lam|). A matrix with a dominant
-    +/- eigenvalue pair (a bipartite-like network) makes the unshifted
-    iteration oscillate with a stationary Rayleigh quotient; when the
-    residual stalls, the iteration restarts on A + shift*I with shift equal
-    to the max absolute row sum, which makes the top of the spectrum
-    strictly dominant. Matrices with negative entries start shifted, since
-    for them the largest-magnitude eigenvalue need not be the largest one.
+    Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
+    Computations, ch. 10). A nonnegative matrix starts from the all-ones
+    vector, which overlaps its Perron vector; a signed one from a fixed-seed
+    Gaussian vector, since its top eigenvector can be orthogonal to all-ones.
+    Each step orthogonalizes A q_k twice against the whole basis Q and takes
+    the top eigenpair (theta, s) of the tridiagonal T = Q^T A Q. The Krylov
+    space holds both ends of the spectrum, so a +/- eigenvalue pair needs no
+    shift. The Ritz pair is accepted once its residual beta_k |s_k| is at
+    most tol * max(1, |theta|), when the space becomes invariant (beta_k at
+    most machine epsilon times the largest entry of T), or when it spans
+    R^n. An invariant space holds the top eigenvalue whenever the start has a
+    component in the top eigenspace: the all-ones vector has one for a
+    nonnegative matrix (Perron), the fixed Gaussian vector for any signed
+    matrix not built from it.
+
+    Returns the Rayleigh quotient of the Ritz vector and the vector itself,
+    oriented to a nonnegative sum. Raises ValueError when that quotient is
+    not finite (NaN or infinite entries) and IterationLimitError after
+    max_iter steps.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    shift = float(np.max(np.abs(A).sum(axis=1))) if A.min() < 0.0 else 0.0
-    B = A if shift == 0.0 else A + shift * np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam = float(v @ (A @ v))
-    Bv = B @ v
-    stall = 0
-    resid_checkpoint = math.inf
-    for it in range(1, max_iter + 1):
-        norm = float(np.linalg.norm(Bv))
-        if norm == 0.0:
-            # B v vanished, so v lies in the -shift eigenspace of A (for
-            # [[0, -3], [-3, 0]] the all-ones start does). Restart from the
-            # basis vector of B's heaviest column; if every column is zero,
-            # A = -shift * I and the whole spectrum is -shift.
-            j = int(np.argmax(np.abs(B).sum(axis=0)))
-            if not B[:, j].any():
-                return -shift, np.full(n, 1.0 / math.sqrt(n))
-            v = np.zeros(n)
-            v[j] = 1.0
-            lam, Bv = float(A[j, j]), B[:, j].copy()
-            continue
-        v_new = Bv / norm
-        Bv_new = B @ v_new
-        lam_new = float(v_new @ Bv_new) - shift
-        scale = max(1.0, abs(lam_new))
-        resid = float(np.linalg.norm(Bv_new - (lam_new + shift) * v_new))
-        if abs(lam_new - lam) <= tol * scale and resid <= tol * scale:
-            return lam_new, v_new
-        stall = stall + 1 if abs(lam_new - lam) <= tol * scale else 0
-        if shift == 0.0 and (stall >= 5 or (it % 50 == 0 and resid > 0.5 * resid_checkpoint)):
-            shift = float(np.max(np.abs(A).sum(axis=1)))
-            B = A + shift * np.eye(n)
-            Bv_new = B @ v_new
-            stall = 0
-            resid_checkpoint = math.inf
-        elif it % 50 == 0:
-            resid_checkpoint = resid
-        v, Bv, lam = v_new, Bv_new, lam_new
+    q = np.ones(n) if A.min() >= 0.0 else np.random.default_rng(0).standard_normal(n)
+    Q = (q / np.linalg.norm(q))[None, :]
+    alphas, betas, s = [], [], np.ones(1)
+    T_norm = resid = 0.0
+    for k in range(1, max_iter + 1):
+        w = A @ Q[-1]
+        alphas.append(float(Q[-1] @ w))
+        for _ in range(2):
+            w -= Q.T @ (Q @ w)
+        beta = float(np.linalg.norm(w))
+        T_norm = max(T_norm, abs(alphas[-1]), beta)
+        theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        s = S[:, -1]
+        resid = beta * abs(s[-1])
+        if resid <= tol * max(1.0, abs(theta[-1])) or beta <= _EPS * T_norm or k == n:
+            v = s @ Q
+            v = v if v.sum() >= 0.0 else -v
+            lam = float(v @ (A @ v) / (v @ v))
+            if not np.isfinite(lam):
+                raise ValueError("matrix entries must be finite")
+            return lam, v
+        betas.append(beta)
+        Q = np.vstack([Q, w / beta])
     raise IterationLimitError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_iterate=v,
+        f"Lanczos did not converge in {max_iter} steps",
+        last_iterate=s @ Q[: s.size],
         residual_history=[resid],
     )
 
@@ -210,13 +205,12 @@ def _l2_normalize(v: np.ndarray) -> np.ndarray:
 def dominant_eigenpair(
     op: DiscretizedOperator, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
 ) -> EigenPair:
-    """Largest eigenvalue and eigenfunction via power iteration.
+    """Largest eigenvalue and eigenfunction by Lanczos (``power_method``).
 
-    Starts from the all-ones vector (guaranteed overlap with the nonnegative
-    dominant eigenfunction of a nonnegative kernel) and converges when both
-    the Rayleigh quotient and the residual settle to ``tol``, so the returned
-    pair satisfies ||apply(op, psi) - lam psi|| <= tol * max(1, |lam|). The
-    eigenfunction is returned with unit L2 norm and nonnegative mean.
+    A nonnegative kernel starts from the all-ones vector (guaranteed overlap
+    with its nonnegative dominant eigenfunction). The pair is accepted once
+    its residual satisfies ||apply(op, psi) - lam psi|| <= tol * max(1, |lam|).
+    The eigenfunction is returned with unit L2 norm and nonnegative mean.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -328,10 +322,11 @@ def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:
     """L2 -> L2 operator norm of the difference of two discretized operators.
 
     For symmetric matrices this is the largest absolute eigenvalue of
-    (1/M) (A - B).
+    D = (1/M) (A - B), that is max(lambda_max(D), lambda_max(-D)), both
+    from ``power_method`` at ``POWER_TOL``.
     """
     if a.M != b.M:
         raise ValueError(f"resolution mismatch: {a.M} vs {b.M}")
     diff = (a.kernel_matrix - b.kernel_matrix) / a.M
-    evals = np.linalg.eigvalsh(diff)
-    return float(max(abs(evals[0]), abs(evals[-1])))
+    return max(power_method(diff, POWER_TOL, POWER_MAX_ITER)[0],
+               power_method(-diff, POWER_TOL, POWER_MAX_ITER)[0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,29 @@ def test_l2_distance_lcm_refinement():
     assert eq.l2_distance(f, g) == pytest.approx(math.sqrt(1.0 / 6.0), abs=1e-15)
 
 
+def test_l2_distance_matches_the_lcm_refinement_on_coprime_grids():
+    rng = np.random.default_rng(7)
+    f = spectral.GridFunction(rng.standard_normal(7))
+    g = spectral.GridFunction(rng.standard_normal(5))
+    lcm = math.sqrt(np.mean((np.repeat(f.values, 5) - np.repeat(g.values, 7)) ** 2))
+    assert eq.l2_distance(f, g) == pytest.approx(lcm, abs=1e-15)
+    assert eq.l2_distance(g, f) == pytest.approx(lcm, abs=1e-15)
+
+
+def test_l2_distance_memory_is_linear_in_the_grid_sizes():
+    # The common refinement of 1999 and 2000 cells has 3,998,000 cells (two
+    # 32 MB arrays); the merged breakpoints number fewer than 4000.
+    f = spectral.GridFunction(np.linspace(0.0, 1.0, 1999))
+    g = spectral.GridFunction(np.linspace(1.0, 0.0, 2000))
+    tracemalloc.start()
+    try:
+        eq.l2_distance(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # --- network/graphon equivalence ---------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [0.8, -0.8])
@@ -393,6 +417,39 @@ def test_network_lq_signed_pair_uses_largest_eigenvalue():
     assert rep.lambda_max == pytest.approx(1.5, abs=1e-10)
     assert rep.contraction_factor == pytest.approx(0.75, abs=1e-10)
     assert np.allclose(rep.profile_array(), 1.0 / 1.75, atol=1e-12)
+
+
+def signed_block_network():
+    """44 x 44 block-diagonal matrix: 3 u u^T - 3 w w^T beside a minmax network.
+
+    u = (1, -1, 0, 0) / sqrt(2) and w = (0, 0, 1, -1) / sqrt(2) both sum to
+    zero, so the +/-3 eigenvectors are orthogonal to the all-ones vector; the
+    sampled minmax block is scaled to lambda_max = 1.
+    """
+    u = np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    w = np.array([0.0, 0.0, 1.0, -1.0]) / math.sqrt(2.0)
+    P = sampling.weighted_network(kernels.minmax(), sampling.sample_types(40, 0)).P
+    A = np.zeros((44, 44))
+    A[:4, :4] = 3.0 * np.outer(u, u) - 3.0 * np.outer(w, w)
+    A[4:, 4:] = P / np.linalg.eigvalsh(P)[-1]
+    return A
+
+
+def test_power_method_sees_signed_eigenvectors_orthogonal_to_ones():
+    A = signed_block_network()
+    assert spectral.power_method(A, 1e-13, 100_000)[0] == pytest.approx(3.0, abs=1e-12)
+    assert spectral.power_method(-A, 1e-13, 100_000)[0] == pytest.approx(3.0, abs=1e-12)
+
+
+def test_signed_network_contraction_uses_eigenvectors_orthogonal_to_ones():
+    P = 44.0 * signed_block_network()
+    rep = eq.solve_network(P, eq.LqPayoff(0.2, 1.0))
+    assert rep.method == "direct-solve"
+    assert rep.lambda_max == pytest.approx(3.0, abs=1e-12)
+    assert rep.contraction_factor == pytest.approx(0.6, abs=1e-12)
+    with pytest.raises(ContractionError) as info:
+        eq.solve_network(P, eq.LqPayoff(0.5, 1.0))
+    assert info.value.factor == pytest.approx(1.5, abs=1e-12)
 
 
 _EQUIVALENCE_PAYOFFS = {

@@ -294,3 +294,16 @@ def test_contraction_failure_reports_ratio_and_radius(policy):
         else:
             iv.optimal_intervention(P, 1.5, 1.0, 1.0)
     assert err.value.factor == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("P", [[[0.0, 1.0], [0.0, 0.0]], [[0.0, math.nan], [math.nan, 0.0]]],
+                         ids=["non-symmetric", "nan"])
+@pytest.mark.parametrize("policy", ["welfare", "network-heuristic", "optimal"])
+def test_interventions_reject_non_symmetric_or_non_finite_networks(policy, P):
+    with pytest.raises(ValueError, match="network matrix"):
+        if policy == "welfare":
+            iv.welfare(P, 0.5, np.ones(2))
+        elif policy == "network-heuristic":
+            iv.network_heuristic(P, 1.0, 0.5)
+        else:
+            iv.optimal_intervention(P, 0.5, 1.0, 0.5)

@@ -322,6 +322,39 @@ def test_power_method_scalar_matrix_returns_its_value():
     assert lam == -2.0
 
 
+def _symmetric_case(kind, n, rng):
+    B = rng.uniform(-1.0, 1.0, (n, n))
+    if kind == "nonnegative":
+        return np.abs(B + B.T)
+    if kind == "signed":
+        return B + B.T
+    if kind == "bipartite":
+        return np.kron([[0.0, 1.0], [1.0, 0.0]], np.abs(B + B.T))
+    if kind == "low-rank":
+        X = rng.standard_normal((n, 2))
+        A = X @ np.diag([rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]) @ X.T
+        return (A + A.T) / 2.0
+    return rng.uniform(-3.0, 3.0) * np.eye(n)
+
+
+@given(kind=st.sampled_from(["nonnegative", "signed", "bipartite", "low-rank", "scalar"]),
+       n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_power_method_matches_eigvalsh(kind, n, seed):
+    A = _symmetric_case(kind, n, np.random.default_rng(seed))
+    lam, v = spectral.power_method(A, 1e-13, 100_000)
+    ref = np.linalg.eigvalsh(A)[-1]
+    assert abs(lam - ref) <= 1e-10 * max(1.0, abs(ref))
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert v.sum() >= 0.0
+
+
+@pytest.mark.parametrize("A", [[[0.0, math.nan], [math.nan, 0.0]], [[1.0, math.inf], [math.inf, 1.0]]])
+def test_power_method_rejects_non_finite_matrices(A):
+    with pytest.raises(ValueError, match="finite"):
+        spectral.power_method(np.array(A), 1e-13, 1000)
+
+
 # --- top-k by subspace iteration against a full eigendecomposition -------------
 
 def _top_k_and_full_eigh(monkeypatch, op, k):
