@@ -10,15 +10,15 @@ radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges
 geometrically. For a nonnegative G, rho(G) is lambda_max, the largest
 eigenvalue of G; a signed G also needs the largest eigenvalue of -G. Both
-come from the Lanczos routine ``spectral.power_method``. The
-returned EquilibriumReport carries lambda_max, so callers that need it for
-bounds do not recompute it.
+come from Lanczos runs (``spectral._lanczos``). The returned
+EquilibriumReport carries lambda_max, so bounds do not recompute it.
 
-Linear-quadratic payoffs admit a direct linear-solve path: for complements
-(alpha > 0) the equilibrium is interior and solves (I - alpha G) s = beta;
-for substitutes the direct solution is accepted only if nonnegative, otherwise
-the solver falls back to projected best-response iteration. Generic payoffs
-always use best-response iteration.
+Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
+Lanczos (CG on the positive definite I - alpha G), for a nonnegative G in
+the very run that gives lambda_max. For complements (alpha > 0) the solution
+is the interior equilibrium; for substitutes it is accepted only if
+nonnegative, otherwise projected best-response iteration takes over. Generic
+payoffs always use best-response iteration.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractionError, IterationLimitError
 from .kernels import GraphonSpec, _validate_symmetric
-from .spectral import POWER_MAX_ITER, POWER_TOL, GridFunction, discretize, power_method
+from .spectral import POWER_MAX_ITER, POWER_TOL, GridFunction, _lanczos, discretize, power_method
 
 __all__ = [
     "LqPayoff",
@@ -251,23 +251,49 @@ def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lq_solve(G: np.ndarray, alpha: float, b) -> np.ndarray:
+    """(I - alpha G)^-1 b by Lanczos from b, for use behind the contraction gate."""
+    b = np.asarray(b, dtype=float)
+    x = _lanczos(G, b, POWER_TOL, POWER_MAX_ITER, alpha, eig=False)[2] if b.any() else 0.0 * b
+    if x is None:  # |alpha| rho(G) is one up to round-off
+        raise ContractionError(1.0, "I - alpha G is not positive definite")
+    return x
+
+
+def _contraction_gate(G: np.ndarray, ratio: float, alpha: float | None = None):
+    """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given).
+
+    For a nonnegative G, rho is lambda_max and one Lanczos run from all-ones
+    gives it and x. A signed G adds lambda_max(-G) and solves for x apart.
+    Raises ContractionError unless q < 1, which makes I - alpha G positive definite.
+    """
+    if G.min() >= 0.0:
+        lam, _, x = _lanczos(G, np.ones(len(G)), POWER_TOL, POWER_MAX_ITER, alpha)
+        q = _check_contraction(ratio, lam)
+    else:
+        lam, x = matrix_dominant_eigenvalue(G), None
+        q = _check_contraction(ratio, max(lam, matrix_dominant_eigenvalue(-G)))
+    if alpha is not None and x is None:
+        x = _lq_solve(G, alpha, np.ones(len(G)))
+    return lam, q, x
+
+
 def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:
     """Equilibrium of the game whose local aggregate is z = G s.
 
     G is the normalized operator matrix: P/N for a network P, K/M for a
-    kernel sampled on the M-grid. LQ payoffs take the direct solve of
-    (I - alpha G) s = beta, accepted for complements or when nonnegative;
-    otherwise, and for generic payoffs, best-response iteration runs from
-    ``start`` (default: beta for LQ, the best response to z = 0 otherwise).
-    The contraction factor uses the spectral radius of G, max(lambda_max(G),
-    lambda_max(-G)); the second eigenvalue is computed only for a signed G.
+    kernel sampled on the M-grid. LQ payoffs take the Krylov solve of
+    (I - alpha G) s = beta from ``_contraction_gate``, accepted for
+    complements or when nonnegative; otherwise, and for generic payoffs,
+    best-response iteration runs from ``start`` (default: beta for LQ, the
+    best response to z = 0 otherwise). The contraction factor uses the
+    spectral radius of G.
     """
-    lam = matrix_dominant_eigenvalue(G)
-    rho = lam if G.min() >= 0.0 else max(lam, matrix_dominant_eigenvalue(-G))
-    q = _check_contraction(_lipschitz_ratio(payoff), rho)
+    lq = isinstance(payoff, LqPayoff)
+    lam, q, x = _contraction_gate(G, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
     n = G.shape[0]
-    if isinstance(payoff, LqPayoff):
-        s = np.linalg.solve(np.eye(n) - payoff.alpha * G, np.full(n, payoff.beta))
+    if lq:
+        s = payoff.beta * x
         if payoff.alpha > 0.0 or s.min() >= _ACCEPT_NEG:
             s = np.maximum(s, 0.0)
             res = float(np.max(np.abs(s - br_lq(G @ s, payoff))))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import _check_contraction, matrix_dominant_eigenvalue
+from .equilibrium import _check_contraction, _contraction_gate, _lq_solve
 from .kernels import GraphonSpec, _sbm_block_index, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
@@ -72,12 +72,10 @@ def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
 
 
 def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> list[float]:
-    """Welfare of several allocations with one factorization of the game matrix."""
-    P = np.asarray(P, dtype=float)
-    N = P.shape[0]
-    _check_contraction(abs(alpha), matrix_dominant_eigenvalue(P / N))
-    S = np.linalg.solve(np.eye(N) - (alpha / N) * P, np.column_stack(allocations))
-    return [float(np.sum(S[:, j] ** 2) / (2.0 * N)) for j in range(S.shape[1])]
+    """Welfare of several allocations, each solved by Lanczos from itself behind one gate."""
+    G = np.asarray(P, dtype=float) / len(P)
+    _contraction_gate(G, abs(alpha))
+    return [float(np.sum(_lq_solve(G, alpha, b) ** 2) / (2.0 * len(G))) for b in allocations]
 
 
 def no_intervention(beta: float, N: int) -> InterventionResult:
@@ -180,7 +178,7 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     if C < 0.0:
         raise ValueError("budget must be nonnegative")
     lam, U = np.linalg.eigh(P / N)
-    _check_contraction(alpha, lam[-1])
+    _check_contraction(alpha, max(lam[-1], -lam[0]))
     d = 1.0 / (1.0 - alpha * lam) ** 2
     c = U.T @ np.full(N, float(beta))
     if C == 0.0:

@@ -140,59 +140,75 @@ def _orient(v: np.ndarray, weights=None) -> np.ndarray:
     return v if v[j] >= 0.0 else -v
 
 
-def power_method(A: np.ndarray, tol: float, max_iter: int):
-    """Largest (algebraic) eigenvalue and unit eigenvector of a symmetric matrix.
+def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, max_iter: int,
+             alpha: float | None = None, eig: bool = True):
+    """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11).
 
-    Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
-    Computations, ch. 10). A nonnegative matrix starts from the all-ones
-    vector, which overlaps its Perron vector; a signed one from a fixed-seed
-    Gaussian vector, since its top eigenvector can be orthogonal to all-ones.
-    Each step orthogonalizes A q_k twice against the whole basis Q and takes
-    the top eigenpair (theta, s) of the tridiagonal T = Q^T A Q. The Krylov
-    space holds both ends of the spectrum, so a +/- eigenvalue pair needs no
-    shift. The Ritz pair is accepted once its residual beta_k |s_k| is at
-    most tol * max(1, |theta|), when the space becomes invariant (beta_k at
-    most machine epsilon times the largest entry of T), or when it spans
-    R^n. An invariant space holds the top eigenvalue whenever the start has a
-    component in the top eigenspace: the all-ones vector has one for a
-    nonnegative matrix (Perron), the fixed Gaussian vector for any signed
-    matrix not built from it.
-
-    Returns the Rayleigh quotient of the Ritz vector and the vector itself,
-    oriented to a nonnegative sum. Raises ValueError when that quotient is
-    not finite (NaN or infinite entries) and IterationLimitError after
-    max_iter steps.
+    Each step orthogonalizes A q_k twice against Q = [q_1 .. q_k] and extends
+    T = Q^T A Q, with eigenpairs (theta, S). Returns (lam, v, x), None where
+    not asked. With ``eig``: the Rayleigh quotient and the Ritz vector (sum
+    >= 0) of the top Ritz pair, read at the first step where beta_k |s_k| is
+    at most tol * max(1, |theta|). With ``alpha``: x = ||q|| Q y with
+    (I - alpha T) y = e_1, which solves (I - alpha A) x = q (CG when
+    I - alpha A is positive definite), read once its residual
+    |alpha| beta_k |y_k| is at most eps ||y|| times the smallest eigenvalue
+    of I - alpha T, an error at round-off level; None if I - alpha T is
+    indefinite. What is still open is read once the space is invariant
+    (beta_k <= eps * max |T_ij|) or spans R^n. Raises ValueError as soon as a
+    matrix-vector product is not finite, IterationLimitError after max_iter.
     """
-    A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    q = np.ones(n) if A.min() >= 0.0 else np.random.default_rng(0).standard_normal(n)
     Q = (q / np.linalg.norm(q))[None, :]
     alphas, betas, s = [], [], np.ones(1)
+    lam = v = x = None
     T_norm = resid = 0.0
     for k in range(1, max_iter + 1):
         w = A @ Q[-1]
         alphas.append(float(Q[-1] @ w))
+        if not np.isfinite(alphas[-1]):
+            raise ValueError("matrix and start vector entries must be finite")
         for _ in range(2):
             w -= Q.T @ (Q @ w)
         beta = float(np.linalg.norm(w))
         T_norm = max(T_norm, abs(alphas[-1]), beta)
         theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        s = S[:, -1]
-        resid = beta * abs(s[-1])
-        if resid <= tol * max(1.0, abs(theta[-1])) or beta <= _EPS * T_norm or k == n:
-            v = s @ Q
-            v = v if v.sum() >= 0.0 else -v
-            lam = float(v @ (A @ v) / (v @ v))
-            if not np.isfinite(lam):
-                raise ValueError("matrix entries must be finite")
-            return lam, v
+        end = beta <= _EPS * T_norm or k == n
+        if eig and lam is None:
+            s = S[:, -1]
+            resid = beta * abs(s[-1])
+            if resid <= tol * max(1.0, abs(theta[-1])) or end:
+                v = s @ Q
+                v = v if v.sum() >= 0.0 else -v
+                lam = float(v @ (A @ v) / (v @ v))
+        if x is None and alpha is not None:
+            d = 1.0 - alpha * theta
+            if d.min() <= 0.0:
+                alpha = None  # indefinite: no solve to read
+            else:
+                y = S @ (S[0] / d)
+                if abs(alpha) * beta * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end:
+                    x = np.linalg.norm(q) * (y @ Q)
+        if (x is not None or alpha is None) and (lam is not None or not eig):
+            return lam, v, x
         betas.append(beta)
         Q = np.vstack([Q, w / beta])
-    raise IterationLimitError(
-        f"Lanczos did not converge in {max_iter} steps",
-        last_iterate=s @ Q[: s.size],
-        residual_history=[resid],
-    )
+    raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",
+                              last_iterate=s @ Q[: s.size], residual_history=[resid])
+
+
+def power_method(A: np.ndarray, tol: float, max_iter: int):
+    """Largest (algebraic) eigenvalue and unit eigenvector of a symmetric matrix.
+
+    The top Ritz pair of ``_lanczos`` from a start with a component in the
+    top eigenspace, so that an invariant Krylov space holds the top
+    eigenvalue: all-ones for a nonnegative matrix (Perron), a fixed-seed
+    Gaussian vector for a signed one, whose top eigenvector can be orthogonal
+    to all-ones. Returns the Rayleigh quotient and the Ritz vector oriented to
+    a nonnegative sum; raises ValueError on NaN or infinite entries.
+    """
+    A = np.asarray(A, dtype=float)
+    q = np.ones(len(A)) if A.min() >= 0.0 else np.random.default_rng(0).standard_normal(len(A))
+    return _lanczos(A, q, tol, max_iter)[:2]
 
 
 def _l2_normalize(v: np.ndarray) -> np.ndarray:

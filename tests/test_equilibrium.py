@@ -528,3 +528,84 @@ def test_every_contraction_failure_reports_ratio_and_radius(raise_it):
     with pytest.raises(ContractionError, match="lipschitz ratio .* times spectral radius") as err:
         raise_it()
     assert err.value.factor >= 1.0
+
+
+# --- the Krylov direct solve against a dense LU solve -------------------------
+
+def krylov_case(kind, n, rng):
+    """Symmetric test network: nonnegative, signed, a star, isolated nodes or zero."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    B = rng.uniform(-1.0, 1.0, (n, n))
+    P = B + B.T if kind == "signed" else np.abs(B + B.T)
+    if kind == "star":
+        P *= 0.1
+        P[0, 1:] = P[1:, 0] = 1.0
+    if kind == "isolated":
+        alone = rng.random(n) < 0.4
+        P[alone] = 0.0
+        P[:, alone] = 0.0
+    return P
+
+
+def assert_direct_solve_matches_lu(rep, G, payoff):
+    n = G.shape[0]
+    assert rep.lambda_max == eq.matrix_dominant_eigenvalue(G)
+    if rep.method == "direct-solve":
+        ref = np.linalg.solve(np.eye(n) - payoff.alpha * G, np.full(n, payoff.beta))
+        s = rep.profile_array()
+        assert np.max(np.abs(s - np.maximum(ref, 0.0))) <= 1e-12 * np.max(np.abs(ref))
+        assert rep.iterations == 0
+
+
+@given(kind=st.sampled_from(["nonnegative", "signed", "star", "isolated", "zero"]),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       q=st.floats(-0.95, 0.95), beta=st.floats(0.1, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_direct_solve_matches_a_dense_solve(kind, n, seed, q, beta):
+    # alpha of either sign, scaled so that |alpha| rho(G) = |q| < 1.
+    P = krylov_case(kind, n, np.random.default_rng(seed))
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(P / n))))
+    payoff = eq.LqPayoff(q / rho if rho > 0.0 else q, beta)
+    assert_direct_solve_matches_lu(eq.solve_network(P, payoff), P / n, payoff)
+
+
+@pytest.mark.parametrize("P", [[[0.0]], [[1.5]], [[0.0, 1.0], [1.0, 0.0]],
+                               [[0.0, -1.5], [-1.5, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+@pytest.mark.parametrize("alpha", [0.6, -0.6])
+def test_direct_solve_on_one_and_two_agents(P, alpha):
+    P = np.array(P)
+    rep = eq.solve_network(P, eq.LqPayoff(alpha, 1.0))
+    assert_direct_solve_matches_lu(rep, P / len(P), eq.LqPayoff(alpha, 1.0))
+
+
+@pytest.mark.parametrize("alpha", [0.9, -0.9])
+def test_direct_solve_on_an_invariant_start(alpha):
+    # The all-ones vector is an eigenvector of the er kernel matrix, so the
+    # Krylov space is invariant after one step and s = beta / (1 - alpha p).
+    spec, payoff = kernels.erdos_renyi(0.5), eq.LqPayoff(alpha, 1.0)
+    rep = eq.solve_graphon(spec, payoff, 50)
+    assert_direct_solve_matches_lu(rep, spectral.discretize(spec, 50).matrix(), payoff)
+    assert np.allclose(rep.profile_array(), 1.0 / (1.0 - 0.5 * alpha), rtol=1e-14)
+
+
+def test_solvers_pass_no_system_larger_than_the_krylov_space(monkeypatch):
+    from graphon_games import interventions as iv
+
+    sizes = []
+    for name in ("solve", "inv"):
+        dense = getattr(np.linalg, name)
+
+        def recording(a, *args, _dense=dense, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return _dense(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    N = 400
+    types = sampling.sample_types(N, 7)
+    P = sampling.weighted_network(kernels.minmax(), types).P
+    for alpha in (0.5, -0.5):
+        assert eq.solve_network(P, eq.LqPayoff(alpha, 1.0)).method == "direct-solve"
+        assert eq.solve_graphon(kernels.minmax(), eq.LqPayoff(alpha, 1.0), N).method == "direct-solve"
+    assert iv.welfare(P, 0.5, np.linspace(0.5, 1.5, N)) > 0.0
+    assert all(size <= 40 for size in sizes)

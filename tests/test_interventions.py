@@ -307,3 +307,30 @@ def test_interventions_reject_non_symmetric_or_non_finite_networks(policy, P):
             iv.network_heuristic(P, 1.0, 0.5)
         else:
             iv.optimal_intervention(P, 0.5, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("policy", ["welfare", "optimal"])
+def test_welfare_gates_on_the_spectral_radius(policy):
+    # P/N has eigenvalues -4 and 0.2: lambda_max gives a factor of 0.1, but
+    # the best-response map expands along the -4 direction (q = 2), as in
+    # solve_network. With alpha = -0.5, I - alpha G is even indefinite and
+    # the "equilibrium" [-1, 0.909] has a negative strategy.
+    P = np.diag([-8.0, 0.4])
+    with pytest.raises(ContractionError) as info:
+        if policy == "welfare":
+            iv.welfare(P, -0.5, np.ones(2))
+        else:
+            iv.optimal_intervention(P, 0.5, 1.0, 1.0)
+    assert info.value.factor == pytest.approx(2.0, abs=1e-9)
+
+
+def test_welfare_matches_a_dense_solve_for_every_allocation():
+    rng = np.random.default_rng(3)
+    P = random_network(rng, 60)
+    P[5] = P[:, 5] = 0.0
+    G = P / 60
+    for alpha in (0.9, -0.9):
+        alpha /= np.linalg.eigvalsh(G)[-1]
+        for b in (np.ones(60), rng.uniform(0.0, 2.0, 60), np.eye(60)[5], np.zeros(60)):
+            s = np.linalg.solve(np.eye(60) - alpha * G, b)
+            assert iv.welfare(P, alpha, b) == pytest.approx(np.sum(s**2) / 120.0, rel=1e-12, abs=0)
