@@ -220,8 +220,9 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     """Welfare comparison of intervention policies on sampled 0-1 networks.
 
     The per-agent budget scales the total budget as C = c_per_agent * N. The
-    exact optimal policy is computed only for N up to optimal_cap (it needs a
-    full eigendecomposition per trial). Returns one WelfareStats per N.
+    exact optimal policy (a certified Lanczos projection, a full
+    eigendecomposition when uncertified) is computed only for N up to
+    optimal_cap. Returns one WelfareStats per N.
     """
     Ns = _sizes(Ns, trials)
     if alpha <= 0.0:

@@ -10,7 +10,8 @@ Policies:
   homogeneous        equal split, beta_hat = beta + sqrt(C/N)
   network-heuristic  budget along the dominant eigenvector of the realized network
   graphon-heuristic  budget along the dominant kernel eigenfunction at the agent types
-  optimal            exact maximizer via the secular equation in the eigenbasis
+  optimal            exact maximizer via the secular equation, solved on the Lanczos
+                     basis from the all-ones vector and certified in full space
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
     POWER_TOL,
+    _lanczos_steps,
     _orient,
     discretize,
     power_method,
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _GAP_WARN = 1e-10
+_PROJECTION_STEPS = 50  # sampled networks take 8-22 steps; slower ones go to eigh
 
 
 @dataclass
@@ -66,31 +69,36 @@ class InterventionResult:
     kkt_multiplier: float | None = None
 
 
+def _result(beta_hat, beta, policy, welfare=math.nan, mu=None) -> InterventionResult:
+    """The allocation with its budget used, sum (beta_hat_i - beta)^2."""
+    return InterventionResult(beta_hat, welfare, float(np.sum((beta_hat - beta) ** 2)), policy, mu)
+
+
 def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 at the equilibrium s = (I - alpha P/N)^-1 beta_hat."""
     return _welfares(_validate_symmetric(P, "network matrix"), alpha, [beta_hat])[0]
 
 
 def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> list[float]:
-    """Welfare of several allocations, each solved by Lanczos from itself behind one gate."""
+    """Welfare of several allocations behind one gate, one Lanczos solve each.
+
+    A constant allocation scales the gate's own x1 = (I - alpha G)^-1 1."""
     G = np.asarray(P, dtype=float) / len(P)
-    _contraction_gate(G, abs(alpha))
-    return [float(np.sum(_lq_solve(G, alpha, b) ** 2) / (2.0 * len(G))) for b in allocations]
+    x1 = _contraction_gate(G, abs(alpha), alpha)[2]
+    sols = [b[0] * x1 if b.shape == x1.shape and np.all(b == b[0]) else _lq_solve(G, alpha, b)
+            for b in map(np.asarray, allocations)]
+    return [float(np.sum(s**2) / (2.0 * len(G))) for s in sols]
 
 
 def no_intervention(beta: float, N: int) -> InterventionResult:
-    return InterventionResult(beta_hat=np.full(N, float(beta)), welfare=math.nan,
-                              budget_used=0.0, policy="none")
+    return _result(np.full(N, float(beta)), beta, "none")
 
 
 def homogeneous_policy(beta: float, C: float, N: int) -> InterventionResult:
     """Split the budget equally: beta_hat = beta + sqrt(C/N) for everyone."""
     if C < 0.0:
         raise ValueError("budget must be nonnegative")
-    beta_hat = np.full(N, beta + math.sqrt(C / N))
-    used = float(np.sum((beta_hat - beta) ** 2))
-    return InterventionResult(beta_hat=beta_hat, welfare=math.nan,
-                              budget_used=used, policy="homogeneous")
+    return _result(np.full(N, beta + math.sqrt(C / N)), beta, "homogeneous")
 
 
 def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResult:
@@ -98,11 +106,7 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
     if C < 0.0:
         raise ValueError("budget must be nonnegative")
     _, v1 = power_method(_validate_symmetric(P, "network matrix"), POWER_TOL, POWER_MAX_ITER)
-    v1 = _orient(v1)
-    beta_hat = beta + math.sqrt(C) * v1
-    used = float(np.sum((beta_hat - beta) ** 2))
-    return InterventionResult(beta_hat=beta_hat, welfare=math.nan,
-                              budget_used=used, policy="network-heuristic")
+    return _result(beta + math.sqrt(C) * _orient(v1), beta, "network-heuristic")
 
 
 def _psi1_at_types(spec: GraphonSpec, t: np.ndarray, M: int):
@@ -147,50 +151,24 @@ def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float, C: floa
     if C > 0.0 and ssq <= 0.0:
         raise ValueError("dominant eigenfunction vanishes at every sampled type")
     kappa = math.sqrt(C / ssq) if C > 0.0 else 0.0
-    beta_hat = beta + kappa * psi_t
-    used = float(np.sum((beta_hat - beta) ** 2))
-    return InterventionResult(beta_hat=beta_hat, welfare=math.nan,
-                              budget_used=used, policy="graphon-heuristic")
+    return _result(beta + kappa * psi_t, beta, "graphon-heuristic")
 
 
-def _secular_g(mu: float, dc2: np.ndarray, d: np.ndarray) -> float:
-    # dc2 holds (d_l c_l)^2, so g(mu) = sum dc2 / (mu - d)^2.
-    return float(np.sum(dc2 / (mu - d) ** 2))
+def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
+    """(mu, y) maximizing sum d_l y_l^2 over sum (y_l - c_l)^2 = C.
 
-
-def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> InterventionResult:
-    """Exact welfare-maximizing allocation on the budget sphere.
-
-    In the eigenbasis P/N = U diag(lambda) U^T the problem becomes
-    maximize sum d_l y_l^2 over sum (y_l - c_l)^2 <= C, with
-    d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1). The maximizer sits on
-    the sphere and satisfies y_l = mu c_l / (mu - d_l) for a multiplier
-    mu > max d_l solving the secular equation
-    sum (d_l c_l / (mu - d_l))^2 = C, found by bisection plus Newton polish.
-    When every c_l on the top shell vanishes (hard case) the leftover budget
-    goes into a top-shell eigenvector directly. The equilibrium of U y is
-    U diag(1/(1 - alpha lambda)) y, so the welfare is sum d_l y_l^2 / (2N).
+    y_l = mu c_l / (mu - d_l) for the mu > max d_l solving the secular
+    equation g(mu) = sum (d_l c_l / (mu - d_l))^2 = C, by bisection plus
+    Newton polish. When every c_l on the top shell vanishes (hard case),
+    mu = max d_l and the budget left over goes into a top-shell direction.
     """
-    P = _validate_symmetric(P, "network matrix")
-    N = P.shape[0]
-    if alpha <= 0.0:
-        raise ValueError("planner interventions require strategic complements (alpha > 0)")
-    if C < 0.0:
-        raise ValueError("budget must be nonnegative")
-    lam, U = np.linalg.eigh(P / N)
-    _check_contraction(alpha, max(lam[-1], -lam[0]))
-    d = 1.0 / (1.0 - alpha * lam) ** 2
-    c = U.T @ np.full(N, float(beta))
-    if C == 0.0:
-        return InterventionResult(beta_hat=np.full(N, float(beta)),
-                                  welfare=float(np.sum(d * c**2)) / (2.0 * N),
-                                  budget_used=0.0, policy="optimal")
-
     dc2 = (d * c) ** 2
-    d_max = float(d.max())
 
+    def g(mu):  # dc2 holds (d_l c_l)^2
+        return float(np.sum(dc2 / (mu - d) ** 2))
+    d_max = float(d.max())
     lo = d_max * (1.0 + 1e-12)
-    if _secular_g(lo, dc2, d) <= C:
+    if g(lo) <= C:
         # Hard case: the budget cannot be absorbed through the secular
         # equation because the baseline has no component on the top shell.
         mu = d_max
@@ -200,35 +178,100 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
         residual = C - float(np.sum((y - c) ** 2))
         j = int(np.argmax(shell))
         y[j] = c[j] + math.sqrt(max(residual, 0.0))
-    else:
-        hi = d_max * (1.0 + float(np.sum(c**2)) * d_max / C)
-        while _secular_g(hi, dc2, d) > C:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _secular_g(mid, dc2, d) > C:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        mu = 0.5 * (lo + hi)
-        # Newton polish on the constraint residual; g is smooth and strictly
-        # decreasing above d_max, so a few steps reach machine accuracy.
-        for _ in range(5):
-            g_val = _secular_g(mu, dc2, d)
-            g_prime = float(np.sum(-2.0 * dc2 / (mu - d) ** 3))
-            step = (g_val - C) / g_prime
-            mu_new = mu - step
-            if not lo * (1.0 - 1e-9) <= mu_new <= hi * (1.0 + 1e-9):
-                break
-            mu = mu_new
-        y = mu * c / (mu - d)
+        return mu, y
+    hi = d_max * (1.0 + float(np.sum(c**2)) * d_max / C)
+    while g(hi) > C:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > C:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    mu = 0.5 * (lo + hi)
+    # Newton polish on the constraint residual; g is smooth and strictly
+    # decreasing above d_max, so a few steps reach machine accuracy.
+    for _ in range(5):
+        g_prime = float(np.sum(-2.0 * dc2 / (mu - d) ** 3))
+        mu_new = mu - (g(mu) - C) / g_prime
+        if not lo * (1.0 - 1e-9) <= mu_new <= hi * (1.0 + 1e-9):
+            break
+        mu = mu_new
+    return mu, mu * c / (mu - d)
 
-    beta_hat = U @ y
-    used = float(np.sum((beta_hat - beta) ** 2))
-    return InterventionResult(beta_hat=beta_hat, welfare=float(np.sum(d * y**2)) / (2.0 * N),
-                              budget_used=used, policy="optimal", kkt_multiplier=float(mu))
+
+def _projected_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
+    """(beta_hat, mu, s) of the optimum on K(G, 1), certified in full space, or None.
+
+    On span Q_k, Q_k G Q_k^T = S diag(theta) S^T (Lanczos from 1), the
+    problem is ``_secular_solve`` on d = (1 - alpha theta)^-2 and
+    c = beta sqrt(N) S[0], and beta_hat = Q_k^T S y (as in GLTR, Gould et
+    al. 1999); k grows until beta_k |e_k^T S y| <= 1e-13 ||S y||. The
+    certificate, with s = (I - alpha G)^-1 beta_hat and delta = beta_hat - beta:
+    KKT s = mu (I - alpha G) delta to 1e-10 ||s||, ||delta||^2 = C to 1e-10 C,
+    and mu >= (1 - alpha lam_bar)^-2 for lam_bar = max_i (G x)_i / x_i >= rho(G)
+    (Collatz-Wielandt: G >= 0, any x > 0), which makes the maximum global,
+    also in a hard case of the projected problem.
+    """
+    n = len(G)
+    for Q, theta, S, b_k, end in _lanczos_steps(G, np.ones(n), _PROJECTION_STEPS):
+        if alpha * theta[-1] >= 1.0:
+            return None
+        if b_k * abs(S[-1, -1]) > POWER_TOL * max(1.0, theta[-1]) and not end:
+            continue  # lam_bar needs the top Ritz pair: solve only once it has settled
+        mu, y = _secular_solve(1.0 / (1.0 - alpha * theta) ** 2, beta * math.sqrt(n) * S[0], C)
+        z = S @ y
+        if b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) or end:
+            break
+    else:
+        return None
+    beta_hat, x = z @ Q, np.abs(S[:, -1] @ Q)
+    x = np.maximum(x, 1e-8 * x.max())
+    delta = beta_hat - beta
+    G_delta, G_x = np.stack([delta, x]) @ G  # G is symmetric
+    lam_bar = float(np.max(G_x / x))
+    if alpha * lam_bar >= 1.0 or mu < (1.0 - alpha * lam_bar) ** -2:
+        return None
+    s = _lq_solve(G, alpha, beta_hat)
+    if (np.linalg.norm(s - mu * (delta - alpha * G_delta)) > 1e-10 * np.linalg.norm(s)
+            or abs(delta @ delta - C) > 1e-10 * C):
+        return None
+    return beta_hat, mu, s
+
+
+def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> InterventionResult:
+    """Exact welfare-maximizing allocation on the budget sphere.
+
+    In the eigenbasis G = P/N = U diag(lambda) U^T the problem is
+    ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1).
+    As c sees G only through 1, the maximizer lies in K(G, 1): for a
+    nonnegative G, beta != 0 and C > 0, ``_projected_optimum`` finds it
+    there, with the welfare ``welfare`` gives it. Otherwise, or uncertified,
+    a full eigendecomposition serves, with the welfare sum d_l y_l^2 / (2N)
+    of U y. The two agree on T_opt to 1e-12 relative.
+    """
+    P = _validate_symmetric(P, "network matrix")
+    N = P.shape[0]
+    if alpha <= 0.0:
+        raise ValueError("planner interventions require strategic complements (alpha > 0)")
+    if C < 0.0:
+        raise ValueError("budget must be nonnegative")
+    G = P / N
+    found = _projected_optimum(G, alpha, beta, C) if beta and C and G.min() >= 0.0 else None
+    if found is not None:
+        beta_hat, mu, s = found
+        return _result(beta_hat, beta, "optimal", float(np.sum(s**2) / (2.0 * N)), float(mu))
+    lam, U = np.linalg.eigh(G)
+    _check_contraction(alpha, max(lam[-1], -lam[0]))
+    d = 1.0 / (1.0 - alpha * lam) ** 2
+    c = U.T @ np.full(N, float(beta))
+    if C == 0.0:
+        return _result(np.full(N, float(beta)), beta, "optimal",
+                       float(np.sum(d * c**2)) / (2.0 * N))
+    mu, y = _secular_solve(d, c, C)
+    return _result(U @ y, beta, "optimal", float(np.sum(d * y**2)) / (2.0 * N), float(mu))
 
 
 def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> InterventionResult:

@@ -140,44 +140,57 @@ def _orient(v: np.ndarray, weights=None) -> np.ndarray:
     return v if v[j] >= 0.0 else -v
 
 
-def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, max_iter: int,
-             alpha: float | None = None, eig: bool = True):
+def _lanczos_steps(A: np.ndarray, q: np.ndarray, max_iter: int):
     """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11).
 
-    Each step orthogonalizes A q_k twice against Q = [q_1 .. q_k] and extends
-    T = Q^T A Q, with eigenpairs (theta, S). Returns (lam, v, x), None where
-    not asked. With ``eig``: the Rayleigh quotient and the Ritz vector (sum
-    >= 0) of the top Ritz pair, read at the first step where beta_k |s_k| is
-    at most tol * max(1, |theta|). With ``alpha``: x = ||q|| Q y with
-    (I - alpha T) y = e_1, which solves (I - alpha A) x = q (CG when
-    I - alpha A is positive definite), read once its residual
-    |alpha| beta_k |y_k| is at most eps ||y|| times the smallest eigenvalue
-    of I - alpha T, an error at round-off level; None if I - alpha T is
-    indefinite. What is still open is read once the space is invariant
-    (beta_k <= eps * max |T_ij|) or spans R^n. Raises ValueError as soon as a
-    matrix-vector product is not finite, IterationLimitError after max_iter.
+    Step k yields (Q, theta, S, beta_k, end): the rows q_1 .. q_k (a view of
+    a buffer that doubles when full), the eigenpairs of T = Q A Q^T, the next
+    off-diagonal, and whether the space is invariant (beta_k <= eps max |T|)
+    or all of R^n, the last step. A non-finite product raises ValueError.
     """
     n = A.shape[0]
-    Q = (q / np.linalg.norm(q))[None, :]
-    alphas, betas, s = [], [], np.ones(1)
-    lam = v = x = None
-    T_norm = resid = 0.0
+    Q, T = np.empty((min(n, 16), n)), np.zeros((min(n, 16),) * 2)
+    Q[0] = q / np.linalg.norm(q)
+    T_norm = 0.0
     for k in range(1, max_iter + 1):
-        w = A @ Q[-1]
-        alphas.append(float(Q[-1] @ w))
-        if not np.isfinite(alphas[-1]):
+        w = A @ Q[k - 1]
+        a = T[k - 1, k - 1] = Q[k - 1] @ w
+        if not np.isfinite(a):
             raise ValueError("matrix and start vector entries must be finite")
         for _ in range(2):
-            w -= Q.T @ (Q @ w)
+            w -= Q[:k].T @ (Q[:k] @ w)
         beta = float(np.linalg.norm(w))
-        T_norm = max(T_norm, abs(alphas[-1]), beta)
-        theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        T_norm = max(T_norm, abs(a), beta)
+        theta, S = np.linalg.eigh(T[:k, :k])
         end = beta <= _EPS * T_norm or k == n
+        yield Q[:k], theta, S, beta, end
+        if end:
+            return
+        if k == len(Q):
+            Q, T = np.concatenate([Q, np.empty_like(Q)])[:n], np.pad(T, (0, min(k, n - k)))
+        Q[k] = w / beta
+        T[k, k - 1] = T[k - 1, k] = beta
+
+
+def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, max_iter: int,
+             alpha: float | None = None, eig: bool = True):
+    """Top Ritz pair, solve of (I - alpha A) x = q, or both, from ``_lanczos_steps``.
+
+    Returns (lam, v, x), None where not asked. ``eig``: the Rayleigh quotient
+    and Ritz vector (sum >= 0) of the top pair at the first step where
+    beta_k |s_k| <= tol * max(1, |theta|). ``alpha``: x = ||q|| Q^T y with
+    (I - alpha T) y = e_1 (CG when I - alpha A is positive definite), once
+    |alpha| beta_k |y_k| <= eps ||y|| min(1 - alpha theta), a round-off-level
+    error; None if I - alpha T is indefinite. The last step reads what is
+    still open; IterationLimitError after max_iter.
+    """
+    lam = v = x = None
+    resid = 0.0
+    for Q, theta, S, beta, end in _lanczos_steps(A, q, max_iter):
         if eig and lam is None:
-            s = S[:, -1]
-            resid = beta * abs(s[-1])
+            resid = beta * abs(S[-1, -1])
             if resid <= tol * max(1.0, abs(theta[-1])) or end:
-                v = s @ Q
+                v = S[:, -1] @ Q
                 v = v if v.sum() >= 0.0 else -v
                 lam = float(v @ (A @ v) / (v @ v))
         if x is None and alpha is not None:
@@ -190,10 +203,9 @@ def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, max_iter: int,
                     x = np.linalg.norm(q) * (y @ Q)
         if (x is not None or alpha is None) and (lam is not None or not eig):
             return lam, v, x
-        betas.append(beta)
-        Q = np.vstack([Q, w / beta])
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",
-                              last_iterate=s @ Q[: s.size], residual_history=[resid])
+                              last_iterate=S[:, -1] @ Q if max_iter > 0 else None,
+                              residual_history=[resid])
 
 
 def power_method(A: np.ndarray, tol: float, max_iter: int):
@@ -211,13 +223,6 @@ def power_method(A: np.ndarray, tol: float, max_iter: int):
     return _lanczos(A, q, tol, max_iter)[:2]
 
 
-def _l2_normalize(v: np.ndarray) -> np.ndarray:
-    n = np.sqrt(np.mean(v**2))
-    if n == 0.0:
-        return v
-    return v / n
-
-
 def dominant_eigenpair(
     op: DiscretizedOperator, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
 ) -> EigenPair:
@@ -231,7 +236,7 @@ def dominant_eigenpair(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lam, v = power_method(op.matrix(), tol, max_iter)
-    psi = _orient(_l2_normalize(v))
+    psi = _orient(v / np.sqrt(np.mean(v**2)))  # the Ritz vector is a unit vector
     return EigenPair(lam, GridFunction(psi))
 
 

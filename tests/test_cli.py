@@ -295,3 +295,16 @@ def test_module_invocation_exits_with_the_command_code(tmp_path):
     assert lines[0] == "rank,value"
     assert float(lines[1].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
     assert (tmp_path / "good" / "eigenfunctions.csv").exists()
+
+
+def test_welfare_exp_csvs_do_not_depend_on_jobs(tmp_path):
+    # At N = 100 and 120 the optimum comes from the Lanczos projection, well short of k = N.
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run(["welfare-exp", "--graphon", "minmax", "--alpha", "5", "--beta", "1",
+                    "--Ns", "100,120", "--trials", "2", "--optimal-cap", "120", "--seed", "3",
+                    "--M", "100", "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append([(out / name).read_bytes() for name in ("welfare.csv", "summary.csv")])
+    assert outs[0] == outs[1]
+    assert b",," not in outs[0][0]  # every trial has its T_opt

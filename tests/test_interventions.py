@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphon_games import interventions as iv
-from graphon_games import kernels, sampling
+from graphon_games import experiments, kernels, sampling
 from graphon_games.errors import ContractionError
 from graphon_games.experiments import rate_fit
 
@@ -334,3 +334,105 @@ def test_welfare_matches_a_dense_solve_for_every_allocation():
         for b in (np.ones(60), rng.uniform(0.0, 2.0, 60), np.eye(60)[5], np.zeros(60)):
             s = np.linalg.solve(np.eye(60) - alpha * G, b)
             assert iv.welfare(P, alpha, b) == pytest.approx(np.sum(s**2) / 120.0, rel=1e-12, abs=0)
+
+
+# --- optimal intervention: Lanczos projection against the full eigendecomposition ---------
+
+def _optimum_by_both_paths(monkeypatch, P, alpha, beta, C):
+    """(result, path served, result of the eigh path alone)."""
+    served = []
+    projected = iv._projected_optimum
+
+    def spy(*args):
+        found = projected(*args)
+        served.append(found is not None)
+        return found
+
+    monkeypatch.setattr(iv, "_projected_optimum", spy)
+    res = iv.optimal_intervention(P, alpha, beta, C)
+    monkeypatch.setattr(iv, "_projected_optimum", lambda *args: None)
+    ref = iv.optimal_intervention(P, alpha, beta, C)
+    monkeypatch.setattr(iv, "_projected_optimum", projected)
+    return res, ("projection" if served == [True] else "eigh"), ref
+
+
+def _assert_same_optimum(res, ref):
+    assert res.welfare == pytest.approx(ref.welfare, rel=1e-12, abs=0)
+    assert res.kkt_multiplier == pytest.approx(ref.kkt_multiplier, rel=1e-12, abs=0)
+    assert np.max(np.abs(res.beta_hat - ref.beta_hat)) <= 1e-10
+    assert res.budget_used == pytest.approx(ref.budget_used, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["simple", "weighted"])
+@pytest.mark.parametrize("spec, alpha", [(kernels.minmax(), 5.0),
+                                         (kernels.sbm([[0.8, 0.1], [0.1, 0.8]], [0.75, 0.25]), 1.0)],
+                         ids=["minmax", "sbm"])
+def test_projected_optimum_matches_the_eigh_path(monkeypatch, spec, alpha, kind):
+    for N, seed in ((60, 1), (150, 2), (300, 3)):
+        _, Pw, Ps = sampled_instance(spec, N, seed)
+        P = Ps.A if kind == "simple" else Pw.P
+        res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 0.01 * N)
+        assert path == "projection"
+        _assert_same_optimum(res, ref)
+        assert res.welfare == iv.welfare(P, alpha, res.beta_hat)
+
+
+def _two_components():
+    block = random_network(np.random.default_rng(5), 12)
+    return np.kron(np.eye(2), block)
+
+
+def _isolated_nodes():
+    P = random_network(np.random.default_rng(6), 20)
+    P[[3, 11]] = 0.0
+    P[:, [3, 11]] = 0.0
+    return P
+
+
+@pytest.mark.parametrize("P, beta, path", [
+    (random_network(np.random.default_rng(4), 20), 0.0, "eigh"),
+    (np.array([[0.0, -0.5], [-0.5, 0.0]]), 1.0, "eigh"),
+    (_two_components(), 1.0, "projection"),
+    (_isolated_nodes(), 1.0, "projection"),
+    (np.zeros((1, 1)), 1.0, "projection"),
+    (np.zeros((5, 5)), 1.0, "projection"),
+], ids=["beta-zero", "signed", "two-identical-components", "isolated-nodes", "one-agent",
+        "empty-network"])
+def test_optimal_edge_cases_match_the_eigh_path(monkeypatch, P, beta, path):
+    N = len(P)
+    res, served, ref = _optimum_by_both_paths(monkeypatch, P, 0.5, beta, 0.3 * N)
+    assert served == path
+    _assert_same_optimum(res, ref)
+    assert res.welfare == pytest.approx(iv.welfare(P, 0.5, res.beta_hat), rel=1e-12)
+
+
+class _Without:
+    """A module whose attributes are those of ``module`` except the ones overridden."""
+
+    def __init__(self, module, **overrides):
+        self._module, self._overrides = module, overrides
+
+    def __getattr__(self, name):
+        return self._overrides.get(name) or getattr(self._module, name)
+
+
+def test_welfare_trials_need_no_full_eigendecomposition(monkeypatch):
+    # An always-falling-back solver fails here: eigh is unavailable to the
+    # interventions module, and the error is not one a trial records.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called by optimal_intervention")
+
+    monkeypatch.setattr(iv, "np", _Without(np, linalg=_Without(np.linalg, eigh=no_eigh)))
+    stats = experiments.intervention_experiment(kernels.minmax(), 5.0, 1.0, 0.01, [200], 2,
+                                                optimal_cap=200, seed=42)
+    assert stats[0].failures == 0
+    assert stats[0].mean_T_opt >= max(stats[0].mean_T_hom, stats[0].mean_T_nh,
+                                      stats[0].mean_T_gh)
+
+
+def test_welfare_of_a_constant_allocation_scales_the_solve_from_ones():
+    P = random_network(np.random.default_rng(8), 30)
+    s = np.linalg.solve(np.eye(30) - 1.5 * P / 30, np.full(30, 1.1))
+    assert iv.welfare(P, 1.5, np.full(30, 1.1)) == pytest.approx(np.sum(s**2) / 60.0, rel=1e-12)
+    with pytest.raises(ValueError):
+        iv.welfare(P, 1.5, np.ones(29))

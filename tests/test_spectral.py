@@ -511,3 +511,17 @@ def test_top_k_tiny_kernel_is_not_certified_by_underflow():
     op = spectral.discretize(kernels.erdos_renyi(3.126821774815023e-179), 45)
     assert spectral.top_k_eigen(op, 1)[0].value == pytest.approx(3.126821774815023e-179,
                                                                  rel=1e-12)
+
+
+def test_lanczos_steps_grow_their_basis_to_the_full_space():
+    # n = 40 takes the basis buffer through 16 -> 32 -> 40 rows; at k = n the
+    # last step reports the end, and Q, T = Q A Q^T are exact to round-off.
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 40))
+    A = A + A.T
+    steps = list(spectral._lanczos_steps(A, np.ones(40), 100))
+    assert [s[4] for s in steps] == [False] * 39 + [True]
+    Q, theta, S, _, _ = steps[-1]
+    assert np.max(np.abs(Q @ Q.T - np.eye(40))) <= 1e-12
+    assert np.max(np.abs(Q @ A @ Q.T - (S * theta) @ S.T)) <= 1e-11 * np.abs(theta).max()
+    assert theta == pytest.approx(np.linalg.eigvalsh(A), abs=1e-11 * np.abs(theta).max())
