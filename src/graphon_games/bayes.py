@@ -15,7 +15,7 @@ approximate Bayesian equilibrium. Two quantities are measured here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,13 +37,7 @@ class EpsilonEstimate:
     stderr: float
 
     def to_json(self) -> dict:
-        return {
-            "epsilon_hat": self.epsilon_hat,
-            "N": self.N,
-            "trials": self.trials,
-            "L_U": self.L_U,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x: float) -> float:
@@ -90,6 +84,8 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
         if lam is None:
             lam = dominant_eigenpair(discretize(spec, sbar.M)).value
         L_U = lq_L_U(payoff, lam)
+    if not 0.0 <= L_U < math.inf:
+        raise ValueError(f"L_U must be nonnegative and finite, got {L_U}")
 
     rng = np.random.default_rng(seed)
     deviations = np.empty(trials)

@@ -24,7 +24,7 @@ from . import __version__
 from .bayes import estimate_epsilon, lq_L_U
 from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
-from .experiments import _write_csv, distance_experiment, intervention_experiment, subseed
+from .experiments import _PCTS, _write_csv, distance_experiment, intervention_experiment, subseed
 from .interventions import (
     evaluate_policy,
     graphon_heuristic,
@@ -227,7 +227,7 @@ def _cmd_distance_exp(args, outdir: Path) -> int:
         spec, payoff, _parse_ns(args.Ns), args.trials, args.delta, args.M, args.seed,
         jobs=args.jobs or os.cpu_count(), csv_path=outdir / "distances.csv",
     )
-    rows = [(st.N, st.kind, *(st.percentiles.get(f"p{p}", math.nan) for p in (0, 25, 50, 75, 95)),
+    rows = [(st.N, st.kind, *(st.percentiles.get(f"p{p}", math.nan) for p in _PCTS),
              st.bound_weighted, st.bound_simple, st.failures) for st in stats]
     _write_table(args, outdir, "summary",
                  "N,kind,p0,p25,p50,p75,p95,bound_weighted,bound_simple,failures",

@@ -75,8 +75,8 @@ class LqPayoff:
     beta: float
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"standalone marginal return must be positive, got {self.beta}")
+        if not (math.isfinite(self.alpha) and 0.0 < self.beta < math.inf):
+            raise ValueError(f"need a finite alpha and a positive, finite beta, got {self}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,9 @@ class GenericPayoff:
     bounds: tuple[float, float]
 
     def __post_init__(self):
-        if self.alpha_U <= 0.0:
+        if not 0.0 < self.alpha_U < math.inf:
             raise ValueError("strong concavity constant must be positive")
-        if self.ell_U < 0.0:
+        if not 0.0 <= self.ell_U < math.inf:
             raise ValueError("aggregate Lipschitz constant must be nonnegative")
         lo, hi = self.bounds
         if not (0.0 <= lo < hi):
@@ -191,9 +191,9 @@ def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = POWER_TOL,
 
 
 def _check_contraction(ratio: float, rho: float) -> float:
-    """The contraction factor q = ratio * rho; raises ContractionError unless q < 1."""
+    """The contraction factor q = ratio * rho; raises ContractionError unless q < 1 (NaN too)."""
     q = ratio * rho
-    if q >= 1.0:
+    if not q < 1.0:
         raise ContractionError(
             q,
             f"contraction violated: lipschitz ratio {ratio:.6g} "
@@ -254,7 +254,7 @@ def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
 def _lq_solve(G: np.ndarray, alpha: float, b) -> np.ndarray:
     """(I - alpha G)^-1 b by Lanczos from b, for use behind the contraction gate."""
     b = np.asarray(b, dtype=float)
-    x = _lanczos(G, b, POWER_TOL, POWER_MAX_ITER, alpha, eig=False)[2] if b.any() else 0.0 * b
+    x = _lanczos(G, b, alpha=alpha)[2] if b.any() else 0.0 * b
     if x is None:  # |alpha| rho(G) is one up to round-off
         raise ContractionError(1.0, "I - alpha G is not positive definite")
     return x
@@ -268,7 +268,7 @@ def _contraction_gate(G: np.ndarray, ratio: float, alpha: float | None = None):
     Raises ContractionError unless q < 1, which makes I - alpha G positive definite.
     """
     if G.min() >= 0.0:
-        lam, _, x = _lanczos(G, np.ones(len(G)), POWER_TOL, POWER_MAX_ITER, alpha)
+        lam, _, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
         q = _check_contraction(ratio, lam)
     else:
         lam, x = matrix_dominant_eigenvalue(G), None
@@ -340,9 +340,7 @@ def step_function_embed(s) -> GridFunction:
 
 
 def l2_distance(f: GridFunction, g: GridFunction) -> float:
-    """L2 distance of two step functions, integrated over their merged breakpoints."""
-    if f.M == g.M:
-        return float(np.sqrt(np.mean((f.values - g.values) ** 2)))
+    """L2 distance of two step functions over their merged breakpoints (equal grids too)."""
     # Breakpoints i / f.M and j / g.M in units of 1 / (f.M g.M), exact integers.
     edges = np.union1d(np.arange(f.M + 1) * g.M, np.arange(g.M + 1) * f.M)
     diff = f.values[edges[:-1] // g.M] - g.values[edges[:-1] // f.M]

@@ -128,13 +128,15 @@ def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
 
 
 def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
-    """Run ``worker`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}."""
+    """Run ``worker`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}.
+
+    A pool of ``jobs`` workers takes one task at a time; results do not depend on it."""
     tasks = [(*head, n, t, seed, *tail) for n in Ns for t in range(trials)]
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
         results = [worker(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            results = list(pool.map(worker, tasks))
     ok = {n: [r for r in results if r[0] == n and r[-1] is None] for n in Ns}
     return {n: (ok[n], trials - len(ok[n])) for n in Ns}
 
@@ -225,7 +227,7 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     optimal_cap. Returns one WelfareStats per N.
     """
     Ns = _sizes(Ns, trials)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("intervention experiments require strategic complements (alpha > 0)")
 
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap, M),

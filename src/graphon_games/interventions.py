@@ -75,7 +75,9 @@ def _result(beta_hat, beta, policy, welfare=math.nan, mu=None) -> InterventionRe
 
 
 def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
-    """Average welfare (1/(2N)) ||s||^2 at the equilibrium s = (I - alpha P/N)^-1 beta_hat."""
+    """Average welfare (1/(2N)) ||s||^2 of the linear response s = (I - alpha P/N)^-1 beta_hat.
+
+    That is the equilibrium for complements; for substitutes s may go negative."""
     return _welfares(_validate_symmetric(P, "network matrix"), alpha, [beta_hat])[0]
 
 
@@ -90,21 +92,24 @@ def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> lis
     return [float(np.sum(s**2) / (2.0 * len(G))) for s in sols]
 
 
+def _check_budget(C: float) -> None:
+    if not C >= 0.0:  # NaN fails too
+        raise ValueError(f"budget must be nonnegative, got {C}")
+
+
 def no_intervention(beta: float, N: int) -> InterventionResult:
     return _result(np.full(N, float(beta)), beta, "none")
 
 
 def homogeneous_policy(beta: float, C: float, N: int) -> InterventionResult:
     """Split the budget equally: beta_hat = beta + sqrt(C/N) for everyone."""
-    if C < 0.0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(C)
     return _result(np.full(N, beta + math.sqrt(C / N)), beta, "homogeneous")
 
 
 def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResult:
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
-    if C < 0.0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(C)
     _, v1 = power_method(_validate_symmetric(P, "network matrix"), POWER_TOL, POWER_MAX_ITER)
     return _result(beta + math.sqrt(C) * _orient(v1), beta, "network-heuristic")
 
@@ -112,19 +117,18 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
 def _psi1_at_types(spec: GraphonSpec, t: np.ndarray, M: int):
     """Dominant kernel eigenfunction at the given points, plus the spectral gap.
 
-    Uses the closed-form spectrum where one exists (constant, block and
-    minmax kernels) and the discretized operator otherwise.
+    Uses the closed-form spectrum where one exists (minmax, and block kernels,
+    the constant kernel being one block) and the discretized operator otherwise.
     """
-    if spec.kind == "er":
-        return np.ones_like(t), spec.p
     if spec.kind == "minmax":
         psi = np.sqrt(2.0) * np.sin(np.pi * t)
         return psi, 1.0 / np.pi**2 - 1.0 / (4.0 * np.pi**2)
-    if spec.kind == "sbm":
-        pairs = sbm_eigen_analytic(spec.Q, spec.w)
+    if spec.kind in ("sbm", "er"):
+        Q, w = (spec.Q, spec.w) if spec.kind == "sbm" else ([[spec.p]], [1.0])
+        pairs = sbm_eigen_analytic(Q, w)
         lam1, blocks = pairs[0]
         lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
-        return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
+        return blocks[_sbm_block_index(t, w)], lam1 - lam2
     op = discretize(spec, M)
     pairs = top_k_eigen(op, 2)
     return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value
@@ -137,8 +141,7 @@ def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float, C: floa
     beta_hat_i = beta + kappa psi1(t_i) with kappa chosen so the budget is
     consumed exactly. Requires no knowledge of the realized network.
     """
-    if C < 0.0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(C)
     t = types.types
     psi_t, gap = _psi1_at_types(spec, t, M)
     if gap <= _GAP_WARN:
@@ -157,10 +160,11 @@ def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float, C: floa
 def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
     """(mu, y) maximizing sum d_l y_l^2 over sum (y_l - c_l)^2 = C.
 
-    y_l = mu c_l / (mu - d_l) for the mu > max d_l solving the secular
-    equation g(mu) = sum (d_l c_l / (mu - d_l))^2 = C, by bisection plus
-    Newton polish. When every c_l on the top shell vanishes (hard case),
-    mu = max d_l and the budget left over goes into a top-shell direction.
+    y_l = mu c_l / (mu - d_l) for the mu > d_max = max d_l solving the secular
+    equation g(mu) = sum (d_l c_l / (mu - d_l))^2 = C, by bisection plus Newton
+    polish. As g(mu) <= d_max^2 sum c^2 / (mu - d_max)^2, the root lies below
+    d_max (1 + sqrt(sum c^2 / C)). When every c_l on the top shell vanishes
+    (hard case), mu = d_max and the budget left goes into a top-shell direction.
     """
     dc2 = (d * c) ** 2
 
@@ -179,9 +183,7 @@ def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
         j = int(np.argmax(shell))
         y[j] = c[j] + math.sqrt(max(residual, 0.0))
         return mu, y
-    hi = d_max * (1.0 + float(np.sum(c**2)) * d_max / C)
-    while g(hi) > C:
-        hi *= 2.0
+    hi = d_max * (1.0 + math.sqrt(float(np.sum(c**2)) / C))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if g(mid) > C:
@@ -254,10 +256,9 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     """
     P = _validate_symmetric(P, "network matrix")
     N = P.shape[0]
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("planner interventions require strategic complements (alpha > 0)")
-    if C < 0.0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(C)
     G = P / N
     found = _projected_optimum(G, alpha, beta, C) if beta and C and G.min() >= 0.0 else None
     if found is not None:

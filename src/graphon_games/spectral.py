@@ -172,22 +172,22 @@ def _lanczos_steps(A: np.ndarray, q: np.ndarray, max_iter: int):
         T[k, k - 1] = T[k - 1, k] = beta
 
 
-def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, max_iter: int,
-             alpha: float | None = None, eig: bool = True):
+def _lanczos(A: np.ndarray, q: np.ndarray, tol: float | None = None,
+             max_iter: int = POWER_MAX_ITER, alpha: float | None = None):
     """Top Ritz pair, solve of (I - alpha A) x = q, or both, from ``_lanczos_steps``.
 
-    Returns (lam, v, x), None where not asked. ``eig``: the Rayleigh quotient
-    and Ritz vector (sum >= 0) of the top pair at the first step where
-    beta_k |s_k| <= tol * max(1, |theta|). ``alpha``: x = ||q|| Q^T y with
-    (I - alpha T) y = e_1 (CG when I - alpha A is positive definite), once
+    Returns (lam, v, x), None where not asked. ``tol`` (None: solve only): the
+    Rayleigh quotient and Ritz vector (sum >= 0) of the top pair at the first
+    step where beta_k |s_k| <= tol max(1, |theta|). ``alpha``: x = ||q|| Q^T y
+    with (I - alpha T) y = e_1 (CG when I - alpha A is positive definite), once
     |alpha| beta_k |y_k| <= eps ||y|| min(1 - alpha theta), a round-off-level
-    error; None if I - alpha T is indefinite. The last step reads what is
-    still open; IterationLimitError after max_iter.
+    error; None if I - alpha T is indefinite or alpha is NaN. The last step
+    reads what is still open; IterationLimitError after max_iter.
     """
     lam = v = x = None
     resid = 0.0
     for Q, theta, S, beta, end in _lanczos_steps(A, q, max_iter):
-        if eig and lam is None:
+        if tol is not None and lam is None:
             resid = beta * abs(S[-1, -1])
             if resid <= tol * max(1.0, abs(theta[-1])) or end:
                 v = S[:, -1] @ Q
@@ -195,13 +195,13 @@ def _lanczos(A: np.ndarray, q: np.ndarray, tol: float, max_iter: int,
                 lam = float(v @ (A @ v) / (v @ v))
         if x is None and alpha is not None:
             d = 1.0 - alpha * theta
-            if d.min() <= 0.0:
+            if not d.min() > 0.0:
                 alpha = None  # indefinite: no solve to read
             else:
                 y = S @ (S[0] / d)
                 if abs(alpha) * beta * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end:
                     x = np.linalg.norm(q) * (y @ Q)
-        if (x is not None or alpha is None) and (lam is not None or not eig):
+        if (x is not None or alpha is None) and (lam is not None or tol is None):
             return lam, v, x
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",
                               last_iterate=S[:, -1] @ Q if max_iter > 0 else None,

@@ -148,3 +148,9 @@ def test_epsilon_discretizes_once_when_solving_its_own_profile(monkeypatch, minm
     given_sbar = bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, None, 100, 50, seed=2,
                                         sbar=minmax_sbar)
     assert own == given_sbar
+
+
+@pytest.mark.parametrize("L_U", [math.nan, math.inf, -1.0])
+def test_epsilon_rejects_a_non_finite_or_negative_L_U(minmax_sbar, L_U):
+    with pytest.raises(ValueError, match="L_U"):
+        bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, L_U, 20, 5, seed=1, sbar=minmax_sbar)

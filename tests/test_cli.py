@@ -308,3 +308,56 @@ def test_welfare_exp_csvs_do_not_depend_on_jobs(tmp_path):
         outs.append([(out / name).read_bytes() for name in ("welfare.csv", "summary.csv")])
     assert outs[0] == outs[1]
     assert b",," not in outs[0][0]  # every trial has its T_opt
+
+
+# --- NaN parameters, usage errors and the --graphon er path ------------------------
+
+def test_solve_network_with_a_nan_alpha_exits_1_at_once(tmp_path, capsys):
+    assert run(["solve-network", "--er", "0.5", "--N", "10", "--alpha", "nan", "--beta", "1",
+                "--out", str(tmp_path)]) == 1
+    assert "finite alpha" in capsys.readouterr().err
+    assert not (tmp_path / "equilibrium.json").exists()
+
+
+def test_distance_exp_with_a_nan_beta_writes_no_rows(tmp_path):
+    assert run(["distance-exp", "--graphon", "minmax", "--alpha", "0.5", "--beta", "nan",
+                "--Ns", "10", "--trials", "2", "--M", "40", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "distances.csv").exists()
+
+
+def test_bne_epsilon_with_a_nan_L_U_exits_1(tmp_path):
+    assert run(["bne-epsilon", "--graphon", "minmax", "--alpha", "0.5", "--beta", "1",
+                "--Ns", "10", "--trials", "5", "--M", "40", "--L-U", "nan",
+                "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "epsilon.csv").exists()
+
+
+def test_intervene_with_a_nan_budget_exits_1(tmp_path, capsys):
+    assert run(["intervene", "--graphon", "minmax", "--N", "20", "--alpha", "0.5", "--beta", "1",
+                "--C", "nan", "--out", str(tmp_path)]) == 1
+    assert "budget must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eigen", "--graphon", "er"], "--graphon er requires --p"),
+    (["eigen", "--graphon", "sbm", "--gin", "0.5", "--gout", "0.1"], "--graphon sbm requires --w"),
+    (["eigen", "--graphon", "sbm", "--w", "0.5,0.5", "--gin", "0.5"],
+     "--graphon sbm requires --Q or both --gin and --gout"),
+    (["eigen", "--graphon", "grid"], "--graphon grid requires --graphon-json"),
+    (["solve-network", "--er", "0.5", "--alpha", "0.5", "--beta", "1"],
+     "either --N (to sample) or --network-json is required"),
+    (["solve-graphon", "--er", "0.5", "--alpha", "0.5"], "missing required parameters: beta"),
+], ids=["er-without-p", "sbm-without-w", "sbm-without-Q", "grid-without-json",
+        "solve-network-without-N", "missing-parameter"])
+def test_usage_errors_exit_1_with_their_message(tmp_path, capsys, args, message):
+    assert run([*args, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_graphon_er_with_p_is_the_er_shorthand(tmp_path):
+    outs = []
+    for name, flags in (("long", ["--graphon", "er", "--p", "0.3"]), ("short", ["--er", "0.3"])):
+        assert run(["eigen", *flags, "--M", "20", "--k", "2", "--out", str(tmp_path / name)]) == 0
+        outs.append([(tmp_path / name / f).read_bytes()
+                     for f in ("eigenvalues.csv", "eigenfunctions.csv")])
+    assert outs[0] == outs[1]

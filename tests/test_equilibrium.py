@@ -609,3 +609,26 @@ def test_solvers_pass_no_system_larger_than_the_krylov_space(monkeypatch):
         assert eq.solve_graphon(kernels.minmax(), eq.LqPayoff(alpha, 1.0), N).method == "direct-solve"
     assert iv.welfare(P, 0.5, np.linspace(0.5, 1.5, N)) > 0.0
     assert all(size <= 40 for size in sizes)
+
+
+# --- parameters that NaN or infinity must not slip past -------------------------
+
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                                         (0.5, math.inf)])
+def test_lq_payoff_rejects_non_finite_parameters(alpha, beta):
+    with pytest.raises(ValueError, match="finite alpha"):
+        eq.LqPayoff(alpha, beta)
+
+
+@pytest.mark.parametrize("alpha_U, ell_U", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
+                                            (1.0, math.inf)])
+def test_generic_payoff_rejects_non_finite_constants(alpha_U, ell_U):
+    with pytest.raises(ValueError, match="constant must be"):
+        eq.GenericPayoff(grad_s=lambda s, z: 1.0 + 0.5 * z - s, alpha_U=alpha_U, ell_U=ell_U,
+                         bounds=(0.0, 5.0))
+
+
+@pytest.mark.parametrize("ratio, rho", [(math.nan, 0.5), (0.5, math.nan)])
+def test_contraction_check_rejects_a_nan_factor(ratio, rho):
+    with pytest.raises(ContractionError):
+        eq._check_contraction(ratio, rho)

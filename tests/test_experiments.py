@@ -199,3 +199,8 @@ def test_failed_trials_are_counted_per_population_size():
     assert [(s.N, s.failures) for s in stats] == [(4, 0), (40, 2)]
     assert math.isnan(stats[1].mean_T) and stats[1].gap_percentiles == {}
     assert stats[0].mean_T > 0.0
+
+
+def test_intervention_experiment_rejects_a_nan_alpha():
+    with pytest.raises(ValueError, match="complements"):
+        ex.intervention_experiment(kernels.minmax(), math.nan, 1.0, 0.01, [10], 1, 10, 0, M=20)

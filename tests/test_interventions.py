@@ -436,3 +436,113 @@ def test_welfare_of_a_constant_allocation_scales_the_solve_from_ones():
     assert iv.welfare(P, 1.5, np.full(30, 1.1)) == pytest.approx(np.sum(s**2) / 60.0, rel=1e-12)
     with pytest.raises(ValueError):
         iv.welfare(P, 1.5, np.ones(29))
+
+
+# --- parameters that NaN must not slip past ---------------------------------------
+
+def test_welfare_rejects_a_nan_alpha():
+    P = random_network(np.random.default_rng(9), 30)
+    with pytest.raises(ContractionError):
+        iv.welfare(P, math.nan, np.linspace(0.5, 1.5, 30))
+
+
+def test_optimal_rejects_a_nan_alpha():
+    P = random_network(np.random.default_rng(9), 30)
+    with pytest.raises(ValueError, match="complements"):
+        iv.optimal_intervention(P, math.nan, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("policy", ["homogeneous", "network", "graphon", "optimal"])
+@pytest.mark.parametrize("C", [math.nan, -1.0])
+def test_every_policy_rejects_a_nan_or_negative_budget(policy, C):
+    types, _, Ps = sampled_instance(kernels.minmax(), 20, 3)
+    run = {
+        "homogeneous": lambda: iv.homogeneous_policy(1.0, C, 20),
+        "network": lambda: iv.network_heuristic(Ps.A, 1.0, C),
+        "graphon": lambda: iv.graphon_heuristic(kernels.minmax(), types, 1.0, C),
+        "optimal": lambda: iv.optimal_intervention(Ps.A, 0.5, 1.0, C),
+    }[policy]
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        run()
+
+
+# --- branches of the projection, the graphon heuristic and the secular solve -------
+
+def _path_graph(N):
+    P = np.diag(np.ones(N - 1), 1)
+    return P + P.T
+
+
+def _sparse_er(N, p, seed):
+    types = sampling.sample_types(N, seed)
+    return sampling.simple_network(sampling.weighted_network(kernels.erdos_renyi(p), types),
+                                   seed + 1000).A
+
+
+def _projection_spies(monkeypatch):
+    """Record the Lanczos steps taken and the certificate solves made by the projection."""
+    seen = {"steps": 0, "solves": 0}
+    steps, solve = iv._lanczos_steps, iv._lq_solve
+
+    def counting_steps(*args):
+        for k, out in enumerate(steps(*args), 1):
+            seen["steps"] = k
+            yield out
+
+    def counting_solve(*args):
+        seen["solves"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(iv, "_lanczos_steps", counting_steps)
+    monkeypatch.setattr(iv, "_lq_solve", counting_solve)
+    return seen
+
+
+@pytest.mark.parametrize("exit_", ["step-cap", "certificate"])
+def test_uncertified_projection_falls_back_to_eigh(monkeypatch, exit_):
+    # A path graph's clustered spectrum needs more Lanczos steps than the cap;
+    # on this sparse ER network near the contraction limit the KKT and budget
+    # certificate fails after the solve.
+    P = _path_graph(200) if exit_ == "step-cap" else _sparse_er(120, 0.05, 0)
+    N = len(P)
+    alpha = (0.5 if exit_ == "step-cap" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
+    seen = _projection_spies(monkeypatch)
+    assert iv._projected_optimum(P / N, alpha, 1.0, 0.01 * N) is None
+    if exit_ == "step-cap":
+        assert seen == {"steps": iv._PROJECTION_STEPS, "solves": 0}
+    else:
+        assert seen["steps"] < iv._PROJECTION_STEPS and seen["solves"] == 1
+    res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 0.01 * N)
+    assert path == "eigh"
+    assert res.welfare == ref.welfare and res.kkt_multiplier == ref.kkt_multiplier
+    assert np.array_equal(res.beta_hat, ref.beta_hat)
+
+
+def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
+    # A grid kernel takes the discretized operator; the same blocks as an sbm
+    # take the closed form.
+    Q = [[0.8, 0.2], [0.2, 0.5]]
+    types = sampling.sample_types(60, 4)
+    grid = iv.graphon_heuristic(kernels.grid_kernel(Q), types, 1.0, 0.6, M=200)
+    block = iv.graphon_heuristic(kernels.sbm(Q, [0.5, 0.5]), types, 1.0, 0.6, M=200)
+    assert np.max(np.abs(grid.beta_hat - block.beta_hat)) <= 1e-12
+
+
+def test_secular_solve_at_a_budget_beyond_the_spectral_scale():
+    d, c = np.array([1.0, 2.0, 4.0]), np.array([0.3, 0.2, 0.1])
+    C = 100.0 * d.max() ** 2 * np.sum(c**2)
+    mu, y = iv._secular_solve(d, c, C)
+    assert mu > d.max()
+    assert np.allclose(y, mu * c / (mu - d), rtol=1e-15)
+    assert np.sum((y - c) ** 2) == pytest.approx(C, rel=1e-12)
+
+
+def test_secular_solve_with_a_baseline_far_below_the_budget():
+    # sum c^2 d_max / C is below round-off, so a bracket d_max (1 + sum c^2 d_max / C)
+    # rounds to d_max and divides by zero; tier-1 turns that warning into an error.
+    mu, y = iv._secular_solve(np.array([1.0, 2.0]), np.array([1e-9, 1e-9]), 1.0)
+    assert mu > 2.0 and np.all(np.isfinite(y))
+    types = sampling.sample_types(50, 1)
+    A = sampling.simple_network(sampling.weighted_network(kernels.minmax(), types), 2).A
+    res = iv.optimal_intervention(A, 5.0, 1e-10, 1.0)
+    assert np.all(np.isfinite(res.beta_hat)) and res.welfare > 0.0
