@@ -128,15 +128,13 @@ def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
 
 
 def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
-    """Run ``worker`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}.
-
-    A pool of ``jobs`` workers takes one task at a time; results do not depend on it."""
+    """Run ``worker`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}."""
     tasks = [(*head, n, t, seed, *tail) for n in Ns for t in range(trials)]
     if jobs is None or jobs <= 1 or len(tasks) <= 1:
         results = [worker(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks))
+            results = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     ok = {n: [r for r in results if r[0] == n and r[-1] is None] for n in Ns}
     return {n: (ok[n], trials - len(ok[n])) for n in Ns}
 

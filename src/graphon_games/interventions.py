@@ -93,8 +93,8 @@ def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> lis
 
 
 def _check_budget(C: float) -> None:
-    if not C >= 0.0:  # NaN fails too
-        raise ValueError(f"budget must be nonnegative, got {C}")
+    if not 0.0 <= C < math.inf:  # NaN fails too
+        raise ValueError(f"budget must be nonnegative and finite, got {C}")
 
 
 def no_intervention(beta: float, N: int) -> InterventionResult:
@@ -117,18 +117,19 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
 def _psi1_at_types(spec: GraphonSpec, t: np.ndarray, M: int):
     """Dominant kernel eigenfunction at the given points, plus the spectral gap.
 
-    Uses the closed-form spectrum where one exists (minmax, and block kernels,
-    the constant kernel being one block) and the discretized operator otherwise.
+    Uses the closed-form spectrum where one exists (constant, block and
+    minmax kernels) and the discretized operator otherwise.
     """
+    if spec.kind == "er":
+        return np.ones_like(t), spec.p
     if spec.kind == "minmax":
         psi = np.sqrt(2.0) * np.sin(np.pi * t)
         return psi, 1.0 / np.pi**2 - 1.0 / (4.0 * np.pi**2)
-    if spec.kind in ("sbm", "er"):
-        Q, w = (spec.Q, spec.w) if spec.kind == "sbm" else ([[spec.p]], [1.0])
-        pairs = sbm_eigen_analytic(Q, w)
+    if spec.kind == "sbm":
+        pairs = sbm_eigen_analytic(spec.Q, spec.w)
         lam1, blocks = pairs[0]
         lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
-        return blocks[_sbm_block_index(t, w)], lam1 - lam2
+        return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
     op = discretize(spec, M)
     pairs = top_k_eigen(op, 2)
     return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value

@@ -453,8 +453,8 @@ def test_optimal_rejects_a_nan_alpha():
 
 
 @pytest.mark.parametrize("policy", ["homogeneous", "network", "graphon", "optimal"])
-@pytest.mark.parametrize("C", [math.nan, -1.0])
-def test_every_policy_rejects_a_nan_or_negative_budget(policy, C):
+@pytest.mark.parametrize("C", [math.nan, math.inf, -1.0])
+def test_every_policy_rejects_a_nan_infinite_or_negative_budget(policy, C):
     types, _, Ps = sampled_instance(kernels.minmax(), 20, 3)
     run = {
         "homogeneous": lambda: iv.homogeneous_policy(1.0, C, 20),
