@@ -361,3 +361,22 @@ def test_graphon_er_with_p_is_the_er_shorthand(tmp_path):
         outs.append([(tmp_path / name / f).read_bytes()
                      for f in ("eigenvalues.csv", "eigenfunctions.csv")])
     assert outs[0] == outs[1]
+
+
+def test_intervene_spends_the_budget_exactly_near_the_hard_case(tmp_path):
+    assert run(["intervene", "--er", "0.3", "--N", "150", "--alpha", "2", "--beta", "1e-10",
+                "--C", "1", "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "interventions.json").read_text())
+    optimal = next(r for r in results if r["policy"] == "optimal")
+    assert optimal["budget_used"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("args", [
+    ["intervene", "--graphon", "minmax", "--N", "20", "--alpha", "0.5", "--beta", "inf",
+     "--C", "1", "--policy", "homogeneous"],
+    ["welfare-exp", "--graphon", "minmax", "--alpha", "0.5", "--beta", "nan",
+     "--c-per-agent", "0.01", "--Ns", "20", "--trials", "2", "--jobs", "1"],
+], ids=["intervene-inf", "welfare-exp-nan"])
+def test_a_non_finite_beta_exits_1_naming_beta(tmp_path, capsys, args):
+    assert run([*args, "--out", str(tmp_path)]) == 1
+    assert "beta must be finite" in capsys.readouterr().err

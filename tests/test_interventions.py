@@ -546,3 +546,57 @@ def test_secular_solve_with_a_baseline_far_below_the_budget():
     A = sampling.simple_network(sampling.weighted_network(kernels.minmax(), types), 2).A
     res = iv.optimal_intervention(A, 5.0, 1e-10, 1.0)
     assert np.all(np.isfinite(res.beta_hat)) and res.welfare > 0.0
+
+
+@pytest.mark.parametrize("policy", ["none", "homogeneous", "network", "graphon", "optimal"])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_every_policy_rejects_a_non_finite_beta(policy, beta):
+    types, _, Ps = sampled_instance(kernels.minmax(), 20, 3)
+    run = {
+        "none": lambda b: iv.no_intervention(b, 20),
+        "homogeneous": lambda b: iv.homogeneous_policy(b, 1.0, 20),
+        "network": lambda b: iv.network_heuristic(Ps.A, b, 1.0),
+        "graphon": lambda b: iv.graphon_heuristic(kernels.minmax(), types, b, 1.0),
+        "optimal": lambda b: iv.optimal_intervention(Ps.A, 0.5, b, 1.0),
+    }[policy]
+    with pytest.raises(ValueError, match="beta must be finite"):
+        run(beta)
+    for ok in (0.0, -1.0):  # a zero or negative baseline stays a valid game
+        assert np.all(np.isfinite(run(ok).beta_hat))
+
+
+@pytest.mark.parametrize("beta", [1e-10, 1e-9, 1e-6])
+def test_optimal_spends_the_budget_exactly_near_the_hard_case(beta):
+    # A baseline this small leaves the multiplier within about 1e-9 d_max of
+    # d_max, where mu - d_max loses its digits unless it is the variable solved for.
+    types = sampling.sample_types(50, 1)
+    A = sampling.simple_network(sampling.weighted_network(kernels.minmax(), types), 2).A
+    res = iv.optimal_intervention(A, 5.0, beta, 1.0)
+    assert res.budget_used == pytest.approx(1.0, rel=1e-12)
+
+
+def test_secular_solve_on_random_problems():
+    # Problems shaped like projected ones: d = (1 - lambda)^-2, baselines over
+    # fourteen decades, a near-vanishing top-shell baseline in a fifth of the
+    # cases (hard or near-hard), budgets over ten decades. Above mu = 10 d_max,
+    # y - c cancels in the budget check itself, so those cases are skipped. In a
+    # hard case the shell's KKT residual is d_max |c_shell| <= 1e-12 d_max sqrt(C),
+    # the probe's own threshold, hence the KKT tolerance.
+    rng = np.random.default_rng(2024)
+    checked = hard = 0
+    for _ in range(3000):
+        k = int(rng.integers(5, 26))
+        d = (1.0 - rng.uniform(-0.9, 0.9, k)) ** -2
+        c = 10.0 ** rng.uniform(-12, 2, k) * rng.choice([-1.0, 1.0], k)
+        if rng.random() < 0.2:
+            c[np.argmax(d)] *= 1e-12
+        C = 10.0 ** rng.uniform(-6, 4)
+        mu, y = iv._secular_solve(d, c, C)
+        if mu > 10.0 * d.max():
+            continue
+        checked += 1
+        hard += mu == d.max()
+        assert mu >= d.max()
+        assert np.sum((y - c) ** 2) == pytest.approx(C, rel=1e-12)
+        assert np.linalg.norm(d * y - mu * (y - c)) <= 1e-12 * np.linalg.norm(d * y)
+    assert checked > 1000 and hard > 0
