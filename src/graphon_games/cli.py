@@ -26,7 +26,7 @@ from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
 from .experiments import _PCTS, _write_csv, distance_experiment, intervention_experiment, subseed
 from .interventions import (
-    evaluate_policy,
+    _welfares,
     graphon_heuristic,
     homogeneous_policy,
     network_heuristic,
@@ -203,13 +203,14 @@ def _cmd_intervene(args, outdir: Path) -> int:
     policies = {
         "homogeneous": lambda: homogeneous_policy(args.beta, C, args.N),
         "network": lambda: network_heuristic(A, args.beta, C),
-        "graphon": lambda: graphon_heuristic(spec, types, args.beta, C, M=args.M),
-        "optimal": lambda: optimal_intervention(A, args.alpha, args.beta, C),
+        "graphon": lambda: graphon_heuristic(spec, types, args.beta, C),
     }
-    results = [evaluate_policy(no_intervention(args.beta, args.N), A, args.alpha)]
-    for name in policies if args.policy == "all" else (args.policy,):
-        res = policies[name]()
-        results.append(evaluate_policy(res, A, args.alpha) if math.isnan(res.welfare) else res)
+    names = policies if args.policy == "all" else (args.policy,)
+    results = [no_intervention(args.beta, args.N)] + [policies[n]() for n in names if n in policies]
+    for r, T in zip(results, _welfares(A, args.alpha, [r.beta_hat for r in results])):
+        r.welfare = T  # one contraction gate for all, before the optimum's own solve
+    if args.policy in ("all", "optimal"):
+        results.append(optimal_intervention(A, args.alpha, args.beta, C))
 
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":
@@ -220,12 +221,18 @@ def _cmd_intervene(args, outdir: Path) -> int:
     return 0
 
 
+def _jobs(args) -> int:  # 0 means all cores
+    if args.jobs < 0:
+        raise UsageError(f"--jobs must be nonnegative, got {args.jobs}")
+    return args.jobs or os.cpu_count()
+
+
 def _cmd_distance_exp(args, outdir: Path) -> int:
     spec = build_graphon(args)
     payoff = LqPayoff(args.alpha, args.beta)
     stats = distance_experiment(
         spec, payoff, _parse_ns(args.Ns), args.trials, args.delta, args.M, args.seed,
-        jobs=args.jobs or os.cpu_count(), csv_path=outdir / "distances.csv",
+        jobs=_jobs(args), csv_path=outdir / "distances.csv",
     )
     rows = [(st.N, st.kind, *(st.percentiles.get(f"p{p}", math.nan) for p in _PCTS),
              st.bound_weighted, st.bound_simple, st.failures) for st in stats]
@@ -239,8 +246,7 @@ def _cmd_welfare_exp(args, outdir: Path) -> int:
     spec = build_graphon(args)
     stats = intervention_experiment(
         spec, args.alpha, args.beta, args.c_per_agent, _parse_ns(args.Ns), args.trials,
-        args.optimal_cap, args.seed, jobs=args.jobs or os.cpu_count(), M=args.M,
-        csv_path=outdir / "welfare.csv",
+        args.optimal_cap, args.seed, jobs=_jobs(args), csv_path=outdir / "welfare.csv",
     )
     rows = [(st.N, st.mean_T, st.mean_T_hom, st.mean_T_nh, st.mean_T_gh, st.mean_T_opt,
              st.gap_percentiles.get("p50", math.nan), st.ratio_percentiles.get("p50", math.nan),
@@ -301,7 +307,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--C", type=float, default=None, help="total budget")
     sp.add_argument("--c-per-agent", type=float, default=0.01, help="per-agent budget, C = c N")
-    sp.add_argument("--M", type=int, default=1000)
     sp.add_argument("--policy", choices=("optimal", "network", "graphon", "homogeneous", "all"),
                     default="all")
 
@@ -320,7 +325,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--Ns", default=None)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--optimal-cap", type=int, default=150)
-    sp.add_argument("--M", type=int, default=1000)
     sp.add_argument("--jobs", type=int, default=0, help="worker processes, 0 = all cores")
 
     sp = add("bne-epsilon", "Monte Carlo Bayesian suboptimality estimates",

@@ -197,7 +197,7 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
 
 
 def _intervention_trial(args):
-    spec, alpha, beta, c_per_agent, N, trial, seed, optimal_cap, M = args
+    spec, alpha, beta, c_per_agent, N, trial, seed, optimal_cap = args
     C = c_per_agent * N
     try:
         types, _, A = _trial_networks(spec, N, trial, seed)
@@ -205,7 +205,7 @@ def _intervention_trial(args):
             no_intervention(beta, N).beta_hat,
             homogeneous_policy(beta, C, N).beta_hat,
             network_heuristic(A, beta, C).beta_hat,
-            graphon_heuristic(spec, types, beta, C, M=M).beta_hat,
+            graphon_heuristic(spec, types, beta, C).beta_hat,
         ]
         T, T_hom, T_nh, T_gh = _welfares(A, alpha, allocations)
         T_opt = optimal_intervention(A, alpha, beta, C).welfare if N <= optimal_cap else math.nan
@@ -216,19 +216,19 @@ def _intervention_trial(args):
 
 def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_agent: float,
                             Ns, trials: int, optimal_cap: int, seed,
-                            jobs: int = 1, M: int = 1000, csv_path=None):
+                            jobs: int = 1, csv_path=None):
     """Welfare comparison of intervention policies on sampled 0-1 networks.
 
-    The per-agent budget scales the total budget as C = c_per_agent * N. The
-    exact optimal policy (a certified Lanczos projection, a full
-    eigendecomposition when uncertified) is computed only for N up to
-    optimal_cap. Returns one WelfareStats per N.
+    The total budget is C = c_per_agent * N; the graphon heuristic reads the
+    kernel at its own resolution. The exact optimum (a certified Lanczos
+    projection, a full eigendecomposition when uncertified) is computed only
+    for N up to optimal_cap. Returns one WelfareStats per N.
     """
     Ns = _sizes(Ns, trials)
     if not alpha > 0.0:
         raise ValueError("intervention experiments require strategic complements (alpha > 0)")
 
-    by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap, M),
+    by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),
                        Ns, trials, seed, jobs)
 
     rows = []

@@ -23,17 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import _check_contraction, _contraction_gate, _lq_solve
-from .kernels import GraphonSpec, _sbm_block_index, _validate_symmetric
+from .kernels import GraphonSpec, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
     POWER_TOL,
     _lanczos_steps,
     _orient,
-    discretize,
+    _psi1_at_types,
     power_method,
-    sbm_eigen_analytic,
-    top_k_eigen,
 )
 
 __all__ = [
@@ -118,37 +116,15 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
     return _result(beta + math.sqrt(C) * _orient(v1), beta, "network-heuristic")
 
 
-def _psi1_at_types(spec: GraphonSpec, t: np.ndarray, M: int):
-    """Dominant kernel eigenfunction at the given points, plus the spectral gap.
-
-    Uses the closed-form spectrum where one exists (constant, block and
-    minmax kernels) and the discretized operator otherwise.
-    """
-    if spec.kind == "er":
-        return np.ones_like(t), spec.p
-    if spec.kind == "minmax":
-        psi = np.sqrt(2.0) * np.sin(np.pi * t)
-        return psi, 1.0 / np.pi**2 - 1.0 / (4.0 * np.pi**2)
-    if spec.kind == "sbm":
-        pairs = sbm_eigen_analytic(spec.Q, spec.w)
-        lam1, blocks = pairs[0]
-        lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
-        return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
-    op = discretize(spec, M)
-    pairs = top_k_eigen(op, 2)
-    return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value
-
-
-def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float, C: float,
-                      M: int = 1000) -> InterventionResult:
+def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float,
+                      C: float) -> InterventionResult:
     """Allocate along the dominant kernel eigenfunction evaluated at agent types.
 
-    beta_hat_i = beta + kappa psi1(t_i) with kappa chosen so the budget is
-    consumed exactly. Requires no knowledge of the realized network.
+    beta_hat_i = beta + kappa psi1(t_i), kappa spending the budget exactly, with
+    psi1 exact for every kernel family; no knowledge of the realized network.
     """
     _check_params(beta, C)
-    t = types.types
-    psi_t, gap = _psi1_at_types(spec, t, M)
+    psi_t, gap = _psi1_at_types(spec, types.types)
     if gap <= _GAP_WARN:
         warnings.warn(
             f"spectral gap {gap:.3g} is not positive; the dominant eigenfunction "
@@ -242,19 +218,22 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
 
     In the eigenbasis G = P/N = U diag(lambda) U^T the problem is
     ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1).
-    As c sees G only through 1, the maximizer lies in K(G, 1): for a
-    nonnegative G, beta != 0 and C > 0, ``_projected_optimum`` finds it
-    there, with the welfare ``welfare`` gives it. Otherwise, or uncertified,
-    a full eigendecomposition serves, with the welfare sum d_l y_l^2 / (2N)
-    of U y. The two agree on T_opt to 1e-12 relative.
+    C = 0 leaves beta 1. As c sees G only through 1, the maximizer lies in
+    K(G, 1): for a nonnegative G and beta != 0, ``_projected_optimum`` finds
+    it there. These two get the welfare ``welfare`` gives them. Otherwise, or
+    uncertified, a full eigendecomposition serves, with the welfare
+    sum d_l y_l^2 / (2N) of U y. The two agree on T_opt to 1e-12 relative.
     """
     P = _validate_symmetric(P, "network matrix")
     N = P.shape[0]
     if not alpha > 0.0:
         raise ValueError("planner interventions require strategic complements (alpha > 0)")
     _check_params(beta, C)
+    if C == 0.0:
+        beta_hat = np.full(N, float(beta))
+        return _result(beta_hat, beta, "optimal", _welfares(P, alpha, [beta_hat])[0])
     G = P / N
-    found = _projected_optimum(G, alpha, beta, C) if beta and C and G.min() >= 0.0 else None
+    found = _projected_optimum(G, alpha, beta, C) if beta and G.min() >= 0.0 else None
     if found is not None:
         beta_hat, mu, s = found
         return _result(beta_hat, beta, "optimal", float(np.sum(s**2) / (2.0 * N)), float(mu))
@@ -262,9 +241,6 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     _check_contraction(alpha, max(lam[-1], -lam[0]))
     d = 1.0 / (1.0 - alpha * lam) ** 2
     c = U.T @ np.full(N, float(beta))
-    if C == 0.0:
-        return _result(np.full(N, float(beta)), beta, "optimal",
-                       float(np.sum(d * c**2)) / (2.0 * N))
     mu, y = _secular_solve(d, c, C)
     return _result(U @ y, beta, "optimal", float(np.sum(d * y**2)) / (2.0 * N), float(mu))
 
@@ -274,11 +250,10 @@ def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> 
     return replace(result, welfare=welfare(P, alpha, result.beta_hat))
 
 
-def welfare_gap(P_s: SimpleNetwork, spec: GraphonSpec, alpha: float, beta: float, C: float,
-                M: int = 1000):
-    """Welfare of the two heuristics on the same realized network, and the gap."""
+def welfare_gap(P_s: SimpleNetwork, spec: GraphonSpec, alpha: float, beta: float, C: float):
+    """T_nh, T_gh and their gap on one realized network; neither asks for a resolution."""
     nh = network_heuristic(P_s.A, beta, C)
-    gh = graphon_heuristic(spec, P_s.types, beta, C, M=M)
+    gh = graphon_heuristic(spec, P_s.types, beta, C)
     T_nh, T_gh = _welfares(P_s.A, alpha, [nh.beta_hat, gh.beta_hat])
     return T_nh, T_gh, abs(T_nh - T_gh)
 

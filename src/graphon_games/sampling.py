@@ -127,7 +127,7 @@ def write_edge_csv(matrix: np.ndarray, path) -> None:
     """Write the upper triangle as (i, j, weight) rows, zero edges omitted."""
     matrix = np.asarray(matrix)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "weight"])
         iu, ju = np.triu_indices(matrix.shape[0], k=1)
         for i, j in zip(iu, ju):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationLimitError
-from .kernels import GraphonSpec, _cell_index, _validate_sbm, evaluate
+from .kernels import GraphonSpec, _cell_index, _sbm_block_index, _validate_sbm, evaluate
 
 __all__ = [
     "GridFunction",
@@ -337,6 +337,26 @@ def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
     lam = 1.0 / (np.pi * h) ** 2
     psi = np.sqrt(2.0) * np.sin(h * np.pi * midpoints(M))
     return lam, GridFunction(psi)
+
+
+def _psi1_at_types(spec: GraphonSpec, t: np.ndarray):
+    """Dominant kernel eigenfunction at the given points, plus the spectral gap.
+
+    Closed forms serve the constant, block and minmax kernels; a grid kernel is
+    discretized at its own cell count max(n, 2), where collocation is exact.
+    """
+    if spec.kind == "er":
+        return np.ones_like(t), spec.p
+    if spec.kind == "minmax":
+        psi = np.sqrt(2.0) * np.sin(np.pi * t)
+        return psi, 1.0 / np.pi**2 - 1.0 / (4.0 * np.pi**2)
+    if spec.kind == "sbm":
+        pairs = sbm_eigen_analytic(spec.Q, spec.w)
+        lam1, blocks = pairs[0]
+        lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
+        return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
+    pairs = top_k_eigen(discretize(spec, max(len(spec.values), 2)), 2)
+    return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value
 
 
 def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphon_games
-from graphon_games import cli
+from graphon_games import cli, interventions, kernels
 from graphon_games.errors import IterationLimitError
 
 
@@ -233,7 +233,7 @@ _CONFIG_CASES = {
                             {"simple": False, "graphon_json": None}, 0,
                             lambda out: np.all(_matrix(out) == 0.5 * (1 - np.eye(8)))),
     "underscored key": (["intervene", "--graphon", "minmax", "--N", "10", "--alpha", "1",
-                         "--beta", "1", "--M", "50", "--policy", "homogeneous"],
+                         "--beta", "1", "--policy", "homogeneous"],
                         {"c_per_agent": 0.5}, 0,
                         lambda out: json.loads((out / "interventions.json").read_text())[1]
                         ["budget_used"] == pytest.approx(5.0)),
@@ -304,7 +304,7 @@ def test_welfare_exp_csvs_do_not_depend_on_jobs(tmp_path):
         out = tmp_path / f"jobs{jobs}"
         assert run(["welfare-exp", "--graphon", "minmax", "--alpha", "5", "--beta", "1",
                     "--Ns", "100,120", "--trials", "2", "--optimal-cap", "120", "--seed", "3",
-                    "--M", "100", "--jobs", jobs, "--out", str(out)]) == 0
+                    "--jobs", jobs, "--out", str(out)]) == 0
         outs.append([(out / name).read_bytes() for name in ("welfare.csv", "summary.csv")])
     assert outs[0] == outs[1]
     assert b",," not in outs[0][0]  # every trial has its T_opt
@@ -352,6 +352,57 @@ def test_intervene_with_a_nan_budget_exits_1(tmp_path, capsys):
 def test_usage_errors_exit_1_with_their_message(tmp_path, capsys, args, message):
     assert run([*args, "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_intervene_gates_the_game_once_for_all_policies(tmp_path, monkeypatch):
+    calls = []
+    gate = interventions._contraction_gate
+
+    def counting_gate(*args):
+        calls.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(interventions, "_contraction_gate", counting_gate)
+    assert run(["intervene", "--graphon", "minmax", "--N", "100", "--alpha", "5", "--beta", "1",
+                "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["distance-exp", "--alpha", "0.5", "--Ns", "10", "--trials", "2", "--M", "40", "--jobs", "-2"],
+    ["welfare-exp", "--alpha", "2", "--Ns", "10", "--trials", "2", "--jobs", "-1"],
+], ids=["distance-exp", "welfare-exp"])
+def test_a_negative_jobs_count_exits_1_naming_jobs(tmp_path, capsys, args):
+    assert run([*args, "--graphon", "minmax", "--beta", "1", "--out", str(tmp_path)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    ["intervene", "--N", "20"], ["welfare-exp", "--Ns", "20", "--trials", "1", "--jobs", "1"]])
+def test_the_welfare_commands_take_no_resolution(tmp_path, capsys, command):
+    assert run([*command, "--graphon", "minmax", "--alpha", "2", "--beta", "1", "--M", "5",
+                "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --M 5" in capsys.readouterr().err
+
+
+def test_welfare_exp_on_a_grid_kernel_matches_its_blocks(tmp_path):
+    # The same three blocks as a grid kernel and as an sbm sample the same
+    # networks; only the graphon heuristic is computed differently.
+    Q = [[0.8, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.5]]
+    tables = []
+    for name, spec in (("grid", kernels.grid_kernel(Q)), ("sbm", kernels.sbm(Q, [1 / 3] * 3))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(kernels.to_json(spec)))
+        assert run(["welfare-exp", "--graphon-json", str(path), "--alpha", "2", "--beta", "1",
+                    "--Ns", "30,60", "--trials", "2", "--optimal-cap", "60", "--seed", "5",
+                    "--jobs", "1", "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "welfare.csv").read_text().splitlines()[1:]
+        tables.append(np.array([[float(x) for x in line.split(",")] for line in lines]))
+    grid, block = tables
+    assert grid.shape == (4, 8)
+    assert np.array_equal(np.delete(grid, [5, 7], axis=1), np.delete(block, [5, 7], axis=1))
+    assert np.allclose(grid[:, 5], block[:, 5], rtol=1e-12, atol=0.0)
 
 
 def test_graphon_er_with_p_is_the_er_shorthand(tmp_path):

@@ -160,7 +160,7 @@ PINNED = {
                          "load the network instead of sampling")}),
     "solve-graphon": (("alpha", "beta"), {**ALPHA_BETA, "M": _int("--M", 2000)}),
     "intervene": (("N", "alpha", "beta"), {
-        **ALPHA_BETA, "N": _int("--N", None), "M": _int("--M", 1000),
+        **ALPHA_BETA, "N": _int("--N", None),
         "C": (["--C"], None, "float", None, "total budget"),
         "c_per_agent": (["--c-per-agent"], 0.01, "float", None, "per-agent budget, C = c N"),
         "policy": (["--policy"], "all", None,
@@ -173,7 +173,7 @@ PINNED = {
     "welfare-exp": (("alpha", "beta", "Ns"), {
         **ALPHA_BETA, "c_per_agent": (["--c-per-agent"], 0.01, "float", None, None),
         "Ns": (["--Ns"], None, None, None, None), "trials": _int("--trials", 20),
-        "optimal_cap": _int("--optimal-cap", 150), "M": _int("--M", 1000),
+        "optimal_cap": _int("--optimal-cap", 150),
         "jobs": _int("--jobs", 0, JOBS_HELP)}),
     "bne-epsilon": (("alpha", "beta", "Ns"), {
         **ALPHA_BETA, "Ns": (["--Ns"], None, None, None, None), "trials": _int("--trials", 2000),

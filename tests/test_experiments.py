@@ -183,7 +183,7 @@ def test_repeated_population_size_is_rejected(tmp_path):
                                                                [0.6, 0.4])])
 def test_intervention_results_independent_of_jobs(tmp_path, spec):
     args = dict(spec=spec, alpha=2.0, beta=1.0, c_per_agent=0.01, Ns=[20, 40], trials=3,
-                optimal_cap=30, seed=13, M=100)
+                optimal_cap=30, seed=13)
     p1, p2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
     s1 = ex.intervention_experiment(**args, jobs=1, csv_path=p1)
     s2 = ex.intervention_experiment(**args, jobs=2, csv_path=p2)
@@ -195,7 +195,7 @@ def test_failed_trials_are_counted_per_population_size():
     # p = 1 samples the complete graph, where lambda_max(P/N) = 1 - 1/N: alpha = 1.2
     # contracts at N = 4 (q = 0.9) and fails every trial at N = 40 (q = 1.17).
     stats = ex.intervention_experiment(kernels.erdos_renyi(1.0), 1.2, 1.0, 0.01, [4, 40], 2,
-                                       0, 3, M=20)
+                                       0, 3)
     assert [(s.N, s.failures) for s in stats] == [(4, 0), (40, 2)]
     assert math.isnan(stats[1].mean_T) and stats[1].gap_percentiles == {}
     assert stats[0].mean_T > 0.0
@@ -203,4 +203,4 @@ def test_failed_trials_are_counted_per_population_size():
 
 def test_intervention_experiment_rejects_a_nan_alpha():
     with pytest.raises(ValueError, match="complements"):
-        ex.intervention_experiment(kernels.minmax(), math.nan, 1.0, 0.01, [10], 1, 10, 0, M=20)
+        ex.intervention_experiment(kernels.minmax(), math.nan, 1.0, 0.01, [10], 1, 10, 0)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphon_games import interventions as iv
-from graphon_games import experiments, kernels, sampling
+from graphon_games import experiments, kernels, sampling, spectral
 from graphon_games.errors import ContractionError
 from graphon_games.experiments import rate_fit
 
@@ -523,9 +523,58 @@ def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
     # take the closed form.
     Q = [[0.8, 0.2], [0.2, 0.5]]
     types = sampling.sample_types(60, 4)
-    grid = iv.graphon_heuristic(kernels.grid_kernel(Q), types, 1.0, 0.6, M=200)
-    block = iv.graphon_heuristic(kernels.sbm(Q, [0.5, 0.5]), types, 1.0, 0.6, M=200)
+    grid = iv.graphon_heuristic(kernels.grid_kernel(Q), types, 1.0, 0.6)
+    block = iv.graphon_heuristic(kernels.sbm(Q, [0.5, 0.5]), types, 1.0, 0.6)
     assert np.max(np.abs(grid.beta_hat - block.beta_hat)) <= 1e-12
+
+
+def test_graphon_heuristic_reads_a_grid_kernel_at_its_own_cells():
+    # At a resolution that 3 does not divide, such as 1000 or 200, a cell
+    # straddles each block boundary and the types in it read the wrong block.
+    Q = [[0.8, 0.1, 0.3], [0.1, 0.6, 0.2], [0.3, 0.2, 0.5]]
+    types = sampling.sample_types(400, 6)
+    grid = iv.graphon_heuristic(kernels.grid_kernel(Q), types, 1.0, 4.0)
+    block = iv.graphon_heuristic(kernels.sbm(Q, [1 / 3] * 3), types, 1.0, 4.0)
+    assert np.max(np.abs(grid.beta_hat - block.beta_hat)) <= 1e-12
+
+
+def test_graphon_heuristic_on_the_step_kernel_of_a_network_is_exact():
+    N = 400
+    P = sampling.weighted_network(kernels.minmax(), sampling.sample_types(N, 3)).P
+    types = sampling.sample_types(N, 9)
+    res = iv.graphon_heuristic(kernels.step_graphon_from_matrix(P), types, 1.0, 0.01 * N)
+    blocks = spectral.sbm_eigen_analytic(P, np.full(N, 1.0 / N))[0][1]
+    psi = blocks[kernels._cell_index(types.types, N)]
+    expected = 1.0 + math.sqrt(0.01 * N / np.sum(psi**2)) * psi
+    assert np.max(np.abs(res.beta_hat - expected)) <= 1e-12
+
+
+def test_graphon_heuristic_on_a_one_cell_grid_is_the_constant_kernel():
+    types = sampling.sample_types(50, 2)
+    grid = iv.graphon_heuristic(kernels.grid_kernel([[0.4]]), types, 1.0, 0.5)
+    er = iv.graphon_heuristic(kernels.erdos_renyi(0.4), types, 1.0, 0.5)
+    assert np.max(np.abs(grid.beta_hat - er.beta_hat)) <= 1e-12
+
+
+def _zero_budget_network():
+    types = sampling.sample_types(800, 3)
+    return sampling.simple_network(sampling.weighted_network(kernels.minmax(), types), 4).A
+
+
+def test_zero_budget_optimum_has_the_welfare_of_its_allocation():
+    A = _zero_budget_network()
+    res = iv.optimal_intervention(A, 5.0, 1.0, 0.0)
+    assert np.array_equal(res.beta_hat, np.ones(800)) and res.budget_used == 0.0
+    assert res.welfare == iv.welfare(A, 5.0, np.ones(800))
+
+
+def test_zero_budget_optimum_needs_no_full_eigendecomposition(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called by optimal_intervention")
+
+    A = _zero_budget_network()
+    monkeypatch.setattr(iv, "np", _Without(np, linalg=_Without(np.linalg, eigh=no_eigh)))
+    assert iv.optimal_intervention(A, 5.0, 1.0, 0.0).welfare > 0.0
 
 
 def test_secular_solve_at_a_budget_beyond_the_spectral_scale():

@@ -162,6 +162,14 @@ def test_edge_csv(tmp_path):
     assert len(lines) == 4  # three off-diagonal pairs
 
 
+def test_edge_csv_lines_end_in_lf(tmp_path):
+    net = sampling.weighted_network(kernels.erdos_renyi(0.5), sampling.sample_types(4, 1))
+    path = tmp_path / "edges.csv"
+    sampling.write_edge_csv(net.P, path)
+    data = path.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") == 7  # header and six pairs
+
+
 _GOOD_NET = {"types": [0.2, 0.8], "matrix": [[0.0, 1.0], [1.0, 0.0]]}
 
 
