@@ -26,6 +26,7 @@ from .spectral import GridFunction, discretize, dominant_eigenpair, midpoints
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
 
 DEFAULT_RESOLUTION = 1000
+_CHUNK_BYTES = 1 << 20  # per-chunk array budget of estimate_epsilon; larger chunks leave cache
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,17 @@ class EpsilonEstimate:
         return asdict(self)
 
 
-def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x: float) -> float:
+def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x):
     """int W(x, y) sbar(y) dy by midpoint quadrature on sbar's grid.
 
     This equals the expected realized aggregate of an agent of type x under
-    type and link randomness, for any population size.
+    type and link randomness, for any population size. A scalar x gives a
+    float; an array of types gives an array of their aggregates, each with
+    the bits of its scalar call.
     """
-    m = midpoints(sbar.M)
-    return float(np.mean(np.asarray(evaluate(spec, x, m)) * sbar.values))
+    x = np.asarray(x, dtype=float)
+    out = np.mean(evaluate(spec, x[..., None], midpoints(sbar.M)) * sbar.values, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def lq_L_U(p: LqPayoff, lambda_max: float) -> float:
@@ -64,6 +68,11 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     the kernel probabilities, and records |zeta - z(x)| where
     zeta = (1/(N-1)) sum_j A_j sbar(t_j). The estimate is 2 L_U times the
     mean deviation, with its standard error.
+
+    Trials run in chunks of c, each drawing one (c, 2N - 1) block of
+    uniforms: per row t_i, the N - 1 t_j, then the N - 1 link uniforms, the
+    stream and the bits of one trial at a time. c >= 1 bounds each chunk's
+    largest array (2N - 1 or M doubles per trial) by _CHUNK_BYTES.
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
     ``lq_L_U`` is applied to lambda_max of the operator on sbar's grid.
@@ -89,13 +98,14 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
 
     rng = np.random.default_rng(seed)
     deviations = np.empty(trials)
-    for k in range(trials):
-        ti = rng.random()
-        tj = rng.random(N - 1)
-        link_prob = np.asarray(evaluate(spec, ti, tj))
-        links = rng.random(N - 1) < link_prob
-        zeta = float(links @ sbar.value_at(tj)) / (N - 1)
-        deviations[k] = abs(zeta - expected_aggregate(spec, sbar, ti))
+    chunk = max(1, _CHUNK_BYTES // (8 * max(2 * N - 1, sbar.M)))
+    for start in range(0, trials, chunk):
+        u = rng.random((min(chunk, trials - start), 2 * N - 1))
+        ti, tj = u[:, 0], u[:, 1:N]
+        links = u[:, N:] < evaluate(spec, ti[:, None], tj)
+        vals = sbar.value_at(tj)
+        zeta = np.array([links[r] @ vals[r] for r in range(len(u))]) / (N - 1)
+        deviations[start:start + len(u)] = np.abs(zeta - expected_aggregate(spec, sbar, ti))
 
     mean_dev = float(deviations.mean())
     if trials > 1:

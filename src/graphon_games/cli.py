@@ -263,7 +263,7 @@ def _cmd_bne_epsilon(args, outdir: Path) -> int:
     limit = solve_graphon(spec, payoff, args.M)
     L_U = lq_L_U(payoff, limit.lambda_max) if args.L_U is None else args.L_U
     ests = [estimate_epsilon(spec, payoff, L_U, n, args.trials, subseed(args.seed, n),
-                             sbar=limit.profile, M=args.M) for n in _parse_ns(args.Ns)]
+                             sbar=limit.profile) for n in _parse_ns(args.Ns)]
     _write_table(args, outdir, "epsilon", "N,epsilon_hat,stderr",
                  [(e.N, e.epsilon_hat, e.stderr) for e in ests], [e.to_json() for e in ests])
     return 0

@@ -50,6 +50,12 @@ def _check_unit_interval(arr, name):
         raise ValueError(f"{name} outside [0, 1]")
 
 
+def _frozen(arr):
+    arr = arr.copy()
+    arr.flags.writeable = False  # a validated spec cannot change after construction
+    return arr
+
+
 def _validate_sbm(Q, w):
     Q = _validate_symmetric(Q, "Q")
     _check_unit_interval(Q, "Q entries")
@@ -69,8 +75,9 @@ class GraphonSpec:
 
     ``kind`` is one of ``"er"``, ``"sbm"``, ``"minmax"``, ``"grid"``. Only the
     fields relevant to the kind are set; use the module-level constructors
-    rather than instantiating directly. Instances are immutable and safe to
-    share across workers.
+    rather than instantiating directly. The constructors store read-only
+    copies of their arrays, so instances are immutable and safe to share
+    across workers.
     """
 
     kind: str
@@ -105,7 +112,7 @@ def sbm(Q, w) -> GraphonSpec:
     ``[sum(w[:k]), sum(w[:k+1]))``.
     """
     Q, w = _validate_sbm(Q, w)
-    return GraphonSpec(kind="sbm", Q=Q, w=w)
+    return GraphonSpec(kind="sbm", Q=_frozen(Q), w=_frozen(w))
 
 
 def minmax() -> GraphonSpec:
@@ -117,7 +124,7 @@ def grid_kernel(values) -> GraphonSpec:
     """Step-function kernel constant on the uniform M x M grid of [0,1]^2."""
     values = _validate_symmetric(values, "values")
     _check_unit_interval(values, "values entries")
-    return GraphonSpec(kind="grid", values=values)
+    return GraphonSpec(kind="grid", values=_frozen(values))
 
 
 # An N x N network P embeds as the grid kernel whose cell (i, j) of the uniform

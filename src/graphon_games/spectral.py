@@ -12,6 +12,7 @@ sqrt(M).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,8 +356,14 @@ def _psi1_at_types(spec: GraphonSpec, t: np.ndarray):
         lam1, blocks = pairs[0]
         lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
         return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
-    pairs = top_k_eigen(discretize(spec, max(len(spec.values), 2)), 2)
+    pairs = _grid_top_pairs(spec)
     return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_top_pairs(spec: GraphonSpec):
+    # keyed by identity (GraphonSpec has eq=False); safe as a spec's arrays are read-only
+    return top_k_eigen(discretize(spec, max(len(spec.values), 2)), 2)
 
 
 def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:

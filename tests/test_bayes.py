@@ -154,3 +154,101 @@ def test_epsilon_discretizes_once_when_solving_its_own_profile(monkeypatch, minm
 def test_epsilon_rejects_a_non_finite_or_negative_L_U(minmax_sbar, L_U):
     with pytest.raises(ValueError, match="L_U"):
         bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, L_U, 20, 5, seed=1, sbar=minmax_sbar)
+
+
+# --- chunked trials ------------------------------------------------------------
+
+GRID7 = np.random.default_rng(8).random((7, 7))
+
+BATCH_SPECS = {
+    "er": kernels.erdos_renyi(0.3),
+    "sbm": kernels.sbm([[0.8, 0.1], [0.1, 0.6]], [0.75, 0.25]),
+    "minmax": kernels.minmax(),
+    "grid": kernels.grid_kernel((GRID7 + GRID7.T) / 2),
+}
+
+
+def reference_estimate(spec, sbar, N, trials, seed, L_U=1.5):
+    """(epsilon_hat, stderr) from the trial-at-a-time simulation."""
+    devs = simulate_deviations(spec, sbar, N, trials, seed)
+    se = float(devs.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan
+    return 2.0 * L_U * float(devs.mean()), 2.0 * L_U * se
+
+
+def record_evaluate_sizes(monkeypatch):
+    """Points of each kernel evaluation estimate_epsilon makes, in call order."""
+    sizes = []
+    real = bayes.evaluate
+
+    def counting(spec, x, y):
+        sizes.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
+        return real(spec, x, y)
+
+    monkeypatch.setattr(bayes, "evaluate", counting)
+    return sizes
+
+
+def assert_same_estimate(est, ref):
+    assert est.epsilon_hat == ref[0]
+    assert est.stderr == ref[1] or (math.isnan(est.stderr) and math.isnan(ref[1]))
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+@pytest.mark.parametrize("N,trials", [(2, 1), (2, 5), (9, 131), (300, 200)])
+def test_chunked_estimate_matches_the_trial_at_a_time_simulation(kind, N, trials):
+    spec = BATCH_SPECS[kind]
+    sbar = GridFunction(np.random.default_rng(1).random(37) + 0.5)
+    est = bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, N, trials, seed=N + trials, sbar=sbar)
+    assert_same_estimate(est, reference_estimate(spec, sbar, N, trials, N + trials))
+
+
+# (N, trials per chunk, trials); sbar has M = 10 points, so one trial's
+# largest array holds max(2N - 1, 10) doubles. A chunk of 0 rows stands
+# for a budget smaller than one row.
+@pytest.mark.parametrize("N,rows,trials", [
+    (9, 4, 1), (9, 4, 3), (9, 4, 4), (9, 4, 5), (9, 4, 9),
+    (2, 3, 7), (2, 3, 1),
+    (9, 0, 5), (30, 0, 3),
+])
+def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, trials):
+    row_bytes = 8 * max(2 * N - 1, 10)
+    budget = rows * row_bytes + row_bytes // 2 if rows else row_bytes - 8
+    monkeypatch.setattr(bayes, "_CHUNK_BYTES", budget)
+    spec = BATCH_SPECS["minmax"]
+    sbar = GridFunction(np.linspace(0.5, 2.0, 10))
+    ref = reference_estimate(spec, sbar, N, trials, 3)
+    sizes = record_evaluate_sizes(monkeypatch)
+    est = bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, N, trials, seed=3, sbar=sbar)
+    assert_same_estimate(est, ref)
+    chunk = max(rows, 1)
+    assert len(sizes) == 2 * math.ceil(trials / chunk)
+    assert max(sizes) <= max(budget // 8, row_bytes // 8)
+    if trials == 1:
+        assert math.isnan(est.stderr)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+def test_expected_aggregate_of_an_array_matches_the_scalar_calls(kind, minmax_sbar):
+    spec = BATCH_SPECS[kind]
+    x = np.random.default_rng(6).random(25)
+    x[:2] = [0.0, 1.0]
+    batch = bayes.expected_aggregate(spec, minmax_sbar, x)
+    m = (np.arange(minmax_sbar.M) + 0.5) / minmax_sbar.M
+    for xi, value in zip(x.tolist(), batch):
+        scalar = bayes.expected_aggregate(spec, minmax_sbar, xi)
+        assert type(scalar) is float
+        # the one-type formula the chunked form replaces
+        assert scalar == float(np.mean(np.asarray(kernels.evaluate(spec, xi, m))
+                                       * minmax_sbar.values))
+        assert value == scalar
+    assert bayes.expected_aggregate(spec, minmax_sbar, x.reshape(5, 5)).shape == (5, 5)
+
+
+def test_bne_configuration_evaluates_the_kernel_in_few_bounded_chunks(monkeypatch, minmax_sbar):
+    # criterion 9's configuration: minmax, alpha = 3, Ns 100, 400, 1600, 2000 trials
+    sizes = record_evaluate_sizes(monkeypatch)
+    for n in (100, 400, 1600):
+        bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, None, n, 2000, seed=n,
+                               sbar=minmax_sbar)
+    assert len(sizes) <= 300
+    assert max(sizes) <= bayes._CHUNK_BYTES / 8

@@ -157,6 +157,25 @@ def test_intervention_experiment_requires_complements():
                                    optimal_cap=10, seed=0)
 
 
+def test_grid_intervention_experiment_computes_the_eigenpairs_once(monkeypatch):
+    # The grid kernel's dominant eigenpairs depend on the spec alone, so a
+    # serial multi-trial run computes them once, not once per trial.
+    from graphon_games import spectral
+
+    calls = []
+    real = spectral.top_k_eigen
+
+    def counting(op, k):
+        calls.append(op.M)
+        return real(op, k)
+
+    monkeypatch.setattr(spectral, "top_k_eigen", counting)
+    spec = kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.5]])
+    stats = ex.intervention_experiment(spec, 2.0, 1.0, 0.01, [20, 30], 3, 0, 5, jobs=1)
+    assert [s.failures for s in stats] == [0, 0]
+    assert calls == [3]
+
+
 # --- seeding -----------------------------------------------------------------------
 
 def test_subseed_deterministic_and_distinct():

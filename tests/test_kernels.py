@@ -122,6 +122,35 @@ def test_step_graphon_rejects_bad_matrices():
         kernels.step_graphon_from_matrix([[0.0, 1.5], [1.5, 0.0]])
 
 
+# --- specs keep their own arrays ----------------------------------------------
+
+def test_grid_kernel_ignores_later_changes_to_its_input():
+    V = np.full((3, 3), 0.5)
+    spec = kernels.grid_kernel(V)
+    V[0, 0] = 7.0
+    assert kernels.evaluate(spec, 0.1, 0.1) == 0.5
+
+
+def test_sbm_ignores_later_changes_to_its_inputs():
+    Q = np.array(SBM_Q)
+    w = np.array(SBM_W)
+    spec = kernels.sbm(Q, w)
+    Q[0, 0] = 7.0
+    w[:] = [0.25, 0.75]
+    assert kernels.evaluate(spec, 0.1, 0.1) == 0.8
+    assert kernels.evaluate(spec, 0.5, 0.1) == 0.8
+
+
+@pytest.mark.parametrize("spec,field", [
+    (kernels.grid_kernel(np.full((3, 3), 0.5)), "values"),
+    (kernels.sbm(SBM_Q, SBM_W), "Q"),
+    (kernels.sbm(SBM_Q, SBM_W), "w"),
+])
+def test_spec_arrays_are_read_only(spec, field):
+    with pytest.raises(ValueError):
+        getattr(spec, field)[0] = 0.0
+
+
 # --- metadata ---------------------------------------------------------------
 
 @pytest.mark.parametrize("spec,expected", [
