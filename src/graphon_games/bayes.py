@@ -50,7 +50,8 @@ def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x):
     the bits of its scalar call.
     """
     x = np.asarray(x, dtype=float)
-    out = np.mean(evaluate(spec, x[..., None], midpoints(sbar.M)) * sbar.values, axis=-1)
+    K = evaluate(spec, x[..., None], midpoints(sbar.M))  # up to 1 MiB a chunk: scaled in place
+    out = np.mean(np.multiply(K, sbar.values, out=K), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,7 +6,7 @@ versions, which is enough to reproduce the run exactly. Options may also be
 supplied through a JSON config file (--config); explicit flags win over
 config values.
 
-Exit codes: 0 success, 1 validation or usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage, validation or memory error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, args.command, args)
         return args.func(args, outdir)
-    except (UsageError, OSError) as exc:  # OSError: an unreadable input or unwritable output
+    except (UsageError, OSError, MemoryError) as exc:  # bad input or output path; huge array
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ContractionError, ValueError) as exc:

@@ -1,10 +1,11 @@
 """Nash equilibrium solvers for finite network games and discretized graphon games.
 
 A network game on P and a graphon game discretized on the M-grid are one game
-on a normalized operator matrix G: each agent best-responds to the local
-aggregate z = G s, with G = P/N for the network and G = K/M for the midpoint
-kernel matrix K. ``solve_network(P, payoff)`` and
-``solve_graphon(spec, payoff, M)`` build G and hand it to one solver. Under
+on a normalized operator G: each agent best-responds to the local aggregate
+z = G s, with G = P/N for the network and G = K/M for the midpoint kernel
+matrix K. ``solve_network(P, payoff)`` and ``solve_graphon(spec, payoff, M)``
+build G and hand it to one solver, which only applies it: a graphon's G is
+its ``DiscretizedOperator``, matrix-free but for grid kernels. Under
 the contraction condition (lipschitz ratio of the payoff times the spectral
 radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges
@@ -251,7 +252,7 @@ def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lq_solve(G: np.ndarray, alpha: float, b) -> np.ndarray:
+def _lq_solve(G, alpha: float, b) -> np.ndarray:
     """(I - alpha G)^-1 b by Lanczos from b, for use behind the contraction gate."""
     b = np.asarray(b, dtype=float)
     x = _lanczos(G, b, alpha=alpha)[2] if b.any() else 0.0 * b
@@ -260,14 +261,14 @@ def _lq_solve(G: np.ndarray, alpha: float, b) -> np.ndarray:
     return x
 
 
-def _contraction_gate(G: np.ndarray, ratio: float, alpha: float | None = None):
+def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None):
     """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given).
 
-    For a nonnegative G, rho is lambda_max and one Lanczos run from all-ones
+    If G is ``nonneg``, rho is lambda_max and one Lanczos run from all-ones
     gives it and x. A signed G adds lambda_max(-G) and solves for x apart.
     Raises ContractionError unless q < 1, which makes I - alpha G positive definite.
     """
-    if G.min() >= 0.0:
+    if nonneg:
         lam, _, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
         q = _check_contraction(ratio, lam)
     else:
@@ -278,20 +279,20 @@ def _contraction_gate(G: np.ndarray, ratio: float, alpha: float | None = None):
     return lam, q, x
 
 
-def _solve(G: np.ndarray, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:
+def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:
     """Equilibrium of the game whose local aggregate is z = G s.
 
-    G is the normalized operator matrix: P/N for a network P, K/M for a
-    kernel sampled on the M-grid. LQ payoffs take the Krylov solve of
-    (I - alpha G) s = beta from ``_contraction_gate``, accepted for
-    complements or when nonnegative; otherwise, and for generic payoffs,
-    best-response iteration runs from ``start`` (default: beta for LQ, the
-    best response to z = 0 otherwise). The contraction factor uses the
-    spectral radius of G.
+    G is P/N for a network P or the ``DiscretizedOperator`` K/M of a kernel
+    on the M-grid, ``nonneg`` as in ``_contraction_gate``. LQ payoffs take
+    the Krylov solve of (I - alpha G) s = beta from ``_contraction_gate``,
+    accepted for complements or when nonnegative; otherwise, and for generic
+    payoffs, best-response iteration runs from ``start`` (default: beta for
+    LQ, the best response to z = 0 otherwise). The contraction factor uses
+    the spectral radius of G.
     """
     lq = isinstance(payoff, LqPayoff)
-    lam, q, x = _contraction_gate(G, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
-    n = G.shape[0]
+    lam, q, x = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
+    n = len(G)
     if lq:
         s = payoff.beta * x
         if payoff.alpha > 0.0 or s.min() >= _ACCEPT_NEG:
@@ -311,17 +312,17 @@ def solve_network(P: np.ndarray, payoff, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, start=None) -> EquilibriumReport:
     """Equilibrium of the game on a square, symmetric, finite network P (aggregate (1/N) P s)."""
     P = _validate_symmetric(P, "network matrix")
-    return _solve(P / P.shape[0], payoff, tol, max_iter, start)
+    return _solve(P / P.shape[0], P.min() >= 0.0, payoff, tol, max_iter, start)
 
 
 def solve_graphon(spec: GraphonSpec, payoff, M: int, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER, start=None) -> EquilibriumReport:
     """Equilibrium of the graphon game discretized on the M-point grid.
 
-    This is the network game of the midpoint kernel matrix; only the profile
-    is returned as a GridFunction.
+    This is the network game of the midpoint kernel matrix (nonnegative, as
+    kernels lie in [0, 1]); only the profile is returned as a GridFunction.
     """
-    report = _solve(discretize(spec, M).matrix(), payoff, tol, max_iter, start)
+    report = _solve(discretize(spec, M), True, payoff, tol, max_iter, start)
     report.profile = GridFunction(report.profile)
     return report
 

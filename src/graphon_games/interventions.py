@@ -84,7 +84,7 @@ def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> lis
 
     A constant allocation scales the gate's own x1 = (I - alpha G)^-1 1."""
     G = np.asarray(P, dtype=float) / len(P)
-    x1 = _contraction_gate(G, abs(alpha), alpha)[2]
+    x1 = _contraction_gate(G, G.min() >= 0.0, abs(alpha), alpha)[2]
     sols = [b[0] * x1 if b.shape == x1.shape and np.all(b == b[0]) else _lq_solve(G, alpha, b)
             for b in map(np.asarray, allocations)]
     return [float(np.sum(s**2) / (2.0 * len(G))) for s in sols]

@@ -95,6 +95,12 @@ class GraphonSpec:
             return f"GraphonSpec(grid, M={self.values.shape[0]})"
         return "GraphonSpec(minmax)"
 
+    def __setstate__(self, state):  # unpickled arrays come back writeable: freeze them again
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
 
 def erdos_renyi(p: float) -> GraphonSpec:
     """Constant kernel W(x, y) = p."""

@@ -5,6 +5,11 @@ collocation on the uniform M-grid: the kernel is sampled at cell midpoints
 and the quadrature weight is 1/M. This preserves symmetry exactly and is
 exact for step-function kernels aligned with the grid.
 
+Solves and spectra only apply the operator: by sums per community for the
+constant and K-block kernels, by two cumulative sums for minmax, each in O(M)
+memory. A grid kernel keeps its matrix and 1/M times it (16 M^2 bytes) to
+solve exactly as its network at M equal to its cell count.
+
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
 sqrt(M).
@@ -80,20 +85,52 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
-    """Midpoint-collocation matrix of a kernel operator at resolution M.
+    """Midpoint-collocation operator of a kernel at resolution M.
 
-    Application to a grid function g is (1/M) * kernel_matrix @ g.values.
+    ``op @ s`` is (1/M) * kernel_matrix @ s for a grid vector or an (M, p)
+    block (see the module docstring); ``kernel_matrix`` is built on first use.
     """
 
-    kernel_matrix: np.ndarray
+    spec: GraphonSpec
+    M: int
 
-    @property
-    def M(self) -> int:
-        return self.kernel_matrix.shape[0]
+    @functools.cached_property
+    def kernel_matrix(self) -> np.ndarray:
+        m = midpoints(self.M)
+        return np.asarray(evaluate(self.spec, m[:, None], m[None, :]), dtype=float)
+
+    @functools.cached_property
+    def _blocks(self):
+        # Q and the number of midpoints in each community; a narrow one may hold none.
+        spec = self.spec
+        Q, w = (spec.Q, spec.w) if spec.kind == "sbm" else (np.array([[spec.p]]), [1.0])
+        return Q, np.bincount(_sbm_block_index(midpoints(self.M), w), minlength=len(w))
+
+    def __len__(self) -> int:
+        return self.M
 
     def matrix(self) -> np.ndarray:
         """The matrix (1/M) * kernel_matrix actually applied to grid vectors."""
         return self.kernel_matrix / self.M
+
+    _matrix = functools.cached_property(matrix)  # kept: a grid kernel's products use it
+
+    def __matmul__(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if s.shape[:1] != (self.M,):
+            raise ValueError(f"resolution mismatch: operator M={self.M}, operand {s.shape}")
+        if self.spec.kind == "grid":
+            return self._matrix @ s
+        if self.spec.kind == "minmax":
+            # K[i, j] = x_j (1 - x_i) for j <= i and x_i (1 - x_j) for j > i
+            x = midpoints(self.M).reshape((-1,) + (1,) * (s.ndim - 1))
+            out = (1.0 - x) * np.cumsum(x * s, axis=0)
+            out[:-1] += x[:-1] * np.cumsum(((1.0 - x) * s)[:0:-1], axis=0)[::-1]
+            return out / self.M
+        Q, counts = self._blocks
+        ends = np.cumsum(counts)  # summed by BLAS, as in the dense product
+        sums = np.array([np.ones(b - a) @ s[a:b] for a, b in zip(ends - counts, ends)])
+        return np.repeat(Q @ sums / self.M, counts, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,19 +147,15 @@ def midpoints(M: int) -> np.ndarray:
 
 
 def discretize(spec: GraphonSpec, M: int) -> DiscretizedOperator:
-    """Sample the kernel at the M x M grid of cell midpoints."""
+    """The kernel's operator on the M x M grid of cell midpoints."""
     if M < 2:
         raise ValueError(f"resolution must be at least 2, got {M}")
-    m = midpoints(M)
-    K = evaluate(spec, m[:, None], m[None, :])
-    return DiscretizedOperator(kernel_matrix=np.asarray(K, dtype=float))
+    return DiscretizedOperator(spec, M)
 
 
 def apply(op: DiscretizedOperator, f: GridFunction) -> GridFunction:
     """Apply the discretized operator: (1/M) * kernel_matrix @ f."""
-    if f.M != op.M:
-        raise ValueError(f"resolution mismatch: operator M={op.M}, function M={f.M}")
-    return GridFunction(op.kernel_matrix @ f.values / op.M)
+    return GridFunction(op @ f.values)
 
 
 def _orient(v: np.ndarray, weights=None) -> np.ndarray:
@@ -141,7 +174,7 @@ def _orient(v: np.ndarray, weights=None) -> np.ndarray:
     return v if v[j] >= 0.0 else -v
 
 
-def _lanczos_steps(A: np.ndarray, q: np.ndarray, max_iter: int):
+def _lanczos_steps(A, q: np.ndarray, max_iter: int):
     """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11).
 
     Step k yields (Q, theta, S, beta_k, end): the rows q_1 .. q_k (a view of
@@ -149,7 +182,7 @@ def _lanczos_steps(A: np.ndarray, q: np.ndarray, max_iter: int):
     off-diagonal, and whether the space is invariant (beta_k <= eps max |T|)
     or all of R^n, the last step. A non-finite product raises ValueError.
     """
-    n = A.shape[0]
+    n = len(A)
     Q, T = np.empty((min(n, 16), n)), np.zeros((min(n, 16),) * 2)
     Q[0] = q / np.linalg.norm(q)
     T_norm = 0.0
@@ -173,7 +206,7 @@ def _lanczos_steps(A: np.ndarray, q: np.ndarray, max_iter: int):
         T[k, k - 1] = T[k - 1, k] = beta
 
 
-def _lanczos(A: np.ndarray, q: np.ndarray, tol: float | None = None,
+def _lanczos(A, q: np.ndarray, tol: float | None = None,
              max_iter: int = POWER_MAX_ITER, alpha: float | None = None):
     """Top Ritz pair, solve of (I - alpha A) x = q, or both, from ``_lanczos_steps``.
 
@@ -227,27 +260,27 @@ def power_method(A: np.ndarray, tol: float, max_iter: int):
 def dominant_eigenpair(
     op: DiscretizedOperator, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
 ) -> EigenPair:
-    """Largest eigenvalue and eigenfunction by Lanczos (``power_method``).
+    """Largest eigenvalue and eigenfunction by Lanczos from the all-ones vector.
 
-    A nonnegative kernel starts from the all-ones vector (guaranteed overlap
-    with its nonnegative dominant eigenfunction). The pair is accepted once
+    Every kernel is nonnegative, so all-ones overlaps its nonnegative dominant
+    eigenfunction (Perron). The pair is accepted once
     its residual satisfies ||apply(op, psi) - lam psi|| <= tol * max(1, |lam|).
     The eigenfunction is returned with unit L2 norm and nonnegative mean.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    lam, v = power_method(op.matrix(), tol, max_iter)
+    lam, v = _lanczos(op, np.ones(op.M), tol, max_iter)[:2]
     psi = _orient(v / np.sqrt(np.mean(v**2)))  # the Ritz vector is a unit vector
     return EigenPair(lam, GridFunction(psi))
 
 
-def _subspace_top_k(A: np.ndarray, k: int):
+def _subspace_top_k(A, k: int):
     """Top-k eigenpairs of symmetric A by block subspace iteration, or None.
 
     Returns (values descending, unit Euclidean eigenvectors as columns) once
     certified, None when the iteration cap is reached first.
     """
-    M = A.shape[0]
+    M = len(A)
     p = k + _SUBSPACE_OVERSAMPLE
     V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((M, p)))
     # About M / (5p) block products cost a quarter of a full eigh.
@@ -300,10 +333,9 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     """
     if k < 1 or k > op.M:
         raise ValueError(f"k must lie in [1, {op.M}], got {k}")
-    A = op.matrix()
-    found = _subspace_top_k(A, k) if k + _SUBSPACE_OVERSAMPLE < op.M else None
+    found = _subspace_top_k(op, k) if k + _SUBSPACE_OVERSAMPLE < op.M else None
     if found is None:
-        evals, evecs = np.linalg.eigh(A)
+        evals, evecs = np.linalg.eigh(op._matrix)
         found = evals[::-1][:k], evecs[:, ::-1][:, :k]
     return [EigenPair(float(lam), GridFunction(_orient(v * np.sqrt(op.M))))
             for lam, v in zip(found[0], found[1].T)]

@@ -171,6 +171,17 @@ def test_numerical_failure_exits_2(tmp_path, monkeypatch):
     assert run(["eigen", "--graphon", "minmax", "--out", str(tmp_path)]) == 2
 
 
+def test_an_array_too_large_for_memory_exits_1_naming_its_size(tmp_path, capsys, monkeypatch):
+    # What numpy raises for a grid kernel's M x M matrix at M = 200 000.
+    def too_large(spec, M):
+        raise MemoryError(f"Unable to allocate 298. GiB for an array with shape ({M}, {M})")
+
+    monkeypatch.setattr(cli, "discretize", too_large)
+    assert run(["eigen", "--graphon", "minmax", "--M", "200000", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "298. GiB" in err
+
+
 def test_help_exits_0():
     assert run(["--help"]) == 0
 

@@ -225,6 +225,27 @@ def test_graphon_lq_minmax_shape():
     assert s[0] >= 1.0  # everyone plays at least the standalone response
 
 
+def test_minmax_graphon_solve_takes_memory_linear_in_M():
+    # The dense matrix at M = 20 000 would take 3.2 GB; the operator's
+    # products and the Krylov basis take a few dozen vectors of length M.
+    M = 20_000
+    tracemalloc.start()
+    try:
+        eq.solve_graphon(kernels.minmax(), eq.LqPayoff(0.5, 1.0), M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 8 * M
+
+
+def test_minmax_graphon_solve_matches_the_closed_form_at_a_large_M():
+    # s = beta + alpha K s is s'' = -alpha (s - beta) with s(0) = s(1) = beta.
+    M, alpha = 10**5, 0.5
+    rep = eq.solve_graphon(kernels.minmax(), eq.LqPayoff(alpha, 1.0), M)
+    exact = np.cos(math.sqrt(alpha) * (spectral.midpoints(M) - 0.5)) / math.cos(math.sqrt(alpha) / 2)
+    assert np.max(np.abs(rep.profile_array() - exact)) <= 4.0 / M**2
+
+
 def test_graphon_substitutes_center_low():
     # Substitutes flip the shape: central agents free-ride and play less.
     M = 400

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ def test_sbm_ignores_later_changes_to_its_inputs():
 def test_spec_arrays_are_read_only(spec, field):
     with pytest.raises(ValueError):
         getattr(spec, field)[0] = 0.0
+
+
+@pytest.mark.parametrize("spec,field", [
+    (kernels.grid_kernel(np.full((3, 3), 0.5)), "values"),
+    (kernels.sbm(SBM_Q, SBM_W), "Q"),
+    (kernels.sbm(SBM_Q, SBM_W), "w"),
+])
+def test_spec_arrays_stay_read_only_through_pickle(spec, field):
+    # Process-pool workers receive specs by pickle, and caches keyed on a
+    # spec's identity rely on its arrays staying fixed.
+    copy = pickle.loads(pickle.dumps(spec))
+    assert np.array_equal(getattr(copy, field), getattr(spec, field))
+    with pytest.raises(ValueError):
+        getattr(copy, field)[0] = 0.0
 
 
 # --- metadata ---------------------------------------------------------------

@@ -80,6 +80,66 @@ def test_apply_resolution_mismatch():
         spectral.apply(op, spectral.GridFunction(np.zeros(9)))
 
 
+# --- structured products -----------------------------------------------------
+
+@st.composite
+def structured_kernels(draw):
+    """An er, sbm or minmax spec; sbm masses down to 1e-4 leave communities without a midpoint."""
+    kind = draw(st.sampled_from(["er", "sbm", "minmax"]))
+    if kind == "er":
+        return kernels.erdos_renyi(draw(st.floats(0.0, 1.0)))
+    if kind == "minmax":
+        return kernels.minmax()
+    K = draw(st.integers(1, 5))
+    Q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K * K, max_size=K * K)))
+    Q = Q.reshape(K, K)
+    raw = np.array(draw(st.lists(st.floats(1e-4, 1.0), min_size=K, max_size=K)))
+    return kernels.sbm((Q + Q.T) / 2.0, raw / raw.sum())
+
+
+def assert_product_matches_the_dense_one(op, s):
+    # Within 1e-14 of the size of the summed terms, |K|/M @ |s|, or of the
+    # smallest normal number, below which round-off is no longer relative.
+    dense = op.kernel_matrix / op.M
+    got = op @ s
+    assert got.shape == s.shape
+    bound = 1e-14 * (np.abs(dense) @ np.abs(s)) + np.finfo(float).tiny
+    assert np.all(np.abs(got - dense @ s) <= bound)
+
+
+@given(spec=structured_kernels(), M=st.integers(2, 300), cols=st.sampled_from([0, 1, 4]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_structured_product_matches_the_dense_one(spec, M, cols, seed):
+    op = spectral.discretize(spec, M)
+    s = np.random.default_rng(seed).standard_normal((M, cols) if cols else M)
+    assert_product_matches_the_dense_one(op, s)
+
+
+@pytest.mark.parametrize("w", [[0.9999, 0.0001], [0.5, 0.0001, 0.4999]],
+                         ids=["last-empty", "middle-empty"])
+def test_structured_product_with_a_community_holding_no_midpoint(w):
+    M = 100
+    Q = np.full((len(w), len(w)), 0.3) + 0.5 * np.eye(len(w))
+    op = spectral.discretize(kernels.sbm(Q, w), M)
+    assert len(np.unique(kernels._sbm_block_index(spectral.midpoints(M), w))) < len(w)
+    rng = np.random.default_rng(0)
+    for s in (rng.standard_normal(M), rng.standard_normal((M, 3))):
+        assert_product_matches_the_dense_one(op, s)
+
+
+@pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
+                                  kernels.minmax()], ids=["er", "sbm", "minmax"])
+def test_structured_spectra_never_build_the_kernel_matrix(spec):
+    # At M = 2000 subspace iteration certifies the top three pairs within its
+    # step cap, so top_k_eigen takes no dense eigh.
+    op = spectral.discretize(spec, 2000)
+    spectral.dominant_eigenpair(op)
+    spectral.top_k_eigen(op, 3)
+    spectral.apply(op, spectral.GridFunction(np.ones(2000)))
+    assert "kernel_matrix" not in vars(op)
+
+
 # --- dominant eigenpair -----------------------------------------------------
 
 def test_dominant_er():
