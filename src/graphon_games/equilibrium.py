@@ -5,7 +5,7 @@ on a normalized operator G: each agent best-responds to the local aggregate
 z = G s, with G = P/N for the network and G = K/M for the midpoint kernel
 matrix K. ``solve_network(P, payoff)`` and ``solve_graphon(spec, payoff, M)``
 build G and hand it to one solver, which only applies it: a graphon's G is
-its ``DiscretizedOperator``, matrix-free but for grid kernels. Under
+its ``DiscretizedOperator``, which never builds the kernel matrix. Under
 the contraction condition (lipschitz ratio of the payoff times the spectral
 radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges

@@ -35,8 +35,8 @@ _MASS_TOL = 1e-9
 
 def _validate_symmetric(mat, name):
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} entries must be finite")
     if not np.array_equal(mat, mat.T):
@@ -62,8 +62,8 @@ def _validate_sbm(Q, w):
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.shape[0] != Q.shape[0]:
         raise ValueError("w must be a vector matching the block count of Q")
-    if np.any(w <= 0.0):
-        raise ValueError("all community masses must be positive")
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise ValueError("all community masses must be finite and positive")
     if abs(w.sum() - 1.0) > _MASS_TOL:
         raise ValueError(f"community masses must sum to 1, got {w.sum()!r}")
     return Q, w
@@ -87,13 +87,11 @@ class GraphonSpec:
     values: np.ndarray | None = None
 
     def __repr__(self):
+        if self.kind == "minmax":
+            return "GraphonSpec(minmax)"
         if self.kind == "er":
             return f"GraphonSpec(er, p={self.p})"
-        if self.kind == "sbm":
-            return f"GraphonSpec(sbm, K={self.Q.shape[0]})"
-        if self.kind == "grid":
-            return f"GraphonSpec(grid, M={self.values.shape[0]})"
-        return "GraphonSpec(minmax)"
+        return f"GraphonSpec({self.kind}, K={len(_blocks(self)[0])})"
 
     def __setstate__(self, state):  # unpickled arrays come back writeable: freeze them again
         for value in state.values():
@@ -151,6 +149,21 @@ def _sbm_block_index(x, w):
     return np.clip(idx, 0, len(w) - 1)
 
 
+def _blocks(spec: GraphonSpec):
+    """A step kernel's block matrix Q and block masses: er one block, sbm K, a grid n equal cells."""
+    if spec.kind == "grid":
+        n = len(spec.values)
+        return spec.values, np.full(n, 1.0 / n)
+    return (np.array([[spec.p]]), np.ones(1)) if spec.kind == "er" else (spec.Q, spec.w)
+
+
+def _block_index(spec: GraphonSpec, x):
+    """The block of ``_blocks(spec)`` that holds each point x."""
+    if spec.kind == "grid":
+        return _cell_index(x, len(spec.values))
+    return _sbm_block_index(x, _blocks(spec)[1])
+
+
 def evaluate(spec: GraphonSpec, x, y):
     """Evaluate W(x, y). Accepts scalars or broadcasting arrays in [0, 1].
 
@@ -166,13 +179,8 @@ def evaluate(spec: GraphonSpec, x, y):
         out = np.broadcast_to(np.float64(spec.p), np.broadcast_shapes(xa.shape, ya.shape)).copy()
     elif spec.kind == "minmax":
         out = np.minimum(xa, ya) * (1.0 - np.maximum(xa, ya))
-    elif spec.kind == "sbm":
-        out = spec.Q[_sbm_block_index(xa, spec.w), _sbm_block_index(ya, spec.w)]
-    elif spec.kind == "grid":
-        n = spec.values.shape[0]
-        out = spec.values[_cell_index(xa, n), _cell_index(ya, n)]
-    else:  # pragma: no cover - constructors forbid this
-        raise ValueError(f"unknown graphon kind {spec.kind!r}")
+    else:
+        out = _blocks(spec)[0][_block_index(spec, xa), _block_index(spec, ya)]
 
     if np.isscalar(x) and np.isscalar(y):
         return float(out)
@@ -182,13 +190,13 @@ def evaluate(spec: GraphonSpec, x, y):
 def lipschitz_metadata(spec: GraphonSpec) -> tuple[float, int]:
     """Return (L, Omega): the piecewise Lipschitz constant and breakpoint count.
 
-    Constant and step-function kernels are flat within cells (L = 0, Omega =
-    number of interior cell boundaries); the minmax kernel is globally
-    Lipschitz with constant 2 (Omega = 0).
+    Step kernels (constant, block, grid) are flat within their blocks (L = 0,
+    Omega = number of interior block boundaries); the minmax kernel is
+    globally Lipschitz with constant 2 (Omega = 0).
     """
-    L = 2.0 if spec.kind == "minmax" else 0.0
-    cells = {"sbm": spec.Q, "grid": spec.values}.get(spec.kind)
-    return L, 0 if cells is None else cells.shape[0] - 1
+    if spec.kind == "minmax":
+        return 2.0, 0
+    return 0.0, len(_blocks(spec)[0]) - 1
 
 
 _FIELDS = ("p", "Q", "w", "values")

@@ -129,11 +129,9 @@ def write_edge_csv(matrix: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["i", "j", "weight"])
-        iu, ju = np.triu_indices(matrix.shape[0], k=1)
-        for i, j in zip(iu, ju):
-            wij = matrix[i, j]
-            if wij != 0.0:
-                writer.writerow([int(i), int(j), repr(float(wij))])
+        iu, ju = np.nonzero(np.triu(matrix, 1))  # row-major: rows ascending, then columns
+        for i, j, wij in zip(iu.tolist(), ju.tolist(), matrix[iu, ju].tolist()):
+            writer.writerow([i, j, repr(float(wij))])
 
 
 def load_network_json(path) -> tuple[np.ndarray, TypeVector]:

@@ -5,10 +5,10 @@ collocation on the uniform M-grid: the kernel is sampled at cell midpoints
 and the quadrature weight is 1/M. This preserves symmetry exactly and is
 exact for step-function kernels aligned with the grid.
 
-Solves and spectra only apply the operator: by sums per community for the
-constant and K-block kernels, by two cumulative sums for minmax, each in O(M)
-memory. A grid kernel keeps its matrix and 1/M times it (16 M^2 bytes) to
-solve exactly as its network at M equal to its cell count.
+Solves and spectra only apply the operator, never the kernel matrix: minmax
+by two cumulative sums, a step kernel (constant, block, grid) by Q/M gathered
+to M x M or, when smaller, Q/M times block sums from a 0-1 indicator. At a
+grid's own cell count Q/M is P/N, so it solves exactly as its network.
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationLimitError
-from .kernels import GraphonSpec, _cell_index, _sbm_block_index, _validate_sbm, evaluate
+from .kernels import GraphonSpec, _block_index, _blocks, _cell_index, _validate_sbm, evaluate
 
 __all__ = [
     "GridFunction",
@@ -100,11 +100,14 @@ class DiscretizedOperator:
         return np.asarray(evaluate(self.spec, m[:, None], m[None, :]), dtype=float)
 
     @functools.cached_property
-    def _blocks(self):
-        # Q and the number of midpoints in each community; a narrow one may hold none.
-        spec = self.spec
-        Q, w = (spec.Q, spec.w) if spec.kind == "sbm" else (np.array([[spec.p]]), [1.0])
-        return Q, np.bincount(_sbm_block_index(midpoints(self.M), w), minlength=len(w))
+    def _step(self):
+        # A step kernel's K/M is Q/M gathered to M x M or, when that is larger,
+        # Q/M, the (blocks x M) 0-1 indicator and each midpoint's block.
+        Q = _blocks(self.spec)[0] / self.M
+        idx = _block_index(self.spec, midpoints(self.M))
+        if len(Q) * (len(Q) + self.M) >= self.M**2:
+            return Q[np.ix_(idx, idx)], None, None
+        return Q, (np.arange(len(Q))[:, None] == idx).astype(float), idx
 
     def __len__(self) -> int:
         return self.M
@@ -113,24 +116,20 @@ class DiscretizedOperator:
         """The matrix (1/M) * kernel_matrix actually applied to grid vectors."""
         return self.kernel_matrix / self.M
 
-    _matrix = functools.cached_property(matrix)  # kept: a grid kernel's products use it
-
     def __matmul__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.shape[:1] != (self.M,):
             raise ValueError(f"resolution mismatch: operator M={self.M}, operand {s.shape}")
-        if self.spec.kind == "grid":
-            return self._matrix @ s
         if self.spec.kind == "minmax":
             # K[i, j] = x_j (1 - x_i) for j <= i and x_i (1 - x_j) for j > i
             x = midpoints(self.M).reshape((-1,) + (1,) * (s.ndim - 1))
             out = (1.0 - x) * np.cumsum(x * s, axis=0)
             out[:-1] += x[:-1] * np.cumsum(((1.0 - x) * s)[:0:-1], axis=0)[::-1]
             return out / self.M
-        Q, counts = self._blocks
-        ends = np.cumsum(counts)  # summed by BLAS, as in the dense product
-        sums = np.array([np.ones(b - a) @ s[a:b] for a, b in zip(ends - counts, ends)])
-        return np.repeat(Q @ sums / self.M, counts, axis=0)
+        Q_over_M, indicator, idx = self._step  # a step kernel
+        if indicator is None:
+            return Q_over_M @ s
+        return (Q_over_M @ (indicator @ s))[idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +334,7 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
         raise ValueError(f"k must lie in [1, {op.M}], got {k}")
     found = _subspace_top_k(op, k) if k + _SUBSPACE_OVERSAMPLE < op.M else None
     if found is None:
-        evals, evecs = np.linalg.eigh(op._matrix)
+        evals, evecs = np.linalg.eigh(op.matrix())
         found = evals[::-1][:k], evecs[:, ::-1][:, :k]
     return [EigenPair(float(lam), GridFunction(_orient(v * np.sqrt(op.M))))
             for lam, v in zip(found[0], found[1].T)]
@@ -375,27 +374,21 @@ def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
 def _psi1_at_types(spec: GraphonSpec, t: np.ndarray):
     """Dominant kernel eigenfunction at the given points, plus the spectral gap.
 
-    Closed forms serve the constant, block and minmax kernels; a grid kernel is
-    discretized at its own cell count max(n, 2), where collocation is exact.
+    Closed forms: minmax's sine, and for a step kernel (constant, block, grid)
+    its block spectrum by ``sbm_eigen_analytic``, computed once per spec.
     """
-    if spec.kind == "er":
-        return np.ones_like(t), spec.p
     if spec.kind == "minmax":
         psi = np.sqrt(2.0) * np.sin(np.pi * t)
         return psi, 1.0 / np.pi**2 - 1.0 / (4.0 * np.pi**2)
-    if spec.kind == "sbm":
-        pairs = sbm_eigen_analytic(spec.Q, spec.w)
-        lam1, blocks = pairs[0]
-        lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
-        return blocks[_sbm_block_index(t, spec.w)], lam1 - lam2
-    pairs = _grid_top_pairs(spec)
-    return pairs[0].function.value_at(t), pairs[0].value - pairs[1].value
+    pairs = _step_pairs(spec)
+    lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
+    return pairs[0][1][_block_index(spec, t)], pairs[0][0] - lam2
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_top_pairs(spec: GraphonSpec):
+def _step_pairs(spec: GraphonSpec):
     # keyed by identity (GraphonSpec has eq=False); safe as a spec's arrays are read-only
-    return top_k_eigen(discretize(spec, max(len(spec.values), 2)), 2)
+    return sbm_eigen_analytic(*_blocks(spec))
 
 
 def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:

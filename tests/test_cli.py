@@ -343,6 +343,13 @@ def test_bne_epsilon_with_a_nan_L_U_exits_1(tmp_path):
     assert not (tmp_path / "epsilon.csv").exists()
 
 
+def test_eigen_with_nan_community_masses_exits_1(tmp_path, capsys):
+    assert run(["eigen", "--graphon", "sbm", "--gin", "0.5", "--gout", "0.1", "--w", "nan,nan",
+                "--out", str(tmp_path)]) == 1
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "eigenvalues.csv").exists()
+
+
 def test_intervene_with_a_nan_budget_exits_1(tmp_path, capsys):
     assert run(["intervene", "--graphon", "minmax", "--N", "20", "--alpha", "0.5", "--beta", "1",
                 "--C", "nan", "--out", str(tmp_path)]) == 1

@@ -163,13 +163,13 @@ def test_grid_intervention_experiment_computes_the_eigenpairs_once(monkeypatch):
     from graphon_games import spectral
 
     calls = []
-    real = spectral.top_k_eigen
+    real = spectral.sbm_eigen_analytic
 
-    def counting(op, k):
-        calls.append(op.M)
-        return real(op, k)
+    def counting(Q, w):
+        calls.append(len(w))
+        return real(Q, w)
 
-    monkeypatch.setattr(spectral, "top_k_eigen", counting)
+    monkeypatch.setattr(spectral, "sbm_eigen_analytic", counting)
     spec = kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.5]])
     stats = ex.intervention_experiment(spec, 2.0, 1.0, 0.01, [20, 30], 3, 0, 5, jobs=1)
     assert [s.failures for s in stats] == [0, 0]

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import numpy as np
@@ -189,6 +190,19 @@ def test_sbm_invariants_enforced():
         kernels.sbm(SBM_Q, [1.0, 0.0])  # zero mass
     with pytest.raises(ValueError):
         kernels.sbm([[1.2, 0.1], [0.1, 0.8]], SBM_W)  # out of range
+
+
+@pytest.mark.parametrize("w", [[math.nan, math.nan], [math.nan, 0.5], [math.inf, 0.5]])
+def test_sbm_rejects_nan_or_infinite_masses(w):
+    # NaN fails both the positivity and the unit-sum comparison, so it must
+    # be caught on its own.
+    with pytest.raises(ValueError, match="finite and positive"):
+        kernels.sbm(SBM_Q, w)
+
+
+def test_grid_kernel_rejects_zero_cells():
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        kernels.grid_kernel(np.zeros((0, 0)))
 
 
 def test_er_probability_range():

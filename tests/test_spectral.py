@@ -84,15 +84,22 @@ def test_apply_resolution_mismatch():
 
 @st.composite
 def structured_kernels(draw):
-    """An er, sbm or minmax spec; sbm masses down to 1e-4 leave communities without a midpoint."""
-    kind = draw(st.sampled_from(["er", "sbm", "minmax"]))
+    """An er, sbm, minmax or grid spec.
+
+    sbm masses down to 1e-4 leave communities without a midpoint; grids of 1
+    to 6 cells meet M below, at and above their cell count, a multiple of it
+    or not.
+    """
+    kind = draw(st.sampled_from(["er", "sbm", "minmax", "grid"]))
     if kind == "er":
         return kernels.erdos_renyi(draw(st.floats(0.0, 1.0)))
     if kind == "minmax":
         return kernels.minmax()
-    K = draw(st.integers(1, 5))
+    K = draw(st.integers(1, 6 if kind == "grid" else 5))
     Q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=K * K, max_size=K * K)))
     Q = Q.reshape(K, K)
+    if kind == "grid":
+        return kernels.grid_kernel((Q + Q.T) / 2.0)
     raw = np.array(draw(st.lists(st.floats(1e-4, 1.0), min_size=K, max_size=K)))
     return kernels.sbm((Q + Q.T) / 2.0, raw / raw.sum())
 
@@ -129,7 +136,10 @@ def test_structured_product_with_a_community_holding_no_midpoint(w):
 
 
 @pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
-                                  kernels.minmax()], ids=["er", "sbm", "minmax"])
+                                  kernels.minmax(),
+                                  kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1],
+                                                       [0.2, 0.1, 0.5]])],
+                         ids=["er", "sbm", "minmax", "grid"])
 def test_structured_spectra_never_build_the_kernel_matrix(spec):
     # At M = 2000 subspace iteration certifies the top three pairs within its
     # step cap, so top_k_eigen takes no dense eigh.
