@@ -6,9 +6,9 @@ and the quadrature weight is 1/M. This preserves symmetry exactly and is
 exact for step-function kernels aligned with the grid.
 
 Solves and spectra only apply the operator, never the kernel matrix: minmax
-by two cumulative sums, a step kernel (constant, block, grid) by Q/M gathered
-to M x M or, when smaller, Q/M times block sums from a 0-1 indicator. At a
-grid's own cell count Q/M is P/N, so it solves exactly as its network.
+by two cumulative sums, a step kernel (constant, block, grid) by Q/M times
+block sums from a 0-1 indicator. At a grid's own cell count each block holds
+one midpoint and Q/M is P/N, so it solves exactly as its network.
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -101,13 +101,12 @@ class DiscretizedOperator:
 
     @functools.cached_property
     def _step(self):
-        # A step kernel's K/M is Q/M gathered to M x M or, when that is larger,
-        # Q/M, the (blocks x M) 0-1 indicator and each midpoint's block.
+        # A step kernel's K/M: Q/M, the (blocks x M) 0-1 indicator that sums
+        # each block by one BLAS product, and each block's midpoint count.
         Q = _blocks(self.spec)[0] / self.M
         idx = _block_index(self.spec, midpoints(self.M))
-        if len(Q) * (len(Q) + self.M) >= self.M**2:
-            return Q[np.ix_(idx, idx)], None, None
-        return Q, (np.arange(len(Q))[:, None] == idx).astype(float), idx
+        counts = np.bincount(idx, minlength=len(Q))
+        return Q, (np.arange(len(Q))[:, None] == idx).astype(float), counts
 
     def __len__(self) -> int:
         return self.M
@@ -126,10 +125,8 @@ class DiscretizedOperator:
             out = (1.0 - x) * np.cumsum(x * s, axis=0)
             out[:-1] += x[:-1] * np.cumsum(((1.0 - x) * s)[:0:-1], axis=0)[::-1]
             return out / self.M
-        Q_over_M, indicator, idx = self._step  # a step kernel
-        if indicator is None:
-            return Q_over_M @ s
-        return (Q_over_M @ (indicator @ s))[idx]
+        Q_over_M, indicator, counts = self._step  # a step kernel
+        return np.repeat(Q_over_M @ (indicator @ s), counts, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,17 +270,18 @@ def dominant_eigenpair(
     return EigenPair(lam, GridFunction(psi))
 
 
-def _subspace_top_k(A, k: int):
-    """Top-k eigenpairs of symmetric A by block subspace iteration, or None.
+def _top_pairs(A, k: int, dense):
+    """Top-k eigenpairs of symmetric A by the method of ``top_k_eigen``.
 
-    Returns (values descending, unit Euclidean eigenvectors as columns) once
-    certified, None when the iteration cap is reached first.
+    Returns (values descending, unit Euclidean eigenvectors as rows) from
+    block subspace iteration once certified, or from a full eigh of the
+    matrix dense() when the iteration cap is reached first.
     """
     M = len(A)
     p = k + _SUBSPACE_OVERSAMPLE
-    V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((M, p)))
     # About M / (5p) block products cost a quarter of a full eigh.
-    for _ in range(M // (5 * p)):
+    for i in range(M // (5 * p)):
+        V, _ = np.linalg.qr(AX if i else np.random.default_rng(0).standard_normal((M, p)))
         W = A @ V
         H = V.T @ W
         theta, S = np.linalg.eigh(0.5 * (H + H.T))  # ascending Ritz values
@@ -296,9 +294,9 @@ def _subspace_top_k(A, k: int):
         resid = np.linalg.norm((AX[:, top] - X * theta[top]) / scale, axis=0)
         if (resid.max() <= _SUBSPACE_TOL
                 and np.abs(theta).min() <= theta[-k] + _SUBSPACE_TOL * scale):
-            return theta[top], X
-        V, _ = np.linalg.qr(AX)
-    return None
+            return theta[top], X.T
+    evals, evecs = np.linalg.eigh(dense())
+    return evals[::-1][:k], evecs[:, ::-1].T[:k]
 
 
 def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
@@ -332,34 +330,30 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     """
     if k < 1 or k > op.M:
         raise ValueError(f"k must lie in [1, {op.M}], got {k}")
-    found = _subspace_top_k(op, k) if k + _SUBSPACE_OVERSAMPLE < op.M else None
-    if found is None:
-        evals, evecs = np.linalg.eigh(op.matrix())
-        found = evals[::-1][:k], evecs[:, ::-1][:, :k]
     return [EigenPair(float(lam), GridFunction(_orient(v * np.sqrt(op.M))))
-            for lam, v in zip(found[0], found[1].T)]
+            for lam, v in zip(*_top_pairs(op, k, op.matrix))]
 
 
-def sbm_eigen_analytic(Q, w) -> list[tuple[float, np.ndarray]]:
-    """Exact spectrum of a block-constant kernel.
+def sbm_eigen_analytic(Q, w, k: int | None = None) -> list[tuple[float, np.ndarray]]:
+    """Exact spectrum of a block-constant kernel: its k largest pairs (all K by default).
 
     The kernel operator shares its eigenvalues with the K x K matrix
     E = Q diag(w); eigenfunctions are constant on each community. The
     computation runs on the symmetric similar matrix
     diag(sqrt(w)) Q diag(sqrt(w)), which has the same spectrum and is
-    numerically stable. Returned per-block values give eigenfunctions with
-    unit L2 norm; pairs are sorted by descending eigenvalue.
+    numerically stable, by the method of ``top_k_eigen``. Returned
+    per-block values give eigenfunctions with unit L2 norm; pairs are
+    sorted by descending eigenvalue.
     """
     Q, w = _validate_sbm(Q, w)
+    k = len(w) if k is None else k
+    if k < 1 or k > len(w):
+        raise ValueError(f"k must lie in [1, {len(w)}], got {k}")
     sw = np.sqrt(w)
     S = sw[:, None] * Q * sw[None, :]
-    evals, evecs = np.linalg.eigh(S)
-    out = []
-    for i in range(len(w) - 1, -1, -1):
-        # Per-block eigenfunction values: u / sqrt(w) has unit L2 norm since
-        # sum_k w_k * (u_k / sqrt(w_k))**2 = sum_k u_k**2 = 1.
-        out.append((float(evals[i]), _orient(evecs[:, i] / sw, weights=w)))
-    return out
+    # Per-block eigenfunction values: u / sqrt(w) has unit L2 norm since
+    # sum_k w_k * (u_k / sqrt(w_k))**2 = sum_k u_k**2 = 1.
+    return [(float(lam), _orient(u / sw, weights=w)) for lam, u in zip(*_top_pairs(S, k, lambda: S))]
 
 
 def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
@@ -388,7 +382,8 @@ def _psi1_at_types(spec: GraphonSpec, t: np.ndarray):
 @functools.lru_cache(maxsize=4)
 def _step_pairs(spec: GraphonSpec):
     # keyed by identity (GraphonSpec has eq=False); safe as a spec's arrays are read-only
-    return sbm_eigen_analytic(*_blocks(spec))
+    Q, w = _blocks(spec)
+    return sbm_eigen_analytic(Q, w, min(2, len(w)))
 
 
 def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:

@@ -266,6 +266,32 @@ def test_sbm_analytic_unit_l2_norm():
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sbm_analytic_top_k_matches_the_full_spectrum(monkeypatch):
+    # 100 equal blocks of a rank-3 kernel: subspace iteration certifies the
+    # top pairs in its second step, so k=2 takes no full eigh, unlike k=None.
+    K = 100
+    x = spectral.midpoints(K)
+    Q = 0.2 + 0.3 * np.outer(x, x) + 0.4 * np.outer(x**2, x**2)
+    w = np.full(K, 1.0 / K)
+    full = spectral.sbm_eigen_analytic(Q, w)
+    assert len(full) == K
+    eigh = np.linalg.eigh
+
+    def ritz_only(a, *args, **kwargs):
+        assert len(a) < K
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", ritz_only)
+    top = spectral.sbm_eigen_analytic(Q, w, 2)
+    assert len(top) == 2
+    for (lam, blocks), (ref_lam, ref_blocks) in zip(top, full):
+        assert lam == pytest.approx(ref_lam, abs=1e-12 * full[0][0])
+        assert np.max(np.abs(blocks - ref_blocks)) < 1e-9
+    for k in (0, K + 1):
+        with pytest.raises(ValueError):
+            spectral.sbm_eigen_analytic(Q, w, k)
+
+
 def test_sbm_analytic_matches_numeric_function():
     # Analytic and discretized dominant eigenfunctions agree in L2 at M = 400.
     M = 400
