@@ -343,7 +343,10 @@ def step_function_embed(s) -> GridFunction:
 def l2_distance(f: GridFunction, g: GridFunction) -> float:
     """L2 distance of two step functions over their merged breakpoints (equal grids too)."""
     # Breakpoints i / f.M and j / g.M in units of 1 / (f.M g.M), exact integers.
-    edges = np.union1d(np.arange(f.M + 1) * g.M, np.arange(g.M + 1) * f.M)
+    # Both runs are sorted, so a stable sort (timsort) merges them in one pass.
+    edges = np.sort(np.concatenate((np.arange(f.M + 1) * g.M, np.arange(g.M + 1) * f.M)),
+                    kind="stable")
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     diff = f.values[edges[:-1] // g.M] - g.values[edges[:-1] // f.M]
     return float(np.sqrt(np.sum(np.diff(edges) * diff**2) / (f.M * g.M)))
 

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     LqPayoff,
+    _solve,
     bound_rho,
     comparative_statics_bound,
     l2_distance,
     lq_s_max,
     solve_graphon,
-    solve_network,
     step_function_embed,
 )
 from .errors import ContractionError, IterationLimitError
@@ -144,10 +146,9 @@ def _distance_trial(args):
     sbar = GridFunction(sbar_values)
     try:
         types, P, A = _trial_networks(spec, N, trial, seed)
-        rep_w = solve_network(P, payoff)
-        rep_s = solve_network(A, payoff)
-        dist_w = l2_distance(step_function_embed(rep_w.profile_array()), sbar)
-        dist_s = l2_distance(step_function_embed(rep_s.profile_array()), sbar)
+        # The trial built P and A symmetric, finite and >= 0: no solve_network input checks.
+        reps = [_solve(X / N, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None) for X in (P, A)]
+        dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:
         return (N, trial, math.nan, math.nan, math.nan, repr(exc))

@@ -92,15 +92,14 @@ def weighted_network(spec: GraphonSpec, types: TypeVector) -> WeightedNetwork:
 
 
 def simple_network(Pw: WeightedNetwork, seed) -> SimpleNetwork:
-    """Draw each edge i < j independently as Bernoulli(P[i, j])."""
+    """Draw edges i < j independently as Bernoulli(P[i, j]), from P's strict upper triangle only."""
     N = Pw.N
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(N, k=1)
-    draws = rng.random(iu.shape[0])
-    A = np.zeros((N, N))
-    edges = (draws < Pw.P[iu, ju]).astype(float)
-    A[iu, ju] = edges
-    A[ju, iu] = edges
+    upper = np.arange(N)[:, None] < np.arange(N)
+    A = np.empty((N, N))  # holds the draws, then the links
+    A[upper] = rng.random(N * (N - 1) // 2)  # a boolean mask fills in row-major order
+    links = np.less(A, Pw.P, where=upper, out=np.zeros((N, N), dtype=bool))
+    np.logical_or(links, links.T, out=A)
     return SimpleNetwork(A=A, types=Pw.types, seed=seed)
 
 

@@ -324,8 +324,10 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     Tolerance: eigenvalues agree with a full eigendecomposition to
     1e-12 |lambda_1|, and eigenfunctions whose gap to both neighbours
     exceeds 1e-4 |lambda_1| to 1e-10; closer eigenvalues loosen this as
-    1 / gap, as round-off does for any eigensolver. Eigenvectors are
-    rescaled from unit Euclidean norm to unit L2 norm and oriented by the
+    1 / gap, as round-off does for any eigensolver. The eigenfunctions of a
+    repeated eigenvalue (such as er's zeros at k >= 2) are an arbitrary basis
+    of its eigenspace and may change entirely under round-off. Eigenvectors
+    are rescaled from unit Euclidean norm to unit L2 norm and oriented by the
     rule of ``dominant_eigenpair``.
     """
     if k < 1 or k > op.M:

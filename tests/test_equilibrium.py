@@ -332,6 +332,31 @@ def test_l2_distance_memory_is_linear_in_the_grid_sizes():
     assert peak < 1_000_000
 
 
+def _l2_distance_union1d(f, g):
+    # The formula before the breakpoint merge: np.union1d sorts and deduplicates.
+    edges = np.union1d(np.arange(f.M + 1) * g.M, np.arange(g.M + 1) * f.M)
+    diff = f.values[edges[:-1] // g.M] - g.values[edges[:-1] // f.M]
+    return float(np.sqrt(np.sum(np.diff(edges) * diff**2) / (f.M * g.M)))
+
+
+@given(data=st.data(), relation=st.sampled_from(["equal", "dividing", "coprime", "any"]),
+       swap=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_l2_distance_merge_matches_the_union1d_formula(data, relation, swap, seed):
+    m = data.draw(st.integers(1, 400))
+    n = {"equal": st.just(m),
+         "dividing": st.integers(1, 400 // m).map(lambda k: k * m),
+         "coprime": st.integers(1, 400).filter(lambda n: math.gcd(m, n) == 1),
+         "any": st.integers(1, 400)}[relation]
+    n = data.draw(n)
+    if swap:
+        m, n = n, m
+    rng = np.random.default_rng(seed)
+    f = spectral.GridFunction(rng.standard_normal(m))
+    g = spectral.GridFunction(rng.standard_normal(n))
+    assert eq.l2_distance(f, g) == _l2_distance_union1d(f, g)
+
+
 # --- network/graphon equivalence ---------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [0.8, -0.8])

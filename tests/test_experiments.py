@@ -9,7 +9,9 @@ from graphon_games.equilibrium import (
     LqPayoff,
     l2_distance,
     lq_as_generic,
+    solve_graphon,
     solve_graphon_lq,
+    solve_network,
     solve_network_lq,
     step_function_embed,
 )
@@ -117,6 +119,23 @@ def test_generic_payoff_distance_results_independent_of_jobs(tmp_path):
     ex.distance_experiment(**args, jobs=1, csv_path=p1)
     ex.distance_experiment(**args, jobs=2, csv_path=p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [kernels.minmax(),
+                                  kernels.sbm([[0.8, 0.1], [0.1, 0.5]], [0.75, 0.25])],
+                         ids=["minmax", "sbm"])
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+def test_distance_trial_matches_the_public_solver(spec, alpha):
+    # The trial calls the solver core on the matrices it built; the public
+    # solve_network, with all its checks, must give the same tuple bit for bit.
+    payoff = LqPayoff(alpha, 1.0)
+    sbar = solve_graphon(spec, payoff, 300).profile
+    for N, trial in ((1, 0), (40, 2), (150, 5)):
+        types, P, A = ex._trial_networks(spec, N, trial, 31)
+        reps = [solve_network(X, payoff) for X in (P, A)]
+        dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
+        want = (N, trial, dist_w, dist_s, ex._max_type_deviation(types.types), None)
+        assert ex._distance_trial((spec, payoff, N, trial, 31, sbar.values)) == want
 
 
 # --- intervention experiment -------------------------------------------------------

@@ -109,6 +109,41 @@ def test_simple_symmetric_zero_diag_deterministic():
     assert set(np.unique(a.A)) <= {0.0, 1.0}
 
 
+def _triu_reference(P, seed):
+    # Gather the strict upper triangle by triu_indices, draw, scatter both ways.
+    N = P.shape[0]
+    iu, ju = np.triu_indices(N, k=1)
+    edges = (np.random.default_rng(seed).random(iu.shape[0]) < P[iu, ju]).astype(float)
+    A = np.zeros((N, N))
+    A[iu, ju] = edges
+    A[ju, iu] = edges
+    return A
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 57, 400])
+@pytest.mark.parametrize("seed", [0, 17, 2**40 + 3])
+@pytest.mark.parametrize("spec", [kernels.minmax(), kernels.erdos_renyi(1.0)],
+                         ids=["minmax", "er1"])
+def test_simple_network_consumes_the_stream_in_row_major_upper_triangle_order(N, seed, spec):
+    net = sampling.weighted_network(spec, sampling.sample_types(N, seed=seed + 1))
+    A = sampling.simple_network(net, seed=seed).A
+    assert A.dtype == np.float64 and A.shape == (N, N)
+    assert A.tobytes() == _triu_reference(net.P, seed).tobytes()
+
+
+def test_simple_network_reads_only_the_strict_upper_triangle():
+    N = 9
+    P = np.random.default_rng(3).random((N, N))
+    lower = np.tril_indices(N, k=-1)
+    P[lower] = np.where(np.arange(lower[0].shape[0]) % 2, 2.0, np.nan)
+    np.fill_diagonal(P, 5.0)
+    net = sampling.WeightedNetwork(P=P, types=sampling.sample_types(N, seed=4))
+    A = sampling.simple_network(net, seed=8).A
+    assert A.tobytes() == _triu_reference(P, 8).tobytes()
+    assert np.array_equal(A, A.T) and not np.diag(A).any()
+    assert 0.0 < A.mean() < 1.0
+
+
 def test_mean_consistency():
     # Averaging Bernoulli networks over seeds recovers the weighted network.
     N, n_seeds = 25, 2000
