@@ -146,8 +146,11 @@ def _distance_trial(args):
     sbar = GridFunction(sbar_values)
     try:
         types, P, A = _trial_networks(spec, N, trial, seed)
-        # The trial built P and A symmetric, finite and >= 0: no solve_network input checks.
-        reps = [_solve(X / N, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None) for X in (P, A)]
+        # The trial built and owns P and A, symmetric, finite and >= 0: scaled in
+        # place, with no solve_network input checks.
+        P /= N
+        A /= N
+        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None) for X in (P, A)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:

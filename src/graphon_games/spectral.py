@@ -5,10 +5,12 @@ collocation on the uniform M-grid: the kernel is sampled at cell midpoints
 and the quadrature weight is 1/M. This preserves symmetry exactly and is
 exact for step-function kernels aligned with the grid.
 
-Solves and spectra only apply the operator, never the kernel matrix: minmax
-by two cumulative sums, a step kernel (constant, block, grid) by Q/M times
-block sums from a 0-1 indicator. At a grid's own cell count each block holds
-one midpoint and Q/M is P/N, so it solves exactly as its network.
+Solves and the dominant eigenpair only apply the operator, never the kernel
+matrix: minmax by two cumulative sums, a step kernel (constant, block, grid)
+by Q/M times block sums from a 0-1 indicator. At a grid's own cell count each
+block holds one midpoint and Q/M is P/N, so it solves exactly as its network.
+Top-k spectra need neither: both kernel families have exact discretized
+spectra (see ``top_k_eigen``).
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationLimitError
-from .kernels import GraphonSpec, _block_index, _blocks, _cell_index, _validate_sbm, evaluate
+from .kernels import (GraphonSpec, _block_index, _blocks, _cell_index, _check_unit_interval,
+                      _validate_sbm, evaluate)
 
 __all__ = [
     "GridFunction",
@@ -42,8 +45,6 @@ __all__ = [
 
 POWER_TOL = 1e-13
 POWER_MAX_ITER = 100_000
-_SUBSPACE_OVERSAMPLE = 8
-_SUBSPACE_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
@@ -64,8 +65,10 @@ class GridFunction:
         return float(np.sqrt(np.mean(self.values**2)))
 
     def value_at(self, x):
-        """Evaluate the step function at points x in [0, 1]."""
-        out = self.values[_cell_index(x, self.M)]
+        """Evaluate the step function at points x in [0, 1]; others raise ValueError."""
+        xa = np.asarray(x, dtype=float)
+        _check_unit_interval(xa, "point x")
+        out = self.values[_cell_index(xa, self.M)]
         return float(out) if np.isscalar(x) else out
 
     def to_json(self) -> list:
@@ -270,98 +273,90 @@ def dominant_eigenpair(
     return EigenPair(lam, GridFunction(psi))
 
 
-def _top_pairs(A, k: int, dense):
-    """Top-k eigenpairs of symmetric A by the method of ``top_k_eigen``.
+def _helmert(c: np.ndarray, t: int) -> np.ndarray:
+    """The t-th Helmert contrast inside consecutive blocks of c points, unit Euclidean norm.
 
-    Returns (values descending, unit Euclidean eigenvectors as rows) from
-    block subspace iteration once certified, or from a full eigh of the
-    matrix dense() when the iteration cap is reached first.
+    Block b holds contrasts j = 1 .. c_b - 1, ones on its first j points and
+    -j on the next: an orthonormal basis of the vectors summing to 0 on each block.
     """
-    M = len(A)
-    p = k + _SUBSPACE_OVERSAMPLE
-    # About M / (5p) block products cost a quarter of a full eigh.
-    for i in range(M // (5 * p)):
-        V, _ = np.linalg.qr(AX if i else np.random.default_rng(0).standard_normal((M, p)))
-        W = A @ V
-        H = V.T @ W
-        theta, S = np.linalg.eigh(0.5 * (H + H.T))  # ascending Ritz values
-        AX = W @ S
-        top = slice(-1, -k - 1, -1)  # the k largest Ritz values, descending
-        X = V @ S[:, top]
-        # Residuals relative to the largest |theta|, scaled before the norm
-        # so that squares of tiny entries cannot underflow to zero.
-        scale = max(abs(theta[0]), abs(theta[-1])) or 1.0
-        resid = np.linalg.norm((AX[:, top] - X * theta[top]) / scale, axis=0)
-        if (resid.max() <= _SUBSPACE_TOL
-                and np.abs(theta).min() <= theta[-k] + _SUBSPACE_TOL * scale):
-            return theta[top], X.T
-    evals, evecs = np.linalg.eigh(dense())
-    return evals[::-1][:k], evecs[:, ::-1].T[:k]
+    ends = np.cumsum(c - 1)  # contrasts before the end of each block
+    b = int(np.searchsorted(ends, t, side="right"))
+    j = int(t - ends[b] + c[b])
+    v = np.zeros(int(c.sum()))
+    start = int(c[:b].sum())
+    v[start:start + j] = 1.0
+    v[start + j] = -j
+    return v / np.sqrt(j * (j + 1.0))
 
 
 def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     """The k largest (algebraic) eigenvalues with L2-orthonormal eigenfunctions.
 
-    Method: block subspace iteration with Rayleigh-Ritz on a block of
-    p = k + 8 columns from a fixed-seed Gaussian start, so results do not
-    depend on the global random state or on earlier calls. Each step takes
-    the Ritz pairs of the block, then replaces the block by an orthonormal
-    basis of A times the Ritz vectors.
+    Both kernel families have exact discretized spectra; nothing iterates and
+    no M x M matrix is built. minmax: the sampled sines sin(h pi x), h = 1 .. M,
+    with the decreasing eigenvalues (2 M sin(h pi / (2 M)))**-2. Step kernels
+    (er, sbm, grid): with c_b midpoints in block b and B' blocks holding any,
+    ``sbm_eigen_analytic`` of Q with masses c / M gives B' block-constant
+    eigenfunctions; the other M - B' eigenvalues are exact zeros, with the
+    Helmert contrasts inside each block as a fixed orthonormal basis. One
+    stable descending sort ranks all values: ties put the block eigenvectors
+    first, and negative block eigenvalues rank below the zeros.
 
-    Certificate: the pairs are accepted when every residual
-    ||A x - theta x|| of the k largest Ritz values is at most 1e-12 times
-    the largest |theta|, and the block's smallest |theta| is at most
-    theta_k plus that tolerance. The iteration converges to the p
-    largest-magnitude eigenvalues, so the second condition means no
-    eigenvalue outside the block exceeds theta_k, which also covers
-    kernels with large negative eigenvalues.
-
-    Fallback: when p >= M, or when the iteration is not certified within
-    about M / (5p) steps (a quarter of the work of a full symmetric
-    eigendecomposition; kernels without spectral decay, such as the step
-    kernel of a sampled network), the result is that of ``np.linalg.eigh``.
-
-    Tolerance: eigenvalues agree with a full eigendecomposition to
-    1e-12 |lambda_1|, and eigenfunctions whose gap to both neighbours
-    exceeds 1e-4 |lambda_1| to 1e-10; closer eigenvalues loosen this as
-    1 / gap, as round-off does for any eigensolver. The eigenfunctions of a
-    repeated eigenvalue (such as er's zeros at k >= 2) are an arbitrary basis
-    of its eigenspace and may change entirely under round-off. Eigenvectors
-    are rescaled from unit Euclidean norm to unit L2 norm and oriented by the
-    rule of ``dominant_eigenpair``.
+    Tolerance: eigenvalues agree with ``np.linalg.eigh`` of the operator
+    matrix to 1e-12 |lambda_1|, and eigenfunctions whose gap to both
+    neighbours exceeds 1e-4 |lambda_1| to 1e-10; closer eigenvalues loosen
+    this as 1 / gap, as round-off does for any eigensolver. Eigenfunctions
+    have unit L2 norm and are oriented by the rule of ``dominant_eigenpair``.
     """
-    if k < 1 or k > op.M:
-        raise ValueError(f"k must lie in [1, {op.M}], got {k}")
-    return [EigenPair(float(lam), GridFunction(_orient(v * np.sqrt(op.M))))
-            for lam, v in zip(*_top_pairs(op, k, op.matrix))]
+    M = op.M
+    if k < 1 or k > M:
+        raise ValueError(f"k must lie in [1, {M}], got {k}")
+    if op.spec.kind == "minmax":
+        h = np.arange(1, k + 1)
+        F = np.sin(np.pi * np.outer(h, midpoints(M)))
+        F /= np.sqrt(np.mean(F**2, axis=1, keepdims=True))  # 1/sqrt(2), but 1 at h = M
+        values = (2.0 * M * np.sin(h * np.pi / (2 * M))) ** -2.0
+        return [EigenPair(float(lam), GridFunction(_orient(f))) for lam, f in zip(values, F)]
+    Q = _blocks(op.spec)[0]
+    c = np.bincount(_block_index(op.spec, midpoints(M)), minlength=len(Q))
+    keep = c > 0
+    c = c[keep]
+    blocks = sbm_eigen_analytic(Q[np.ix_(keep, keep)], c / M)
+    values = np.array([lam for lam, _ in blocks] + [0.0] * min(k, M - len(c)))
+    pairs = []
+    for i in np.argsort(-values, kind="stable")[:k]:
+        f = np.repeat(blocks[i][1], c) if i < len(c) else _helmert(c, i - len(c)) * np.sqrt(M)
+        pairs.append(EigenPair(float(values[i]), GridFunction(_orient(f))))
+    return pairs
 
 
 def sbm_eigen_analytic(Q, w, k: int | None = None) -> list[tuple[float, np.ndarray]]:
     """Exact spectrum of a block-constant kernel: its k largest pairs (all K by default).
 
     The kernel operator shares its eigenvalues with the K x K matrix
-    E = Q diag(w); eigenfunctions are constant on each community. The
-    computation runs on the symmetric similar matrix
+    E = Q diag(w); eigenfunctions are constant on each community. They come
+    from ``np.linalg.eigh`` of the symmetric similar matrix
     diag(sqrt(w)) Q diag(sqrt(w)), which has the same spectrum and is
-    numerically stable, by the method of ``top_k_eigen``. Returned
-    per-block values give eigenfunctions with unit L2 norm; pairs are
-    sorted by descending eigenvalue.
+    numerically stable. Returned per-block values give eigenfunctions with
+    unit L2 norm, oriented by the rule of ``dominant_eigenpair`` with the
+    mean weighted by w; pairs are sorted by descending eigenvalue.
     """
     Q, w = _validate_sbm(Q, w)
     k = len(w) if k is None else k
     if k < 1 or k > len(w):
         raise ValueError(f"k must lie in [1, {len(w)}], got {k}")
     sw = np.sqrt(w)
-    S = sw[:, None] * Q * sw[None, :]
+    values, U = np.linalg.eigh(sw[:, None] * Q * sw[None, :])
     # Per-block eigenfunction values: u / sqrt(w) has unit L2 norm since
     # sum_k w_k * (u_k / sqrt(w_k))**2 = sum_k u_k**2 = 1.
-    return [(float(lam), _orient(u / sw, weights=w)) for lam, u in zip(*_top_pairs(S, k, lambda: S))]
+    return [(float(lam), _orient(u / sw, weights=w))
+            for lam, u in zip(values[::-1][:k], U.T[::-1])]
 
 
 def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
-    """Closed-form eigenpair of the minmax kernel: (1/(pi h)^2, sqrt(2) sin(h pi x))."""
-    if h < 1:
-        raise ValueError("mode index must be a positive integer")
+    """Closed-form eigenpair of the minmax kernel: (1/(pi h)^2, sqrt(2) sin(h pi x)) on M midpoints."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (h, M)):
+        raise ValueError(f"mode index and resolution must be positive integers, got {h!r}, {M!r}")
     lam = 1.0 / (np.pi * h) ** 2
     psi = np.sqrt(2.0) * np.sin(h * np.pi * midpoints(M))
     return lam, GridFunction(psi)

@@ -135,14 +135,26 @@ def test_structured_product_with_a_community_holding_no_midpoint(w):
         assert_product_matches_the_dense_one(op, s)
 
 
+def _sampled_network_grid():
+    """The step kernel of a 300-node 0-1 minmax network: no spectral decay, signed spectrum."""
+    from graphon_games import sampling
+
+    Pw = sampling.weighted_network(kernels.minmax(), sampling.sample_types(300, 1))
+    return kernels.step_graphon_from_matrix(sampling.simple_network(Pw, 2).A)
+
+
+def _random_grid(n, seed):
+    V = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
+    return kernels.grid_kernel(np.triu(V) + np.triu(V, 1).T)
+
+
 @pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
                                   kernels.minmax(),
                                   kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1],
-                                                       [0.2, 0.1, 0.5]])],
-                         ids=["er", "sbm", "minmax", "grid"])
+                                                       [0.2, 0.1, 0.5]]),
+                                  _sampled_network_grid()],
+                         ids=["er", "sbm", "minmax", "grid", "sampled-network-grid"])
 def test_structured_spectra_never_build_the_kernel_matrix(spec):
-    # At M = 2000 subspace iteration certifies the top three pairs within its
-    # step cap, so top_k_eigen takes no dense eigh.
     op = spectral.discretize(spec, 2000)
     spectral.dominant_eigenpair(op)
     spectral.top_k_eigen(op, 3)
@@ -266,22 +278,14 @@ def test_sbm_analytic_unit_l2_norm():
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sbm_analytic_top_k_matches_the_full_spectrum(monkeypatch):
-    # 100 equal blocks of a rank-3 kernel: subspace iteration certifies the
-    # top pairs in its second step, so k=2 takes no full eigh, unlike k=None.
+def test_sbm_analytic_top_k_matches_the_full_spectrum():
+    # 100 equal blocks of a rank-3 kernel: k = 2 gives the first two of the K pairs.
     K = 100
     x = spectral.midpoints(K)
     Q = 0.2 + 0.3 * np.outer(x, x) + 0.4 * np.outer(x**2, x**2)
     w = np.full(K, 1.0 / K)
     full = spectral.sbm_eigen_analytic(Q, w)
     assert len(full) == K
-    eigh = np.linalg.eigh
-
-    def ritz_only(a, *args, **kwargs):
-        assert len(a) < K
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", ritz_only)
     top = spectral.sbm_eigen_analytic(Q, w, 2)
     assert len(top) == 2
     for (lam, blocks), (ref_lam, ref_blocks) in zip(top, full):
@@ -301,6 +305,18 @@ def test_sbm_analytic_matches_numeric_function():
     analytic = blocks[(mids >= 0.75).astype(int)]
     assert abs(pair.value - lam) < 5.0 / M
     assert np.sqrt(np.mean((pair.function.values - analytic) ** 2)) < 1e-2
+
+
+@pytest.mark.parametrize("h,M", [(1.5, 4), (0, 4), (-1, 4), (1, 0), (1, 2.0)])
+def test_minmax_analytic_rejects_a_non_integer_or_nonpositive_mode_or_resolution(h, M):
+    with pytest.raises(ValueError):
+        spectral.minmax_eigen_analytic(h, M)
+
+
+def test_minmax_analytic_accepts_numpy_integers():
+    lam, psi = spectral.minmax_eigen_analytic(np.int64(2), np.int64(4))
+    assert lam == 1.0 / (4.0 * np.pi**2)
+    assert psi.M == 4
 
 
 def test_minmax_analytic_values():
@@ -370,6 +386,20 @@ def test_operator_distance_within_sampling_radius():
         assert dist > 0.0
         if deviation <= d_N:
             assert dist <= rho
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.5, math.nan, [0.5, -0.1], np.array([0.2, math.nan])])
+def test_gridfunction_value_at_rejects_points_outside_the_unit_interval(x):
+    f = spectral.GridFunction([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="outside"):
+        f.value_at(x)
+
+
+def test_gridfunction_value_at_the_interval_ends():
+    f = spectral.GridFunction([0.0, 1.0, 2.0, 3.0])
+    assert f.value_at(0.0) == 0.0
+    assert f.value_at(1.0) == 3.0  # the last cell is closed at 1
+    assert np.array_equal(f.value_at(np.array([0.25, 0.74])), [1.0, 2.0])
 
 
 def test_gridfunction_csv_and_eigenpair_json(tmp_path):
@@ -451,22 +481,7 @@ def test_power_method_rejects_non_finite_matrices(A):
         spectral.power_method(np.array(A), 1e-13, 1000)
 
 
-# --- top-k by subspace iteration against a full eigendecomposition -------------
-
-def _top_k_and_full_eigh(monkeypatch, op, k):
-    """top_k_eigen's pairs, and whether it ran an M x M eigendecomposition."""
-    shapes = []
-    eigh = np.linalg.eigh
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", spy)
-        pairs = spectral.top_k_eigen(op, k)
-    return pairs, (op.M, op.M) in shapes
-
+# --- top-k closed forms against a full eigendecomposition -----------------------
 
 def _assert_matches_eigh(op, pairs):
     """Eigenvalues within 1e-12 |lambda_1|; separated eigenfunctions within 1e-10.
@@ -480,7 +495,7 @@ def _assert_matches_eigh(op, pairs):
     scale = abs(lam[0])
     for i, pair in enumerate(pairs):
         assert abs(pair.value - lam[i]) <= 1e-12 * scale
-        gap = min(abs(lam[i] - lam[j]) for j in (i - 1, i + 1) if j >= 0)
+        gap = min(abs(lam[i] - lam[j]) for j in (i - 1, i + 1) if 0 <= j < len(lam))
         if gap > 1e-6 * scale:
             want = spectral._orient(evecs[:, -1 - i] * np.sqrt(op.M))
             tol = 1e-10 * max(1.0, 1e-4 * scale / gap)
@@ -489,7 +504,8 @@ def _assert_matches_eigh(op, pairs):
 
 @pytest.mark.parametrize("M", [200, 2000])
 @pytest.mark.parametrize("spec", [kernels.minmax(), kernels.sbm(SBM_Q, SBM_W),
-                                  kernels.erdos_renyi(0.5)], ids=["minmax", "sbm", "er"])
+                                  kernels.erdos_renyi(0.5), _random_grid(30, 7)],
+                         ids=["minmax", "sbm", "er", "random-30-cell-grid"])
 def test_top_k_matches_eigh(spec, M):
     op = spectral.discretize(spec, M)
     _assert_matches_eigh(op, spectral.top_k_eigen(op, 3))
@@ -502,20 +518,18 @@ def test_top_k_minmax_eigenfunctions_match_closed_form():
         assert np.max(np.abs(pair.function.values - psi.values)) <= 1e-10
 
 
-def test_top_k_disassortative_sbm_skips_the_negative_eigenvalue(monkeypatch):
-    # Spectrum 0.5, -0.4, then zeros: the iteration meets -0.4 before the
+def test_top_k_disassortative_sbm_skips_the_negative_eigenvalue():
+    # Spectrum 0.5, -0.4, then zeros: -0.4 is larger in magnitude than the
     # zeros, yet the top three algebraic eigenvalues are 0.5, 0, 0.
     op = spectral.discretize(kernels.sbm([[0.1, 0.9], [0.9, 0.1]], [0.5, 0.5]), 1000)
-    pairs, full = _top_k_and_full_eigh(monkeypatch, op, 3)
-    assert not full
+    pairs = spectral.top_k_eigen(op, 3)
     assert [p.value for p in pairs] == pytest.approx([0.5, 0.0, 0.0], abs=1e-12)
     _assert_matches_eigh(op, pairs)
 
 
-def test_top_k_repeated_top_eigenvalue(monkeypatch):
+def test_top_k_repeated_top_eigenvalue():
     op = spectral.discretize(kernels.sbm([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5]), 1000)
-    pairs, full = _top_k_and_full_eigh(monkeypatch, op, 3)
-    assert not full
+    pairs = spectral.top_k_eigen(op, 3)
     assert [p.value for p in pairs] == pytest.approx([0.25, 0.25, 0.0], abs=1e-12)
     _assert_matches_eigh(op, pairs)
     # the two top eigenfunctions span the block indicators
@@ -525,39 +539,58 @@ def test_top_k_repeated_top_eigenvalue(monkeypatch):
     assert np.allclose(F[:, 500:], F[:, 500:501], atol=1e-10)
 
 
-def test_top_k_sampled_network_falls_back_to_eigh(monkeypatch):
-    # A sampled 0-1 network has no spectral decay, so the iteration is not
-    # certified within its cap and the full eigendecomposition is returned.
-    from graphon_games import sampling
-
-    Pw = sampling.weighted_network(kernels.minmax(), sampling.sample_types(300, 1))
-    step = kernels.step_graphon_from_matrix(sampling.simple_network(Pw, 2).A)
-    op = spectral.discretize(step, 600)
-    pairs, full = _top_k_and_full_eigh(monkeypatch, op, 3)
-    assert full
-    _assert_matches_eigh(op, pairs)
+def test_top_k_sampled_network_matches_eigh():
+    # No spectral decay: its 300 cells give 300 block eigenvalues of both signs.
+    op = spectral.discretize(_sampled_network_grid(), 600)
+    _assert_matches_eigh(op, spectral.top_k_eigen(op, 3))
 
 
-@pytest.mark.parametrize("M,k", [(10, 3), (10, 10), (11, 3)])
-def test_top_k_small_resolution_is_eigh(monkeypatch, M, k):
+@pytest.mark.parametrize("M,k", [(2, 1), (2, 2), (10, 3), (10, 10)])
+def test_top_k_minmax_small_resolutions_match_eigh(M, k):
+    # M = 2000 is in test_top_k_matches_eigh; at h = M the sampled sine is +-1.
     op = spectral.discretize(kernels.minmax(), M)
-    pairs, full = _top_k_and_full_eigh(monkeypatch, op, k)
-    assert full
-    evals, evecs = np.linalg.eigh(op.matrix())
-    for i, pair in enumerate(pairs, start=1):
-        assert pair.value == float(evals[-i])
-        assert np.array_equal(pair.function.values,
-                              spectral._orient(evecs[:, -i] * np.sqrt(M)))
+    _assert_matches_eigh(op, spectral.top_k_eigen(op, k))
 
 
-def test_top_k_is_deterministic(monkeypatch):
+@pytest.mark.parametrize("values,M", [([[0.1, 0.9], [0.9, 0.1]], 7),
+                                      ([[0.0, 0.8, 0.1], [0.8, 0.0, 0.6], [0.1, 0.6, 0.2]], 8)],
+                         ids=["2-cell", "3-cell"])
+def test_top_k_full_signed_spectrum_matches_eigh(values, M):
+    # k = M: the positive block eigenvalues, the zeros, then the negative ones.
+    op = spectral.discretize(kernels.grid_kernel(values), M)
+    pairs = spectral.top_k_eigen(op, M)
+    assert pairs[-1].value < 0.0
+    _assert_matches_eigh(op, pairs)
+    F = np.array([p.function.values for p in pairs])
+    assert np.max(np.abs(F @ F.T / M - np.eye(M))) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,M", [(_random_grid(30, 3), 20),
+                                    (kernels.sbm(np.full((3, 3), 0.3) + 0.5 * np.eye(3),
+                                                 [0.5, 0.0001, 0.4999]), 100)],
+                         ids=["30-cells-at-M20", "sbm-empty-community"])
+@pytest.mark.parametrize("k", [3, 20])
+def test_top_k_with_blocks_holding_no_midpoint_matches_eigh(spec, M, k):
+    op = spectral.discretize(spec, M)
+    _assert_matches_eigh(op, spectral.top_k_eigen(op, k))
+
+
+def test_top_k_zero_eigenfunctions_are_helmert_contrasts():
+    # er at M = 4: the zeros' basis is (1, -1, 0, 0) / sqrt(2), then
+    # (1, 1, -2, 0) / sqrt(6) oriented to its positive peak, in unit L2 norm.
+    pairs = spectral.top_k_eigen(spectral.discretize(kernels.erdos_renyi(0.6), 4), 3)
+    assert [p.value for p in pairs] == [pytest.approx(0.6, abs=1e-15), 0.0, 0.0]
+    assert pairs[1].function.values == pytest.approx(np.sqrt(2.0) * np.array([1, -1, 0, 0]))
+    assert pairs[2].function.values == pytest.approx(2.0 / np.sqrt(6.0) * np.array([-1, -1, 2, 0]))
+
+
+def test_top_k_is_deterministic():
     op = spectral.discretize(kernels.minmax(), 1000)
 
     def digest(pairs):
         return [(p.value, p.function.values.tobytes()) for p in pairs]
 
-    first, full = _top_k_and_full_eigh(monkeypatch, op, 3)
-    assert not full
+    first = spectral.top_k_eigen(op, 3)
     assert digest(spectral.top_k_eigen(op, 3)) == digest(first)
     np.random.seed(12345)
     np.random.standard_normal(7)
@@ -586,8 +619,8 @@ def test_orient_is_stable_under_round_off_at_tied_peaks():
 
 def test_orient_treats_a_round_off_mean_as_zero():
     # psi2 of two weakly linked equal blocks has zero mean in exact arithmetic;
-    # the subspace iteration leaves a mean of about 3e-12 where eigh leaves
-    # 3e-13, and the sign must not follow that noise.
+    # an eigensolver leaves a mean of round-off size (about 3e-13 from a full
+    # eigh), and the sign must not follow that noise.
     assert spectral._orient(np.array([-1.0, -1.0, 1.0, 1.0 + 1e-11]))[0] > 0.0
     P = np.array([[1e-12, 1e-15], [1e-15, 1e-12]])
     op = spectral.discretize(kernels.grid_kernel(P), 242)
@@ -601,12 +634,13 @@ def test_sbm_analytic_orientation_is_stable_at_tied_peaks():
     assert psi2 == pytest.approx([1.0, -1.0], abs=1e-12)
 
 
-def test_top_k_tiny_kernel_is_not_certified_by_underflow():
-    # Squared residual entries of a 1e-179 kernel underflow to zero; the
-    # certificate must still reject an unconverged block.
+def test_top_k_tiny_kernel_keeps_its_eigenvalue():
+    # Squares of a 1e-179 kernel's entries underflow to zero; its eigenvalue
+    # and eigenfunction must not.
     op = spectral.discretize(kernels.erdos_renyi(3.126821774815023e-179), 45)
-    assert spectral.top_k_eigen(op, 1)[0].value == pytest.approx(3.126821774815023e-179,
-                                                                 rel=1e-12)
+    pairs = spectral.top_k_eigen(op, 3)
+    assert pairs[0].value == pytest.approx(3.126821774815023e-179, rel=1e-12)
+    _assert_matches_eigh(op, pairs)
 
 
 def test_lanczos_steps_grow_their_basis_to_the_full_space():
