@@ -21,7 +21,7 @@ import numpy as np
 
 from .equilibrium import LqPayoff, lq_s_max, solve_graphon
 from .kernels import GraphonSpec, evaluate
-from .spectral import GridFunction, discretize, dominant_eigenpair, midpoints
+from .spectral import DiscretizedOperator, GridFunction, discretize, dominant_eigenpair
 
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
 
@@ -41,18 +41,21 @@ class EpsilonEstimate:
         return asdict(self)
 
 
+def _check_sbar(sbar: GridFunction) -> None:
+    if not sbar.M or not np.isfinite(sbar.values).all():
+        raise ValueError(f"sbar must be a nonempty profile of finite values, got {sbar.M} values")
+
+
 def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x):
-    """int W(x, y) sbar(y) dy by midpoint quadrature on sbar's grid.
+    """int W(x, y) sbar(y) dy by midpoint quadrature: the operator on sbar's grid applied at x.
 
     This equals the expected realized aggregate of an agent of type x under
     type and link randomness, for any population size. A scalar x gives a
     float; an array of types gives an array of their aggregates, each with
-    the bits of its scalar call.
+    the bits of its scalar call. An empty or non-finite sbar is a ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    K = evaluate(spec, x[..., None], midpoints(sbar.M))  # up to 1 MiB a chunk: scaled in place
-    out = np.mean(np.multiply(K, sbar.values, out=K), axis=-1)
-    return float(out) if out.ndim == 0 else out
+    _check_sbar(sbar)
+    return DiscretizedOperator(spec, sbar.M).at(x, sbar.values)
 
 
 def lq_L_U(p: LqPayoff, lambda_max: float) -> float:
@@ -73,12 +76,12 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     Trials run in chunks of c, each drawing one (c, 2N - 1) block of
     uniforms: per row t_i, the N - 1 t_j, then the N - 1 link uniforms, the
     stream and the bits of one trial at a time. c >= 1 bounds each chunk's
-    largest array (2N - 1 or M doubles per trial) by _CHUNK_BYTES.
+    largest array (2N - 1 doubles per trial) by _CHUNK_BYTES.
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
     ``lq_L_U`` is applied to lambda_max of the operator on sbar's grid.
-    ``sbar`` is the precomputed equilibrium on the M-point grid; it is solved
-    here when omitted, and that solve's lambda_max is reused.
+    ``sbar`` (nonempty, finite) is the precomputed equilibrium on the M-point
+    grid; it is solved here when omitted, and that solve's lambda_max is reused.
     """
     if N < 2:
         raise ValueError(f"population size must be at least 2, got {N}")
@@ -88,6 +91,7 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     if sbar is None:
         limit = solve_graphon(spec, payoff, M)
         sbar, lam = limit.profile, limit.lambda_max
+    _check_sbar(sbar)
     if L_U is None:
         if not isinstance(payoff, LqPayoff):
             raise ValueError("L_U must be supplied for generic payoffs")
@@ -98,25 +102,16 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
         raise ValueError(f"L_U must be nonnegative and finite, got {L_U}")
 
     rng = np.random.default_rng(seed)
-    deviations = np.empty(trials)
-    chunk = max(1, _CHUNK_BYTES // (8 * max(2 * N - 1, sbar.M)))
+    types, zeta = np.empty(trials), np.empty(trials)
+    chunk = max(1, _CHUNK_BYTES // (8 * (2 * N - 1)))
     for start in range(0, trials, chunk):
         u = rng.random((min(chunk, trials - start), 2 * N - 1))
-        ti, tj = u[:, 0], u[:, 1:N]
-        links = u[:, N:] < evaluate(spec, ti[:, None], tj)
+        types[start:start + len(u)], tj = u[:, 0], u[:, 1:N]
+        links = u[:, N:] < evaluate(spec, u[:, :1], tj)
         vals = sbar.value_at(tj)
-        zeta = np.array([links[r] @ vals[r] for r in range(len(u))]) / (N - 1)
-        deviations[start:start + len(u)] = np.abs(zeta - expected_aggregate(spec, sbar, ti))
+        zeta[start:start + len(u)] = [links[r] @ vals[r] / (N - 1) for r in range(len(u))]
+    deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 
-    mean_dev = float(deviations.mean())
-    if trials > 1:
-        se = float(deviations.std(ddof=1)) / math.sqrt(trials)
-    else:
-        se = math.nan
-    return EpsilonEstimate(
-        epsilon_hat=2.0 * L_U * mean_dev,
-        N=N,
-        trials=trials,
-        L_U=float(L_U),
-        stderr=2.0 * L_U * se,
-    )
+    se = float(deviations.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan
+    return EpsilonEstimate(epsilon_hat=2.0 * L_U * float(deviations.mean()), N=N, trials=trials,
+                           L_U=float(L_U), stderr=2.0 * L_U * se)

@@ -143,10 +143,8 @@ def _cell_index(x, n_cells):
 
 
 def _sbm_block_index(x, w):
-    bounds = np.concatenate(([0.0], np.cumsum(w)))
-    bounds[-1] = 1.0  # guard against cumsum rounding below 1
-    idx = np.searchsorted(bounds, np.asarray(x), side="right") - 1
-    return np.clip(idx, 0, len(w) - 1)
+    # The interior bounds at or below x; the last block is closed at 1 whatever the rounding.
+    return np.searchsorted(np.cumsum(w)[:-1], np.asarray(x), side="right")
 
 
 def _blocks(spec: GraphonSpec):
@@ -175,16 +173,12 @@ def evaluate(spec: GraphonSpec, x, y):
     _check_unit_interval(xa, "coordinate x")
     _check_unit_interval(ya, "coordinate y")
 
-    if spec.kind == "er":
-        out = np.broadcast_to(np.float64(spec.p), np.broadcast_shapes(xa.shape, ya.shape)).copy()
-    elif spec.kind == "minmax":
+    if spec.kind == "minmax":
         out = np.minimum(xa, ya) * (1.0 - np.maximum(xa, ya))
-    else:
+    else:  # a step kernel, er included
         out = _blocks(spec)[0][_block_index(spec, xa), _block_index(spec, ya)]
 
-    if np.isscalar(x) and np.isscalar(y):
-        return float(out)
-    return out
+    return float(out) if np.isscalar(x) and np.isscalar(y) else out
 
 
 def lipschitz_metadata(spec: GraphonSpec) -> tuple[float, int]:

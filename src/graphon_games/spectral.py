@@ -5,12 +5,12 @@ collocation on the uniform M-grid: the kernel is sampled at cell midpoints
 and the quadrature weight is 1/M. This preserves symmetry exactly and is
 exact for step-function kernels aligned with the grid.
 
-Solves and the dominant eigenpair only apply the operator, never the kernel
-matrix: minmax by two cumulative sums, a step kernel (constant, block, grid)
-by Q/M times block sums from a 0-1 indicator. At a grid's own cell count each
-block holds one midpoint and Q/M is P/N, so it solves exactly as its network.
-Top-k spectra need neither: both kernel families have exact discretized
-spectra (see ``top_k_eigen``).
+Solves, the dominant eigenpair and Bayes aggregates only apply the operator
+(``DiscretizedOperator.at``), never the kernel matrix: minmax by prefix and
+suffix sums, a step kernel (constant, block, grid) by Q/M times block sums. At
+a grid's own cell count each block holds one midpoint and Q/M is P/N, so it
+solves exactly as its network. Top-k spectra need neither: both kernel
+families have exact discretized spectra (see ``top_k_eigen``).
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -90,8 +90,10 @@ class GridFunction:
 class DiscretizedOperator:
     """Midpoint-collocation operator of a kernel at resolution M.
 
-    ``op @ s`` is (1/M) * kernel_matrix @ s for a grid vector or an (M, p)
-    block (see the module docstring); ``kernel_matrix`` is built on first use.
+    ``op.at(x, s)`` is (1/M) sum_j W(x, m_j) s_j for a grid vector s at any x
+    in [0, 1], an array of x giving the bits of its scalar calls; ``op @ s`` is
+    ``at`` at the midpoints, (1/M) * kernel_matrix @ s. ``kernel_matrix`` is
+    built on first use.
     """
 
     spec: GraphonSpec
@@ -103,13 +105,11 @@ class DiscretizedOperator:
         return np.asarray(evaluate(self.spec, m[:, None], m[None, :]), dtype=float)
 
     @functools.cached_property
-    def _step(self):
-        # A step kernel's K/M: Q/M, the (blocks x M) 0-1 indicator that sums
-        # each block by one BLAS product, and each block's midpoint count.
-        Q = _blocks(self.spec)[0] / self.M
+    def _runs(self):
+        # A step kernel's Q/M, and the ids, starts and lengths of its runs of midpoints.
         idx = _block_index(self.spec, midpoints(self.M))
-        counts = np.bincount(idx, minlength=len(Q))
-        return Q, (np.arange(len(Q))[:, None] == idx).astype(float), counts
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        return _blocks(self.spec)[0] / self.M, idx[starts], starts, np.diff(starts, append=self.M)
 
     def __len__(self) -> int:
         return self.M
@@ -119,17 +119,31 @@ class DiscretizedOperator:
         return self.kernel_matrix / self.M
 
     def __matmul__(self, s) -> np.ndarray:
+        return self._at(None, s)
+
+    def at(self, x, s):
+        """``op @ s`` read at points x in [0, 1]; a scalar x gives a float."""
+        x = np.asarray(x, dtype=float)
+        _check_unit_interval(x, "point x")
+        out = self._at(x, s)
+        return float(out) if out.ndim == 0 else out
+
+    def _at(self, x, s) -> np.ndarray:  # x None: at the midpoints, whose runs are known
         s = np.asarray(s, dtype=float)
-        if s.shape[:1] != (self.M,):
+        if s.shape != (self.M,):
             raise ValueError(f"resolution mismatch: operator M={self.M}, operand {s.shape}")
         if self.spec.kind == "minmax":
-            # K[i, j] = x_j (1 - x_i) for j <= i and x_i (1 - x_j) for j > i
-            x = midpoints(self.M).reshape((-1,) + (1,) * (s.ndim - 1))
-            out = (1.0 - x) * np.cumsum(x * s, axis=0)
-            out[:-1] += x[:-1] * np.cumsum(((1.0 - x) * s)[:0:-1], axis=0)[::-1]
-            return out / self.M
-        Q_over_M, indicator, counts = self._step  # a step kernel
-        return np.repeat(Q_over_M @ (indicator @ s), counts, axis=0)
+            # W(x, m_i) = m_i (1 - x) for m_i <= x, else x (1 - m_i): prefix sums A of m s and
+            # suffix sums B of (1 - m) s, read at j = #{m_i <= x}, which is i + 1 at m_i.
+            m = midpoints(self.M)
+            A, B = np.zeros(self.M + 1), np.zeros(self.M + 1)
+            np.cumsum(m * s, out=A[1:])
+            np.cumsum(((1.0 - m) * s)[::-1], out=B[-2::-1])
+            x, j = (m, slice(1, None)) if x is None else (x, np.searchsorted(m, x, side="right"))
+            return ((1.0 - x) * A[j] + x * B[j]) / self.M
+        Q_over_M, ids, starts, counts = self._runs  # a step kernel: Q/M times the block sums
+        v = Q_over_M @ np.bincount(ids, np.add.reduceat(s, starts), len(Q_over_M))
+        return np.repeat(v[ids], counts) if x is None else v[_block_index(self.spec, x)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,11 +331,8 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
         F /= np.sqrt(np.mean(F**2, axis=1, keepdims=True))  # 1/sqrt(2), but 1 at h = M
         values = (2.0 * M * np.sin(h * np.pi / (2 * M))) ** -2.0
         return [EigenPair(float(lam), GridFunction(_orient(f))) for lam, f in zip(values, F)]
-    Q = _blocks(op.spec)[0]
-    c = np.bincount(_block_index(op.spec, midpoints(M)), minlength=len(Q))
-    keep = c > 0
-    c = c[keep]
-    blocks = sbm_eigen_analytic(Q[np.ix_(keep, keep)], c / M)
+    _, ids, _, c = op._runs
+    blocks = sbm_eigen_analytic(_blocks(op.spec)[0][np.ix_(ids, ids)], c / M)
     values = np.array([lam for lam, _ in blocks] + [0.0] * min(k, M - len(c)))
     pairs = []
     for i in np.argsort(-values, kind="stable")[:k]:

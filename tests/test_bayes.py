@@ -6,7 +6,7 @@ import pytest
 from graphon_games import bayes, kernels
 from graphon_games.equilibrium import LqPayoff, solve_graphon_lq
 from graphon_games.experiments import rate_fit
-from graphon_games.spectral import GridFunction
+from graphon_games.spectral import DiscretizedOperator, GridFunction, midpoints
 
 # Envelope constant for the concentration check, calibrated once on a
 # 3000-trial run at N = 100 (about 18% exceedance) and frozen.
@@ -202,16 +202,16 @@ def test_chunked_estimate_matches_the_trial_at_a_time_simulation(kind, N, trials
     assert_same_estimate(est, reference_estimate(spec, sbar, N, trials, N + trials))
 
 
-# (N, trials per chunk, trials); sbar has M = 10 points, so one trial's
-# largest array holds max(2N - 1, 10) doubles. A chunk of 0 rows stands
-# for a budget smaller than one row.
+# (N, trials per chunk, trials); one trial's largest array holds its 2N - 1
+# uniforms, whatever sbar's M (10 here). A chunk of 0 rows stands for a
+# budget smaller than one row.
 @pytest.mark.parametrize("N,rows,trials", [
     (9, 4, 1), (9, 4, 3), (9, 4, 4), (9, 4, 5), (9, 4, 9),
     (2, 3, 7), (2, 3, 1),
     (9, 0, 5), (30, 0, 3),
 ])
 def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, trials):
-    row_bytes = 8 * max(2 * N - 1, 10)
+    row_bytes = 8 * (2 * N - 1)
     budget = rows * row_bytes + row_bytes // 2 if rows else row_bytes - 8
     monkeypatch.setattr(bayes, "_CHUNK_BYTES", budget)
     spec = BATCH_SPECS["minmax"]
@@ -221,27 +221,84 @@ def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, tri
     est = bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, N, trials, seed=3, sbar=sbar)
     assert_same_estimate(est, ref)
     chunk = max(rows, 1)
-    assert len(sizes) == 2 * math.ceil(trials / chunk)
+    assert len(sizes) == math.ceil(trials / chunk)  # the link probabilities, once a chunk
     assert max(sizes) <= max(budget // 8, row_bytes // 8)
     if trials == 1:
         assert math.isnan(est.stderr)
 
 
+# Block boundaries of the step kernels in BATCH_SPECS (er and minmax have none).
+BOUNDARIES = {"er": [], "sbm": [0.75], "minmax": [], "grid": list(np.arange(1, 7) / 7)}
+
+
 @pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
 def test_expected_aggregate_of_an_array_matches_the_scalar_calls(kind, minmax_sbar):
-    spec = BATCH_SPECS[kind]
-    x = np.random.default_rng(6).random(25)
-    x[:2] = [0.0, 1.0]
+    # Types at random, at 0 and 1, at every midpoint of sbar's grid (where the
+    # minmax prefix sums switch) and at the block boundaries.
+    spec, M = BATCH_SPECS[kind], minmax_sbar.M
+    m = midpoints(M)
+    x = np.concatenate([np.random.default_rng(6).random(25), [0.0, 1.0], m, BOUNDARIES[kind]])
     batch = bayes.expected_aggregate(spec, minmax_sbar, x)
-    m = (np.arange(minmax_sbar.M) + 0.5) / minmax_sbar.M
     for xi, value in zip(x.tolist(), batch):
         scalar = bayes.expected_aggregate(spec, minmax_sbar, xi)
         assert type(scalar) is float
-        # the one-type formula the chunked form replaces
-        assert scalar == float(np.mean(np.asarray(kernels.evaluate(spec, xi, m))
-                                       * minmax_sbar.values))
         assert value == scalar
-    assert bayes.expected_aggregate(spec, minmax_sbar, x.reshape(5, 5)).shape == (5, 5)
+        # the mean of products it replaced, to round-off of the summed terms
+        terms = np.asarray(kernels.evaluate(spec, xi, m)) * minmax_sbar.values
+        assert abs(scalar - float(np.mean(terms))) <= 1e-14 * float(np.mean(np.abs(terms)))
+    assert bayes.expected_aggregate(spec, minmax_sbar, x[:25].reshape(5, 5)).shape == (5, 5)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+@pytest.mark.parametrize("M", [1, 2, 7, 1000])
+def test_operator_at_the_midpoints_is_its_product(kind, M):
+    # expected_aggregate's operator read at the grid is the grid product, bit
+    # for bit, also at the M = 1 that the Bayes path accepts
+    op = DiscretizedOperator(BATCH_SPECS[kind], M)
+    s = np.random.default_rng(M).standard_normal(M)
+    assert np.array_equal(op.at(midpoints(M), s), op @ s)
+
+
+def test_estimate_epsilon_evaluates_the_kernel_only_for_the_links(monkeypatch):
+    # Expected aggregates apply the operator, once for all trial types: no
+    # evaluation has sbar's M columns, and the points evaluated are the
+    # trials' N - 1 link probabilities.
+    sbar = GridFunction(np.random.default_rng(2).random(5000))
+    N, trials = 5, 300
+    sizes, aggregates = record_evaluate_sizes(monkeypatch), []
+    real = bayes.expected_aggregate
+
+    def counting(spec, sbar, x):
+        aggregates.append(len(x))
+        return real(spec, sbar, x)
+
+    monkeypatch.setattr(bayes, "expected_aggregate", counting)
+    bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, 1.5, N, trials, seed=4, sbar=sbar)
+    assert max(sizes) < sbar.M
+    assert sum(sizes) == trials * (N - 1)
+    assert aggregates == [trials]
+
+
+BAD_SBARS = {"nan": [1.0, math.nan, 2.0], "inf": [1.0, math.inf, 2.0], "empty": []}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SBARS))
+def test_an_empty_or_non_finite_sbar_is_rejected(case):
+    sbar = GridFunction(np.array(BAD_SBARS[case]))
+    with pytest.raises(ValueError, match="sbar"):
+        bayes.expected_aggregate(kernels.minmax(), sbar, 0.3)
+    for L_U in (1.0, None):
+        with pytest.raises(ValueError, match="sbar"):
+            bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, L_U, 10, 5, seed=0, sbar=sbar)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+def test_a_one_point_sbar_still_works(kind):
+    spec, sbar = BATCH_SPECS[kind], GridFunction([2.0])
+    value = 2.0 * kernels.evaluate(spec, 0.3, 0.5)
+    assert bayes.expected_aggregate(spec, sbar, 0.3) == pytest.approx(value, rel=1e-15)
+    est = bayes.estimate_epsilon(spec, MINMAX_LQ, 1.0, 10, 20, seed=0, sbar=sbar)
+    assert math.isfinite(est.epsilon_hat) and est.epsilon_hat >= 0.0
 
 
 def test_bne_configuration_evaluates_the_kernel_in_few_bounded_chunks(monkeypatch, minmax_sbar):

@@ -114,13 +114,14 @@ def assert_product_matches_the_dense_one(op, s):
     assert np.all(np.abs(got - dense @ s) <= bound)
 
 
-@given(spec=structured_kernels(), M=st.integers(2, 300), cols=st.sampled_from([0, 1, 4]),
-       seed=st.integers(0, 2**32 - 1))
+@given(spec=structured_kernels(), M=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_structured_product_matches_the_dense_one(spec, M, cols, seed):
+def test_structured_product_matches_the_dense_one(spec, M, seed):
     op = spectral.discretize(spec, M)
-    s = np.random.default_rng(seed).standard_normal((M, cols) if cols else M)
+    s = np.random.default_rng(seed).standard_normal(M)
     assert_product_matches_the_dense_one(op, s)
+    with pytest.raises(ValueError, match="operand"):  # an (M, p) block is no operand
+        op @ s[:, None]
 
 
 @pytest.mark.parametrize("w", [[0.9999, 0.0001], [0.5, 0.0001, 0.4999]],
@@ -131,8 +132,14 @@ def test_structured_product_with_a_community_holding_no_midpoint(w):
     op = spectral.discretize(kernels.sbm(Q, w), M)
     assert len(np.unique(kernels._sbm_block_index(spectral.midpoints(M), w))) < len(w)
     rng = np.random.default_rng(0)
-    for s in (rng.standard_normal(M), rng.standard_normal((M, 3))):
-        assert_product_matches_the_dense_one(op, s)
+    s = rng.standard_normal(M)
+    assert_product_matches_the_dense_one(op, s)
+    with pytest.raises(ValueError, match="operand"):
+        op @ rng.standard_normal((M, 3))
+    # read inside the community that holds no midpoint, its row of Q still applies
+    x = np.cumsum(w)[np.argmin(w) - 1] + 0.5 * min(w)
+    row = np.asarray(kernels.evaluate(op.spec, x, spectral.midpoints(M))) / M
+    assert abs(op.at(x, s) - row @ s) <= 1e-14 * (row @ np.abs(s))
 
 
 def _sampled_network_grid():
@@ -146,6 +153,25 @@ def _sampled_network_grid():
 def _random_grid(n, seed):
     V = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
     return kernels.grid_kernel(np.triu(V) + np.triu(V, 1).T)
+
+
+@pytest.mark.parametrize("x", [-0.1, 1.5, math.nan, [0.2, math.nan], [0.5, -1e-300]])
+@pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
+                                  kernels.minmax(), kernels.grid_kernel(np.eye(3))],
+                         ids=["er", "sbm", "minmax", "grid"])
+def test_operator_at_rejects_points_outside_the_unit_interval(spec, x):
+    with pytest.raises(ValueError, match="outside"):
+        spectral.discretize(spec, 10).at(x, np.ones(10))
+
+
+def test_a_grid_operator_keeps_no_blocks_by_midpoints_array():
+    # The step product sums each block's run of midpoints and keeps no B x M
+    # array (a 0-1 block indicator would take 48 MB here).
+    op = spectral.discretize(_random_grid(30, 3), 200_000)
+    assert np.all(np.isfinite(op @ np.ones(op.M)))
+    kept = [a for v in vars(op).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+    assert kept and max(a.size for a in kept) < 30 * op.M
 
 
 @pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
