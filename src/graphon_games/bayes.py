@@ -109,7 +109,7 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
         types[start:start + len(u)], tj = u[:, 0], u[:, 1:N]
         links = u[:, N:] < evaluate(spec, u[:, :1], tj)
         vals = sbar.value_at(tj)
-        zeta[start:start + len(u)] = [links[r] @ vals[r] / (N - 1) for r in range(len(u))]
+        zeta[start:start + len(u)] = (links[:, None, :] @ vals[:, :, None])[:, 0, 0] / (N - 1)
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 
     se = float(deviations.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan

@@ -26,12 +26,12 @@ from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
 from .experiments import _PCTS, _write_csv, distance_experiment, intervention_experiment, subseed
 from .interventions import (
+    _check_params,
+    _result,
     _welfares,
     graphon_heuristic,
     homogeneous_policy,
-    network_heuristic,
     no_intervention,
-    optimal_intervention,
     result_to_json,
 )
 from .kernels import erdos_renyi, from_json as graphon_from_json, minmax, sbm
@@ -200,17 +200,26 @@ def _cmd_intervene(args, outdir: Path) -> int:
     A, types = _sample(spec, args.N, args.seed, simple=True)
     C = args.C if args.C is not None else args.c_per_agent * args.N
 
-    policies = {
-        "homogeneous": lambda: homogeneous_policy(args.beta, C, args.N),
-        "network": lambda: network_heuristic(A, args.beta, C),
-        "graphon": lambda: graphon_heuristic(spec, types, args.beta, C),
-    }
-    names = policies if args.policy == "all" else (args.policy,)
-    results = [no_intervention(args.beta, args.N)] + [policies[n]() for n in names if n in policies]
-    for r, T in zip(results, _welfares(A, args.alpha, [r.beta_hat for r in results])):
-        r.welfare = T  # one contraction gate for all, before the optimum's own solve
-    if args.policy in ("all", "optimal"):
-        results.append(optimal_intervention(A, args.alpha, args.beta, C))
+    _check_params(args.beta, C)
+    names = (("homogeneous", "network", "graphon", "optimal") if args.policy == "all"
+             else (args.policy,))
+    given = {"none": no_intervention(args.beta, args.N)}
+    if "homogeneous" in names:
+        given["homogeneous"] = homogeneous_policy(args.beta, C, args.N)
+    if "graphon" in names:
+        given["graphon"] = graphon_heuristic(spec, types, args.beta, C)
+    # one Lanczos run gates the game for every policy and gives v1 and the optimum
+    Ts, v1, opt = _welfares(A / args.N, True, args.alpha, [r.beta_hat for r in given.values()],
+                            args.beta, C, "network" in names, "optimal" in names)
+    for r, T in zip(given.values(), Ts):
+        r.welfare = T
+    if "network" in names:
+        beta_nh = args.beta + math.sqrt(C) * v1
+        given["network"] = _result(beta_nh, args.beta, "network-heuristic", Ts[-1])
+    if "optimal" in names:
+        given["optimal"] = _result(opt[0], args.beta, "optimal", opt[2], opt[1])
+    results = [given[n] for n in ("none", "homogeneous", "network", "graphon", "optimal")
+               if n in given]
 
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":

@@ -37,9 +37,7 @@ from .interventions import (
     _welfares,
     graphon_heuristic,
     homogeneous_policy,
-    network_heuristic,
     no_intervention,
-    optimal_intervention,
 )
 from .kernels import GraphonSpec, lipschitz_metadata
 from .sampling import sample_types, simple_network, weighted_network
@@ -205,14 +203,15 @@ def _intervention_trial(args):
     C = c_per_agent * N
     try:
         types, _, A = _trial_networks(spec, N, trial, seed)
+        A /= N  # the trial owns A, symmetric, finite and 0-1: scaled in place, unchecked
         allocations = [
             no_intervention(beta, N).beta_hat,
             homogeneous_policy(beta, C, N).beta_hat,
-            network_heuristic(A, beta, C).beta_hat,
             graphon_heuristic(spec, types, beta, C).beta_hat,
         ]
-        T, T_hom, T_nh, T_gh = _welfares(A, alpha, allocations)
-        T_opt = optimal_intervention(A, alpha, beta, C).welfare if N <= optimal_cap else math.nan
+        (T, T_hom, T_gh, T_nh), _, opt = _welfares(A, True, alpha, allocations, beta, C, nh=True,
+                                                   opt=N <= optimal_cap)
+        T_opt = opt[2] if opt else math.nan
         return (N, trial, T, T_hom, T_nh, T_gh, T_opt, abs(T_nh - T_gh), None)
     except _TRIAL_ERRORS as exc:
         return (N, trial, *([math.nan] * 6), repr(exc))

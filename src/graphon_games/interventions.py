@@ -12,6 +12,10 @@ Policies:
   graphon-heuristic  budget along the dominant kernel eigenfunction at the agent types
   optimal            exact maximizer via the secular equation, solved on the Lanczos
                      basis from the all-ones vector and certified in full space
+
+On a nonnegative network that one Lanczos run also gates the game and gives
+the dominant eigenvector and the welfare of the network heuristic and of any
+constant allocation (``_welfares``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
     POWER_TOL,
+    _EPS,
     _lanczos_steps,
     _orient,
     _psi1_at_types,
@@ -76,18 +81,75 @@ def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 of the linear response s = (I - alpha P/N)^-1 beta_hat.
 
     That is the equilibrium for complements; for substitutes s may go negative."""
-    return _welfares(_validate_symmetric(P, "network matrix"), alpha, [beta_hat])[0]
+    P = _validate_symmetric(P, "network matrix")
+    return _welfares(P / len(P), P.min() >= 0.0, alpha, [beta_hat])[0][0]
 
 
-def _welfares(P: np.ndarray, alpha: float, allocations: list[np.ndarray]) -> list[float]:
-    """Welfare of several allocations behind one gate, one Lanczos solve each.
+def _welfares(G: np.ndarray, nonneg: bool, alpha: float, allocations, beta: float = 0.0,
+              C: float = 0.0, nh: bool = False, opt: bool = False):
+    """(welfares, v1, optimum) of the game on G = A/N, whose sign ``nonneg`` is known.
 
-    A constant allocation scales the gate's own x1 = (I - alpha G)^-1 1."""
-    G = np.asarray(P, dtype=float) / len(P)
-    x1 = _contraction_gate(G, G.min() >= 0.0, abs(alpha), alpha)[2]
+    ``welfares`` holds the welfare of each allocation, then with ``nh`` that
+    of the network heuristic beta 1 + sqrt(C) v1. With ``opt``, ``optimum`` is
+    (beta_hat, mu, T_opt): beta 1 at C = 0, else the certified projection,
+    else ``_eigh_optimum``. A signed G is gated by ``_contraction_gate`` and
+    takes v1 from ``power_method``. A nonnegative G runs ``_lanczos_steps``
+    from 1 once, until every reader has read, each with the test of
+    ``_lanczos``: the gate, ``_check_contraction`` on the Rayleigh quotient of
+    the top Ritz vector v1 (``_orient``) once beta_k |S[k, k]| <= POWER_TOL
+    max(1, theta_k); the solves, None if I - alpha T_k turns indefinite, of
+    x1 = (I - alpha G)^-1 1, which a constant allocation scales, and of the
+    heuristic's allocation, which lies in the basis of v1's step; and within
+    ``_PROJECTION_STEPS`` steps the optimum on K(G, 1): from the steps where
+    v1 has settled, ``_secular_solve`` on d = (1 - alpha theta)^-2,
+    c = beta sqrt(N) S[0] and C gives beta_hat = Q^T S y (GLTR, Gould et al.
+    1999) until beta_k |e_k^T S y| <= 1e-13 ||S y||, then ``_certified``. Any
+    other allocation (the graphon heuristic's) takes a solve of its own.
+    """
+    if opt and not alpha > 0.0:
+        raise ValueError("planner interventions require strategic complements (alpha > 0)")
+    n = len(G)
+    x1 = v1 = c_nh = s_nh = found = None
+    solving, project = True, nonneg and opt and beta != 0.0 and C > 0.0
+    if nonneg:
+        run = _lanczos_steps(G, np.ones(n), n)
+    else:  # rho(G) needs lambda_max(-G) too, and v1 a start that can miss 1
+        run, x1 = (), _contraction_gate(G, False, abs(alpha), alpha)[2]
+        v1 = _orient(power_method(G, POWER_TOL, POWER_MAX_ITER)[1]) if nh else None
+    for k, (Q, theta, S, b_k, end) in enumerate(run, 1):
+        settled = b_k * abs(S[-1, -1]) <= POWER_TOL * max(1.0, abs(theta[-1])) or end
+        if v1 is None and settled:
+            v1 = _orient(S[:, -1] @ Q)
+            _check_contraction(abs(alpha), float(v1 @ (G @ v1) / (v1 @ v1)))
+            if nh:  # the heuristic's allocation lies in the basis: solve from its coordinates
+                c_nh = Q @ (beta + math.sqrt(C) * v1)
+        d = 1.0 - alpha * theta
+        solving = solving and d.min() > 0.0  # False for a NaN alpha too
+        if solving and x1 is None:
+            x1 = _galerkin(Q, S, d, abs(alpha) * b_k, end, np.ones(1), math.sqrt(n))
+        if solving and c_nh is not None and s_nh is None:
+            s_nh = _galerkin(Q, S, d, abs(alpha) * b_k, end, c_nh)
+        if project and (k > _PROJECTION_STEPS or alpha * theta[-1] >= 1.0):
+            project = False
+        elif project and settled:
+            mu, y = _secular_solve(1.0 / d**2, beta * math.sqrt(n) * S[0], C)
+            z = S @ y
+            if b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) or end:
+                project, found = False, _certified(G, alpha, beta, C, z @ Q, mu, v1)
+        if v1 is not None and not project and (
+                not solving or (x1 is not None and (s_nh is not None or not nh))):
+            break
+    if x1 is None:  # I - alpha T_k turned indefinite: alpha rho(G) is one up to round-off
+        x1 = _lq_solve(G, alpha, np.ones(n))
     sols = [b[0] * x1 if b.shape == x1.shape and np.all(b == b[0]) else _lq_solve(G, alpha, b)
             for b in map(np.asarray, allocations)]
-    return [float(np.sum(s**2) / (2.0 * len(G))) for s in sols]
+    if nh:
+        sols.append(_lq_solve(G, alpha, beta + math.sqrt(C) * v1) if s_nh is None else s_nh)
+    T = lambda s: float(np.sum(s**2) / (2.0 * n))
+    if opt and found is None:
+        found = ((np.full(n, float(beta)), None, T(float(beta) * x1)) if C == 0.0
+                 else _eigh_optimum(G, alpha, beta, C))
+    return [T(s) for s in sols], v1, found
 
 
 def _check_params(beta: float, C: float = 0.0) -> None:
@@ -112,8 +174,9 @@ def homogeneous_policy(beta: float, C: float, N: int) -> InterventionResult:
 def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResult:
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
     _check_params(beta, C)
-    _, v1 = power_method(_validate_symmetric(P, "network matrix"), POWER_TOL, POWER_MAX_ITER)
-    return _result(beta + math.sqrt(C) * _orient(v1), beta, "network-heuristic")
+    P = _validate_symmetric(P, "network matrix")
+    v1 = _welfares(P / len(P), P.min() >= 0.0, 0.0, [], beta, C, nh=True)[1]
+    return _result(beta + math.sqrt(C) * v1, beta, "network-heuristic")
 
 
 def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float,
@@ -173,33 +236,25 @@ def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
     return mu, mu * c / (t + gap)
 
 
-def _projected_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
-    """(beta_hat, mu, s) of the optimum on K(G, 1), certified in full space, or None.
+def _galerkin(Q, S, d, r, end, c, scale=1.0):
+    """scale Q^T (I - alpha T)^-1 c once its residual r |y_k| is round-off, else None.
 
-    On span Q_k, Q_k G Q_k^T = S diag(theta) S^T (Lanczos from 1), the
-    problem is ``_secular_solve`` on d = (1 - alpha theta)^-2,
-    c = beta sqrt(N) S[0] and the budget C > 0, and beta_hat = Q_k^T S y (as
-    in GLTR, Gould et al. 1999); k grows until
-    beta_k |e_k^T S y| <= 1e-13 ||S y||. The certificate, with
-    s = (I - alpha G)^-1 beta_hat and delta = beta_hat - beta:
-    KKT s = mu (I - alpha G) delta to 1e-10 ||s||, ||delta||^2 = C to 1e-10 C,
-    and mu >= (1 - alpha lam_bar)^-2 for lam_bar = max_i (G x)_i / x_i >= rho(G)
-    (Collatz-Wielandt: G >= 0, any x > 0), which makes the maximum global,
-    also in a hard case of the projected problem.
+    The stopping test of ``_lanczos``, for c on the first len(c) basis vectors."""
+    y = S @ ((c @ S[:len(c)]) / d)
+    return scale * (y @ Q) if r * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end else None
+
+
+def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.ndarray,
+               mu: float, v1: np.ndarray):
+    """(beta_hat, mu, T_opt) if the projected optimum holds in full space, else None.
+
+    With s = (I - alpha G)^-1 beta_hat and delta = beta_hat - beta: KKT
+    s = mu (I - alpha G) delta to 1e-10 ||s||, ||delta||^2 = C to 1e-10 C, and
+    mu >= (1 - alpha lam_bar)^-2 for lam_bar = max_i (G x)_i / x_i >= rho(G) at
+    x = max(|v1|, 1e-8 max |v1|) (Collatz-Wielandt: G >= 0, any x > 0), which
+    makes the maximum global, also in a hard case of the projected problem.
     """
-    n = len(G)
-    for Q, theta, S, b_k, end in _lanczos_steps(G, np.ones(n), _PROJECTION_STEPS):
-        if alpha * theta[-1] >= 1.0:
-            return None
-        if b_k * abs(S[-1, -1]) > POWER_TOL * max(1.0, theta[-1]) and not end:
-            continue  # lam_bar needs the top Ritz pair: solve only once it has settled
-        mu, y = _secular_solve(1.0 / (1.0 - alpha * theta) ** 2, beta * math.sqrt(n) * S[0], C)
-        z = S @ y
-        if b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) or end:
-            break
-    else:
-        return None
-    beta_hat, x = z @ Q, np.abs(S[:, -1] @ Q)
+    x = np.abs(v1)
     x = np.maximum(x, 1e-8 * x.max())
     delta = beta_hat - beta
     G_delta, G_x = np.stack([delta, x]) @ G  # G is symmetric
@@ -210,39 +265,33 @@ def _projected_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
     if (np.linalg.norm(s - mu * (delta - alpha * G_delta)) > 1e-10 * np.linalg.norm(s)
             or abs(delta @ delta - C) > 1e-10 * C):
         return None
-    return beta_hat, mu, s
+    return beta_hat, float(mu), float(np.sum(s**2) / (2.0 * len(G)))
+
+
+def _eigh_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
+    """(beta_hat, mu, T_opt) from G = U diag(lambda) U^T: the welfare is sum d_l y_l^2 / (2N)."""
+    lam, U = np.linalg.eigh(G)
+    _check_contraction(alpha, max(lam[-1], -lam[0]))
+    d = 1.0 / (1.0 - alpha * lam) ** 2
+    mu, y = _secular_solve(d, U.T @ np.full(len(G), float(beta)), C)
+    return U @ y, float(mu), float(np.sum(d * y**2)) / (2.0 * len(G))
 
 
 def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> InterventionResult:
     """Exact welfare-maximizing allocation on the budget sphere.
 
     In the eigenbasis G = P/N = U diag(lambda) U^T the problem is
-    ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1).
+    ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1);
     C = 0 leaves beta 1. As c sees G only through 1, the maximizer lies in
-    K(G, 1): for a nonnegative G and beta != 0, ``_projected_optimum`` finds
-    it there. These two get the welfare ``welfare`` gives them. Otherwise, or
-    uncertified, a full eigendecomposition serves, with the welfare
-    sum d_l y_l^2 / (2N) of U y. The two agree on T_opt to 1e-12 relative.
+    K(G, 1): for a nonnegative G and beta != 0, ``_welfares`` finds it on the
+    basis of the Lanczos run from 1 that gates the game, with the welfare
+    ``welfare`` gives it. Otherwise, or uncertified, ``_eigh_optimum`` serves.
+    The two agree on T_opt to 1e-12 relative.
     """
     P = _validate_symmetric(P, "network matrix")
-    N = P.shape[0]
-    if not alpha > 0.0:
-        raise ValueError("planner interventions require strategic complements (alpha > 0)")
     _check_params(beta, C)
-    if C == 0.0:
-        beta_hat = np.full(N, float(beta))
-        return _result(beta_hat, beta, "optimal", _welfares(P, alpha, [beta_hat])[0])
-    G = P / N
-    found = _projected_optimum(G, alpha, beta, C) if beta and G.min() >= 0.0 else None
-    if found is not None:
-        beta_hat, mu, s = found
-        return _result(beta_hat, beta, "optimal", float(np.sum(s**2) / (2.0 * N)), float(mu))
-    lam, U = np.linalg.eigh(G)
-    _check_contraction(alpha, max(lam[-1], -lam[0]))
-    d = 1.0 / (1.0 - alpha * lam) ** 2
-    c = U.T @ np.full(N, float(beta))
-    mu, y = _secular_solve(d, c, C)
-    return _result(U @ y, beta, "optimal", float(np.sum(d * y**2)) / (2.0 * N), float(mu))
+    beta_hat, mu, T = _welfares(P / len(P), P.min() >= 0.0, alpha, [], beta, C, opt=True)[2]
+    return _result(beta_hat, beta, "optimal", T, mu)
 
 
 def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> InterventionResult:
@@ -252,9 +301,9 @@ def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> 
 
 def welfare_gap(P_s: SimpleNetwork, spec: GraphonSpec, alpha: float, beta: float, C: float):
     """T_nh, T_gh and their gap on one realized network; neither asks for a resolution."""
-    nh = network_heuristic(P_s.A, beta, C)
+    A = _validate_symmetric(P_s.A, "network matrix")
     gh = graphon_heuristic(spec, P_s.types, beta, C)
-    T_nh, T_gh = _welfares(P_s.A, alpha, [nh.beta_hat, gh.beta_hat])
+    T_gh, T_nh = _welfares(A / len(A), A.min() >= 0.0, alpha, [gh.beta_hat], beta, C, nh=True)[0]
     return T_nh, T_gh, abs(T_nh - T_gh)
 
 

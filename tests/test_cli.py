@@ -373,14 +373,15 @@ def test_usage_errors_exit_1_with_their_message(tmp_path, capsys, args, message)
 
 
 def test_intervene_gates_the_game_once_for_all_policies(tmp_path, monkeypatch):
+    # One Lanczos run from 1 gates the game, in _check_contraction, and serves every policy.
     calls = []
-    gate = interventions._contraction_gate
+    gate = interventions._check_contraction
 
     def counting_gate(*args):
         calls.append(args)
         return gate(*args)
 
-    monkeypatch.setattr(interventions, "_contraction_gate", counting_gate)
+    monkeypatch.setattr(interventions, "_check_contraction", counting_gate)
     assert run(["intervene", "--graphon", "minmax", "--N", "100", "--alpha", "5", "--beta", "1",
                 "--out", str(tmp_path)]) == 0
     assert len(calls) == 1

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphon_games import interventions as iv
-from graphon_games import experiments, kernels, sampling, spectral
+from graphon_games import equilibrium, experiments, kernels, sampling, spectral
 from graphon_games.errors import ContractionError
 from graphon_games.experiments import rate_fit
 
@@ -339,21 +339,17 @@ def test_welfare_matches_a_dense_solve_for_every_allocation():
 # --- optimal intervention: Lanczos projection against the full eigendecomposition ---------
 
 def _optimum_by_both_paths(monkeypatch, P, alpha, beta, C):
-    """(result, path served, result of the eigh path alone)."""
+    """(result, path served, result of the eigh path alone, forced by a step cap of 0)."""
     served = []
-    projected = iv._projected_optimum
-
-    def spy(*args):
-        found = projected(*args)
-        served.append(found is not None)
-        return found
-
-    monkeypatch.setattr(iv, "_projected_optimum", spy)
+    eigh_optimum, cap = iv._eigh_optimum, iv._PROJECTION_STEPS
+    monkeypatch.setattr(iv, "_eigh_optimum", lambda *args: served.append(1) or eigh_optimum(*args))
     res = iv.optimal_intervention(P, alpha, beta, C)
-    monkeypatch.setattr(iv, "_projected_optimum", lambda *args: None)
+    path = "eigh" if served else "projection"
+    monkeypatch.setattr(iv, "_PROJECTION_STEPS", 0)
     ref = iv.optimal_intervention(P, alpha, beta, C)
-    monkeypatch.setattr(iv, "_projected_optimum", projected)
-    return res, ("projection" if served == [True] else "eigh"), ref
+    monkeypatch.setattr(iv, "_PROJECTION_STEPS", cap)
+    monkeypatch.setattr(iv, "_eigh_optimum", eigh_optimum)
+    return res, path, ref
 
 
 def _assert_same_optimum(res, ref):
@@ -480,42 +476,131 @@ def _sparse_er(N, p, seed):
 
 
 def _projection_spies(monkeypatch):
-    """Record the Lanczos steps taken and the certificate solves made by the projection."""
-    seen = {"steps": 0, "solves": 0}
-    steps, solve = iv._lanczos_steps, iv._lq_solve
+    """Record the steps of the last Lanczos run from 1, the solves and the eigh fallbacks."""
+    seen = {"steps": 0, "solves": 0, "eigh": 0}
+    steps, solve, eigh_optimum = iv._lanczos_steps, iv._lq_solve, iv._eigh_optimum
 
     def counting_steps(*args):
         for k, out in enumerate(steps(*args), 1):
             seen["steps"] = k
             yield out
 
-    def counting_solve(*args):
-        seen["solves"] += 1
-        return solve(*args)
+    def counting(key, fn):
+        def wrapper(*args):
+            seen[key] += 1
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(iv, "_lanczos_steps", counting_steps)
-    monkeypatch.setattr(iv, "_lq_solve", counting_solve)
+    monkeypatch.setattr(iv, "_lq_solve", counting("solves", solve))
+    monkeypatch.setattr(iv, "_eigh_optimum", counting("eigh", eigh_optimum))
     return seen
 
 
 @pytest.mark.parametrize("exit_", ["step-cap", "certificate"])
 def test_uncertified_projection_falls_back_to_eigh(monkeypatch, exit_):
-    # A path graph's clustered spectrum needs more Lanczos steps than the cap;
-    # on this sparse ER network near the contraction limit the KKT and budget
-    # certificate fails after the solve.
+    # A path graph's clustered spectrum needs more Lanczos steps than the cap:
+    # the run from 1 goes on for the gate to step 100, where it turns
+    # invariant, and with the cap there the projection certifies. On this
+    # sparse ER network near the contraction limit the KKT and budget
+    # certificate fails after its solve, the only solve outside the basis.
     P = _path_graph(200) if exit_ == "step-cap" else _sparse_er(120, 0.05, 0)
     N = len(P)
     alpha = (0.5 if exit_ == "step-cap" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
-    seen = _projection_spies(monkeypatch)
-    assert iv._projected_optimum(P / N, alpha, 1.0, 0.01 * N) is None
+    seen, cap = _projection_spies(monkeypatch), iv._PROJECTION_STEPS
+    iv._welfares(P / N, True, alpha, [], 1.0, 0.01 * N, opt=True)
     if exit_ == "step-cap":
-        assert seen == {"steps": iv._PROJECTION_STEPS, "solves": 0}
+        assert seen == {"steps": 100, "solves": 0, "eigh": 1}
+        monkeypatch.setattr(iv, "_PROJECTION_STEPS", 100)
+        iv._welfares(P / N, True, alpha, [], 1.0, 0.01 * N, opt=True)
+        assert seen == {"steps": 100, "solves": 1, "eigh": 1}
+        monkeypatch.setattr(iv, "_PROJECTION_STEPS", cap)
     else:
-        assert seen["steps"] < iv._PROJECTION_STEPS and seen["solves"] == 1
+        assert seen["steps"] < iv._PROJECTION_STEPS and seen["solves"] == seen["eigh"] == 1
     res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 0.01 * N)
     assert path == "eigh"
     assert res.welfare == ref.welfare and res.kkt_multiplier == ref.kkt_multiplier
     assert np.array_equal(res.beta_hat, ref.beta_hat)
+
+
+# --- the welfare trial: one Lanczos run from 1 per network --------------------------
+
+def _trial(spec, alpha, N, seed, trial=0):
+    """One welfare trial at beta = 1 and C = 0.01 N, with the optimum."""
+    return experiments._intervention_trial((spec, alpha, 1.0, 0.01, N, trial, seed, N))
+
+
+def test_a_welfare_trial_at_n_800_takes_at_most_50_lanczos_steps(monkeypatch):
+    # The gate, x1, v1, the heuristic's solve and the projected optimum share one
+    # run; only T_gh and the certificate of T_opt solve apart (85 steps in all
+    # when each reader ran Lanczos of its own).
+    seen = {"steps": 0}
+    steps = spectral._lanczos_steps
+
+    def counting_steps(*args):
+        for out in steps(*args):
+            seen["steps"] += 1
+            yield out
+
+    def no_eigh(*args):
+        raise AssertionError("the projected optimum fell back to eigh")
+
+    for module in (spectral, iv):
+        monkeypatch.setattr(module, "_lanczos_steps", counting_steps)
+    monkeypatch.setattr(iv, "_eigh_optimum", no_eigh)
+    for trial in range(5):
+        seen["steps"] = 0
+        row = _trial(kernels.minmax(), 5.0, 800, 42, trial)
+        assert row[-1] is None and seen["steps"] <= 50
+
+
+def test_the_welfare_trial_does_not_validate_the_network_it_built(monkeypatch):
+    calls = []
+    validate = kernels._validate_symmetric
+    for module in (kernels, sampling, equilibrium, iv):
+        monkeypatch.setattr(module, "_validate_symmetric",
+                            lambda *args: calls.append(args) or validate(*args))
+    assert _trial(kernels.minmax(), 5.0, 100, 42)[-1] is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["simple", "weighted"])
+@pytest.mark.parametrize("spec, alpha", [(kernels.minmax(), 5.0),
+                                         (kernels.sbm([[0.8, 0.1], [0.1, 0.8]], [0.75, 0.25]), 1.0)],
+                         ids=["minmax", "sbm"])
+def test_the_shared_run_matches_dense_references(spec, alpha, kind):
+    # T, T_hom, T_nh, T_gh and T_opt from one Lanczos run from 1 (and the
+    # solve of T_gh) against np.linalg.solve and eigh of the dense G.
+    for N, seed in ((100, 7), (400, 8)):
+        types, Pw, Ps = sampled_instance(spec, N, seed)
+        G = (Ps.A if kind == "simple" else Pw.P) / N
+        beta, C = 1.0, 0.01 * N
+        allocations = [iv.no_intervention(beta, N).beta_hat,
+                       iv.homogeneous_policy(beta, C, N).beta_hat,
+                       iv.graphon_heuristic(spec, types, beta, C).beta_hat]
+        Ts, v1, (_, _, T_opt) = iv._welfares(G, True, alpha, allocations, beta, C,
+                                             nh=True, opt=True)
+        lam, U = np.linalg.eigh(G)
+        v_ref = spectral._orient(U[:, -1])
+        assert np.max(np.abs(v1 - v_ref)) <= 1e-10
+        M = np.eye(N) - alpha * G
+        for T, b in zip(Ts, allocations + [beta + math.sqrt(C) * v_ref]):
+            s = np.linalg.solve(M, b)
+            assert T == pytest.approx(np.sum(s**2) / (2 * N), rel=1e-12, abs=0)
+        d = 1.0 / (1.0 - alpha * lam) ** 2
+        _, y = iv._secular_solve(d, U.T @ np.full(N, beta), C)
+        assert T_opt == pytest.approx(np.sum(d * y**2) / (2 * N), rel=1e-12, abs=0)
+
+
+def test_welfare_gap_and_network_heuristic_read_the_trial_values():
+    spec, N, seed = kernels.minmax(), 200, 42
+    T_nh, T_gh, T_opt, gap = _trial(spec, 5.0, N, seed)[4:8]
+    types, _, A = experiments._trial_networks(spec, N, 0, seed)
+    Ps = sampling.SimpleNetwork(A, types)
+    assert iv.welfare_gap(Ps, spec, 5.0, 1.0, 0.01 * N) == (T_nh, T_gh, gap)
+    nh = iv.evaluate_policy(iv.network_heuristic(A, 1.0, 0.01 * N), A, 5.0)
+    assert nh.welfare == pytest.approx(T_nh, rel=1e-12, abs=0)
+    assert iv.optimal_intervention(A, 5.0, 1.0, 0.01 * N).welfare == T_opt
 
 
 def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
