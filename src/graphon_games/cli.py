@@ -25,15 +25,7 @@ from .bayes import estimate_epsilon, lq_L_U
 from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
 from .experiments import _PCTS, _write_csv, distance_experiment, intervention_experiment, subseed
-from .interventions import (
-    _check_params,
-    _result,
-    _welfares,
-    graphon_heuristic,
-    homogeneous_policy,
-    no_intervention,
-    result_to_json,
-)
+from .interventions import POLICIES, _policies, result_to_json
 from .kernels import erdos_renyi, from_json as graphon_from_json, minmax, sbm
 from .sampling import (
     load_network_json,
@@ -199,28 +191,9 @@ def _cmd_intervene(args, outdir: Path) -> int:
     spec = build_graphon(args)
     A, types = _sample(spec, args.N, args.seed, simple=True)
     C = args.C if args.C is not None else args.c_per_agent * args.N
-
-    _check_params(args.beta, C)
-    names = (("homogeneous", "network", "graphon", "optimal") if args.policy == "all"
-             else (args.policy,))
-    given = {"none": no_intervention(args.beta, args.N)}
-    if "homogeneous" in names:
-        given["homogeneous"] = homogeneous_policy(args.beta, C, args.N)
-    if "graphon" in names:
-        given["graphon"] = graphon_heuristic(spec, types, args.beta, C)
-    # one Lanczos run gates the game for every policy and gives v1 and the optimum
-    Ts, v1, opt = _welfares(A / args.N, True, args.alpha, [r.beta_hat for r in given.values()],
-                            args.beta, C, "network" in names, "optimal" in names)
-    for r, T in zip(given.values(), Ts):
-        r.welfare = T
-    if "network" in names:
-        beta_nh = args.beta + math.sqrt(C) * v1
-        given["network"] = _result(beta_nh, args.beta, "network-heuristic", Ts[-1])
-    if "optimal" in names:
-        given["optimal"] = _result(opt[0], args.beta, "optimal", opt[2], opt[1])
-    results = [given[n] for n in ("none", "homogeneous", "network", "graphon", "optimal")
-               if n in given]
-
+    names = POLICIES[1:] if args.policy == "all" else (args.policy,)
+    results = list(_policies(A / args.N, True, spec, types, args.alpha, args.beta, C,
+                             names).values())
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":
         _write_csv(outdir / "interventions.csv", "policy,welfare,budget_used",

@@ -262,21 +262,22 @@ def _lq_solve(G, alpha: float, b) -> np.ndarray:
 
 
 def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None):
-    """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given).
+    """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given, v).
 
-    If G is ``nonneg``, rho is lambda_max and one Lanczos run from all-ones
-    gives it and x. A signed G adds lambda_max(-G) and solves for x apart.
-    Raises ContractionError unless q < 1, which makes I - alpha G positive definite.
+    v is the top Ritz vector (sum >= 0). If G is ``nonneg``, rho is lambda_max
+    and one Lanczos run from all-ones gives it, v and x. A signed G adds
+    lambda_max(-G) and solves for x apart. Raises ContractionError unless
+    q < 1, which makes I - alpha G positive definite.
     """
     if nonneg:
-        lam, _, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
+        lam, v, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
         q = _check_contraction(ratio, lam)
     else:
-        lam, x = matrix_dominant_eigenvalue(G), None
+        (lam, v), x = power_method(G, POWER_TOL, POWER_MAX_ITER), None
         q = _check_contraction(ratio, max(lam, matrix_dominant_eigenvalue(-G)))
     if alpha is not None and x is None:
         x = _lq_solve(G, alpha, np.ones(len(G)))
-    return lam, q, x
+    return lam, q, x, v
 
 
 def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:
@@ -291,7 +292,7 @@ def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> Equilib
     the spectral radius of G.
     """
     lq = isinstance(payoff, LqPayoff)
-    lam, q, x = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
+    lam, q, x, _ = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
     n = len(G)
     if lq:
         s = payoff.beta * x

@@ -33,12 +33,7 @@ from .equilibrium import (
     step_function_embed,
 )
 from .errors import ContractionError, IterationLimitError
-from .interventions import (
-    _welfares,
-    graphon_heuristic,
-    homogeneous_policy,
-    no_intervention,
-)
+from .interventions import POLICIES, _policies
 from .kernels import GraphonSpec, lipschitz_metadata
 from .sampling import sample_types, simple_network, weighted_network
 from .spectral import GridFunction
@@ -204,14 +199,9 @@ def _intervention_trial(args):
     try:
         types, _, A = _trial_networks(spec, N, trial, seed)
         A /= N  # the trial owns A, symmetric, finite and 0-1: scaled in place, unchecked
-        allocations = [
-            no_intervention(beta, N).beta_hat,
-            homogeneous_policy(beta, C, N).beta_hat,
-            graphon_heuristic(spec, types, beta, C).beta_hat,
-        ]
-        (T, T_hom, T_gh, T_nh), _, opt = _welfares(A, True, alpha, allocations, beta, C, nh=True,
-                                                   opt=N <= optimal_cap)
-        T_opt = opt[2] if opt else math.nan
+        res = _policies(A, True, spec, types, alpha, beta, C,
+                        POLICIES[1:] if N <= optimal_cap else POLICIES[1:4])
+        T, T_hom, T_nh, T_gh, T_opt = (res[p].welfare if p in res else math.nan for p in POLICIES)
         return (N, trial, T, T_hom, T_nh, T_gh, T_opt, abs(T_nh - T_gh), None)
     except _TRIAL_ERRORS as exc:
         return (N, trial, *([math.nan] * 6), repr(exc))
@@ -225,12 +215,10 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     The total budget is C = c_per_agent * N; the graphon heuristic reads the
     kernel at its own resolution. The exact optimum (a certified Lanczos
     projection, a full eigendecomposition when uncertified) is computed only
-    for N up to optimal_cap. Returns one WelfareStats per N.
+    for N up to optimal_cap. Returns one WelfareStats per N. Like every policy,
+    it requires complements: alpha <= 0 or NaN raises ValueError.
     """
     Ns = _sizes(Ns, trials)
-    if not alpha > 0.0:
-        raise ValueError("intervention experiments require strategic complements (alpha > 0)")
-
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),
                        Ns, trials, seed, jobs)
 

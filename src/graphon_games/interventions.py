@@ -13,9 +13,11 @@ Policies:
   optimal            exact maximizer via the secular equation, solved on the Lanczos
                      basis from the all-ones vector and certified in full space
 
-On a nonnegative network that one Lanczos run also gates the game and gives
-the dominant eigenvector and the welfare of the network heuristic and of any
-constant allocation (``_welfares``).
+``_policies`` is the one routine that puts policies together, in the order of
+``POLICIES``: it requires complements, builds the allocations and reads every
+welfare off one ``_welfares`` call. On a nonnegative network that call's one
+Lanczos run gates the game and gives the dominant eigenvector and the welfare
+of the network heuristic and of any constant allocation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
     POWER_TOL,
-    _EPS,
+    _galerkin,
     _lanczos_steps,
     _orient,
     _psi1_at_types,
@@ -49,9 +51,11 @@ __all__ = [
     "optimal_intervention",
     "welfare_gap",
     "evaluate_policy",
+    "POLICIES",
     "result_to_json",
 ]
 
+POLICIES = ("none", "homogeneous", "network", "graphon", "optimal")
 _GAP_WARN = 1e-10
 _PROJECTION_STEPS = 50  # sampled networks take 8-22 steps; slower ones go to eigh
 
@@ -93,29 +97,27 @@ def _welfares(G: np.ndarray, nonneg: bool, alpha: float, allocations, beta: floa
     of the network heuristic beta 1 + sqrt(C) v1. With ``opt``, ``optimum`` is
     (beta_hat, mu, T_opt): beta 1 at C = 0, else the certified projection,
     else ``_eigh_optimum``. A signed G is gated by ``_contraction_gate`` and
-    takes v1 from ``power_method``. A nonnegative G runs ``_lanczos_steps``
-    from 1 once, until every reader has read, each with the test of
-    ``_lanczos``: the gate, ``_check_contraction`` on the Rayleigh quotient of
-    the top Ritz vector v1 (``_orient``) once beta_k |S[k, k]| <= POWER_TOL
-    max(1, theta_k); the solves, None if I - alpha T_k turns indefinite, of
-    x1 = (I - alpha G)^-1 1, which a constant allocation scales, and of the
-    heuristic's allocation, which lies in the basis of v1's step; and within
+    takes v1 from its Ritz vector. A nonnegative G runs ``_lanczos_steps``
+    from 1 once, until every reader has read: the gate, ``_check_contraction``
+    on the Rayleigh quotient of the top Ritz vector v1 (``_orient``) once
+    beta_k |S[k, k]| <= POWER_TOL max(1, theta_k); the solves by ``_galerkin``,
+    None if I - alpha T_k turns indefinite, of x1 = (I - alpha G)^-1 1, which
+    a constant allocation scales, and of the heuristic's allocation, which
+    lies in the basis of v1's step; and within
     ``_PROJECTION_STEPS`` steps the optimum on K(G, 1): from the steps where
     v1 has settled, ``_secular_solve`` on d = (1 - alpha theta)^-2,
     c = beta sqrt(N) S[0] and C gives beta_hat = Q^T S y (GLTR, Gould et al.
     1999) until beta_k |e_k^T S y| <= 1e-13 ||S y||, then ``_certified``. Any
     other allocation (the graphon heuristic's) takes a solve of its own.
     """
-    if opt and not alpha > 0.0:
-        raise ValueError("planner interventions require strategic complements (alpha > 0)")
     n = len(G)
     x1 = v1 = c_nh = s_nh = found = None
     solving, project = True, nonneg and opt and beta != 0.0 and C > 0.0
     if nonneg:
         run = _lanczos_steps(G, np.ones(n), n)
     else:  # rho(G) needs lambda_max(-G) too, and v1 a start that can miss 1
-        run, x1 = (), _contraction_gate(G, False, abs(alpha), alpha)[2]
-        v1 = _orient(power_method(G, POWER_TOL, POWER_MAX_ITER)[1]) if nh else None
+        _, _, x1, v1 = _contraction_gate(G, False, abs(alpha), alpha)
+        run, v1 = (), _orient(v1)
     for k, (Q, theta, S, b_k, end) in enumerate(run, 1):
         settled = b_k * abs(S[-1, -1]) <= POWER_TOL * max(1.0, abs(theta[-1])) or end
         if v1 is None and settled:
@@ -175,7 +177,7 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
     _check_params(beta, C)
     P = _validate_symmetric(P, "network matrix")
-    v1 = _welfares(P / len(P), P.min() >= 0.0, 0.0, [], beta, C, nh=True)[1]
+    v1 = _orient(power_method(P / len(P), POWER_TOL, POWER_MAX_ITER)[1])
     return _result(beta + math.sqrt(C) * v1, beta, "network-heuristic")
 
 
@@ -236,14 +238,6 @@ def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
     return mu, mu * c / (t + gap)
 
 
-def _galerkin(Q, S, d, r, end, c, scale=1.0):
-    """scale Q^T (I - alpha T)^-1 c once its residual r |y_k| is round-off, else None.
-
-    The stopping test of ``_lanczos``, for c on the first len(c) basis vectors."""
-    y = S @ ((c @ S[:len(c)]) / d)
-    return scale * (y @ Q) if r * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end else None
-
-
 def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.ndarray,
                mu: float, v1: np.ndarray):
     """(beta_hat, mu, T_opt) if the projected optimum holds in full space, else None.
@@ -277,6 +271,36 @@ def _eigh_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
     return U @ y, float(mu), float(np.sum(d * y**2)) / (2.0 * len(G))
 
 
+def _policies(G: np.ndarray, nonneg: bool, spec: GraphonSpec | None, types: TypeVector | None,
+              alpha: float, beta: float, C: float, names) -> dict:
+    """{name: InterventionResult} with its welfare, for "none" and ``names``, in POLICIES order.
+
+    The game on G = A/N, whose sign ``nonneg`` is known, with complements
+    required (alpha > 0; NaN fails it). One ``_welfares`` call gates the game
+    and fills in every welfare: of the allocations none, homogeneous and
+    graphon (which reads ``spec`` at ``types``), of the network heuristic
+    beta + sqrt(C) v1, and the optimum.
+    """
+    if not alpha > 0.0:
+        raise ValueError("planner interventions require strategic complements (alpha > 0)")
+    _check_params(beta, C)
+    n = len(G)
+    given = {"none": no_intervention(beta, n)}
+    if "homogeneous" in names:
+        given["homogeneous"] = homogeneous_policy(beta, C, n)
+    if "graphon" in names:
+        given["graphon"] = graphon_heuristic(spec, types, beta, C)
+    Ts, v1, opt = _welfares(G, nonneg, alpha, [r.beta_hat for r in given.values()], beta, C,
+                            nh="network" in names, opt="optimal" in names)
+    for r, T in zip(given.values(), Ts):
+        r.welfare = T
+    if "network" in names:
+        given["network"] = _result(beta + math.sqrt(C) * v1, beta, "network-heuristic", Ts[-1])
+    if "optimal" in names:
+        given["optimal"] = _result(opt[0], beta, "optimal", opt[2], opt[1])
+    return {name: given[name] for name in POLICIES if name in given}
+
+
 def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> InterventionResult:
     """Exact welfare-maximizing allocation on the budget sphere.
 
@@ -289,9 +313,8 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     The two agree on T_opt to 1e-12 relative.
     """
     P = _validate_symmetric(P, "network matrix")
-    _check_params(beta, C)
-    beta_hat, mu, T = _welfares(P / len(P), P.min() >= 0.0, alpha, [], beta, C, opt=True)[2]
-    return _result(beta_hat, beta, "optimal", T, mu)
+    res = _policies(P / len(P), P.min() >= 0.0, None, None, alpha, beta, C, ("optimal",))
+    return res["optimal"]
 
 
 def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> InterventionResult:
@@ -302,8 +325,9 @@ def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> 
 def welfare_gap(P_s: SimpleNetwork, spec: GraphonSpec, alpha: float, beta: float, C: float):
     """T_nh, T_gh and their gap on one realized network; neither asks for a resolution."""
     A = _validate_symmetric(P_s.A, "network matrix")
-    gh = graphon_heuristic(spec, P_s.types, beta, C)
-    T_gh, T_nh = _welfares(A / len(A), A.min() >= 0.0, alpha, [gh.beta_hat], beta, C, nh=True)[0]
+    res = _policies(A / len(A), A.min() >= 0.0, spec, P_s.types, alpha, beta, C,
+                    ("network", "graphon"))
+    T_nh, T_gh = res["network"].welfare, res["graphon"].welfare
     return T_nh, T_gh, abs(T_nh - T_gh)
 
 

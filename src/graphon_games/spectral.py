@@ -219,6 +219,16 @@ def _lanczos_steps(A, q: np.ndarray, max_iter: int):
         T[k, k - 1] = T[k - 1, k] = beta
 
 
+def _galerkin(Q, S, d, r, end, c, scale=1.0):
+    """scale Q^T y, (I - alpha T) y = c on the first len(c) basis vectors, or None.
+
+    The one solve stopping rule, of ``_lanczos`` and ``interventions._welfares``:
+    with d = 1 - alpha theta > 0 and r = |alpha| beta_k, y once r |y_k| <= eps
+    ||y|| min(d), a round-off-level error, or at ``end``."""
+    y = S @ ((c @ S[:len(c)]) / d)
+    return scale * (y @ Q) if r * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end else None
+
+
 def _lanczos(A, q: np.ndarray, tol: float | None = None,
              max_iter: int = POWER_MAX_ITER, alpha: float | None = None):
     """Top Ritz pair, solve of (I - alpha A) x = q, or both, from ``_lanczos_steps``.
@@ -226,13 +236,12 @@ def _lanczos(A, q: np.ndarray, tol: float | None = None,
     Returns (lam, v, x), None where not asked. ``tol`` (None: solve only): the
     Rayleigh quotient and Ritz vector (sum >= 0) of the top pair at the first
     step where beta_k |s_k| <= tol max(1, |theta|). ``alpha``: x = ||q|| Q^T y
-    with (I - alpha T) y = e_1 (CG when I - alpha A is positive definite), once
-    |alpha| beta_k |y_k| <= eps ||y|| min(1 - alpha theta), a round-off-level
-    error; None if I - alpha T is indefinite or alpha is NaN. The last step
-    reads what is still open; IterationLimitError after max_iter.
+    with (I - alpha T) y = e_1 (CG when I - alpha A is positive definite) by
+    ``_galerkin``; None if I - alpha T is indefinite or alpha is NaN. The last
+    step reads what is still open; IterationLimitError after max_iter.
     """
     lam = v = x = None
-    resid = 0.0
+    resid, e1, scale = 0.0, np.ones(1), np.linalg.norm(q)
     for Q, theta, S, beta, end in _lanczos_steps(A, q, max_iter):
         if tol is not None and lam is None:
             resid = beta * abs(S[-1, -1])
@@ -245,9 +254,7 @@ def _lanczos(A, q: np.ndarray, tol: float | None = None,
             if not d.min() > 0.0:
                 alpha = None  # indefinite: no solve to read
             else:
-                y = S @ (S[0] / d)
-                if abs(alpha) * beta * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end:
-                    x = np.linalg.norm(q) * (y @ Q)
+                x = _galerkin(Q, S, d, abs(alpha) * beta, end, e1, scale)
         if (x is not None or alpha is None) and (lam is not None or tol is None):
             return lam, v, x
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",

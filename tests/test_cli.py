@@ -97,6 +97,46 @@ def test_intervene_all_policies(tmp_path):
         1.21, abs=1e-9)
 
 
+_MINMAX_60 = ["intervene", "--graphon", "minmax", "--N", "60", "--beta", "1", "--seed", "3"]
+
+
+@pytest.mark.parametrize("alpha", ["-1", "nan"])
+@pytest.mark.parametrize("policy", ["homogeneous", "network", "graphon", "optimal", "all"])
+def test_every_policy_requires_complements(tmp_path, capsys, policy, alpha):
+    # At alpha <= 0 the linear response is no equilibrium: none of its welfares is written.
+    assert run([*_MINMAX_60, "--alpha", alpha, "--policy", policy, "--out", str(tmp_path)]) == 1
+    assert "require strategic complements" in capsys.readouterr().err
+    assert not (tmp_path / "interventions.csv").exists()
+
+
+def _columns(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    return {col[0]: col for col in zip(*rows)}
+
+
+@pytest.mark.parametrize("policy, label", [
+    ("homogeneous", "homogeneous"), ("network", "network-heuristic"),
+    ("graphon", "graphon-heuristic"), ("optimal", "optimal")])
+def test_a_single_policy_writes_the_rows_of_all_policies(tmp_path, policy, label):
+    # One routine composes the policies: a single policy's none and own rows,
+    # columns and JSON entries are those of the --policy all run, byte for byte.
+    outs = {}
+    for name in (policy, "all"):
+        outs[name] = tmp_path / name
+        assert run([*_MINMAX_60, "--alpha", "5", "--policy", name,
+                    "--out", str(outs[name])]) == 0
+    rows = {name: {line.split(",")[0]: line for line in
+                   (out / "interventions.csv").read_text().splitlines()}
+            for name, out in outs.items()}
+    assert rows[policy] == {k: rows["all"][k] for k in ("policy", "none", label)}
+    columns = {name: _columns(out / "allocations.csv") for name, out in outs.items()}
+    assert columns[policy] == {k: columns["all"][k] for k in ("index", "none", label)}
+    docs = {name: {d["policy"]: json.dumps(d) for d in
+                   json.loads((out / "interventions.json").read_text())}
+            for name, out in outs.items()}
+    assert docs[policy] == {k: docs["all"][k] for k in ("none", label)}
+
+
 # --- experiments ----------------------------------------------------------------------
 
 def test_distance_exp_deterministic(tmp_path):

@@ -603,6 +603,45 @@ def test_welfare_gap_and_network_heuristic_read_the_trial_values():
     assert iv.optimal_intervention(A, 5.0, 1.0, 0.01 * N).welfare == T_opt
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_welfare_gap_requires_complements(alpha):
+    # At alpha <= 0 the linear response can have negative strategies, so it is
+    # no LQ equilibrium and its "welfare" means nothing.
+    types, _, Ps = sampled_instance(kernels.minmax(), 40, 3)
+    with pytest.raises(ValueError, match="strategic complements"):
+        iv.welfare_gap(Ps, kernels.minmax(), alpha, 1.0, 0.2)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
+def test_the_network_heuristic_is_the_one_the_policies_read(signed):
+    # network_heuristic takes v1 from power_method with no welfare run; the
+    # policies read it off the gate's run, bit for bit.
+    for N in (5, 60, 300):
+        P = random_network(np.random.default_rng(N), N)
+        P = P - 0.5 if signed else P
+        np.fill_diagonal(P, 0.0)
+        alpha = 0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N)))
+        res = iv._policies(P / N, not signed, None, None, alpha, 1.0, 0.01 * N, ("network",))
+        nh = iv.network_heuristic(P, 1.0, 0.01 * N)
+        assert np.array_equal(res["network"].beta_hat, nh.beta_hat)
+
+
+def test_a_signed_network_takes_v1_from_the_gate(monkeypatch):
+    # The gate's power_method(G) and power_method(-G), its solve from 1, and the
+    # solves of the graphon and network heuristics: 6 runs when v1 took a run of its own.
+    N = 40
+    P = random_network(np.random.default_rng(11), N) - 0.5
+    np.fill_diagonal(P, 0.0)
+    alpha = 0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N)))
+    Ps = sampling.SimpleNetwork(P, sampling.sample_types(N, 12))
+    runs = []
+    steps = spectral._lanczos_steps
+    monkeypatch.setattr(spectral, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    T_nh = iv.welfare_gap(Ps, kernels.minmax(), alpha, 1.0, 0.4)[0]
+    assert len(runs) == 5
+    assert T_nh == iv.welfare(P, alpha, iv.network_heuristic(P, 1.0, 0.4).beta_hat)
+
+
 def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
     # A grid kernel takes the discretized operator; the same blocks as an sbm
     # take the closed form.
