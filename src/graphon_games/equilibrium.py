@@ -11,7 +11,8 @@ radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges
 geometrically. For a nonnegative G, rho(G) is lambda_max, the largest
 eigenvalue of G; a signed G also needs the largest eigenvalue of -G. Both
-come from Lanczos runs (``spectral._lanczos``). The returned
+come from Lanczos runs read by one reader, ``spectral._lanczos_steps``,
+which orients every Ritz vector by one rule (``_orient``). The returned
 EquilibriumReport carries lambda_max, so bounds do not recompute it.
 
 Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
@@ -252,32 +253,36 @@ def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lq_solve(G, alpha: float, b) -> np.ndarray:
-    """(I - alpha G)^-1 b by Lanczos from b, for use behind the contraction gate."""
-    b = np.asarray(b, dtype=float)
-    x = _lanczos(G, b, alpha=alpha)[2] if b.any() else 0.0 * b
+def _definite(x):
+    """x, unless the run that read it found I - alpha G indefinite (x None): ContractionError."""
     if x is None:  # |alpha| rho(G) is one up to round-off
         raise ContractionError(1.0, "I - alpha G is not positive definite")
     return x
 
 
+def _lq_solve(G, alpha: float, b) -> np.ndarray:
+    """(I - alpha G)^-1 b by Lanczos from b, for use behind the contraction gate."""
+    b = np.asarray(b, dtype=float)
+    return _definite(_lanczos(G, b, alpha=alpha)[2]) if b.any() else 0.0 * b
+
+
 def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None):
     """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given, v).
 
-    v is the top Ritz vector (sum >= 0). If G is ``nonneg``, rho is lambda_max
-    and one Lanczos run from all-ones gives it, v and x. A signed G adds
-    lambda_max(-G) and solves for x apart. Raises ContractionError unless
-    q < 1, which makes I - alpha G positive definite.
+    v is the top Ritz vector, as ``_lanczos_steps`` reads and orients every one
+    (``_orient``). If G is ``nonneg``, rho is lambda_max and one Lanczos run
+    from all-ones gives it, v and x. A signed G adds lambda_max(-G) and solves
+    for x apart. Raises ContractionError unless q < 1, which makes I - alpha G
+    positive definite, or if the run for x found it indefinite all the same.
     """
     if nonneg:
         lam, v, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
         q = _check_contraction(ratio, lam)
     else:
-        (lam, v), x = power_method(G, POWER_TOL, POWER_MAX_ITER), None
+        lam, v = power_method(G, POWER_TOL, POWER_MAX_ITER)
         q = _check_contraction(ratio, max(lam, matrix_dominant_eigenvalue(-G)))
-    if alpha is not None and x is None:
-        x = _lq_solve(G, alpha, np.ones(len(G)))
-    return lam, q, x, v
+        x = None if alpha is None else _lanczos(G, np.ones(len(G)), alpha=alpha)[2]
+    return lam, q, x if alpha is None else _definite(x), v
 
 
 def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:

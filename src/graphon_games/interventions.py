@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import _check_contraction, _contraction_gate, _lq_solve
+from .equilibrium import _check_contraction, _contraction_gate, _definite, _lq_solve
 from .kernels import GraphonSpec, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
@@ -36,7 +36,6 @@ from .spectral import (
     POWER_TOL,
     _galerkin,
     _lanczos_steps,
-    _orient,
     _psi1_at_types,
     power_method,
 )
@@ -96,42 +95,31 @@ def _welfares(G: np.ndarray, nonneg: bool, alpha: float, allocations, beta: floa
     ``welfares`` holds the welfare of each allocation, then with ``nh`` that
     of the network heuristic beta 1 + sqrt(C) v1. With ``opt``, ``optimum`` is
     (beta_hat, mu, T_opt): beta 1 at C = 0, else the certified projection,
-    else ``_eigh_optimum``. A signed G is gated by ``_contraction_gate`` and
-    takes v1 from its Ritz vector. A nonnegative G runs ``_lanczos_steps``
-    from 1 once, until every reader has read: the gate, ``_check_contraction``
-    on the Rayleigh quotient of the top Ritz vector v1 (``_orient``) once
-    beta_k |S[k, k]| <= POWER_TOL max(1, theta_k); the solves by ``_galerkin``,
-    None if I - alpha T_k turns indefinite, of x1 = (I - alpha G)^-1 1, which
-    a constant allocation scales, and of the heuristic's allocation, which
-    lies in the basis of v1's step; and within
-    ``_PROJECTION_STEPS`` steps the optimum on K(G, 1): from the steps where
-    v1 has settled, ``_secular_solve`` on d = (1 - alpha theta)^-2,
-    c = beta sqrt(N) S[0] and C gives beta_hat = Q^T S y (GLTR, Gould et al.
-    1999) until beta_k |e_k^T S y| <= 1e-13 ||S y||, then ``_certified``. Any
+    else ``_eigh_optimum``. All read one ``_lanczos_steps`` run from 1: x1 =
+    (I - alpha G)^-1 1, which a constant allocation scales, and for a
+    nonnegative G the top pair (lam, v1), gated by ``_check_contraction`` (a
+    signed G: ``_contraction_gate`` gives v1), the heuristic's allocation,
+    solved in the basis by ``_galerkin``, and within ``_PROJECTION_STEPS``
+    steps the optimum on K(G, 1), beta_hat = Q^T S y by ``_secular_solve`` on
+    d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and C (GLTR, Gould et al.
+    1999) once beta_k |e_k^T S y| <= 1e-13 ||S y||, then ``_certified``. Any
     other allocation (the graphon heuristic's) takes a solve of its own.
     """
     n = len(G)
-    x1 = v1 = c_nh = s_nh = found = None
-    solving, project = True, nonneg and opt and beta != 0.0 and C > 0.0
-    if nonneg:
-        run = _lanczos_steps(G, np.ones(n), n)
-    else:  # rho(G) needs lambda_max(-G) too, and v1 a start that can miss 1
-        _, _, x1, v1 = _contraction_gate(G, False, abs(alpha), alpha)
-        run, v1 = (), _orient(v1)
-    for k, (Q, theta, S, b_k, end) in enumerate(run, 1):
-        settled = b_k * abs(S[-1, -1]) <= POWER_TOL * max(1.0, abs(theta[-1])) or end
-        if v1 is None and settled:
-            v1 = _orient(S[:, -1] @ Q)
-            _check_contraction(abs(alpha), float(v1 @ (G @ v1) / (v1 @ v1)))
+    v1 = c_nh = s_nh = found = None
+    project = nonneg and opt and beta != 0.0 and C > 0.0
+    if not nonneg:  # rho(G) needs lambda_max(-G) too, and v1 a start that can miss 1
+        v1 = _contraction_gate(G, False, abs(alpha))[3]
+    for Q, theta, S, b_k, end, settled, pair, d, x1 in _lanczos_steps(
+            G, np.ones(n), n, POWER_TOL if nonneg else None, alpha):
+        if v1 is None and pair is not None:
+            _check_contraction(abs(alpha), pair[0])
+            v1 = pair[1]
             if nh:  # the heuristic's allocation lies in the basis: solve from its coordinates
                 c_nh = Q @ (beta + math.sqrt(C) * v1)
-        d = 1.0 - alpha * theta
-        solving = solving and d.min() > 0.0  # False for a NaN alpha too
-        if solving and x1 is None:
-            x1 = _galerkin(Q, S, d, abs(alpha) * b_k, end, np.ones(1), math.sqrt(n))
-        if solving and c_nh is not None and s_nh is None:
+        if d is not None and c_nh is not None and s_nh is None:
             s_nh = _galerkin(Q, S, d, abs(alpha) * b_k, end, c_nh)
-        if project and (k > _PROJECTION_STEPS or alpha * theta[-1] >= 1.0):
+        if project and (len(theta) > _PROJECTION_STEPS or alpha * theta[-1] >= 1.0):
             project = False
         elif project and settled:
             mu, y = _secular_solve(1.0 / d**2, beta * math.sqrt(n) * S[0], C)
@@ -139,10 +127,9 @@ def _welfares(G: np.ndarray, nonneg: bool, alpha: float, allocations, beta: floa
             if b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) or end:
                 project, found = False, _certified(G, alpha, beta, C, z @ Q, mu, v1)
         if v1 is not None and not project and (
-                not solving or (x1 is not None and (s_nh is not None or not nh))):
+                d is None or (x1 is not None and (s_nh is not None or c_nh is None))):
             break
-    if x1 is None:  # I - alpha T_k turned indefinite: alpha rho(G) is one up to round-off
-        x1 = _lq_solve(G, alpha, np.ones(n))
+    x1 = _definite(x1)
     sols = [b[0] * x1 if b.shape == x1.shape and np.all(b == b[0]) else _lq_solve(G, alpha, b)
             for b in map(np.asarray, allocations)]
     if nh:
@@ -162,6 +149,12 @@ def _check_params(beta: float, C: float = 0.0) -> None:
         raise ValueError(f"budget must be nonnegative and finite, got {C}")
 
 
+def _check_complements(alpha: float) -> None:
+    """Require complements, alpha > 0 (NaN fails it): else the linear response is no equilibrium."""
+    if not alpha > 0.0:
+        raise ValueError("planner interventions require strategic complements (alpha > 0)")
+
+
 def no_intervention(beta: float, N: int) -> InterventionResult:
     _check_params(beta)
     return _result(np.full(N, float(beta)), beta, "none")
@@ -177,7 +170,7 @@ def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResul
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
     _check_params(beta, C)
     P = _validate_symmetric(P, "network matrix")
-    v1 = _orient(power_method(P / len(P), POWER_TOL, POWER_MAX_ITER)[1])
+    v1 = power_method(P / len(P), POWER_TOL, POWER_MAX_ITER)[1]
     return _result(beta + math.sqrt(C) * v1, beta, "network-heuristic")
 
 
@@ -281,8 +274,7 @@ def _policies(G: np.ndarray, nonneg: bool, spec: GraphonSpec | None, types: Type
     graphon (which reads ``spec`` at ``types``), of the network heuristic
     beta + sqrt(C) v1, and the optimum.
     """
-    if not alpha > 0.0:
-        raise ValueError("planner interventions require strategic complements (alpha > 0)")
+    _check_complements(alpha)
     _check_params(beta, C)
     n = len(G)
     given = {"none": no_intervention(beta, n)}
@@ -318,7 +310,8 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
 
 
 def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> InterventionResult:
-    """Return a copy of the result with its welfare on the game (P, alpha) filled in."""
+    """A copy of the result with its welfare on the game (P, alpha), which needs complements."""
+    _check_complements(alpha)
     return replace(result, welfare=welfare(P, alpha, result.beta_hat))
 
 

@@ -187,18 +187,26 @@ def _orient(v: np.ndarray, weights=None) -> np.ndarray:
     return v if v[j] >= 0.0 else -v
 
 
-def _lanczos_steps(A, q: np.ndarray, max_iter: int):
+def _lanczos_steps(A, q: np.ndarray, max_iter: int, tol: float | None = None,
+                   alpha: float | None = None):
     """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11).
 
-    Step k yields (Q, theta, S, beta_k, end): the rows q_1 .. q_k (a view of
-    a buffer that doubles when full), the eigenpairs of T = Q A Q^T, the next
-    off-diagonal, and whether the space is invariant (beta_k <= eps max |T|)
-    or all of R^n, the last step. A non-finite product raises ValueError.
+    The one reader of a run. Step k yields (Q, theta, S, beta_k, end, settled,
+    pair, d, x): the rows q_1 .. q_k (a view of a buffer that doubles when
+    full), the eigenpairs of T = Q A Q^T, the next off-diagonal, and whether
+    the space is invariant (beta_k <= eps max |T|) or all of R^n, the last
+    step. ``tol`` gives ``settled``, beta_k |s_k| <= tol max(1, |theta_k|) or
+    ``end``, and from the first settled step the top ``pair`` (Rayleigh
+    quotient, Ritz vector by ``_orient``). ``alpha`` gives d = 1 - alpha theta
+    until I - alpha T turns indefinite (at once for NaN), and x = ||q|| Q^T y,
+    (I - alpha T) y = e_1, once ``_galerkin`` reads it. Unasked reads are None.
+    A non-finite product raises ValueError.
     """
     n = len(A)
     Q, T = np.empty((min(n, 16), n)), np.zeros((min(n, 16),) * 2)
     Q[0] = q / np.linalg.norm(q)
-    T_norm = 0.0
+    T_norm, e1, scale = 0.0, np.ones(1), np.linalg.norm(q)
+    settled = pair = d = x = None
     for k in range(1, max_iter + 1):
         w = A @ Q[k - 1]
         a = T[k - 1, k - 1] = Q[k - 1] @ w
@@ -210,7 +218,18 @@ def _lanczos_steps(A, q: np.ndarray, max_iter: int):
         T_norm = max(T_norm, abs(a), beta)
         theta, S = np.linalg.eigh(T[:k, :k])
         end = beta <= _EPS * T_norm or k == n
-        yield Q[:k], theta, S, beta, end
+        if tol is not None:
+            settled = beta * abs(S[-1, -1]) <= tol * max(1.0, abs(theta[-1])) or end
+            if pair is None and settled:
+                v = _orient(S[:, -1] @ Q[:k])
+                pair = float(v @ (A @ v) / (v @ v)), v
+        if alpha is not None:
+            d = 1.0 - alpha * theta
+            if not d.min() > 0.0:
+                alpha = d = None  # indefinite: no solve to read
+            elif x is None:
+                x = _galerkin(Q[:k], S, d, abs(alpha) * beta, end, e1, scale)
+        yield Q[:k], theta, S, beta, end, settled, pair, d, x
         if end:
             return
         if k == len(Q):
@@ -222,55 +241,37 @@ def _lanczos_steps(A, q: np.ndarray, max_iter: int):
 def _galerkin(Q, S, d, r, end, c, scale=1.0):
     """scale Q^T y, (I - alpha T) y = c on the first len(c) basis vectors, or None.
 
-    The one solve stopping rule, of ``_lanczos`` and ``interventions._welfares``:
-    with d = 1 - alpha theta > 0 and r = |alpha| beta_k, y once r |y_k| <= eps
-    ||y|| min(d), a round-off-level error, or at ``end``."""
+    The one solve stopping rule, of the one reader ``_lanczos_steps`` and of
+    ``interventions._welfares``: with d = 1 - alpha theta > 0 and r = |alpha| beta_k,
+    y once r |y_k| <= eps ||y|| min(d), a round-off-level error, or at ``end``."""
     y = S @ ((c @ S[:len(c)]) / d)
     return scale * (y @ Q) if r * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end else None
 
 
 def _lanczos(A, q: np.ndarray, tol: float | None = None,
              max_iter: int = POWER_MAX_ITER, alpha: float | None = None):
-    """Top Ritz pair, solve of (I - alpha A) x = q, or both, from ``_lanczos_steps``.
+    """(lam, v, x) from the first step of ``_lanczos_steps`` that has read what was asked.
 
-    Returns (lam, v, x), None where not asked. ``tol`` (None: solve only): the
-    Rayleigh quotient and Ritz vector (sum >= 0) of the top pair at the first
-    step where beta_k |s_k| <= tol max(1, |theta|). ``alpha``: x = ||q|| Q^T y
-    with (I - alpha T) y = e_1 (CG when I - alpha A is positive definite) by
-    ``_galerkin``; None if I - alpha T is indefinite or alpha is NaN. The last
-    step reads what is still open; IterationLimitError after max_iter.
-    """
-    lam = v = x = None
-    resid, e1, scale = 0.0, np.ones(1), np.linalg.norm(q)
-    for Q, theta, S, beta, end in _lanczos_steps(A, q, max_iter):
-        if tol is not None and lam is None:
-            resid = beta * abs(S[-1, -1])
-            if resid <= tol * max(1.0, abs(theta[-1])) or end:
-                v = S[:, -1] @ Q
-                v = v if v.sum() >= 0.0 else -v
-                lam = float(v @ (A @ v) / (v @ v))
-        if x is None and alpha is not None:
-            d = 1.0 - alpha * theta
-            if not d.min() > 0.0:
-                alpha = None  # indefinite: no solve to read
-            else:
-                x = _galerkin(Q, S, d, abs(alpha) * beta, end, e1, scale)
-        if (x is not None or alpha is None) and (lam is not None or tol is None):
-            return lam, v, x
+    ``tol`` asks for the top pair, ``alpha`` for x = (I - alpha A)^-1 q (CG when
+    I - alpha A is positive definite; None if I - alpha T turns indefinite
+    first). IterationLimitError after max_iter."""
+    for Q, theta, S, beta, end, settled, pair, d, x in _lanczos_steps(A, q, max_iter, tol, alpha):
+        if (pair is not None or tol is None) and (x is not None or d is None):
+            return (*(pair or (None, None)), x)
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",
                               last_iterate=S[:, -1] @ Q if max_iter > 0 else None,
-                              residual_history=[resid])
+                              residual_history=[beta * abs(S[-1, -1]) if max_iter > 0 else 0.0])
 
 
 def power_method(A: np.ndarray, tol: float, max_iter: int):
     """Largest (algebraic) eigenvalue and unit eigenvector of a symmetric matrix.
 
-    The top Ritz pair of ``_lanczos`` from a start with a component in the
-    top eigenspace, so that an invariant Krylov space holds the top
+    The top Ritz pair read by ``_lanczos_steps`` from a start with a component
+    in the top eigenspace, so that an invariant Krylov space holds the top
     eigenvalue: all-ones for a nonnegative matrix (Perron), a fixed-seed
     Gaussian vector for a signed one, whose top eigenvector can be orthogonal
-    to all-ones. Returns the Rayleigh quotient and the Ritz vector oriented to
-    a nonnegative sum; raises ValueError on NaN or infinite entries.
+    to all-ones. Returns the Rayleigh quotient and the Ritz vector, oriented by
+    ``_orient`` as every Ritz vector is; raises ValueError on non-finite entries.
     """
     A = np.asarray(A, dtype=float)
     q = np.ones(len(A)) if A.min() >= 0.0 else np.random.default_rng(0).standard_normal(len(A))
@@ -283,15 +284,14 @@ def dominant_eigenpair(
     """Largest eigenvalue and eigenfunction by Lanczos from the all-ones vector.
 
     Every kernel is nonnegative, so all-ones overlaps its nonnegative dominant
-    eigenfunction (Perron). The pair is accepted once
-    its residual satisfies ||apply(op, psi) - lam psi|| <= tol * max(1, |lam|).
-    The eigenfunction is returned with unit L2 norm and nonnegative mean.
+    eigenfunction (Perron). The pair is accepted once its residual satisfies
+    ||apply(op, psi) - lam psi|| <= tol * max(1, |lam|). The eigenfunction is
+    returned with unit L2 norm, oriented by ``_orient``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lam, v = _lanczos(op, np.ones(op.M), tol, max_iter)[:2]
-    psi = _orient(v / np.sqrt(np.mean(v**2)))  # the Ritz vector is a unit vector
-    return EigenPair(lam, GridFunction(psi))
+    return EigenPair(lam, GridFunction(v / np.sqrt(np.mean(v**2))))  # v: unit, oriented
 
 
 def _helmert(c: np.ndarray, t: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from graphon_games.equilibrium import (
     solve_network_lq,
     step_function_embed,
 )
+from graphon_games.errors import ContractionError
 from graphon_games.spectral import midpoints
 
 
@@ -237,6 +238,27 @@ def test_failed_trials_are_counted_per_population_size():
     assert [(s.N, s.failures) for s in stats] == [(4, 0), (40, 2)]
     assert math.isnan(stats[1].mean_T) and stats[1].gap_percentiles == {}
     assert stats[0].mean_T > 0.0
+
+
+def test_a_failed_distance_trial_is_counted_not_dropped(monkeypatch, tmp_path):
+    # A trial whose solve fails counts as a failure of its N and writes no rows;
+    # the other population sizes are untouched.
+    args = (kernels.minmax(), LqPayoff(0.5, 1.0), [10, 20, 40], 2, 0.05, 80, 5)
+    ref = ex.distance_experiment(*args, jobs=1, csv_path=tmp_path / "ref.csv")
+    solve = ex._solve
+
+    def failing_at_20(G, *rest):
+        if len(G) == 20:
+            raise ContractionError(1.5, "contraction violated")
+        return solve(G, *rest)
+
+    monkeypatch.setattr(ex, "_solve", failing_at_20)
+    stats = ex.distance_experiment(*args, jobs=1, csv_path=tmp_path / "failed.csv")
+    assert [(s.N, s.failures) for s in stats] == [(10, 0), (10, 0), (20, 2), (20, 2), (40, 0), (40, 0)]
+    assert all(s.trials == 2 and s.percentiles == {} for s in stats if s.N == 20)
+    assert [s for s in stats if s.N != 20] == [s for s in ref if s.N != 20]
+    rows = [r for r in (tmp_path / "ref.csv").read_text().splitlines() if not r.startswith("20,")]
+    assert (tmp_path / "failed.csv").read_text().splitlines() == rows
 
 
 def test_intervention_experiment_rejects_a_nan_alpha():

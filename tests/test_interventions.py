@@ -523,6 +523,50 @@ def test_uncertified_projection_falls_back_to_eigh(monkeypatch, exit_):
     assert np.array_equal(res.beta_hat, ref.beta_hat)
 
 
+def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
+    # rho(A/N) = 19/200 = 0.095 is the 20-clique's, and v1 vanishes on the star
+    # (hub 20, leaves 21-170). At x = max(|v1|, 1e-8 max |v1|) the hub reads
+    # (G x)_20 / x_20 = 150/200 = 0.75, so alpha lam_bar = 3.9 >= 1: the
+    # certificate rejects, with no solve, an optimum that eigh then serves. A
+    # false rejection, pinned until the gate is certified.
+    N = 200
+    P = np.zeros((N, N))
+    P[:20, :20] = 1.0
+    np.fill_diagonal(P, 0.0)
+    P[20, 21:171] = P[21:171, 20] = 1.0
+    alpha = 0.5 / 0.095
+    v1 = iv._welfares(P / N, True, alpha, [])[1]
+    x = np.maximum(np.abs(v1), 1e-8 * np.abs(v1).max())
+    lam_bar = np.max(P / N @ x / x)
+    assert lam_bar == pytest.approx(0.75, rel=1e-12) and alpha * lam_bar == pytest.approx(3.9, abs=0.05)
+    certified, solve, seen = iv._certified, iv._lq_solve, []
+    monkeypatch.setattr(iv, "_certified", lambda *args: seen.append(certified(*args)) or seen[-1])
+    monkeypatch.setattr(iv, "_lq_solve", lambda *args: seen.append("solve") or solve(*args))
+    res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 2.0)
+    assert seen == [None] and path == "eigh"  # one rejection, no solve
+    assert res.welfare == ref.welfare and res.kkt_multiplier == ref.kkt_multiplier
+    assert np.array_equal(res.beta_hat, ref.beta_hat)
+
+
+def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
+    # With the gate stubbed out, alpha rho(G) = 2 reaches the solves. The run
+    # that finds I - alpha T indefinite raises itself: a rerun of the same run
+    # from 1 could only raise the same error.
+    G = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
+    runs, steps = [], spectral._lanczos_steps
+    for module in (spectral, iv):
+        monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    for module in (equilibrium, iv):
+        monkeypatch.setattr(module, "_check_contraction", lambda ratio, rho: ratio * rho)
+    for call in (lambda: iv._welfares(G, True, 2.0, [np.ones(3)]),
+                 lambda: equilibrium._contraction_gate(G, True, 2.0, 2.0),
+                 lambda: equilibrium._lq_solve(G, 2.0, np.array([1.0, 0.0, 0.0]))):
+        runs.clear()
+        with pytest.raises(ContractionError, match="not positive definite"):
+            call()
+        assert len(runs) == 1
+
+
 # --- the welfare trial: one Lanczos run from 1 per network --------------------------
 
 def _trial(spec, alpha, N, seed, trial=0):
@@ -612,6 +656,21 @@ def test_welfare_gap_requires_complements(alpha):
         iv.welfare_gap(Ps, kernels.minmax(), alpha, 1.0, 0.2)
 
 
+def test_evaluate_policy_requires_complements():
+    # At alpha = -6.5 the linear response to the equal split has -0.117 as its
+    # smallest entry: no LQ equilibrium, so no welfare of a policy to report.
+    # welfare itself keeps its linear-response meaning.
+    types = sampling.sample_types(40, 3)
+    A = sampling.simple_network(sampling.weighted_network(kernels.minmax(), types), 4).A
+    hom = iv.homogeneous_policy(1.0, 0.2, 40)
+    s = np.linalg.solve(np.eye(40) + 6.5 * A / 40, hom.beta_hat)
+    assert s.min() == pytest.approx(-0.117, abs=1e-3)
+    assert iv.welfare(A, -6.5, hom.beta_hat) == pytest.approx(np.sum(s**2) / 80, rel=1e-12, abs=0)
+    for alpha in (-6.5, 0.0, math.nan):
+        with pytest.raises(ValueError, match="strategic complements"):
+            iv.evaluate_policy(hom, A, alpha)
+
+
 @pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
 def test_the_network_heuristic_is_the_one_the_policies_read(signed):
     # network_heuristic takes v1 from power_method with no welfare run; the
@@ -627,7 +686,7 @@ def test_the_network_heuristic_is_the_one_the_policies_read(signed):
 
 
 def test_a_signed_network_takes_v1_from_the_gate(monkeypatch):
-    # The gate's power_method(G) and power_method(-G), its solve from 1, and the
+    # The gate's power_method(G) and power_method(-G), the solve from 1, and the
     # solves of the graphon and network heuristics: 6 runs when v1 took a run of its own.
     N = 40
     P = random_network(np.random.default_rng(11), N) - 0.5
@@ -636,7 +695,8 @@ def test_a_signed_network_takes_v1_from_the_gate(monkeypatch):
     Ps = sampling.SimpleNetwork(P, sampling.sample_types(N, 12))
     runs = []
     steps = spectral._lanczos_steps
-    monkeypatch.setattr(spectral, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    for module in (spectral, iv):
+        monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
     T_nh = iv.welfare_gap(Ps, kernels.minmax(), alpha, 1.0, 0.4)[0]
     assert len(runs) == 5
     assert T_nh == iv.welfare(P, alpha, iv.network_heuristic(P, 1.0, 0.4).beta_hat)
