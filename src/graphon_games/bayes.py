@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .equilibrium import LqPayoff, lq_s_max, solve_graphon
-from .kernels import GraphonSpec, evaluate
+from .kernels import GraphonSpec, _cell_index, evaluate
 from .spectral import DiscretizedOperator, GridFunction, discretize, dominant_eigenpair
 
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
@@ -108,7 +108,7 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
         u = rng.random((min(chunk, trials - start), 2 * N - 1))
         types[start:start + len(u)], tj = u[:, 0], u[:, 1:N]
         links = u[:, N:] < evaluate(spec, u[:, :1], tj)
-        vals = sbar.value_at(tj)
+        vals = sbar.values[_cell_index(tj, sbar.M)]  # draws in [0, 1): no value_at check
         zeta[start:start + len(u)] = (links[:, None, :] @ vals[:, :, None])[:, 0, 0] / (N - 1)
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 

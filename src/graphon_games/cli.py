@@ -192,8 +192,7 @@ def _cmd_intervene(args, outdir: Path) -> int:
     A, types = _sample(spec, args.N, args.seed, simple=True)
     C = args.C if args.C is not None else args.c_per_agent * args.N
     names = POLICIES[1:] if args.policy == "all" else (args.policy,)
-    results = list(_policies(A / args.N, True, spec, types, args.alpha, args.beta, C,
-                             names).values())
+    results = list(_policies(A / args.N, spec, types, args.alpha, args.beta, C, names).values())
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":
         _write_csv(outdir / "interventions.csv", "policy,welfare,budget_used",

@@ -17,10 +17,10 @@ EquilibriumReport carries lambda_max, so bounds do not recompute it.
 
 Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
 Lanczos (CG on the positive definite I - alpha G), for a nonnegative G in
-the very run that gives lambda_max. For complements (alpha > 0) the solution
-is the interior equilibrium; for substitutes it is accepted only if
-nonnegative, otherwise projected best-response iteration takes over. Generic
-payoffs always use best-response iteration.
+the very run that gives lambda_max. It is the equilibrium, a fixed point of
+s = max(0, alpha G s + beta), exactly when it is nonnegative (always for
+complements on a nonnegative G: s >= beta); otherwise projected best-response
+iteration takes over. Generic payoffs always use best-response iteration.
 """
 
 from __future__ import annotations
@@ -291,17 +291,18 @@ def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> Equilib
     G is P/N for a network P or the ``DiscretizedOperator`` K/M of a kernel
     on the M-grid, ``nonneg`` as in ``_contraction_gate``. LQ payoffs take
     the Krylov solve of (I - alpha G) s = beta from ``_contraction_gate``,
-    accepted for complements or when nonnegative; otherwise, and for generic
-    payoffs, best-response iteration runs from ``start`` (default: beta for
-    LQ, the best response to z = 0 otherwise). The contraction factor uses
-    the spectral radius of G.
+    accepted when it is nonnegative (to ``_ACCEPT_NEG``), which makes it a
+    fixed point of the best response; otherwise, and for generic payoffs,
+    best-response iteration runs from ``start`` (default: beta for LQ, the
+    best response to z = 0 otherwise), a contraction behind the gate. The
+    contraction factor uses the spectral radius of G.
     """
     lq = isinstance(payoff, LqPayoff)
     lam, q, x, _ = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
     n = len(G)
     if lq:
         s = payoff.beta * x
-        if payoff.alpha > 0.0 or s.min() >= _ACCEPT_NEG:
+        if s.min() >= _ACCEPT_NEG:
             s = np.maximum(s, 0.0)
             res = float(np.max(np.abs(s - br_lq(G @ s, payoff))))
             return EquilibriumReport(s, 0, res, q, "direct-solve", [], lam)

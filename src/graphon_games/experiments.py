@@ -199,7 +199,7 @@ def _intervention_trial(args):
     try:
         types, _, A = _trial_networks(spec, N, trial, seed)
         A /= N  # the trial owns A, symmetric, finite and 0-1: scaled in place, unchecked
-        res = _policies(A, True, spec, types, alpha, beta, C,
+        res = _policies(A, spec, types, alpha, beta, C,
                         POLICIES[1:] if N <= optimal_cap else POLICIES[1:4])
         T, T_hom, T_nh, T_gh, T_opt = (res[p].welfare if p in res else math.nan for p in POLICIES)
         return (N, trial, T, T_hom, T_nh, T_gh, T_opt, abs(T_nh - T_gh), None)
@@ -216,7 +216,7 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     kernel at its own resolution. The exact optimum (a certified Lanczos
     projection, a full eigendecomposition when uncertified) is computed only
     for N up to optimal_cap. Returns one WelfareStats per N. Like every policy,
-    it requires complements: alpha <= 0 or NaN raises ValueError.
+    it requires alpha > 0 and beta >= 0: else, or at NaN, it raises ValueError.
     """
     Ns = _sizes(Ns, trials)
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),

@@ -3,8 +3,10 @@
 The planner spends a budget C to shift each agent's standalone return from
 beta to beta_hat_i, subject to sum (beta - beta_hat_i)^2 <= C, and wants to
 maximize average welfare T = (1/(2N)) sum s_i^2 at the resulting equilibrium.
-Restricted to complements (alpha > 0), where the equilibrium is interior and
-linear in beta_hat.
+The planner's domain is the source paper's: complements (alpha > 0), a
+nonnegative network and beta >= 0. There the equilibrium is the interior
+linear response (I - alpha G)^-1 beta_hat (Ballester, Calvo-Armengol & Zenou
+2006); elsewhere that can go negative, and every policy raises ValueError.
 
 Policies:
   homogeneous        equal split, beta_hat = beta + sqrt(C/N)
@@ -15,9 +17,9 @@ Policies:
 
 ``_policies`` is the one routine that puts policies together, in the order of
 ``POLICIES``: it requires complements, builds the allocations and reads every
-welfare off one ``_welfares`` call. On a nonnegative network that call's one
-Lanczos run gates the game and gives the dominant eigenvector and the welfare
-of the network heuristic and of any constant allocation.
+welfare off one ``_welfares`` call, whose Lanczos run gates the game and gives
+v1 and the welfare of the network heuristic and of any constant allocation.
+Networks are checked where they enter the public functions, not in ``_policies``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .spectral import (
     POWER_TOL,
     _galerkin,
     _lanczos_steps,
+    _orient,
     _psi1_at_types,
     power_method,
 )
@@ -57,6 +60,7 @@ __all__ = [
 POLICIES = ("none", "homogeneous", "network", "graphon", "optimal")
 _GAP_WARN = 1e-10
 _PROJECTION_STEPS = 50  # sampled networks take 8-22 steps; slower ones go to eigh
+_ALLOCATION_FLOOR = 1e-9  # of max |beta_hat|; a Perron vector's round-off reaches 1e-12 of it
 
 
 @dataclass
@@ -83,35 +87,37 @@ def _result(beta_hat, beta, policy, welfare=math.nan, mu=None) -> InterventionRe
 def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 of the linear response s = (I - alpha P/N)^-1 beta_hat.
 
-    That is the equilibrium for complements; for substitutes s may go negative."""
+    That is the equilibrium in the planner's domain; on any other game s may go negative."""
     P = _validate_symmetric(P, "network matrix")
-    return _welfares(P / len(P), P.min() >= 0.0, alpha, [beta_hat])[0][0]
+    G = P / len(P)
+    if P.min() >= 0.0:
+        return _welfares(G, alpha, [beta_hat])[0][0]
+    _contraction_gate(G, False, abs(alpha))  # rho(G) needs lambda_max(-G) too
+    return float(np.sum(_lq_solve(G, alpha, beta_hat) ** 2) / (2.0 * len(G)))
 
 
-def _welfares(G: np.ndarray, nonneg: bool, alpha: float, allocations, beta: float = 0.0,
+def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
               C: float = 0.0, nh: bool = False, opt: bool = False):
-    """(welfares, v1, optimum) of the game on G = A/N, whose sign ``nonneg`` is known.
+    """(welfares, v1, optimum) of the game on a nonnegative G = A/N.
 
     ``welfares`` holds the welfare of each allocation, then with ``nh`` that
     of the network heuristic beta 1 + sqrt(C) v1. With ``opt``, ``optimum`` is
     (beta_hat, mu, T_opt): beta 1 at C = 0, else the certified projection,
     else ``_eigh_optimum``. All read one ``_lanczos_steps`` run from 1: x1 =
-    (I - alpha G)^-1 1, which a constant allocation scales, and for a
-    nonnegative G the top pair (lam, v1), gated by ``_check_contraction`` (a
-    signed G: ``_contraction_gate`` gives v1), the heuristic's allocation,
-    solved in the basis by ``_galerkin``, and within ``_PROJECTION_STEPS``
-    steps the optimum on K(G, 1), beta_hat = Q^T S y by ``_secular_solve`` on
-    d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and C (GLTR, Gould et al.
-    1999) once beta_k |e_k^T S y| <= 1e-13 ||S y||, then ``_certified``. Any
-    other allocation (the graphon heuristic's) takes a solve of its own.
+    (I - alpha G)^-1 1, which a constant allocation scales, the top pair
+    (lam, v1), gated by ``_check_contraction`` on rho(G) = lam, the
+    heuristic's allocation, solved in the basis by ``_galerkin``, and within
+    ``_PROJECTION_STEPS`` steps the optimum on K(G, 1), beta_hat = Q^T S y by
+    ``_secular_solve`` on d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and
+    C (GLTR, Gould et al. 1999) once beta_k |e_k^T S y| <= 1e-13 ||S y||,
+    then ``_certified``. Any other allocation (the graphon heuristic's) takes
+    a solve of its own.
     """
     n = len(G)
     v1 = c_nh = s_nh = found = None
-    project = nonneg and opt and beta != 0.0 and C > 0.0
-    if not nonneg:  # rho(G) needs lambda_max(-G) too, and v1 a start that can miss 1
-        v1 = _contraction_gate(G, False, abs(alpha))[3]
+    project = opt and beta != 0.0 and C > 0.0
     for Q, theta, S, b_k, end, settled, pair, d, x1 in _lanczos_steps(
-            G, np.ones(n), n, POWER_TOL if nonneg else None, alpha):
+            G, np.ones(n), n, POWER_TOL, alpha):
         if v1 is None and pair is not None:
             _check_contraction(abs(alpha), pair[0])
             v1 = pair[1]
@@ -142,9 +148,9 @@ def _welfares(G: np.ndarray, nonneg: bool, alpha: float, allocations, beta: floa
 
 
 def _check_params(beta: float, C: float = 0.0) -> None:
-    """Require a finite beta and a nonnegative, finite budget; NaN fails both comparisons."""
-    if not -math.inf < beta < math.inf:
-        raise ValueError(f"beta must be finite, got {beta}")
+    """Require a nonnegative, finite beta and budget; NaN fails both comparisons."""
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and nonnegative, got {beta}")
     if not 0.0 <= C < math.inf:
         raise ValueError(f"budget must be nonnegative and finite, got {C}")
 
@@ -153,6 +159,14 @@ def _check_complements(alpha: float) -> None:
     """Require complements, alpha > 0 (NaN fails it): else the linear response is no equilibrium."""
     if not alpha > 0.0:
         raise ValueError("planner interventions require strategic complements (alpha > 0)")
+
+
+def _check_network(P) -> np.ndarray:
+    """The validated network P, which the planner requires nonnegative."""
+    P = _validate_symmetric(P, "network matrix")
+    if P.min() < 0.0:
+        raise ValueError("planner interventions require a nonnegative network matrix")
+    return P
 
 
 def no_intervention(beta: float, N: int) -> InterventionResult:
@@ -169,7 +183,7 @@ def homogeneous_policy(beta: float, C: float, N: int) -> InterventionResult:
 def network_heuristic(P: np.ndarray, beta: float, C: float) -> InterventionResult:
     """Allocate along the dominant eigenvector: beta_hat = beta + sqrt(C) v1."""
     _check_params(beta, C)
-    P = _validate_symmetric(P, "network matrix")
+    P = _check_network(P)
     v1 = power_method(P / len(P), POWER_TOL, POWER_MAX_ITER)[1]
     return _result(beta + math.sqrt(C) * v1, beta, "network-heuristic")
 
@@ -258,21 +272,22 @@ def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.
 def _eigh_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
     """(beta_hat, mu, T_opt) from G = U diag(lambda) U^T: the welfare is sum d_l y_l^2 / (2N)."""
     lam, U = np.linalg.eigh(G)
-    _check_contraction(alpha, max(lam[-1], -lam[0]))
+    _check_contraction(alpha, lam[-1])
     d = 1.0 / (1.0 - alpha * lam) ** 2
     mu, y = _secular_solve(d, U.T @ np.full(len(G), float(beta)), C)
-    return U @ y, float(mu), float(np.sum(d * y**2)) / (2.0 * len(G))
+    # at beta = 0, sqrt(C) times a top eigenvector of either sign: orient it to the Perron vector
+    return _orient(U @ y), float(mu), float(np.sum(d * y**2)) / (2.0 * len(G))
 
 
-def _policies(G: np.ndarray, nonneg: bool, spec: GraphonSpec | None, types: TypeVector | None,
+def _policies(G: np.ndarray, spec: GraphonSpec | None, types: TypeVector | None,
               alpha: float, beta: float, C: float, names) -> dict:
     """{name: InterventionResult} with its welfare, for "none" and ``names``, in POLICIES order.
 
-    The game on G = A/N, whose sign ``nonneg`` is known, with complements
-    required (alpha > 0; NaN fails it). One ``_welfares`` call gates the game
-    and fills in every welfare: of the allocations none, homogeneous and
-    graphon (which reads ``spec`` at ``types``), of the network heuristic
-    beta + sqrt(C) v1, and the optimum.
+    The game on a nonnegative G = A/N, trusted and not scanned, with
+    complements (alpha > 0; NaN fails it) and beta >= 0 required. One
+    ``_welfares`` call gates the game and fills in every welfare: of the
+    allocations none, homogeneous and graphon (which reads ``spec`` at
+    ``types``), of the network heuristic beta + sqrt(C) v1, and the optimum.
     """
     _check_complements(alpha)
     _check_params(beta, C)
@@ -282,7 +297,7 @@ def _policies(G: np.ndarray, nonneg: bool, spec: GraphonSpec | None, types: Type
         given["homogeneous"] = homogeneous_policy(beta, C, n)
     if "graphon" in names:
         given["graphon"] = graphon_heuristic(spec, types, beta, C)
-    Ts, v1, opt = _welfares(G, nonneg, alpha, [r.beta_hat for r in given.values()], beta, C,
+    Ts, v1, opt = _welfares(G, alpha, [r.beta_hat for r in given.values()], beta, C,
                             nh="network" in names, opt="optimal" in names)
     for r, T in zip(given.values(), Ts):
         r.welfare = T
@@ -299,27 +314,31 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     In the eigenbasis G = P/N = U diag(lambda) U^T the problem is
     ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1);
     C = 0 leaves beta 1. As c sees G only through 1, the maximizer lies in
-    K(G, 1): for a nonnegative G and beta != 0, ``_welfares`` finds it on the
-    basis of the Lanczos run from 1 that gates the game, with the welfare
-    ``welfare`` gives it. Otherwise, or uncertified, ``_eigh_optimum`` serves.
-    The two agree on T_opt to 1e-12 relative.
+    K(G, 1): for beta > 0, ``_welfares`` finds it on the basis of the Lanczos
+    run from 1 that gates the game, with the welfare ``welfare`` gives it.
+    At beta = 0 (the hard case c = 0), or uncertified, ``_eigh_optimum``
+    serves. The two agree on T_opt to 1e-12 relative. P must be nonnegative.
     """
-    P = _validate_symmetric(P, "network matrix")
-    res = _policies(P / len(P), P.min() >= 0.0, None, None, alpha, beta, C, ("optimal",))
-    return res["optimal"]
+    P = _check_network(P)
+    return _policies(P / len(P), None, None, alpha, beta, C, ("optimal",))["optimal"]
 
 
 def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> InterventionResult:
-    """A copy of the result with its welfare on the game (P, alpha), which needs complements."""
+    """A copy of the result with its welfare on the game (P, alpha), in the planner's domain.
+
+    beta_hat must be nonnegative up to a Perron vector's round-off, ``_ALLOCATION_FLOOR``."""
     _check_complements(alpha)
-    return replace(result, welfare=welfare(P, alpha, result.beta_hat))
+    P = _check_network(P)
+    b = np.asarray(result.beta_hat, dtype=float)
+    if not b.min() >= -_ALLOCATION_FLOOR * np.abs(b).max():
+        raise ValueError("planner interventions require a nonnegative allocation beta_hat")
+    return replace(result, welfare=_welfares(P / len(P), alpha, [b])[0][0])
 
 
 def welfare_gap(P_s: SimpleNetwork, spec: GraphonSpec, alpha: float, beta: float, C: float):
     """T_nh, T_gh and their gap on one realized network; neither asks for a resolution."""
-    A = _validate_symmetric(P_s.A, "network matrix")
-    res = _policies(A / len(A), A.min() >= 0.0, spec, P_s.types, alpha, beta, C,
-                    ("network", "graphon"))
+    A = _check_network(P_s.A)
+    res = _policies(A / len(A), spec, P_s.types, alpha, beta, C, ("network", "graphon"))
     T_nh, T_gh = res["network"].welfare, res["graphon"].welfare
     return T_nh, T_gh, abs(T_nh - T_gh)
 

@@ -65,6 +65,21 @@ def test_solve_network_from_file(tmp_path):
     assert doc["profile"] == pytest.approx([0.8, 0.8], abs=1e-10)
 
 
+def test_solve_network_on_a_signed_network_writes_an_equilibrium(tmp_path):
+    # The clipped linear response (5.26, 4.35, 0) is no equilibrium: agent 3
+    # plays 0 and the pair 1/(1 - alpha/3), by best-response iteration.
+    matrix = [[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+    net_path = tmp_path / "signed.json"
+    net_path.write_text(json.dumps({"types": [0.2, 0.5, 0.8], "matrix": matrix}))
+    code = run(["solve-network", "--network-json", str(net_path), "--alpha", "1.9",
+                "--beta", "1", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "equilibrium.json").read_text())
+    pair = 1.0 / (1.0 - 1.9 / 3.0)
+    assert doc["method"] == "br-iteration" and doc["residual"] <= 1e-10
+    assert doc["profile"] == pytest.approx([pair, pair, 0.0], abs=1e-9)
+
+
 # --- sample -------------------------------------------------------------------------
 
 def test_sample_writes_network(tmp_path):
@@ -106,6 +121,16 @@ def test_every_policy_requires_complements(tmp_path, capsys, policy, alpha):
     # At alpha <= 0 the linear response is no equilibrium: none of its welfares is written.
     assert run([*_MINMAX_60, "--alpha", alpha, "--policy", policy, "--out", str(tmp_path)]) == 1
     assert "require strategic complements" in capsys.readouterr().err
+    assert not (tmp_path / "interventions.csv").exists()
+
+
+def test_a_negative_beta_exits_1(tmp_path, capsys):
+    # At beta = -1 the linear response is negative at every node: the
+    # equilibrium is s = 0, and no policy's welfare is written.
+    args = ["intervene", "--graphon", "minmax", "--N", "50", "--alpha", "5", "--beta", "-1",
+            "--C", "0.5", "--out", str(tmp_path)]
+    assert run(args) == 1
+    assert "beta must be finite and nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "interventions.csv").exists()
 
 

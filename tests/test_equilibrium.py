@@ -595,8 +595,17 @@ def krylov_case(kind, n, rng):
 
 
 def assert_direct_solve_matches_lu(rep, G, payoff):
+    # Every report is an equilibrium, s = max(0, alpha G s + beta), to 1e-10;
+    # a direct solve is also the dense linear response. Iteration stops on a
+    # step of at most 1e-10, and the best response is |alpha| ||G||_inf-
+    # Lipschitz in the max norm, which bounds the residual of the last
+    # iterate (1.4e-10 measured on a signed network at |alpha| rho = 0.95).
     n = G.shape[0]
     assert rep.lambda_max == eq.matrix_dominant_eigenvalue(G)
+    s = rep.profile_array()
+    lipschitz = abs(payoff.alpha) * np.max(np.sum(np.abs(G), axis=1))
+    assert np.max(np.abs(s - np.maximum(0.0, payoff.alpha * (G @ s) + payoff.beta))) <= (
+        1e-10 * max(1.0, lipschitz))
     if rep.method == "direct-solve":
         ref = np.linalg.solve(np.eye(n) - payoff.alpha * G, np.full(n, payoff.beta))
         s = rep.profile_array()
@@ -623,6 +632,21 @@ def test_direct_solve_on_one_and_two_agents(P, alpha):
     P = np.array(P)
     rep = eq.solve_network(P, eq.LqPayoff(alpha, 1.0))
     assert_direct_solve_matches_lu(rep, P / len(P), eq.LqPayoff(alpha, 1.0))
+
+
+def test_a_signed_network_with_a_negative_linear_response_takes_br_iteration():
+    # rho(P/3) = sqrt(2)/3, so alpha = 0.9 * 3/sqrt(2) passes the gate. The
+    # linear response is (5.26, 4.35, -2.35): clipped, it is no equilibrium
+    # (residual 1.50). Agent 3 plays 0 and the others the pair's 1/(1 - alpha/3).
+    P = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    payoff = eq.LqPayoff(0.9 * 3.0 / math.sqrt(2.0), 1.0)
+    rep = eq.solve_network(P, payoff)
+    s = rep.profile_array()
+    assert rep.method == "br-iteration" and rep.residual <= eq.DEFAULT_TOL
+    assert np.max(np.abs(s - eq.br_lq(P @ s / 3.0, payoff))) <= 1e-10
+    pair = 1.0 / (1.0 - payoff.alpha / 3.0)
+    assert s == pytest.approx([pair, pair, 0.0], abs=1e-9)
+    assert_direct_solve_matches_lu(rep, P / 3.0, payoff)
 
 
 @pytest.mark.parametrize("alpha", [0.9, -0.9])

@@ -192,20 +192,20 @@ def test_optimal_degenerate_spectrum():
 
 
 def test_optimal_hard_case_allocates_to_top_shell():
-    # A dominant eigendirection orthogonal to the ones baseline cannot absorb
-    # budget through the secular equation; past the point where the remaining
-    # directions saturate, the multiplier pins to d_max and the leftover goes
-    # straight into the top-shell eigenvector. Nonnegative networks never hit
-    # this (their Perron direction overlaps the baseline), so drive the solver
-    # with a signed matrix and check it against the dense circle search.
-    P = np.array([[0.0, -0.5], [-0.5, 0.0]])
-    alpha, beta = 0.5, 1.0
+    # On a nonnegative network the Perron direction overlaps the baseline
+    # beta 1, so only beta = 0 makes the hard case: c = U^T (beta 1) vanishes,
+    # no direction absorbs budget through the secular equation, the
+    # multiplier pins to d_max and the whole budget goes into the top-shell
+    # eigenvector, the Perron vector. Checked against the dense circle search.
+    P = np.array([[0.0, 0.5], [0.5, 0.0]])
+    alpha, beta = 0.5, 0.0
     for C in (8.0, 20.0):
         res = iv.optimal_intervention(P, alpha, beta, C)
         lam_max = np.max(np.linalg.eigvalsh(P / 2.0))
         d_max = 1.0 / (1.0 - alpha * lam_max) ** 2
         assert res.kkt_multiplier == pytest.approx(d_max, rel=1e-12)
         assert res.budget_used == pytest.approx(C, abs=1e-8)
+        assert res.beta_hat == pytest.approx(np.full(2, math.sqrt(C / 2.0)), rel=1e-12)
         assert res.welfare == pytest.approx(brute_force_circle(P, alpha, beta, C), abs=1e-6)
 
 
@@ -275,12 +275,12 @@ def test_optimal_welfare_is_the_welfare_of_its_allocation(N, seed, alpha, c_per_
 
 
 def test_optimal_welfare_in_the_hard_case():
-    # The signed pair of test_optimal_hard_case_allocates_to_top_shell: the
-    # budget left over past the secular equation still has its welfare read
-    # off the eigenbasis correctly.
-    P = np.array([[0.0, -0.5], [-0.5, 0.0]])
+    # The pair at beta = 0 of test_optimal_hard_case_allocates_to_top_shell:
+    # the budget put into the top shell, past the secular equation, still has
+    # its welfare read off the eigenbasis correctly.
+    P = np.array([[0.0, 0.5], [0.5, 0.0]])
     for C in (8.0, 20.0):
-        res = iv.optimal_intervention(P, 0.5, 1.0, C)
+        res = iv.optimal_intervention(P, 0.5, 0.0, C)
         assert res.welfare == pytest.approx(iv.welfare(P, 0.5, res.beta_hat), rel=1e-12)
 
 
@@ -314,13 +314,16 @@ def test_welfare_gates_on_the_spectral_radius(policy):
     # P/N has eigenvalues -4 and 0.2: lambda_max gives a factor of 0.1, but
     # the best-response map expands along the -4 direction (q = 2), as in
     # solve_network. With alpha = -0.5, I - alpha G is even indefinite and
-    # the "equilibrium" [-1, 0.909] has a negative strategy.
+    # the "equilibrium" [-1, 0.909] has a negative strategy. The planner
+    # rejects the signed network before any gate.
     P = np.diag([-8.0, 0.4])
-    with pytest.raises(ContractionError) as info:
-        if policy == "welfare":
-            iv.welfare(P, -0.5, np.ones(2))
-        else:
+    if policy == "optimal":
+        with pytest.raises(ValueError, match="require a nonnegative network") as info:
             iv.optimal_intervention(P, 0.5, 1.0, 1.0)
+        assert not isinstance(info.value, ContractionError)
+        return
+    with pytest.raises(ContractionError) as info:
+        iv.welfare(P, -0.5, np.ones(2))
     assert info.value.factor == pytest.approx(2.0, abs=1e-9)
 
 
@@ -387,7 +390,7 @@ def _isolated_nodes():
 
 @pytest.mark.parametrize("P, beta, path", [
     (random_network(np.random.default_rng(4), 20), 0.0, "eigh"),
-    (np.array([[0.0, -0.5], [-0.5, 0.0]]), 1.0, "eigh"),
+    (np.array([[0.0, -0.5], [-0.5, 0.0]]), 1.0, "rejected"),
     (_two_components(), 1.0, "projection"),
     (_isolated_nodes(), 1.0, "projection"),
     (np.zeros((1, 1)), 1.0, "projection"),
@@ -396,6 +399,10 @@ def _isolated_nodes():
         "empty-network"])
 def test_optimal_edge_cases_match_the_eigh_path(monkeypatch, P, beta, path):
     N = len(P)
+    if path == "rejected":  # a signed network is outside the planner's domain
+        with pytest.raises(ValueError, match="require a nonnegative network"):
+            iv.optimal_intervention(P, 0.5, beta, 0.3 * N)
+        return
     res, served, ref = _optimum_by_both_paths(monkeypatch, P, 0.5, beta, 0.3 * N)
     assert served == path
     _assert_same_optimum(res, ref)
@@ -508,11 +515,11 @@ def test_uncertified_projection_falls_back_to_eigh(monkeypatch, exit_):
     N = len(P)
     alpha = (0.5 if exit_ == "step-cap" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
     seen, cap = _projection_spies(monkeypatch), iv._PROJECTION_STEPS
-    iv._welfares(P / N, True, alpha, [], 1.0, 0.01 * N, opt=True)
+    iv._welfares(P / N, alpha, [], 1.0, 0.01 * N, opt=True)
     if exit_ == "step-cap":
         assert seen == {"steps": 100, "solves": 0, "eigh": 1}
         monkeypatch.setattr(iv, "_PROJECTION_STEPS", 100)
-        iv._welfares(P / N, True, alpha, [], 1.0, 0.01 * N, opt=True)
+        iv._welfares(P / N, alpha, [], 1.0, 0.01 * N, opt=True)
         assert seen == {"steps": 100, "solves": 1, "eigh": 1}
         monkeypatch.setattr(iv, "_PROJECTION_STEPS", cap)
     else:
@@ -535,7 +542,7 @@ def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
     np.fill_diagonal(P, 0.0)
     P[20, 21:171] = P[21:171, 20] = 1.0
     alpha = 0.5 / 0.095
-    v1 = iv._welfares(P / N, True, alpha, [])[1]
+    v1 = iv._welfares(P / N, alpha, [])[1]
     x = np.maximum(np.abs(v1), 1e-8 * np.abs(v1).max())
     lam_bar = np.max(P / N @ x / x)
     assert lam_bar == pytest.approx(0.75, rel=1e-12) and alpha * lam_bar == pytest.approx(3.9, abs=0.05)
@@ -558,7 +565,7 @@ def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
         monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
     for module in (equilibrium, iv):
         monkeypatch.setattr(module, "_check_contraction", lambda ratio, rho: ratio * rho)
-    for call in (lambda: iv._welfares(G, True, 2.0, [np.ones(3)]),
+    for call in (lambda: iv._welfares(G, 2.0, [np.ones(3)]),
                  lambda: equilibrium._contraction_gate(G, True, 2.0, 2.0),
                  lambda: equilibrium._lq_solve(G, 2.0, np.array([1.0, 0.0, 0.0]))):
         runs.clear()
@@ -622,8 +629,7 @@ def test_the_shared_run_matches_dense_references(spec, alpha, kind):
         allocations = [iv.no_intervention(beta, N).beta_hat,
                        iv.homogeneous_policy(beta, C, N).beta_hat,
                        iv.graphon_heuristic(spec, types, beta, C).beta_hat]
-        Ts, v1, (_, _, T_opt) = iv._welfares(G, True, alpha, allocations, beta, C,
-                                             nh=True, opt=True)
+        Ts, v1, (_, _, T_opt) = iv._welfares(G, alpha, allocations, beta, C, nh=True, opt=True)
         lam, U = np.linalg.eigh(G)
         v_ref = spectral._orient(U[:, -1])
         assert np.max(np.abs(v1 - v_ref)) <= 1e-10
@@ -674,32 +680,94 @@ def test_evaluate_policy_requires_complements():
 @pytest.mark.parametrize("signed", [False, True], ids=["nonnegative", "signed"])
 def test_the_network_heuristic_is_the_one_the_policies_read(signed):
     # network_heuristic takes v1 from power_method with no welfare run; the
-    # policies read it off the gate's run, bit for bit.
+    # policies read it off the gate's run, bit for bit. A signed network is
+    # outside the planner's domain: the heuristic rejects it.
     for N in (5, 60, 300):
         P = random_network(np.random.default_rng(N), N)
         P = P - 0.5 if signed else P
         np.fill_diagonal(P, 0.0)
+        if signed:
+            with pytest.raises(ValueError, match="require a nonnegative network"):
+                iv.network_heuristic(P, 1.0, 0.01 * N)
+            continue
         alpha = 0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N)))
-        res = iv._policies(P / N, not signed, None, None, alpha, 1.0, 0.01 * N, ("network",))
+        res = iv._policies(P / N, None, None, alpha, 1.0, 0.01 * N, ("network",))
         nh = iv.network_heuristic(P, 1.0, 0.01 * N)
         assert np.array_equal(res["network"].beta_hat, nh.beta_hat)
 
 
-def test_a_signed_network_takes_v1_from_the_gate(monkeypatch):
-    # The gate's power_method(G) and power_method(-G), the solve from 1, and the
-    # solves of the graphon and network heuristics: 6 runs when v1 took a run of its own.
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_welfare_on_a_signed_network_takes_the_gate_and_one_solve(monkeypatch, sign):
+    # The gate's power_method(G) and power_method(-G), then the solve from the
+    # allocation: 3 Lanczos runs (4 when a run from 1 served the planner's gate too).
     N = 40
     P = random_network(np.random.default_rng(11), N) - 0.5
     np.fill_diagonal(P, 0.0)
-    alpha = 0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N)))
-    Ps = sampling.SimpleNetwork(P, sampling.sample_types(N, 12))
+    alpha = sign * 0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N)))
+    b = np.linspace(0.5, 1.5, N)
     runs = []
     steps = spectral._lanczos_steps
     for module in (spectral, iv):
         monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
-    T_nh = iv.welfare_gap(Ps, kernels.minmax(), alpha, 1.0, 0.4)[0]
-    assert len(runs) == 5
-    assert T_nh == iv.welfare(P, alpha, iv.network_heuristic(P, 1.0, 0.4).beta_hat)
+    T = iv.welfare(P, alpha, b)
+    assert len(runs) == 3
+    s = np.linalg.solve(np.eye(N) - alpha * P / N, b)
+    assert T == pytest.approx(np.sum(s**2) / (2 * N), rel=1e-12, abs=0)
+
+
+def _signed_instance():
+    types, _, Ps = sampled_instance(kernels.minmax(), 30, 3)
+    A = Ps.A.copy()
+    A[0, 1] = A[1, 0] = -1.0
+    return types, A
+
+
+@pytest.mark.parametrize("entry", ["optimal", "welfare_gap", "network", "evaluate"])
+def test_every_planner_entry_rejects_a_signed_network(entry):
+    # With a signed network the linear response can go negative: no LQ
+    # equilibrium, so no welfare of a policy to report.
+    types, A = _signed_instance()
+    run = {
+        "optimal": lambda: iv.optimal_intervention(A, 0.5, 1.0, 0.3),
+        "welfare_gap": lambda: iv.welfare_gap(sampling.SimpleNetwork(A, types), kernels.minmax(),
+                                              0.5, 1.0, 0.3),
+        "network": lambda: iv.network_heuristic(A, 1.0, 0.3),
+        "evaluate": lambda: iv.evaluate_policy(iv.homogeneous_policy(1.0, 0.3, 30), A, 0.5),
+    }[entry]
+    with pytest.raises(ValueError, match="require a nonnegative network matrix"):
+        run()
+
+
+def test_evaluate_policy_accepts_the_builders_allocations_and_rejects_negative_ones():
+    # At beta = 0 on sparse ER networks the network heuristic's allocation
+    # carries Perron-vector round-off below equilibrium._ACCEPT_NEG = -1e-12
+    # (-2.5e-12 at C = 100); the floor is -1e-9 max |beta_hat|.
+    spec, lowest = kernels.erdos_renyi(0.05), 0.0
+    for seed in range(40):
+        types = sampling.sample_types(100, seed)
+        A = sampling.simple_network(sampling.weighted_network(spec, types), seed + 1).A
+        for r in (iv.no_intervention(0.0, 100), iv.homogeneous_policy(0.0, 100.0, 100),
+                  iv.network_heuristic(A, 0.0, 100.0), iv.graphon_heuristic(spec, types, 0.0, 100.0),
+                  iv.optimal_intervention(A, 0.5, 0.0, 100.0)):
+            lowest = min(lowest, r.beta_hat.min())
+            assert iv.evaluate_policy(r, A, 0.5).welfare >= 0.0
+    assert lowest < equilibrium._ACCEPT_NEG
+    given = lambda b: iv.InterventionResult(b, math.nan, 0.0, "given")
+    b = np.linspace(0.0, 1.0, 100)  # max |beta_hat| = 1: the floor is -1e-9
+    assert iv.evaluate_policy(given(np.r_[-0.5e-9, b[1:]]), A, 0.5).welfare > 0.0
+    for bad in (np.r_[-2e-9, b[1:]], np.full(100, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative allocation"):
+            iv.evaluate_policy(given(bad), A, 0.5)
+
+
+def test_the_optimum_at_beta_zero_is_the_perron_direction():
+    # At beta = 0 the optimum is sqrt(C) times a top eigenvector, whose sign
+    # eigh leaves open: oriented, it is the nonnegative Perron vector.
+    for N in range(5, 25):
+        P = random_network(np.random.default_rng(N), N)
+        res = iv.optimal_intervention(P, 0.5, 0.0, 1.0)
+        v = spectral._orient(np.linalg.eigh(P / N)[1][:, -1])
+        assert np.max(np.abs(res.beta_hat - v)) <= 1e-12 and res.beta_hat.min() > 0.0
 
 
 def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
@@ -782,7 +850,7 @@ def test_secular_solve_with_a_baseline_far_below_the_budget():
 
 
 @pytest.mark.parametrize("policy", ["none", "homogeneous", "network", "graphon", "optimal"])
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
 def test_every_policy_rejects_a_non_finite_beta(policy, beta):
     types, _, Ps = sampled_instance(kernels.minmax(), 20, 3)
     run = {
@@ -792,10 +860,10 @@ def test_every_policy_rejects_a_non_finite_beta(policy, beta):
         "graphon": lambda b: iv.graphon_heuristic(kernels.minmax(), types, b, 1.0),
         "optimal": lambda b: iv.optimal_intervention(Ps.A, 0.5, b, 1.0),
     }[policy]
-    with pytest.raises(ValueError, match="beta must be finite"):
+    # A negative baseline can make the linear response negative: no equilibrium.
+    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
         run(beta)
-    for ok in (0.0, -1.0):  # a zero or negative baseline stays a valid game
-        assert np.all(np.isfinite(run(ok).beta_hat))
+    assert np.all(np.isfinite(run(0.0).beta_hat))
 
 
 @pytest.mark.parametrize("beta", [1e-10, 1e-9, 1e-6])
