@@ -205,7 +205,8 @@ def _check_contraction(ratio: float, rho: float) -> float:
 
 
 def _br_iterate(br, s0: np.ndarray, tol: float, max_iter: int):
-    s = np.asarray(s0, dtype=float)
+    """(s, iterations, residual, step norms) at the first s with residual max |br(s) - s| <= tol."""
+    s = np.array(s0, dtype=float)
     step_norms = []
     residuals = []
     for it in range(1, max_iter + 1):
@@ -214,9 +215,9 @@ def _br_iterate(br, s0: np.ndarray, tol: float, max_iter: int):
         res = float(np.max(np.abs(diff)))
         step_norms.append(float(np.linalg.norm(diff)))
         residuals.append(res)
-        s = s_new
         if res <= tol:
             return s, it, res, step_norms
+        s = s_new
     raise IterationLimitError(
         f"best-response iteration did not reach tol {tol:g} in {max_iter} iterations",
         last_iterate=s,

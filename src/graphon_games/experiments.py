@@ -213,9 +213,9 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     """Welfare comparison of intervention policies on sampled 0-1 networks.
 
     The total budget is C = c_per_agent * N; the graphon heuristic reads the
-    kernel at its own resolution. The exact optimum (a certified Lanczos
-    projection, a full eigendecomposition when uncertified) is computed only
-    for N up to optimal_cap. Returns one WelfareStats per N. Like every policy,
+    kernel at its own resolution. The exact optimum (a Lanczos projection,
+    certified, or exact once the run from 1 ends) is computed only for N up
+    to optimal_cap. Returns one WelfareStats per N. Like every policy,
     it requires alpha > 0 and beta >= 0: else, or at NaN, it raises ValueError.
     """
     Ns = _sizes(Ns, trials)

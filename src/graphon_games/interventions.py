@@ -12,8 +12,9 @@ Policies:
   homogeneous        equal split, beta_hat = beta + sqrt(C/N)
   network-heuristic  budget along the dominant eigenvector of the realized network
   graphon-heuristic  budget along the dominant kernel eigenfunction at the agent types
-  optimal            exact maximizer via the secular equation, solved on the Lanczos
-                     basis from the all-ones vector and certified in full space
+  optimal            exact maximizer via the secular equation on the Lanczos basis from
+                     the all-ones vector, certified in full space or exact at the
+                     run's end; sqrt(C) v1 at beta = 0
 
 ``_policies`` is the one routine that puts policies together, in the order of
 ``POLICIES``: it requires complements, builds the allocations and reads every
@@ -38,7 +39,6 @@ from .spectral import (
     POWER_TOL,
     _galerkin,
     _lanczos_steps,
-    _orient,
     _psi1_at_types,
     power_method,
 )
@@ -59,7 +59,6 @@ __all__ = [
 
 POLICIES = ("none", "homogeneous", "network", "graphon", "optimal")
 _GAP_WARN = 1e-10
-_PROJECTION_STEPS = 50  # sampled networks take 8-22 steps; slower ones go to eigh
 _ALLOCATION_FLOOR = 1e-9  # of max |beta_hat|; a Perron vector's round-off reaches 1e-12 of it
 
 
@@ -102,20 +101,23 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
 
     ``welfares`` holds the welfare of each allocation, then with ``nh`` that
     of the network heuristic beta 1 + sqrt(C) v1. With ``opt``, ``optimum`` is
-    (beta_hat, mu, T_opt): beta 1 at C = 0, else the certified projection,
-    else ``_eigh_optimum``. All read one ``_lanczos_steps`` run from 1: x1 =
-    (I - alpha G)^-1 1, which a constant allocation scales, the top pair
-    (lam, v1), gated by ``_check_contraction`` on rho(G) = lam, the
-    heuristic's allocation, solved in the basis by ``_galerkin``, and within
-    ``_PROJECTION_STEPS`` steps the optimum on K(G, 1), beta_hat = Q^T S y by
+    (beta_hat, mu, T_opt): beta 1 at C = 0, sqrt(C) v1 with mu = (1 - alpha
+    lam)^-2 at beta = 0, else the projection below. All read one
+    ``_lanczos_steps`` run from 1: x1 = (I - alpha G)^-1 1, which a constant
+    allocation scales, the top pair (lam, v1), gated by ``_check_contraction``
+    on rho(G) = lam, the heuristic's allocation, solved in the basis by
+    ``_galerkin``, and the optimum on K(G, 1), beta_hat = Q^T S y by
     ``_secular_solve`` on d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and
-    C (GLTR, Gould et al. 1999) once beta_k |e_k^T S y| <= 1e-13 ||S y||,
-    then ``_certified``. Any other allocation (the graphon heuristic's) takes
-    a solve of its own.
+    C (GLTR, Gould et al. 1999): ``_certified`` once beta_k |e_k^T S y| <=
+    1e-13 ||S y||, else at ``end``, where K(G, 1) (invariant, or R^n) holds a
+    top eigenvector (Perron-Frobenius) and so the optimum. I - alpha T turning
+    indefinite before then raises ContractionError. Any other allocation (the
+    graphon heuristic's) takes a solve of its own.
     """
     n = len(G)
+    T = lambda s: float(np.sum(s**2) / (2.0 * n))
     v1 = c_nh = s_nh = found = None
-    project = opt and beta != 0.0 and C > 0.0
+    project = certify = opt and beta > 0.0 and C > 0.0
     for Q, theta, S, b_k, end, settled, pair, d, x1 in _lanczos_steps(
             G, np.ones(n), n, POWER_TOL, alpha):
         if v1 is None and pair is not None:
@@ -125,13 +127,14 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
                 c_nh = Q @ (beta + math.sqrt(C) * v1)
         if d is not None and c_nh is not None and s_nh is None:
             s_nh = _galerkin(Q, S, d, abs(alpha) * b_k, end, c_nh)
-        if project and (len(theta) > _PROJECTION_STEPS or alpha * theta[-1] >= 1.0):
-            project = False
-        elif project and settled:
-            mu, y = _secular_solve(1.0 / d**2, beta * math.sqrt(n) * S[0], C)
+        if project and settled and (certify or end):
+            mu, y = _secular_solve(1.0 / _definite(d) ** 2, beta * math.sqrt(n) * S[0], C)
             z = S @ y
-            if b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) or end:
-                project, found = False, _certified(G, alpha, beta, C, z @ Q, mu, v1)
+            if end:  # K(G, 1) holds the global optimum
+                project, found = False, (z @ Q, float(mu), T(_lq_solve(G, alpha, z @ Q)))
+            elif b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z):
+                found = _certified(G, alpha, beta, C, z @ Q, mu, v1)
+                project, certify = found is None, False
         if v1 is not None and not project and (
                 d is None or (x1 is not None and (s_nh is not None or c_nh is None))):
             break
@@ -140,10 +143,11 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
             for b in map(np.asarray, allocations)]
     if nh:
         sols.append(_lq_solve(G, alpha, beta + math.sqrt(C) * v1) if s_nh is None else s_nh)
-    T = lambda s: float(np.sum(s**2) / (2.0 * n))
-    if opt and found is None:
-        found = ((np.full(n, float(beta)), None, T(float(beta) * x1)) if C == 0.0
-                 else _eigh_optimum(G, alpha, beta, C))
+    if opt and C == 0.0:
+        found = np.full(n, float(beta)), None, T(float(beta) * x1)
+    elif opt and beta == 0.0:
+        mu = (1.0 - alpha * pair[0]) ** -2
+        found = math.sqrt(C) * v1, mu, C * mu / (2.0 * n)
     return [T(s) for s in sols], v1, found
 
 
@@ -247,7 +251,7 @@ def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
 
 def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.ndarray,
                mu: float, v1: np.ndarray):
-    """(beta_hat, mu, T_opt) if the projected optimum holds in full space, else None.
+    """(beta_hat, mu, T_opt) if the projected optimum holds in full space, else None (run on).
 
     With s = (I - alpha G)^-1 beta_hat and delta = beta_hat - beta: KKT
     s = mu (I - alpha G) delta to 1e-10 ||s||, ||delta||^2 = C to 1e-10 C, and
@@ -267,16 +271,6 @@ def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.
             or abs(delta @ delta - C) > 1e-10 * C):
         return None
     return beta_hat, float(mu), float(np.sum(s**2) / (2.0 * len(G)))
-
-
-def _eigh_optimum(G: np.ndarray, alpha: float, beta: float, C: float):
-    """(beta_hat, mu, T_opt) from G = U diag(lambda) U^T: the welfare is sum d_l y_l^2 / (2N)."""
-    lam, U = np.linalg.eigh(G)
-    _check_contraction(alpha, lam[-1])
-    d = 1.0 / (1.0 - alpha * lam) ** 2
-    mu, y = _secular_solve(d, U.T @ np.full(len(G), float(beta)), C)
-    # at beta = 0, sqrt(C) times a top eigenvector of either sign: orient it to the Perron vector
-    return _orient(U @ y), float(mu), float(np.sum(d * y**2)) / (2.0 * len(G))
 
 
 def _policies(G: np.ndarray, spec: GraphonSpec | None, types: TypeVector | None,
@@ -315,9 +309,9 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1);
     C = 0 leaves beta 1. As c sees G only through 1, the maximizer lies in
     K(G, 1): for beta > 0, ``_welfares`` finds it on the basis of the Lanczos
-    run from 1 that gates the game, with the welfare ``welfare`` gives it.
-    At beta = 0 (the hard case c = 0), or uncertified, ``_eigh_optimum``
-    serves. The two agree on T_opt to 1e-12 relative. P must be nonnegative.
+    run from 1 that gates the game, with the welfare ``welfare`` gives it. At
+    beta = 0 (the hard case c = 0) it is sqrt(C) v1. Both agree with a dense
+    eigendecomposition on T_opt to 1e-12 relative. P must be nonnegative.
     """
     P = _check_network(P)
     return _policies(P / len(P), None, None, alpha, beta, C, ("optimal",))["optimal"]

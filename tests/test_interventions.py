@@ -276,8 +276,8 @@ def test_optimal_welfare_is_the_welfare_of_its_allocation(N, seed, alpha, c_per_
 
 def test_optimal_welfare_in_the_hard_case():
     # The pair at beta = 0 of test_optimal_hard_case_allocates_to_top_shell:
-    # the budget put into the top shell, past the secular equation, still has
-    # its welfare read off the eigenbasis correctly.
+    # the budget put into the top shell, past the secular equation, has the
+    # welfare C mu / (2N) of its allocation.
     P = np.array([[0.0, 0.5], [0.5, 0.0]])
     for C in (8.0, 20.0):
         res = iv.optimal_intervention(P, 0.5, 0.0, C)
@@ -339,19 +339,53 @@ def test_welfare_matches_a_dense_solve_for_every_allocation():
             assert iv.welfare(P, alpha, b) == pytest.approx(np.sum(s**2) / 120.0, rel=1e-12, abs=0)
 
 
-# --- optimal intervention: Lanczos projection against the full eigendecomposition ---------
+# --- optimal intervention: the Lanczos run from 1 against a dense reference -------------
 
-def _optimum_by_both_paths(monkeypatch, P, alpha, beta, C):
-    """(result, path served, result of the eigh path alone, forced by a step cap of 0)."""
-    served = []
-    eigh_optimum, cap = iv._eigh_optimum, iv._PROJECTION_STEPS
-    monkeypatch.setattr(iv, "_eigh_optimum", lambda *args: served.append(1) or eigh_optimum(*args))
-    res = iv.optimal_intervention(P, alpha, beta, C)
-    path = "eigh" if served else "projection"
-    monkeypatch.setattr(iv, "_PROJECTION_STEPS", 0)
-    ref = iv.optimal_intervention(P, alpha, beta, C)
-    monkeypatch.setattr(iv, "_PROJECTION_STEPS", cap)
-    monkeypatch.setattr(iv, "_eigh_optimum", eigh_optimum)
+def _dense_optimum(P, alpha, beta, C):
+    """The optimum from a full eigendecomposition of G = P/N, the tests' oracle.
+
+    ``_secular_solve`` on d = (1 - alpha lambda)^-2 and c = U^T (beta 1), with
+    T_opt = sum d y^2 / (2N); at beta = 0 the allocation is sqrt(C) times a
+    top eigenvector of either sign, oriented to the Perron vector by ``_orient``."""
+    N = len(P)
+    lam, U = np.linalg.eigh(P / N)
+    d = 1.0 / (1.0 - alpha * lam) ** 2
+    mu, y = iv._secular_solve(d, U.T @ np.full(N, float(beta)), C)
+    beta_hat = spectral._orient(U @ y)
+    return iv.InterventionResult(beta_hat, float(np.sum(d * y**2)) / (2.0 * N),
+                                 float(np.sum((beta_hat - beta) ** 2)), "optimal", float(mu))
+
+
+class _Without:
+    """A module whose attributes are those of ``module`` except the ones overridden."""
+
+    def __init__(self, module, **overrides):
+        self._module, self._overrides = module, overrides
+
+    def __getattr__(self, name):
+        return self._overrides.get(name) or getattr(self._module, name)
+
+
+def _without_eigh(monkeypatch):
+    """Make np.linalg.eigh unavailable to the interventions module."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called by interventions")
+
+    monkeypatch.setattr(iv, "np", _Without(np, linalg=_Without(np.linalg, eigh=no_eigh)))
+
+
+def _optimum_and_reference(monkeypatch, P, alpha, beta, C):
+    """(result with eigh unavailable to interventions, path served, dense reference).
+
+    The path is "perron" at beta = 0, "certified" when ``_certified`` accepted
+    a projection, and "end" when the run served it at its end uncertified."""
+    ref = _dense_optimum(P, alpha, beta, C)
+    certified, verdicts = iv._certified, []
+    with monkeypatch.context() as m:
+        _without_eigh(m)
+        m.setattr(iv, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
+        res = iv.optimal_intervention(P, alpha, beta, C)
+    path = "perron" if beta == 0.0 else "certified" if any(v is not None for v in verdicts) else "end"
     return res, path, ref
 
 
@@ -366,12 +400,15 @@ def _assert_same_optimum(res, ref):
 @pytest.mark.parametrize("spec, alpha", [(kernels.minmax(), 5.0),
                                          (kernels.sbm([[0.8, 0.1], [0.1, 0.8]], [0.75, 0.25]), 1.0)],
                          ids=["minmax", "sbm"])
-def test_projected_optimum_matches_the_eigh_path(monkeypatch, spec, alpha, kind):
+def test_projected_optimum_matches_the_dense_reference(monkeypatch, spec, alpha, kind):
+    # The weighted network of a two-block sbm has rank 2, so the run from 1
+    # is invariant at its second step and serves the optimum uncertified.
+    rank_two = kind == "weighted" and spec.kind == "sbm"
     for N, seed in ((60, 1), (150, 2), (300, 3)):
         _, Pw, Ps = sampled_instance(spec, N, seed)
         P = Ps.A if kind == "simple" else Pw.P
-        res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 0.01 * N)
-        assert path == "projection"
+        res, path, ref = _optimum_and_reference(monkeypatch, P, alpha, 1.0, 0.01 * N)
+        assert path == ("end" if rank_two else "certified")
         _assert_same_optimum(res, ref)
         assert res.welfare == iv.welfare(P, alpha, res.beta_hat)
 
@@ -389,43 +426,31 @@ def _isolated_nodes():
 
 
 @pytest.mark.parametrize("P, beta, path", [
-    (random_network(np.random.default_rng(4), 20), 0.0, "eigh"),
+    (random_network(np.random.default_rng(4), 20), 0.0, "perron"),
     (np.array([[0.0, -0.5], [-0.5, 0.0]]), 1.0, "rejected"),
-    (_two_components(), 1.0, "projection"),
-    (_isolated_nodes(), 1.0, "projection"),
-    (np.zeros((1, 1)), 1.0, "projection"),
-    (np.zeros((5, 5)), 1.0, "projection"),
+    (_two_components(), 1.0, "certified"),
+    (_isolated_nodes(), 1.0, "certified"),
+    (np.zeros((1, 1)), 1.0, "end"),
+    (np.zeros((5, 5)), 1.0, "end"),
 ], ids=["beta-zero", "signed", "two-identical-components", "isolated-nodes", "one-agent",
         "empty-network"])
-def test_optimal_edge_cases_match_the_eigh_path(monkeypatch, P, beta, path):
+def test_optimal_edge_cases_match_the_dense_reference(monkeypatch, P, beta, path):
+    # One agent and the empty network make K(G, 1) invariant at the first step.
     N = len(P)
     if path == "rejected":  # a signed network is outside the planner's domain
         with pytest.raises(ValueError, match="require a nonnegative network"):
             iv.optimal_intervention(P, 0.5, beta, 0.3 * N)
         return
-    res, served, ref = _optimum_by_both_paths(monkeypatch, P, 0.5, beta, 0.3 * N)
+    res, served, ref = _optimum_and_reference(monkeypatch, P, 0.5, beta, 0.3 * N)
     assert served == path
     _assert_same_optimum(res, ref)
     assert res.welfare == pytest.approx(iv.welfare(P, 0.5, res.beta_hat), rel=1e-12)
 
 
-class _Without:
-    """A module whose attributes are those of ``module`` except the ones overridden."""
-
-    def __init__(self, module, **overrides):
-        self._module, self._overrides = module, overrides
-
-    def __getattr__(self, name):
-        return self._overrides.get(name) or getattr(self._module, name)
-
-
 def test_welfare_trials_need_no_full_eigendecomposition(monkeypatch):
-    # An always-falling-back solver fails here: eigh is unavailable to the
-    # interventions module, and the error is not one a trial records.
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called by optimal_intervention")
-
-    monkeypatch.setattr(iv, "np", _Without(np, linalg=_Without(np.linalg, eigh=no_eigh)))
+    # eigh is unavailable to the interventions module, and the error is not
+    # one a trial records.
+    _without_eigh(monkeypatch)
     stats = experiments.intervention_experiment(kernels.minmax(), 5.0, 1.0, 0.01, [200], 2,
                                                 optimal_cap=200, seed=42)
     assert stats[0].failures == 0
@@ -483,59 +508,52 @@ def _sparse_er(N, p, seed):
 
 
 def _projection_spies(monkeypatch):
-    """Record the steps of the last Lanczos run from 1, the solves and the eigh fallbacks."""
-    seen = {"steps": 0, "solves": 0, "eigh": 0}
-    steps, solve, eigh_optimum = iv._lanczos_steps, iv._lq_solve, iv._eigh_optimum
+    """Record the steps of the last Lanczos run from 1 and the solves, eigh unavailable."""
+    seen = {"steps": 0, "solves": 0}
+    steps, solve = iv._lanczos_steps, iv._lq_solve
 
     def counting_steps(*args):
         for k, out in enumerate(steps(*args), 1):
             seen["steps"] = k
             yield out
 
-    def counting(key, fn):
-        def wrapper(*args):
-            seen[key] += 1
-            return fn(*args)
-        return wrapper
+    def counting_solves(*args):
+        seen["solves"] += 1
+        return solve(*args)
 
     monkeypatch.setattr(iv, "_lanczos_steps", counting_steps)
-    monkeypatch.setattr(iv, "_lq_solve", counting("solves", solve))
-    monkeypatch.setattr(iv, "_eigh_optimum", counting("eigh", eigh_optimum))
+    monkeypatch.setattr(iv, "_lq_solve", counting_solves)
+    _without_eigh(monkeypatch)
     return seen
 
 
-@pytest.mark.parametrize("exit_", ["step-cap", "certificate"])
-def test_uncertified_projection_falls_back_to_eigh(monkeypatch, exit_):
-    # A path graph's clustered spectrum needs more Lanczos steps than the cap:
-    # the run from 1 goes on for the gate to step 100, where it turns
-    # invariant, and with the cap there the projection certifies. On this
-    # sparse ER network near the contraction limit the KKT and budget
-    # certificate fails after its solve, the only solve outside the basis.
-    P = _path_graph(200) if exit_ == "step-cap" else _sparse_er(120, 0.05, 0)
+@pytest.mark.parametrize("case", ["path-graph", "sparse-er"])
+def test_an_uncertified_projection_runs_on_to_the_end(monkeypatch, case):
+    # A path graph's clustered spectrum keeps the projection open until the
+    # run from 1 turns invariant at step 100, where the projection is exact
+    # and its welfare takes the one solve. On this sparse ER network near the
+    # contraction limit the KKT and budget certificate fails after its solve;
+    # the run goes on to k = n = 120, and the optimum there takes a second.
+    P = _path_graph(200) if case == "path-graph" else _sparse_er(120, 0.05, 0)
     N = len(P)
-    alpha = (0.5 if exit_ == "step-cap" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
-    seen, cap = _projection_spies(monkeypatch), iv._PROJECTION_STEPS
-    iv._welfares(P / N, alpha, [], 1.0, 0.01 * N, opt=True)
-    if exit_ == "step-cap":
-        assert seen == {"steps": 100, "solves": 0, "eigh": 1}
-        monkeypatch.setattr(iv, "_PROJECTION_STEPS", 100)
-        iv._welfares(P / N, alpha, [], 1.0, 0.01 * N, opt=True)
-        assert seen == {"steps": 100, "solves": 1, "eigh": 1}
-        monkeypatch.setattr(iv, "_PROJECTION_STEPS", cap)
-    else:
-        assert seen["steps"] < iv._PROJECTION_STEPS and seen["solves"] == seen["eigh"] == 1
-    res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 0.01 * N)
-    assert path == "eigh"
-    assert res.welfare == ref.welfare and res.kkt_multiplier == ref.kkt_multiplier
-    assert np.array_equal(res.beta_hat, ref.beta_hat)
+    alpha = (0.5 if case == "path-graph" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
+    ref = _dense_optimum(P, alpha, 1.0, 0.01 * N)
+    seen = _projection_spies(monkeypatch)
+    res = iv.optimal_intervention(P, alpha, 1.0, 0.01 * N)
+    assert seen == ({"steps": 100, "solves": 1} if case == "path-graph"
+                    else {"steps": 120, "solves": 2})
+    _assert_same_optimum(res, ref)
+    assert res.welfare == iv.welfare(P, alpha, res.beta_hat)
 
 
 def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
     # rho(A/N) = 19/200 = 0.095 is the 20-clique's, and v1 vanishes on the star
     # (hub 20, leaves 21-170). At x = max(|v1|, 1e-8 max |v1|) the hub reads
     # (G x)_20 / x_20 = 150/200 = 0.75, so alpha lam_bar = 3.9 >= 1: the
-    # certificate rejects, with no solve, an optimum that eigh then serves. A
-    # false rejection, pinned until the gate is certified.
+    # certificate rejects the global optimum, with no solve. A false
+    # rejection, pinned until the gate is certified. The run needs no
+    # certificate: K(G, 1) is invariant at step 4, where the projection is
+    # exact and its welfare takes the one solve.
     N = 200
     P = np.zeros((N, N))
     P[:20, :20] = 1.0
@@ -546,13 +564,14 @@ def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
     x = np.maximum(np.abs(v1), 1e-8 * np.abs(v1).max())
     lam_bar = np.max(P / N @ x / x)
     assert lam_bar == pytest.approx(0.75, rel=1e-12) and alpha * lam_bar == pytest.approx(3.9, abs=0.05)
-    certified, solve, seen = iv._certified, iv._lq_solve, []
-    monkeypatch.setattr(iv, "_certified", lambda *args: seen.append(certified(*args)) or seen[-1])
-    monkeypatch.setattr(iv, "_lq_solve", lambda *args: seen.append("solve") or solve(*args))
-    res, path, ref = _optimum_by_both_paths(monkeypatch, P, alpha, 1.0, 2.0)
-    assert seen == [None] and path == "eigh"  # one rejection, no solve
-    assert res.welfare == ref.welfare and res.kkt_multiplier == ref.kkt_multiplier
-    assert np.array_equal(res.beta_hat, ref.beta_hat)
+    ref = _dense_optimum(P, alpha, 1.0, 2.0)
+    with monkeypatch.context() as m:
+        m.setattr(iv, "_lq_solve", lambda *args: pytest.fail("the certificate solved"))
+        assert iv._certified(P / N, alpha, 1.0, 2.0, ref.beta_hat, ref.kkt_multiplier, v1) is None
+    seen = _projection_spies(monkeypatch)
+    res = iv.optimal_intervention(P, alpha, 1.0, 2.0)
+    assert seen == {"steps": 4, "solves": 1}
+    _assert_same_optimum(res, ref)
 
 
 def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
@@ -593,12 +612,9 @@ def test_a_welfare_trial_at_n_800_takes_at_most_50_lanczos_steps(monkeypatch):
             seen["steps"] += 1
             yield out
 
-    def no_eigh(*args):
-        raise AssertionError("the projected optimum fell back to eigh")
-
     for module in (spectral, iv):
         monkeypatch.setattr(module, "_lanczos_steps", counting_steps)
-    monkeypatch.setattr(iv, "_eigh_optimum", no_eigh)
+    _without_eigh(monkeypatch)
     for trial in range(5):
         seen["steps"] = 0
         row = _trial(kernels.minmax(), 5.0, 800, 42, trial)
@@ -762,12 +778,14 @@ def test_evaluate_policy_accepts_the_builders_allocations_and_rejects_negative_o
 
 def test_the_optimum_at_beta_zero_is_the_perron_direction():
     # At beta = 0 the optimum is sqrt(C) times a top eigenvector, whose sign
-    # eigh leaves open: oriented, it is the nonnegative Perron vector.
+    # eigh leaves open: oriented, it is the nonnegative Perron vector, the
+    # network heuristic's own.
     for N in range(5, 25):
         P = random_network(np.random.default_rng(N), N)
         res = iv.optimal_intervention(P, 0.5, 0.0, 1.0)
         v = spectral._orient(np.linalg.eigh(P / N)[1][:, -1])
         assert np.max(np.abs(res.beta_hat - v)) <= 1e-12 and res.beta_hat.min() > 0.0
+        assert np.array_equal(res.beta_hat, iv.network_heuristic(P, 0.0, 1.0).beta_hat)
 
 
 def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
@@ -821,11 +839,8 @@ def test_zero_budget_optimum_has_the_welfare_of_its_allocation():
 
 
 def test_zero_budget_optimum_needs_no_full_eigendecomposition(monkeypatch):
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called by optimal_intervention")
-
     A = _zero_budget_network()
-    monkeypatch.setattr(iv, "np", _Without(np, linalg=_Without(np.linalg, eigh=no_eigh)))
+    _without_eigh(monkeypatch)
     assert iv.optimal_intervention(A, 5.0, 1.0, 0.0).welfare > 0.0
 
 
@@ -866,10 +881,12 @@ def test_every_policy_rejects_a_non_finite_beta(policy, beta):
     assert np.all(np.isfinite(run(0.0).beta_hat))
 
 
-@pytest.mark.parametrize("beta", [1e-10, 1e-9, 1e-6])
+@pytest.mark.parametrize("beta", [1e-13, 1e-12, 1e-10, 1e-9, 1e-6])
 def test_optimal_spends_the_budget_exactly_near_the_hard_case(beta):
     # A baseline this small leaves the multiplier within about 1e-9 d_max of
     # d_max, where mu - d_max loses its digits unless it is the variable solved for.
+    # At 1e-12 and below the certificate rejects and the run goes on to its
+    # end; at 1e-13 the projected problem takes the hard-case branch.
     types = sampling.sample_types(50, 1)
     A = sampling.simple_network(sampling.weighted_network(kernels.minmax(), types), 2).A
     res = iv.optimal_intervention(A, 5.0, beta, 1.0)
