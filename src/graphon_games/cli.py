@@ -28,10 +28,10 @@ from .experiments import _PCTS, _write_csv, distance_experiment, intervention_ex
 from .interventions import POLICIES, _policies, result_to_json
 from .kernels import erdos_renyi, from_json as graphon_from_json, minmax, sbm
 from .sampling import (
+    _kernel_links,
     load_network_json,
     network_to_json,
     sample_types,
-    simple_network,
     weighted_network,
     write_edge_csv,
 )
@@ -133,8 +133,9 @@ def _manifest(outdir: Path, command: str, args) -> None:
 def _sample(spec, N: int, seed, simple: bool):
     """Sampled network matrix (0-1 when ``simple``) and its types."""
     types = sample_types(N, seed)
-    Pw = weighted_network(spec, types)
-    return (simple_network(Pw, subseed(seed, 1)).A if simple else Pw.P), types
+    if simple:  # drawn from the kernel at the types, as simple_network draws from P
+        return _kernel_links(spec, types, subseed(seed, 1)), types
+    return weighted_network(spec, types).P, types
 
 
 def _cmd_sample(args, outdir: Path) -> int:

@@ -35,8 +35,8 @@ from .equilibrium import (
 from .errors import ContractionError, IterationLimitError
 from .interventions import POLICIES, _policies
 from .kernels import GraphonSpec, lipschitz_metadata
-from .sampling import sample_types, simple_network, weighted_network
-from .spectral import GridFunction
+from .sampling import _kernel_links, sample_types
+from .spectral import DiscretizedOperator, GridFunction
 
 __all__ = [
     "DistanceStats",
@@ -116,10 +116,13 @@ def _sizes(Ns, trials: int) -> list[int]:
 
 
 def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
-    """Types, weighted matrix and 0-1 matrix of one trial, each network from its own subseed."""
+    """Sorted types and 0-1 matrix of one trial, each from its own subseed.
+
+    A is ``simple_network(weighted_network(spec, types), seed).A`` bit for bit,
+    drawn block by block from the kernel at the types: no N x N P is built.
+    """
     types = sample_types(N, subseed(seed, N, trial, 0))
-    Pw = weighted_network(spec, types)
-    return types, Pw.P, simple_network(Pw, subseed(seed, N, trial, 1)).A
+    return types, _kernel_links(spec, types, subseed(seed, N, trial, 1))
 
 
 def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
@@ -138,12 +141,13 @@ def _distance_trial(args):
     spec, payoff, N, trial, seed, sbar_values = args
     sbar = GridFunction(sbar_values)
     try:
-        types, P, A = _trial_networks(spec, N, trial, seed)
-        # The trial built and owns P and A, symmetric, finite and >= 0: scaled in
-        # place, with no solve_network input checks.
-        P /= N
+        types, A = _trial_networks(spec, N, trial, seed)
+        # The weighted game runs on the kernel's operator at the types, P/N applied
+        # without P. The trial built and owns A, symmetric, finite and >= 0: scaled
+        # in place, with no solve_network input checks.
         A /= N
-        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None) for X in (P, A)]
+        G = DiscretizedOperator(spec, N, types.types)
+        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None) for X in (G, A)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:
@@ -155,8 +159,10 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
     """Distance-to-limit statistics across population sizes.
 
     Solves the infinite-population game once at resolution M, then for each
-    (N, trial) samples both network kinds, solves them, and records L2
-    distances plus the applicable theoretical bounds at confidence delta.
+    (N, trial) solves the weighted game on the kernel's operator at the
+    sorted types (no N x N P) and the game on a sampled 0-1 network, and
+    records L2 distances plus the applicable theoretical bounds at confidence
+    delta.
     Returns one DistanceStats per (N, kind), weighted before simple, in the
     order of Ns. When csv_path is given, per-trial rows are also written in
     the fixed distances schema.
@@ -197,7 +203,7 @@ def _intervention_trial(args):
     spec, alpha, beta, c_per_agent, N, trial, seed, optimal_cap = args
     C = c_per_agent * N
     try:
-        types, _, A = _trial_networks(spec, N, trial, seed)
+        types, A = _trial_networks(spec, N, trial, seed)
         A /= N  # the trial owns A, symmetric, finite and 0-1: scaled in place, unchecked
         res = _policies(A, spec, types, alpha, beta, C,
                         POLICIES[1:] if N <= optimal_cap else POLICIES[1:4])

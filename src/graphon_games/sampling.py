@@ -9,7 +9,9 @@ the 0-1 network.
 All randomness flows through explicit seeds handed to numpy's default
 generator. Bernoulli draws consume the stream in row-major upper-triangle
 order (pairs (0,1), (0,2), ..., (1,2), ...), so a port using the same
-generator reproduces networks bitwise.
+generator reproduces networks bitwise. ``_links`` draws them for both
+sources of link probabilities, a weighted network's P (``simple_network``)
+and the kernel at the types, with no P (``_kernel_links``): the same A.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GraphonSpec, _check_unit_interval, _validate_symmetric, evaluate
+from .spectral import DiscretizedOperator
 
 __all__ = [
     "TypeVector",
@@ -84,23 +87,44 @@ def sample_types(N: int, seed) -> TypeVector:
 
 
 def weighted_network(spec: GraphonSpec, types: TypeVector) -> WeightedNetwork:
-    """Evaluate the kernel at all type pairs; the diagonal is zeroed."""
-    t = types.types
-    P = np.asarray(evaluate(spec, t[:, None], t[None, :]), dtype=float)
-    np.fill_diagonal(P, 0.0)
-    return WeightedNetwork(P=P, types=types)
+    """Evaluate the kernel at all type pairs; the diagonal is zeroed. P/N is the types' operator."""
+    return WeightedNetwork(DiscretizedOperator(spec, types.N, types.types).kernel_matrix, types)
 
 
 def simple_network(Pw: WeightedNetwork, seed) -> SimpleNetwork:
     """Draw edges i < j independently as Bernoulli(P[i, j]), from P's strict upper triangle only."""
-    N = Pw.N
-    rng = np.random.default_rng(seed)
-    upper = np.arange(N)[:, None] < np.arange(N)
-    A = np.empty((N, N))  # holds the draws, then the links
-    A[upper] = rng.random(N * (N - 1) // 2)  # a boolean mask fills in row-major order
-    links = np.less(A, Pw.P, where=upper, out=np.zeros((N, N), dtype=bool))
-    np.logical_or(links, links.T, out=A)
+    A = _links(Pw.N, seed, lambda i0, i1: Pw.P[i0:i1, i0:])
     return SimpleNetwork(A=A, types=Pw.types, seed=seed)
+
+
+def _kernel_links(spec: GraphonSpec, types: TypeVector, seed) -> np.ndarray:
+    """``simple_network(weighted_network(spec, types), seed).A``, bit for bit, with no P."""
+    t = types.types
+    return _links(types.N, seed, lambda i0, i1: evaluate(spec, t[i0:i1, None], t[None, i0:]))
+
+
+_BLOCK_ROWS = 128
+
+
+def _links(N: int, seed, block) -> np.ndarray:
+    """0-1 adjacency (float) with each link i < j drawn as Bernoulli(p_ij).
+
+    ``block(i0, i1)`` gives p at rows i0:i1 and columns i0:N, of which only the
+    strict upper triangle is read. The draws take the stream in row-major
+    upper-triangle order, ``_BLOCK_ROWS`` rows at a time.
+    """
+    rng = np.random.default_rng(seed)
+    links = np.zeros((N, N), dtype=bool)
+    strict = np.arange(min(N, _BLOCK_ROWS))[:, None] < np.arange(N)  # row r < column c
+    for i0 in range(0, N, _BLOCK_ROWS):
+        upper = strict[:N - i0, :N - i0]  # rows i0:i1, columns i0:N
+        draws = np.zeros(upper.shape)  # zeros off the mask, whose comparisons are discarded
+        draws[upper] = rng.random(np.count_nonzero(upper))  # a boolean mask fills row-major
+        i1 = i0 + len(upper)
+        np.logical_and(draws < block(i0, i1), upper, out=links[i0:i1, i0:])
+    A = np.empty((N, N))
+    np.logical_or(links, links.T, out=A)
+    return A
 
 
 def network_to_json(matrix: np.ndarray, types: TypeVector) -> dict:

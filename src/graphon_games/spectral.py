@@ -5,12 +5,15 @@ collocation on the uniform M-grid: the kernel is sampled at cell midpoints
 and the quadrature weight is 1/M. This preserves symmetry exactly and is
 exact for step-function kernels aligned with the grid.
 
-Solves, the dominant eigenpair and Bayes aggregates only apply the operator
-(``DiscretizedOperator.at``), never the kernel matrix: minmax by prefix and
-suffix sums, a step kernel (constant, block, grid) by Q/M times block sums. At
-a grid's own cell count each block holds one midpoint and Q/M is P/N, so it
-solves exactly as its network. Top-k spectra need neither: both kernel
-families have exact discretized spectra (see ``top_k_eigen``).
+Solves, the dominant eigenpair, Bayes aggregates and ``operator_distance``
+only apply the operator (``DiscretizedOperator.at``), never the kernel
+matrix: minmax by prefix and suffix sums, a step kernel (constant, block,
+grid) by Q/M times block sums. At a grid's own cell count each block holds
+one midpoint and Q/M is P/N, so it solves exactly as its network. Read at a
+sampled network's sorted types in place of the midpoints, with a zero
+diagonal, the same sums apply the weighted network's P/N without P. Top-k
+spectra need neither: both kernel families have exact discretized spectra
+(see ``top_k_eigen``).
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -20,7 +23,7 @@ sqrt(M).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,20 +97,33 @@ class DiscretizedOperator:
     in [0, 1], an array of x giving the bits of its scalar calls; ``op @ s`` is
     ``at`` at the midpoints, (1/M) * kernel_matrix @ s. ``kernel_matrix`` is
     built on first use.
+
+    With ``_types``, M sorted sampled types t, it is instead the weighted
+    sampled network's operator P/M, P_ij = W(t_i, t_j) with a zero diagonal:
+    the nodes are the types, and ``op @ s`` drops each node's own term
+    (``at`` keeps every term).
     """
 
     spec: GraphonSpec
     M: int
+    _types: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def _nodes(self) -> np.ndarray:  # the midpoints are made per use: none are kept
+        return midpoints(self.M) if self._types is None else self._types
 
     @functools.cached_property
     def kernel_matrix(self) -> np.ndarray:
-        m = midpoints(self.M)
-        return np.asarray(evaluate(self.spec, m[:, None], m[None, :]), dtype=float)
+        t = self._nodes
+        K = np.asarray(evaluate(self.spec, t[:, None], t[None, :]), dtype=float)
+        if self._types is not None:
+            np.fill_diagonal(K, 0.0)
+        return K
 
     @functools.cached_property
     def _runs(self):
-        # A step kernel's Q/M, and the ids, starts and lengths of its runs of midpoints.
-        idx = _block_index(self.spec, midpoints(self.M))
+        # A step kernel's Q/M, and the ids, starts and lengths of its runs of nodes.
+        idx = _block_index(self.spec, self._nodes)
         starts = np.flatnonzero(np.diff(idx, prepend=-1))
         return _blocks(self.spec)[0] / self.M, idx[starts], starts, np.diff(starts, append=self.M)
 
@@ -128,22 +144,31 @@ class DiscretizedOperator:
         out = self._at(x, s)
         return float(out) if out.ndim == 0 else out
 
-    def _at(self, x, s) -> np.ndarray:  # x None: at the midpoints, whose runs are known
+    def _at(self, x, s) -> np.ndarray:  # x None: at the nodes, whose runs are known
         s = np.asarray(s, dtype=float)
         if s.shape != (self.M,):
             raise ValueError(f"resolution mismatch: operator M={self.M}, operand {s.shape}")
         if self.spec.kind == "minmax":
-            # W(x, m_i) = m_i (1 - x) for m_i <= x, else x (1 - m_i): prefix sums A of m s and
-            # suffix sums B of (1 - m) s, read at j = #{m_i <= x}, which is i + 1 at m_i.
-            m = midpoints(self.M)
+            # W(x, t_i) = t_i (1 - x) for t_i <= x, else x (1 - t_i): prefix sums A of t s and
+            # suffix sums B of (1 - t) s, read at j = #{t_i <= x}, which is i + 1 at node i
+            # (its own term in A[i + 1]; a zero diagonal reads the exclusive A[i]).
+            t = self._nodes
             A, B = np.zeros(self.M + 1), np.zeros(self.M + 1)
-            np.cumsum(m * s, out=A[1:])
-            np.cumsum(((1.0 - m) * s)[::-1], out=B[-2::-1])
-            x, j = (m, slice(1, None)) if x is None else (x, np.searchsorted(m, x, side="right"))
+            np.cumsum(t * s, out=A[1:])
+            np.cumsum(((1.0 - t) * s)[::-1], out=B[-2::-1])
+            if x is None:
+                a = A[1:] if self._types is None else A[:-1]
+                return ((1.0 - t) * a + t * B[1:]) / self.M
+            j = np.searchsorted(t, x, side="right")
             return ((1.0 - x) * A[j] + x * B[j]) / self.M
         Q_over_M, ids, starts, counts = self._runs  # a step kernel: Q/M times the block sums
         v = Q_over_M @ np.bincount(ids, np.add.reduceat(s, starts), len(Q_over_M))
-        return np.repeat(v[ids], counts) if x is None else v[_block_index(self.spec, x)]
+        if x is not None:
+            return v[_block_index(self.spec, x)]
+        out = np.repeat(v[ids], counts)
+        if self._types is not None:  # drop the own terms W(t_i, t_i) s_i / M of a zero diagonal
+            out -= np.repeat(np.diag(Q_over_M)[ids], counts) * s
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,18 +216,18 @@ def _lanczos_steps(A, q: np.ndarray, max_iter: int, tol: float | None = None,
                    alpha: float | None = None):
     """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11).
 
-    The one reader of a run. Step k yields (Q, theta, S, beta_k, end, settled,
-    pair, d, x): the rows q_1 .. q_k (a view of a buffer that doubles when
-    full), the eigenpairs of T = Q A Q^T, the next off-diagonal, and whether
-    the space is invariant (beta_k <= eps max |T|) or all of R^n, the last
-    step. ``tol`` gives ``settled``, beta_k |s_k| <= tol max(1, |theta_k|) or
-    ``end``, and from the first settled step the top ``pair`` (Rayleigh
-    quotient, Ritz vector by ``_orient``). ``alpha`` gives d = 1 - alpha theta
-    until I - alpha T turns indefinite (at once for NaN), and x = ||q|| Q^T y,
-    (I - alpha T) y = e_1, once ``_galerkin`` reads it. Unasked reads are None.
-    A non-finite product raises ValueError.
+    The one reader of a run, which only applies A (A @ v). Step k yields (Q,
+    theta, S, beta_k, end, settled, pair, d, x): the rows q_1 .. q_k (a view of
+    a buffer that doubles when full), the eigenpairs of T = Q A Q^T, the next
+    off-diagonal, and whether the space is invariant (beta_k <= eps max |T|) or
+    all of R^n, the last step. ``tol`` gives ``settled``, beta_k |s_k| <= tol
+    max(1, |theta_k|) or ``end``, and from the first settled step the top
+    ``pair`` (Rayleigh quotient, Ritz vector by ``_orient``). ``alpha`` gives
+    d = 1 - alpha theta until I - alpha T turns indefinite (at once for NaN),
+    and x = ||q|| Q^T y, (I - alpha T) y = e_1, once ``_galerkin`` reads it.
+    Unasked reads are None. A non-finite product raises ValueError.
     """
-    n = len(A)
+    n = len(q)
     Q, T = np.empty((min(n, 16), n)), np.zeros((min(n, 16),) * 2)
     Q[0] = q / np.linalg.norm(q)
     T_norm, e1, scale = 0.0, np.ones(1), np.linalg.norm(q)
@@ -401,15 +426,27 @@ def _step_pairs(spec: GraphonSpec):
     return sbm_eigen_analytic(Q, w, min(2, len(w)))
 
 
+@dataclass(frozen=True, eq=False)
+class _Difference:
+    """s -> a @ s - b @ s, a symmetric operator given only by the products of a and b."""
+
+    a: DiscretizedOperator
+    b: DiscretizedOperator
+
+    def __matmul__(self, s) -> np.ndarray:
+        return self.a @ s - self.b @ s
+
+
 def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:
     """L2 -> L2 operator norm of the difference of two discretized operators.
 
-    For symmetric matrices this is the largest absolute eigenvalue of
-    D = (1/M) (A - B), that is max(lambda_max(D), lambda_max(-D)), both
-    from ``power_method`` at ``POWER_TOL``.
+    For symmetric operators this is the largest absolute eigenvalue of
+    D = a - b, that is max(lambda_max(D), lambda_max(-D)), both by Lanczos at
+    ``POWER_TOL`` on the products a @ s - b @ s and b @ s - a @ s, with no
+    M x M matrix, from ``power_method``'s start for a signed matrix.
     """
     if a.M != b.M:
         raise ValueError(f"resolution mismatch: {a.M} vs {b.M}")
-    diff = (a.kernel_matrix - b.kernel_matrix) / a.M
-    return max(power_method(diff, POWER_TOL, POWER_MAX_ITER)[0],
-               power_method(-diff, POWER_TOL, POWER_MAX_ITER)[0])
+    q = np.random.default_rng(0).standard_normal(a.M)
+    return max(_lanczos(_Difference(a, b), q, POWER_TOL)[0],
+               _lanczos(_Difference(b, a), q, POWER_TOL)[0])

@@ -94,6 +94,28 @@ def test_sample_writes_network(tmp_path):
     assert (tmp_path / "edges.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("graphon", ["minmax", "sbm"])
+def test_sample_simple_is_the_simple_network_of_the_weighted_one(tmp_path, graphon, seed):
+    # --simple draws from the kernel at the types, with no P: the same A, JSON
+    # and edge list as simple_network on the weighted network, byte for byte.
+    from graphon_games import experiments, sampling
+    code = run(["sample", "--graphon", graphon, "--gin", "0.8", "--gout", "0.1",
+                "--w", "0.75,0.25", "--N", "300", "--seed", str(seed), "--simple",
+                "--out", str(tmp_path / "cli")])
+    assert code == 0
+    spec = kernels.minmax() if graphon == "minmax" else kernels.sbm([[0.8, 0.1], [0.1, 0.8]],
+                                                                    [0.75, 0.25])
+    types = sampling.sample_types(300, seed)
+    A = sampling.simple_network(sampling.weighted_network(spec, types),
+                                experiments.subseed(seed, 1)).A
+    (tmp_path / "ref").mkdir()
+    cli._write_json(tmp_path / "ref", "network.json", sampling.network_to_json(A, types))
+    sampling.write_edge_csv(A, tmp_path / "ref" / "edges.csv")
+    for name in ("network.json", "edges.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 # --- intervene -------------------------------------------------------------------------
 
 def test_intervene_all_policies(tmp_path):

@@ -127,16 +127,43 @@ def test_generic_payoff_distance_results_independent_of_jobs(tmp_path):
                          ids=["minmax", "sbm"])
 @pytest.mark.parametrize("alpha", [0.5, -0.5])
 def test_distance_trial_matches_the_public_solver(spec, alpha):
-    # The trial calls the solver core on the matrices it built; the public
-    # solve_network, with all its checks, must give the same tuple bit for bit.
+    # The trial solves the weighted game on the kernel's operator at the types
+    # and the 0-1 game on the matrix it drew; the public solve_network on P and
+    # on A, with all its checks, gives the same tuple, the weighted distance to
+    # round-off (the operator sums in another order than P @ s) and the rest bit
+    # for bit.
     payoff = LqPayoff(alpha, 1.0)
     sbar = solve_graphon(spec, payoff, 300).profile
     for N, trial in ((1, 0), (40, 2), (150, 5)):
-        types, P, A = ex._trial_networks(spec, N, trial, 31)
+        types, A = ex._trial_networks(spec, N, trial, 31)
+        P = sampling.weighted_network(spec, types).P
         reps = [solve_network(X, payoff) for X in (P, A)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
-        want = (N, trial, dist_w, dist_s, ex._max_type_deviation(types.types), None)
-        assert ex._distance_trial((spec, payoff, N, trial, 31, sbar.values)) == want
+        got = ex._distance_trial((spec, payoff, N, trial, 31, sbar.values))
+        assert got[2] == pytest.approx(dist_w, rel=1e-12, abs=0)
+        assert got[:2] + got[3:] == (N, trial, dist_s, ex._max_type_deviation(types.types), None)
+
+
+@pytest.mark.parametrize("spec", [kernels.minmax(),
+                                  kernels.sbm([[0.8, 0.1], [0.1, 0.5]], [0.75, 0.25])],
+                         ids=["minmax", "sbm"])
+def test_a_distance_trial_holds_no_weighted_matrix(spec):
+    # The trial keeps A (8 N^2 bytes) and its link mask (N^2), plus scratch of
+    # a block of rows. A trial that also held a dense P and its draws would
+    # peak at 2.6 to 3.0 times 8 N^2 (13.4 to 15.4 MB at N = 800): the bound
+    # leaves room for A and its mask, not for one more N x N float64.
+    import tracemalloc
+    N, payoff = 800, LqPayoff(0.5, 1.0)
+    args = (spec, payoff, N, 0, 3, solve_graphon(spec, payoff, 2 * N).profile.values)
+    ex._distance_trial(args)
+    tracemalloc.start()
+    try:
+        result = ex._distance_trial(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result[-1] is None
+    assert peak <= 1.5 * 8 * N * N
 
 
 # --- intervention experiment -------------------------------------------------------

@@ -144,6 +144,45 @@ def test_simple_network_reads_only_the_strict_upper_triangle():
     assert 0.0 < A.mean() < 1.0
 
 
+def test_simple_network_ignores_the_diagonal_and_lower_triangle_past_one_block():
+    # The draws are compared block by block; a block's diagonal and the rows
+    # below it are in its reads, so P's lower part must stay unread in every block.
+    N = 2 * sampling._BLOCK_ROWS + 44
+    tv = sampling.sample_types(N, seed=6)
+    P = sampling.weighted_network(kernels.minmax(), tv).P
+    ones = P.copy()
+    ones[np.tril_indices(N)] = 1.0
+    A = sampling.simple_network(sampling.WeightedNetwork(P=ones, types=tv), seed=2).A
+    assert A.tobytes() == sampling.simple_network(sampling.WeightedNetwork(P, tv), 2).A.tobytes()
+    assert A.tobytes() == _triu_reference(P, 2).tobytes()
+
+
+def _grid5():
+    V = np.random.default_rng(1).random((5, 5))
+    return kernels.grid_kernel(np.triu(V) + np.triu(V, 1).T)
+
+
+KINDS = {"er": kernels.erdos_renyi(0.4), "sbm": kernels.sbm([[0.8, 0.1], [0.1, 0.5]], [0.75, 0.25]),
+         "minmax": kernels.minmax(), "grid": _grid5()}
+_B = sampling._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, _B - 1, _B, _B + 1, 300])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_trial_draws_the_simple_network_of_its_weighted_network(kind, N):
+    # A trial reads the kernel at its types block by block and builds no P:
+    # its A is the 0-1 network drawn from the weighted network, bit for bit.
+    from graphon_games import experiments as ex
+    spec = KINDS[kind]
+    types, A = ex._trial_networks(spec, N, 4, 19)
+    P = sampling.weighted_network(spec, types).P
+    seed = ex.subseed(19, N, 4, 1)
+    assert A.dtype == np.float64 and A.shape == (N, N)
+    Pw = sampling.WeightedNetwork(P, types)
+    assert A.tobytes() == sampling.simple_network(Pw, seed).A.tobytes()
+    assert A.tobytes() == _triu_reference(P, seed).tobytes()
+
+
 def test_mean_consistency():
     # Averaging Bernoulli networks over seeds recovers the weighted network.
     N, n_seeds = 25, 2000

@@ -174,6 +174,52 @@ def test_a_grid_operator_keeps_no_blocks_by_midpoints_array():
     assert kept and max(a.size for a in kept) < 30 * op.M
 
 
+def assert_node_product_matches_the_weighted_network(spec, t, s):
+    # op @ s against P/N @ s, P = weighted_network(spec, types).P, within 1e-14
+    # of the size of the summed terms with each node's own term included, which
+    # a step kernel subtracts for the zero diagonal (minmax never adds it).
+    from graphon_games import sampling
+    N = len(t)
+    P = sampling.weighted_network(spec, sampling.TypeVector(t)).P
+    op = spectral.DiscretizedOperator(spec, N, t)
+    assert np.array_equal(op.matrix(), P / N)
+    got = op @ s
+    K = np.asarray(kernels.evaluate(spec, t[:, None], t[None, :])) / N
+    bound = 1e-14 * (np.abs(K) @ np.abs(s)) + np.finfo(float).tiny
+    assert got.shape == s.shape
+    assert np.all(np.abs(got - P / N @ s) <= bound)
+
+
+@given(spec=structured_kernels(), N=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_node_product_matches_the_weighted_network(spec, N, seed):
+    # Types with ties: N draws, with replacement, from at most N points that
+    # include 0, 1 and the sbm boundary 0.75.
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.choice(np.r_[rng.random(int(rng.integers(1, N + 1))), 0.0, 0.75, 1.0], N))
+    assert_node_product_matches_the_weighted_network(spec, t, rng.standard_normal(N))
+
+
+_NODE_SPECS = {"er": kernels.erdos_renyi(0.4), "sbm": kernels.sbm(SBM_Q, SBM_W),
+               "minmax": kernels.minmax(),
+               "grid": kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.5]])}
+
+
+@pytest.mark.parametrize("t", [[0.4], [0.2, 0.2, 0.2, 0.75, 0.75, 0.9],
+                               np.sort(np.random.default_rng(3).random(257))],
+                         ids=["one-node", "tied", "random"])
+@pytest.mark.parametrize("kind", _NODE_SPECS)
+def test_node_product_of_one_node_and_of_tied_types(kind, t):
+    t = np.asarray(t, dtype=float)
+    s = np.random.default_rng(len(t)).random(len(t))
+    assert_node_product_matches_the_weighted_network(_NODE_SPECS[kind], t, s)
+    op = spectral.DiscretizedOperator(_NODE_SPECS[kind], len(t), t)
+    out = op @ s
+    assert "kernel_matrix" not in vars(op)
+    if len(t) == 1:  # no other agent: the aggregate is exactly 0
+        assert out.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
                                   kernels.minmax(),
                                   kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1],
@@ -366,6 +412,17 @@ def test_operator_distance_constant_kernels():
     a = spectral.discretize(kernels.erdos_renyi(0.7), 60)
     b = spectral.discretize(kernels.erdos_renyi(0.2), 60)
     assert spectral.operator_distance(a, b) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_operator_distance_matches_the_dense_spectrum_without_a_matrix():
+    # Lanczos on the products a @ s - b @ s, both signs: the largest |eigenvalue|
+    # of the dense difference, with no M x M matrix built on either side.
+    for b_spec in (kernels.sbm(SBM_Q, SBM_W), kernels.erdos_renyi(0.1)):
+        a, b = spectral.discretize(kernels.minmax(), 300), spectral.discretize(b_spec, 300)
+        got = spectral.operator_distance(a, b)
+        assert "kernel_matrix" not in vars(a) and "kernel_matrix" not in vars(b)
+        want = np.max(np.abs(np.linalg.eigvalsh(a.matrix() - b.matrix())))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_operator_distance_mismatch():
