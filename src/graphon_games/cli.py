@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import estimate_epsilon, lq_L_U
-from .equilibrium import LqPayoff, report_to_json, solve_graphon, solve_network
+from .equilibrium import LqPayoff, _solve, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
 from .experiments import _PCTS, _write_csv, distance_experiment, intervention_experiment, subseed
 from .interventions import POLICIES, _policies, result_to_json
@@ -35,7 +35,7 @@ from .sampling import (
     weighted_network,
     write_edge_csv,
 )
-from .spectral import discretize, midpoints, top_k_eigen
+from .spectral import DiscretizedOperator, discretize, midpoints, top_k_eigen
 
 __all__ = ["main", "entrypoint", "build_parser"]
 
@@ -164,14 +164,16 @@ def _cmd_eigen(args, outdir: Path) -> int:
 
 
 def _cmd_solve_network(args, outdir: Path) -> int:
+    payoff = LqPayoff(args.alpha, args.beta)
     if args.network_json:
-        matrix, _ = load_network_json(args.network_json)
-    else:
-        spec = build_graphon(args)
-        if args.N is None:
-            raise UsageError("either --N (to sample) or --network-json is required")
-        matrix, _ = _sample(spec, args.N, args.seed, args.simple)
-    report = solve_network(matrix, LqPayoff(args.alpha, args.beta))
+        report = solve_network(load_network_json(args.network_json)[0], payoff)
+    elif args.N is None:
+        raise UsageError("either --N (to sample) or --network-json is required")
+    elif args.simple:
+        report = solve_network(_sample(build_graphon(args), args.N, args.seed, True)[0], payoff)
+    else:  # the weighted network's P/N, applied at the types without P
+        types = sample_types(args.N, args.seed).types
+        report = _solve(DiscretizedOperator(build_graphon(args), args.N, types), True, payoff)
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
         _write_csv(outdir / "profile.csv", "index,value", enumerate(report.profile_array()))

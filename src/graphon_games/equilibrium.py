@@ -17,10 +17,13 @@ EquilibriumReport carries lambda_max, so bounds do not recompute it.
 
 Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
 Lanczos (CG on the positive definite I - alpha G), for a nonnegative G in
-the very run that gives lambda_max. It is the equilibrium, a fixed point of
-s = max(0, alpha G s + beta), exactly when it is nonnegative (always for
-complements on a nonnegative G: s >= beta); otherwise projected best-response
-iteration takes over. Generic payoffs always use best-response iteration.
+the very run that gives lambda_max, or for a caller that reads no lambda_max
+(the distance trial) in the run that ends at that solve where
+x = (I - alpha G)^-1 1 certifies the contraction (Collatz-Wielandt). It is
+the equilibrium, a fixed point of s = max(0, alpha G s + beta), exactly when
+it is nonnegative (always for complements on a nonnegative G: s >= beta);
+otherwise projected best-response iteration takes over. Generic payoffs
+always use best-response iteration.
 """
 
 from __future__ import annotations
@@ -267,17 +270,32 @@ def _lq_solve(G, alpha: float, b) -> np.ndarray:
     return _definite(_lanczos(G, b, alpha=alpha)[2]) if b.any() else 0.0 * b
 
 
-def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None):
+def _collatz_wielandt(G, ratio: float, x):
+    """lam_bar = max(G x / x) if x > 0 and ratio * lam_bar < 1, else None.
+
+    For G >= 0 and any x > 0, rho(G) <= lam_bar (Horn & Johnson 8.1), so ratio * rho(G) < 1.
+    """
+    lam_bar = float(np.max(G @ x / x)) if x.min() > 0.0 else math.inf
+    return lam_bar if ratio * lam_bar < 1.0 else None
+
+
+def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None,
+                      lam_wanted: bool = True):
     """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given, v).
 
     v is the top Ritz vector, as ``_lanczos_steps`` reads and orients every one
     (``_orient``). If G is ``nonneg``, rho is lambda_max and one Lanczos run
-    from all-ones gives it, v and x. A signed G adds lambda_max(-G) and solves
-    for x apart. Raises ContractionError unless q < 1, which makes I - alpha G
-    positive definite, or if the run for x found it indefinite all the same.
+    from all-ones gives it, v and x; unless ``lam_wanted``, it ends at x if
+    ``_collatz_wielandt`` certifies there, with q = ratio * lam_bar, lambda_max
+    NaN and v None. A signed G adds lambda_max(-G) and solves for x apart.
+    Raises ContractionError unless q < 1, which makes I - alpha G positive
+    definite, or if the run for x found it indefinite all the same.
     """
     if nonneg:
-        lam, v, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
+        bound = None if lam_wanted else lambda x: _collatz_wielandt(G, ratio, x)
+        lam, v, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha, bound=bound)
+        if v is None:  # certified at x
+            return math.nan, ratio * lam, x, None
         q = _check_contraction(ratio, lam)
     else:
         lam, v = power_method(G, POWER_TOL, POWER_MAX_ITER)
@@ -286,7 +304,8 @@ def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None)
     return lam, q, x if alpha is None else _definite(x), v
 
 
-def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> EquilibriumReport:
+def _solve(G, nonneg: bool, payoff, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+           start=None, lam_wanted: bool = True) -> EquilibriumReport:
     """Equilibrium of the game whose local aggregate is z = G s.
 
     G is P/N for a network P or the ``DiscretizedOperator`` K/M of a kernel
@@ -296,10 +315,12 @@ def _solve(G, nonneg: bool, payoff, tol: float, max_iter: int, start) -> Equilib
     fixed point of the best response; otherwise, and for generic payoffs,
     best-response iteration runs from ``start`` (default: beta for LQ, the
     best response to z = 0 otherwise), a contraction behind the gate. The
-    contraction factor uses the spectral radius of G.
+    contraction factor uses the spectral radius of G, or unless ``lam_wanted``
+    possibly a bound on it with lambda_max NaN (``_contraction_gate``).
     """
     lq = isinstance(payoff, LqPayoff)
-    lam, q, x, _ = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff), payoff.alpha if lq else None)
+    lam, q, x, _ = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff),
+                                     payoff.alpha if lq else None, lam_wanted)
     n = len(G)
     if lq:
         s = payoff.beta * x

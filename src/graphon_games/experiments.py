@@ -138,6 +138,8 @@ def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
 
 
 def _distance_trial(args):
+    """(N, trial, d_w, d_s, max type deviation, None or the error). Its solves read no
+    lambda_max, so each may gate on the Collatz-Wielandt bound at its x (``_solve``)."""
     spec, payoff, N, trial, seed, sbar_values = args
     sbar = GridFunction(sbar_values)
     try:
@@ -147,7 +149,7 @@ def _distance_trial(args):
         # in place, with no solve_network input checks.
         A /= N
         G = DiscretizedOperator(spec, N, types.types)
-        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None) for X in (G, A)]
+        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None, False) for X in (G, A)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:

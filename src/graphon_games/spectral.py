@@ -274,13 +274,19 @@ def _galerkin(Q, S, d, r, end, c, scale=1.0):
 
 
 def _lanczos(A, q: np.ndarray, tol: float | None = None,
-             max_iter: int = POWER_MAX_ITER, alpha: float | None = None):
+             max_iter: int = POWER_MAX_ITER, alpha: float | None = None, bound=None):
     """(lam, v, x) from the first step of ``_lanczos_steps`` that has read what was asked.
 
     ``tol`` asks for the top pair, ``alpha`` for x = (I - alpha A)^-1 q (CG when
     I - alpha A is positive definite; None if I - alpha T turns indefinite
-    first). IterationLimitError after max_iter."""
+    first). ``bound(x)``, called once at the step that reads x, ends the run
+    there with (bound(x), None, x) unless it is None. IterationLimitError
+    after max_iter."""
+    read = None
     for Q, theta, S, beta, end, settled, pair, d, x in _lanczos_steps(A, q, max_iter, tol, alpha):
+        if x is not read and bound is not None and (lam := bound(x)) is not None:
+            return lam, None, x
+        read = x
         if (pair is not None or tol is None) and (x is not None or d is None):
             return (*(pair or (None, None)), x)
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",

@@ -80,6 +80,32 @@ def test_solve_network_on_a_signed_network_writes_an_equilibrium(tmp_path):
     assert doc["profile"] == pytest.approx([pair, pair, 0.0], abs=1e-9)
 
 
+@pytest.mark.parametrize("graphon, spec", [
+    (["--graphon", "minmax"], kernels.minmax()),
+    (["--graphon", "sbm", "--gin", "0.8", "--gout", "0.1", "--w", "0.75,0.25"],
+     kernels.sbm([[0.8, 0.1], [0.1, 0.8]], [0.75, 0.25]))], ids=["minmax", "sbm"])
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+def test_weighted_solve_network_runs_on_the_operator_at_the_types(tmp_path, monkeypatch,
+                                                                  graphon, spec, alpha):
+    # The weighted network's P/N is applied at the sampled types without P. It
+    # sums in another order than P @ s, so the profile and lambda_max match the
+    # dense solve to round-off, stated as 1e-12 relative.
+    from graphon_games import sampling
+    from graphon_games.equilibrium import LqPayoff, solve_network
+
+    N, seed = 300, 4
+    ref = solve_network(sampling.weighted_network(spec, sampling.sample_types(N, seed)).P,
+                        LqPayoff(alpha, 1.0))
+    monkeypatch.setattr(cli, "weighted_network", None)  # no dense P is built
+    assert run(["solve-network", *graphon, "--N", str(N), "--seed", str(seed), "--alpha",
+                str(alpha), "--beta", "1", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "equilibrium.json").read_text())
+    assert doc["method"] == ref.method
+    assert doc["profile"] == pytest.approx(ref.profile_array().tolist(), rel=1e-12, abs=0)
+    assert doc["lambda_max"] == pytest.approx(ref.lambda_max, rel=1e-12, abs=0)
+    assert doc["contraction_factor"] == pytest.approx(ref.contraction_factor, rel=1e-12, abs=0)
+
+
 # --- sample -------------------------------------------------------------------------
 
 def test_sample_writes_network(tmp_path):

@@ -576,6 +576,76 @@ def test_every_contraction_failure_reports_ratio_and_radius(raise_it):
     assert err.value.factor >= 1.0
 
 
+# --- the Collatz-Wielandt gate of a solve that reads no lambda_max --------------
+
+def solve_without_lambda(P, payoff):
+    return eq._solve(P / len(P), True, payoff, eq.DEFAULT_TOL, eq.DEFAULT_MAX_ITER, None, False)
+
+
+def assert_same_report(got, ref):
+    assert np.array_equal(got.profile_array(), ref.profile_array())
+    assert (got.method, got.iterations, got.residual, got.step_norms) == (
+        ref.method, ref.iterations, ref.residual, ref.step_norms)
+
+
+@pytest.mark.parametrize("alpha", [0.5, -0.5, 2.0])
+@pytest.mark.parametrize("kind", ["minmax", "complete"])
+def test_a_certified_solve_reports_the_bound_and_no_lambda(kind, alpha):
+    N = 60
+    P = (sampling.weighted_network(kernels.minmax(), sampling.sample_types(N, 3)).P
+         if kind == "minmax" else np.ones((N, N)) - np.eye(N))
+    payoff = eq.LqPayoff(alpha / (1.0 if kind == "minmax" else 2.0), 1.0)
+    rep, ref = solve_without_lambda(P, payoff), eq.solve_network(P, payoff)
+    assert_same_report(rep, ref)
+    assert math.isnan(rep.lambda_max)
+    rho = np.linalg.eigvalsh(P / N)[-1]
+    assert abs(payoff.alpha) * rho * (1.0 - 1e-12) <= rep.contraction_factor < 1.0
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.0])
+def test_a_star_at_substitutes_falls_back_to_the_pair(alpha):
+    # The hub's x = (I - alpha G)^-1 1 is 0.11 at alpha = -1 and -1.25 at
+    # alpha = -2: the bound at x cannot certify (|alpha| lam_bar = max (1 - x) / x),
+    # though |alpha| rho = 0.32 and 0.63. The run goes on to the top pair.
+    N = 10
+    P = np.zeros((N, N))
+    P[0, 1:] = P[1:, 0] = 1.0
+    payoff = eq.LqPayoff(alpha, 1.0)
+    x = np.linalg.solve(np.eye(N) - alpha * P / N, np.ones(N))
+    assert x.min() <= 0.5 and abs(alpha) * np.linalg.eigvalsh(P / N)[-1] < 1.0
+    rep, ref = solve_without_lambda(P, payoff), eq.solve_network(P, payoff)
+    assert_same_report(rep, ref)
+    assert (rep.lambda_max, rep.contraction_factor) == (ref.lambda_max, ref.contraction_factor)
+    assert rep.method == ("direct-solve" if alpha == -1.0 else "br-iteration")
+
+
+@pytest.mark.parametrize("scale", [1.05, -1.05, 2.0, -2.0])
+def test_a_solve_without_lambda_still_rejects_a_non_contraction(scale):
+    P = sampling.weighted_network(kernels.minmax(), sampling.sample_types(40, 5)).P
+    payoff = eq.LqPayoff(scale / np.linalg.eigvalsh(P / 40)[-1], 1.0)
+    with pytest.raises(ContractionError):
+        solve_without_lambda(P, payoff)
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.15, 0.5, 1.0]), isolated=st.integers(0, 3),
+       tiny=st.sampled_from([1.0, 1e-12, 1e-200]))
+@settings(max_examples=200, deadline=None)
+def test_collatz_wielandt_bounds_the_spectral_radius(n, seed, density, isolated, tiny):
+    # rho(G) <= max (G x / x) for G >= 0 and any x > 0, reducible G included:
+    # sparse draws split into components, some nodes have no links, and some
+    # entries of x are tiny. The bound at ratio 0 always certifies, so it is read.
+    rng = np.random.default_rng(seed)
+    B = rng.random((n, n)) * (rng.random((n, n)) < density)
+    G = B + B.T
+    G[:isolated] = 0.0
+    G[:, :isolated] = 0.0
+    x = rng.random(n) + 0.01
+    x[rng.random(n) < 0.3] *= tiny
+    top = np.linalg.eigvalsh(G)[-1]
+    assert eq._collatz_wielandt(G, 0.0, x) >= top - 1e-12 * max(1.0, top)
+
+
 # --- the Krylov direct solve against a dense LU solve -------------------------
 
 def krylov_case(kind, n, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphon_games import experiments as ex
-from graphon_games import kernels, sampling
+from graphon_games import kernels, sampling, spectral
 from graphon_games.equilibrium import (
     LqPayoff,
     l2_distance,
@@ -164,6 +164,62 @@ def test_a_distance_trial_holds_no_weighted_matrix(spec):
         tracemalloc.stop()
     assert result[-1] is None
     assert peak <= 1.5 * 8 * N * N
+
+
+def lanczos_runs(monkeypatch):
+    """Spy on every Lanczos run: per run, whether each step it took had read x."""
+    runs, steps = [], spectral._lanczos_steps
+
+    def spy(*args, **kwargs):
+        runs.append([])
+        for step in steps(*args, **kwargs):
+            runs[-1].append(step[-1] is not None)
+            yield step
+
+    monkeypatch.setattr(spectral, "_lanczos_steps", spy)
+    return runs
+
+
+def with_the_pair(monkeypatch):
+    """Make the trial's solves read the top pair, as the public solvers do."""
+    solve = ex._solve
+    monkeypatch.setattr(ex, "_solve", lambda *args: solve(*args[:6]))
+
+
+@pytest.mark.parametrize("N", [50, 800])
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+def test_each_run_of_a_distance_trial_ends_where_its_solve_is_read(monkeypatch, N, alpha):
+    # The Collatz-Wielandt bound at x = (I - alpha G)^-1 1 certifies both games
+    # of a minmax trial, so neither run goes on to settle the top pair.
+    spec, payoff = kernels.minmax(), LqPayoff(alpha, 1.0)
+    args = (spec, payoff, N, 1, 9, solve_graphon(spec, payoff, 2 * N).profile.values)
+    runs = lanczos_runs(monkeypatch)
+    got = ex._distance_trial(args)
+    assert got[-1] is None and len(runs) == 2
+    assert all(run.index(True) == len(run) - 1 for run in runs)
+    with_the_pair(monkeypatch)
+    assert ex._distance_trial(args) == got
+    paired = runs[2:]
+    assert all(len(a) <= len(b) for a, b in zip(runs, paired))
+    assert len(runs[1]) < len(paired[1])  # the 0-1 network's pair settles last
+
+
+@pytest.mark.parametrize("spec", [
+    kernels.erdos_renyi(0.3), kernels.sbm([[0.8, 0.1], [0.1, 0.5]], [0.75, 0.25]), kernels.minmax(),
+    kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.5]])],
+    ids=["er", "sbm", "minmax", "grid"])
+@pytest.mark.parametrize("scale", [0.5, -0.5, 0.98, -0.98])
+def test_a_distance_trial_keeps_its_bits_without_the_pair(monkeypatch, spec, scale):
+    # Nonzero scales other than +-0.5 put alpha at that fraction of 1 / lambda_max of the
+    # kernel: sampled networks near or past the boundary fail the gate with the pair
+    # read as without it, and substitutes fall back to the pair where min x <= 1/2.
+    lam = solve_graphon(spec, LqPayoff(0.0, 1.0), 200).lambda_max
+    payoff = LqPayoff(scale if abs(scale) == 0.5 else scale / lam, 1.0)
+    sbar = solve_graphon(spec, payoff, 200).profile.values
+    tasks = [(spec, payoff, N, trial, 13, sbar) for N in (2, 10, 60) for trial in range(3)]
+    got = [ex._distance_trial(t) for t in tasks]
+    with_the_pair(monkeypatch)
+    assert repr([ex._distance_trial(t) for t in tasks]) == repr(got)
 
 
 # --- intervention experiment -------------------------------------------------------
