@@ -222,9 +222,9 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
 
     The total budget is C = c_per_agent * N; the graphon heuristic reads the
     kernel at its own resolution. The exact optimum (a Lanczos projection,
-    certified, or exact once the run from 1 ends) is computed only for N up
-    to optimal_cap. Returns one WelfareStats per N. Like every policy,
-    it requires alpha > 0 and beta >= 0: else, or at NaN, it raises ValueError.
+    certified, or exact once the run from 1 ends; T_opt read in its basis) is
+    computed only for N up to optimal_cap. Returns one WelfareStats per N. Like
+    every policy, it requires alpha > 0 and beta >= 0: else, or at NaN, ValueError.
     """
     Ns = _sizes(Ns, trials)
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),

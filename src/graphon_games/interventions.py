@@ -106,18 +106,21 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
     ``_lanczos_steps`` run from 1: x1 = (I - alpha G)^-1 1, which a constant
     allocation scales, the top pair (lam, v1), gated by ``_check_contraction``
     on rho(G) = lam, the heuristic's allocation, solved in the basis by
-    ``_galerkin``, and the optimum on K(G, 1), beta_hat = Q^T S y by
+    ``_galerkin``, and the optimum on K(G, 1): beta_hat = Q^T z, z = S y, by
     ``_secular_solve`` on d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and
-    C (GLTR, Gould et al. 1999): ``_certified`` once beta_k |e_k^T S y| <=
-    1e-13 ||S y||, else at ``end``, where K(G, 1) (invariant, or R^n) holds a
-    top eigenvector (Perron-Frobenius) and so the optimum. I - alpha T turning
-    indefinite before then raises ContractionError. Any other allocation (the
-    graphon heuristic's) takes a solve of its own.
+    C (GLTR, Gould et al. 1999), with its response s = Q^T u, u = (I - alpha
+    T)^-1 z, whose residual has norm alpha beta_k |u_k|. It is taken at the
+    first step with beta_k |z_k| <= 1e-13 ||z|| that ``_certified`` accepts,
+    else at ``end``, where K(G, 1) (invariant, or R^n) holds a top eigenvector
+    (Perron-Frobenius) and so the optimum; T_opt = ||s||^2 / (2N), within
+    1e-12 of ``welfare``. I - alpha T turning indefinite before then raises
+    ContractionError. Any other allocation (the graphon heuristic's) takes a
+    solve of its own.
     """
     n = len(G)
     T = lambda s: float(np.sum(s**2) / (2.0 * n))
     v1 = c_nh = s_nh = found = None
-    project = certify = opt and beta > 0.0 and C > 0.0
+    project = opt and beta > 0.0 and C > 0.0
     for Q, theta, S, b_k, end, settled, pair, d, x1 in _lanczos_steps(
             G, np.ones(n), n, POWER_TOL, alpha):
         if v1 is None and pair is not None:
@@ -127,14 +130,12 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
                 c_nh = Q @ (beta + math.sqrt(C) * v1)
         if d is not None and c_nh is not None and s_nh is None:
             s_nh = _galerkin(Q, S, d, abs(alpha) * b_k, end, c_nh)
-        if project and settled and (certify or end):
+        if project and settled:
             mu, y = _secular_solve(1.0 / _definite(d) ** 2, beta * math.sqrt(n) * S[0], C)
-            z = S @ y
-            if end:  # K(G, 1) holds the global optimum
-                project, found = False, (z @ Q, float(mu), T(_lq_solve(G, alpha, z @ Q)))
-            elif b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z):
-                found = _certified(G, alpha, beta, C, z @ Q, mu, v1)
-                project, certify = found is None, False
+            z, u = S @ y, S @ (y / d)
+            if end or (b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) and _certified(
+                    G, alpha, beta, C, z @ Q, mu, v1, u @ Q, alpha * b_k * abs(u[-1]))):
+                project, found = False, (z @ Q, float(mu), T(u @ Q))
         if v1 is not None and not project and (
                 d is None or (x1 is not None and (s_nh is not None or c_nh is None))):
             break
@@ -250,27 +251,24 @@ def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
 
 
 def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.ndarray,
-               mu: float, v1: np.ndarray):
-    """(beta_hat, mu, T_opt) if the projected optimum holds in full space, else None (run on).
+               mu: float, v1: np.ndarray, s: np.ndarray, r: float) -> bool:
+    """Whether the projected optimum beta_hat, with its basis response s, holds in full space.
 
-    With s = (I - alpha G)^-1 beta_hat and delta = beta_hat - beta: KKT
-    s = mu (I - alpha G) delta to 1e-10 ||s||, ||delta||^2 = C to 1e-10 C, and
-    mu >= (1 - alpha lam_bar)^-2 for lam_bar = max_i (G x)_i / x_i >= rho(G) at
-    x = max(|v1|, 1e-8 max |v1|) (Collatz-Wielandt: G >= 0, any x > 0), which
-    makes the maximum global, also in a hard case of the projected problem.
+    r is the norm of the residual (I - alpha G) s - beta_hat. With delta = beta_hat
+    - beta and lam_bar = max_i (G x)_i / x_i >= rho(G) at x = max(|v1|, 1e-8 max
+    |v1|) (Collatz-Wielandt: G >= 0, any x > 0): mu >= (1 - alpha lam_bar)^-2,
+    which makes the maximum global, also in a hard case of the projected problem;
+    r / (1 - alpha lam_bar) <= 1e-13 ||s||, which bounds the error of s; KKT
+    s = mu (I - alpha G) delta to 1e-10 ||s||; ||delta||^2 = C to 1e-10 C.
     """
     x = np.abs(v1)
     x = np.maximum(x, 1e-8 * x.max())
     delta = beta_hat - beta
     G_delta, G_x = np.stack([delta, x]) @ G  # G is symmetric
-    lam_bar = float(np.max(G_x / x))
-    if alpha * lam_bar >= 1.0 or mu < (1.0 - alpha * lam_bar) ** -2:
-        return None
-    s = _lq_solve(G, alpha, beta_hat)
-    if (np.linalg.norm(s - mu * (delta - alpha * G_delta)) > 1e-10 * np.linalg.norm(s)
-            or abs(delta @ delta - C) > 1e-10 * C):
-        return None
-    return beta_hat, float(mu), float(np.sum(s**2) / (2.0 * len(G)))
+    gap, s_norm = 1.0 - alpha * float(np.max(G_x / x)), np.linalg.norm(s)
+    return bool(gap > 0.0 and mu >= gap**-2 and r <= 1e-13 * gap * s_norm
+                and np.linalg.norm(s - mu * (delta - alpha * G_delta)) <= 1e-10 * s_norm
+                and abs(delta @ delta - C) <= 1e-10 * C)
 
 
 def _policies(G: np.ndarray, spec: GraphonSpec | None, types: TypeVector | None,
@@ -309,9 +307,10 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1);
     C = 0 leaves beta 1. As c sees G only through 1, the maximizer lies in
     K(G, 1): for beta > 0, ``_welfares`` finds it on the basis of the Lanczos
-    run from 1 that gates the game, with the welfare ``welfare`` gives it. At
-    beta = 0 (the hard case c = 0) it is sqrt(C) v1. Both agree with a dense
-    eigendecomposition on T_opt to 1e-12 relative. P must be nonnegative.
+    run from 1 that gates the game and reads its welfare there, within 1e-12
+    relative of the welfare ``welfare`` gives it. At beta = 0 (the hard case
+    c = 0) it is sqrt(C) v1. Both agree with a dense eigendecomposition on
+    T_opt to 1e-12 relative. P must be nonnegative.
     """
     P = _check_network(P)
     return _policies(P / len(P), None, None, alpha, beta, C, ("optimal",))["optimal"]

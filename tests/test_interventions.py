@@ -385,7 +385,7 @@ def _optimum_and_reference(monkeypatch, P, alpha, beta, C):
         _without_eigh(m)
         m.setattr(iv, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
         res = iv.optimal_intervention(P, alpha, beta, C)
-    path = "perron" if beta == 0.0 else "certified" if any(v is not None for v in verdicts) else "end"
+    path = "perron" if beta == 0.0 else "certified" if any(verdicts) else "end"
     return res, path, ref
 
 
@@ -410,7 +410,7 @@ def test_projected_optimum_matches_the_dense_reference(monkeypatch, spec, alpha,
         res, path, ref = _optimum_and_reference(monkeypatch, P, alpha, 1.0, 0.01 * N)
         assert path == ("end" if rank_two else "certified")
         _assert_same_optimum(res, ref)
-        assert res.welfare == iv.welfare(P, alpha, res.beta_hat)
+        assert res.welfare == pytest.approx(iv.welfare(P, alpha, res.beta_hat), rel=1e-12, abs=0)
 
 
 def _two_components():
@@ -508,9 +508,10 @@ def _sparse_er(N, p, seed):
 
 
 def _projection_spies(monkeypatch):
-    """Record the steps of the last Lanczos run from 1 and the solves, eigh unavailable."""
-    seen = {"steps": 0, "solves": 0}
-    steps, solve = iv._lanczos_steps, iv._lq_solve
+    """Record the steps of the last Lanczos run from 1, the solves and the certificate's
+    verdicts, eigh unavailable."""
+    seen = {"steps": 0, "solves": 0, "verdicts": []}
+    steps, solve, certified = iv._lanczos_steps, iv._lq_solve, iv._certified
 
     def counting_steps(*args):
         for k, out in enumerate(steps(*args), 1):
@@ -521,8 +522,13 @@ def _projection_spies(monkeypatch):
         seen["solves"] += 1
         return solve(*args)
 
+    def recording_verdicts(*args):
+        seen["verdicts"].append(certified(*args))
+        return seen["verdicts"][-1]
+
     monkeypatch.setattr(iv, "_lanczos_steps", counting_steps)
     monkeypatch.setattr(iv, "_lq_solve", counting_solves)
+    monkeypatch.setattr(iv, "_certified", recording_verdicts)
     _without_eigh(monkeypatch)
     return seen
 
@@ -531,29 +537,31 @@ def _projection_spies(monkeypatch):
 def test_an_uncertified_projection_runs_on_to_the_end(monkeypatch, case):
     # A path graph's clustered spectrum keeps the projection open until the
     # run from 1 turns invariant at step 100, where the projection is exact
-    # and its welfare takes the one solve. On this sparse ER network near the
-    # contraction limit the KKT and budget certificate fails after its solve;
-    # the run goes on to k = n = 120, and the optimum there takes a second.
+    # and its welfare is read in the basis. On this sparse ER network near the
+    # contraction limit (1 - alpha lam_bar = 0.01) the certificate rejects the
+    # projections of steps 26-31, first on KKT and the basis residual, then on
+    # the residual alone, and accepts at step 32; the run ends at step 38,
+    # where it reads x1, not at k = n = 120. Neither case solves.
     P = _path_graph(200) if case == "path-graph" else _sparse_er(120, 0.05, 0)
     N = len(P)
     alpha = (0.5 if case == "path-graph" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
     ref = _dense_optimum(P, alpha, 1.0, 0.01 * N)
     seen = _projection_spies(monkeypatch)
     res = iv.optimal_intervention(P, alpha, 1.0, 0.01 * N)
-    assert seen == ({"steps": 100, "solves": 1} if case == "path-graph"
-                    else {"steps": 120, "solves": 2})
+    assert seen == ({"steps": 100, "solves": 0, "verdicts": []} if case == "path-graph"
+                    else {"steps": 38, "solves": 0, "verdicts": [False] * 6 + [True]})
     _assert_same_optimum(res, ref)
-    assert res.welfare == iv.welfare(P, alpha, res.beta_hat)
+    assert res.welfare == pytest.approx(iv.welfare(P, alpha, res.beta_hat), rel=1e-12, abs=0)
 
 
 def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
     # rho(A/N) = 19/200 = 0.095 is the 20-clique's, and v1 vanishes on the star
     # (hub 20, leaves 21-170). At x = max(|v1|, 1e-8 max |v1|) the hub reads
     # (G x)_20 / x_20 = 150/200 = 0.75, so alpha lam_bar = 3.9 >= 1: the
-    # certificate rejects the global optimum, with no solve. A false
-    # rejection, pinned until the gate is certified. The run needs no
-    # certificate: K(G, 1) is invariant at step 4, where the projection is
-    # exact and its welfare takes the one solve.
+    # certificate rejects the global optimum. A false rejection, pinned until
+    # the gate is certified. The run needs no certificate: K(G, 1) is
+    # invariant at step 4, where the projection is exact and its welfare is
+    # read in the basis.
     N = 200
     P = np.zeros((N, N))
     P[:20, :20] = 1.0
@@ -565,13 +573,26 @@ def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
     lam_bar = np.max(P / N @ x / x)
     assert lam_bar == pytest.approx(0.75, rel=1e-12) and alpha * lam_bar == pytest.approx(3.9, abs=0.05)
     ref = _dense_optimum(P, alpha, 1.0, 2.0)
-    with monkeypatch.context() as m:
-        m.setattr(iv, "_lq_solve", lambda *args: pytest.fail("the certificate solved"))
-        assert iv._certified(P / N, alpha, 1.0, 2.0, ref.beta_hat, ref.kkt_multiplier, v1) is None
+    s = np.linalg.solve(np.eye(N) - alpha * P / N, ref.beta_hat)
+    assert not iv._certified(P / N, alpha, 1.0, 2.0, ref.beta_hat, ref.kkt_multiplier, v1, s, 0.0)
     seen = _projection_spies(monkeypatch)
     res = iv.optimal_intervention(P, alpha, 1.0, 2.0)
-    assert seen == {"steps": 4, "solves": 1}
+    assert seen == {"steps": 4, "solves": 0, "verdicts": []}
     _assert_same_optimum(res, ref)
+
+
+def test_the_certificate_requires_the_basis_residual_to_bound_the_error():
+    # The response s read in the basis is accepted only if its residual norm r
+    # bounds its error: r / (1 - alpha lam_bar) <= 1e-13 ||s||. As
+    # 1 - alpha lam_bar <= 1, r = 1e-12 ||s|| fails on a network the exact
+    # response certifies.
+    N, alpha = 100, 5.0
+    P = sampled_instance(kernels.minmax(), N, 7)[2].A
+    ref = _dense_optimum(P, alpha, 1.0, 1.0)
+    s = np.linalg.solve(np.eye(N) - alpha * P / N, ref.beta_hat)
+    v1 = iv._welfares(P / N, alpha, [])[1]
+    args = (P / N, alpha, 1.0, 1.0, ref.beta_hat, ref.kkt_multiplier, v1, s)
+    assert iv._certified(*args, 0.0) and not iv._certified(*args, 1e-12 * np.linalg.norm(s))
 
 
 def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
@@ -600,10 +621,10 @@ def _trial(spec, alpha, N, seed, trial=0):
     return experiments._intervention_trial((spec, alpha, 1.0, 0.01, N, trial, seed, N))
 
 
-def test_a_welfare_trial_at_n_800_takes_at_most_50_lanczos_steps(monkeypatch):
-    # The gate, x1, v1, the heuristic's solve and the projected optimum share one
-    # run; only T_gh and the certificate of T_opt solve apart (85 steps in all
-    # when each reader ran Lanczos of its own).
+def test_a_welfare_trial_at_n_800_takes_at_most_32_lanczos_steps(monkeypatch):
+    # The gate, x1, v1, the heuristic's solve and the projected optimum with its
+    # certificate share one run; only T_gh solves apart (85 steps in all when
+    # each reader ran Lanczos of its own, 44 when the certificate re-solved).
     seen = {"steps": 0}
     steps = spectral._lanczos_steps
 
@@ -618,7 +639,30 @@ def test_a_welfare_trial_at_n_800_takes_at_most_50_lanczos_steps(monkeypatch):
     for trial in range(5):
         seen["steps"] = 0
         row = _trial(kernels.minmax(), 5.0, 800, 42, trial)
-        assert row[-1] is None and seen["steps"] <= 50
+        assert row[-1] is None and seen["steps"] <= 32
+
+
+def test_a_welfare_trial_starts_two_lanczos_runs_and_certifies_with_no_solve(monkeypatch):
+    # The run from 1 and T_gh's solve: the optimum's response and its residual
+    # are read in the basis of the run from 1, so the certificate needs none.
+    runs, steps = [], spectral._lanczos_steps
+    for module in (spectral, iv):
+        monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    certified, verdicts = iv._certified, []
+
+    def certify_without_solves(*args):
+        with monkeypatch.context() as m:
+            for module in (equilibrium, iv):
+                m.setattr(module, "_lq_solve", lambda *a: pytest.fail("the certificate solved"))
+            verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(iv, "_certified", certify_without_solves)
+    for N, trial in ((100, 0), (800, 0), (800, 1)):
+        runs.clear()
+        verdicts.clear()
+        row = _trial(kernels.minmax(), 5.0, N, 42, trial)
+        assert row[-1] is None and len(runs) == 2 and verdicts == [True]
 
 
 def test_the_welfare_trial_does_not_validate_the_network_it_built(monkeypatch):
