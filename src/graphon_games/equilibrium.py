@@ -11,12 +11,15 @@ radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges
 geometrically. For a nonnegative G, rho(G) is lambda_max, the largest
 eigenvalue of G; a signed G also needs the largest eigenvalue of -G. Both
-come from Lanczos runs read by one reader, ``spectral._lanczos_steps``,
-which orients every Ritz vector by one rule (``_orient``). The returned
-EquilibriumReport carries lambda_max, so bounds do not recompute it.
+are top Ritz values of ``spectral._Run`` Lanczos runs, which read at each
+step only what their caller asks (the top pair by Newton on the tridiagonal,
+the solve below in O(1)) and orient every Ritz vector by one rule
+(``_orient``). The returned EquilibriumReport carries lambda_max, so bounds
+do not recompute it.
 
 Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
-Lanczos (CG on the positive definite I - alpha G), for a nonnegative G in
+Lanczos (CG on the positive definite I - alpha G, which the run's LDL^T
+pivots of I - alpha T certify), for a nonnegative G in
 the very run that gives lambda_max, or for a caller that reads no lambda_max
 (the distance trial) in the run that ends at that solve where
 x = (I - alpha G)^-1 1 certifies the contraction (Collatz-Wielandt). It is
@@ -265,7 +268,7 @@ def _definite(x):
 
 
 def _lq_solve(G, alpha: float, b) -> np.ndarray:
-    """(I - alpha G)^-1 b by Lanczos from b, for use behind the contraction gate."""
+    """(I - alpha G)^-1 b by the O(1) solve of a Lanczos run from b, behind the gate."""
     b = np.asarray(b, dtype=float)
     return _definite(_lanczos(G, b, alpha=alpha)[2]) if b.any() else 0.0 * b
 
@@ -283,13 +286,12 @@ def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None,
                       lam_wanted: bool = True):
     """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given, v).
 
-    v is the top Ritz vector, as ``_lanczos_steps`` reads and orients every one
-    (``_orient``). If G is ``nonneg``, rho is lambda_max and one Lanczos run
-    from all-ones gives it, v and x; unless ``lam_wanted``, it ends at x if
-    ``_collatz_wielandt`` certifies there, with q = ratio * lam_bar, lambda_max
-    NaN and v None. A signed G adds lambda_max(-G) and solves for x apart.
-    Raises ContractionError unless q < 1, which makes I - alpha G positive
-    definite, or if the run for x found it indefinite all the same.
+    v is the top Ritz vector (``_orient``). If G is ``nonneg``, rho is lambda_max and one
+    ``_lanczos`` run from all-ones gives it, v and x; unless ``lam_wanted``, it ends at x
+    if ``_collatz_wielandt`` certifies there, before any top() read, with q = ratio *
+    lam_bar, lambda_max NaN and v None. A signed G adds lambda_max(-G) and solves for x
+    apart. Raises ContractionError unless q < 1, or if the pivots of the run for x found
+    I - alpha G indefinite all the same.
     """
     if nonneg:
         bound = None if lam_wanted else lambda x: _collatz_wielandt(G, ratio, x)

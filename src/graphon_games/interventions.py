@@ -31,15 +31,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import _check_contraction, _contraction_gate, _definite, _lq_solve
+from .equilibrium import (_check_contraction, _collatz_wielandt, _contraction_gate, _definite,
+                          _lq_solve)
 from .kernels import GraphonSpec, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
     POWER_TOL,
-    _galerkin,
-    _lanczos_steps,
     _psi1_at_types,
+    _Run,
     power_method,
 )
 
@@ -99,46 +99,53 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
               C: float = 0.0, nh: bool = False, opt: bool = False):
     """(welfares, v1, optimum) of the game on a nonnegative G = A/N.
 
-    ``welfares`` holds the welfare of each allocation, then with ``nh`` that
-    of the network heuristic beta 1 + sqrt(C) v1. With ``opt``, ``optimum`` is
-    (beta_hat, mu, T_opt): beta 1 at C = 0, sqrt(C) v1 with mu = (1 - alpha
-    lam)^-2 at beta = 0, else the projection below. All read one
-    ``_lanczos_steps`` run from 1: x1 = (I - alpha G)^-1 1, which a constant
-    allocation scales, the top pair (lam, v1), gated by ``_check_contraction``
-    on rho(G) = lam, the heuristic's allocation, solved in the basis by
-    ``_galerkin``, and the optimum on K(G, 1): beta_hat = Q^T z, z = S y, by
-    ``_secular_solve`` on d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and
-    C (GLTR, Gould et al. 1999), with its response s = Q^T u, u = (I - alpha
-    T)^-1 z, whose residual has norm alpha beta_k |u_k|. It is taken at the
-    first step with beta_k |z_k| <= 1e-13 ||z|| that ``_certified`` accepts,
-    else at ``end``, where K(G, 1) (invariant, or R^n) holds a top eigenvector
-    (Perron-Frobenius) and so the optimum; T_opt = ||s||^2 / (2N), within
-    1e-12 of ``welfare``. I - alpha T turning indefinite before then raises
-    ContractionError. Any other allocation (the graphon heuristic's) takes a
-    solve of its own.
+    ``welfares``: of each allocation, then with ``nh`` of the network heuristic beta 1 +
+    sqrt(C) v1. With ``opt``, ``optimum`` is (beta_hat, mu, T_opt): beta 1 at C = 0,
+    sqrt(C) v1 with mu = (1 - alpha lam)^-2 at beta = 0, else the projection below. One
+    ``_Run`` from 1 serves all, each step asked only what is open: x1 = (I - alpha G)^-1 1
+    by its O(1) solve (a constant allocation scales it); the pair (lam, v1) by ``top()``,
+    gated by ``_check_contraction``; from the step it settles, ``eig()`` for the heuristic's
+    allocation, solved in the basis, and the optimum on K(G, 1): beta_hat = Q^T z, z = S y,
+    by ``_secular_solve`` on d = (1 - alpha theta)^-2, c = beta sqrt(N) S[0] and C (GLTR,
+    Gould et al. 1999), response s = Q^T u, u = (I - alpha T)^-1 z, residual alpha beta_k
+    |u_k|, at the first settled step with beta_k |z_k| <= 1e-13 ||z|| that ``_certified``
+    accepts (on lam_bar at v1, computed once), else at ``end``, where K(G, 1) holds a top
+    eigenvector (Perron-Frobenius) and so the optimum. T_opt = ||s||^2 / (2N) is within
+    1e-12 of ``welfare``. An indefinite I - alpha T raises ContractionError.
     """
     n = len(G)
     T = lambda s: float(np.sum(s**2) / (2.0 * n))
-    v1 = c_nh = s_nh = found = None
+    run = _Run(G, np.ones(n), alpha)
+    lam = v1 = c_nh = s_nh = x1 = found = None
     project = opt and beta > 0.0 and C > 0.0
-    for Q, theta, S, b_k, end, settled, pair, d, x1 in _lanczos_steps(
-            G, np.ones(n), n, POWER_TOL, alpha):
-        if v1 is None and pair is not None:
-            _check_contraction(abs(alpha), pair[0])
-            v1 = pair[1]
+    while True:
+        run.step()
+        if x1 is None and run.definite:
+            x1 = run.solve()
+        if v1 is None and run.settled(POWER_TOL):
+            lam, v1 = run.pair()
+            _check_contraction(abs(alpha), lam)
             if nh:  # the heuristic's allocation lies in the basis: solve from its coordinates
-                c_nh = Q @ (beta + math.sqrt(C) * v1)
-        if d is not None and c_nh is not None and s_nh is None:
-            s_nh = _galerkin(Q, S, d, abs(alpha) * b_k, end, c_nh)
-        if project and settled:
-            mu, y = _secular_solve(1.0 / _definite(d) ** 2, beta * math.sqrt(n) * S[0], C)
+                c_nh = run.Q[:run.k] @ (beta + math.sqrt(C) * v1)
+            if project:
+                x = np.abs(v1)
+                lam_bar = _collatz_wielandt(G, alpha, np.maximum(x, 1e-8 * x.max()))
+        if c_nh is not None and s_nh is None and run.definite:
+            s_nh = run.solve(c_nh)
+        if project and run.settled(POWER_TOL):
+            theta, S = run.eig()
+            d = 1.0 - alpha * theta
+            mu, y = _secular_solve(1.0 / _definite(d if run.definite else None) ** 2,
+                                   beta * math.sqrt(n) * S[0], C)
             z, u = S @ y, S @ (y / d)
-            if end or (b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) and _certified(
-                    G, alpha, beta, C, z @ Q, mu, v1, u @ Q, alpha * b_k * abs(u[-1]))):
+            Q, b_k = run.Q[:run.k], run.b[-1]
+            if run.end or (b_k * abs(z[-1]) <= 1e-13 * np.linalg.norm(z) and _certified(
+                    G, alpha, beta, C, z @ Q, mu, lam_bar, u @ Q, alpha * b_k * abs(u[-1]))):
                 project, found = False, (z @ Q, float(mu), T(u @ Q))
         if v1 is not None and not project and (
-                d is None or (x1 is not None and (s_nh is not None or c_nh is None))):
+                not run.definite or (x1 is not None and (s_nh is not None or c_nh is None))):
             break
+    run.stop()
     x1 = _definite(x1)
     sols = [b[0] * x1 if b.shape == x1.shape and np.all(b == b[0]) else _lq_solve(G, alpha, b)
             for b in map(np.asarray, allocations)]
@@ -147,7 +154,7 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
     if opt and C == 0.0:
         found = np.full(n, float(beta)), None, T(float(beta) * x1)
     elif opt and beta == 0.0:
-        mu = (1.0 - alpha * pair[0]) ** -2
+        mu = (1.0 - alpha * lam) ** -2
         found = math.sqrt(C) * v1, mu, C * mu / (2.0 * n)
     return [T(s) for s in sols], v1, found
 
@@ -251,23 +258,23 @@ def _secular_solve(d: np.ndarray, c: np.ndarray, C: float):
 
 
 def _certified(G: np.ndarray, alpha: float, beta: float, C: float, beta_hat: np.ndarray,
-               mu: float, v1: np.ndarray, s: np.ndarray, r: float) -> bool:
+               mu: float, lam_bar: float | None, s: np.ndarray, r: float) -> bool:
     """Whether the projected optimum beta_hat, with its basis response s, holds in full space.
 
-    r is the norm of the residual (I - alpha G) s - beta_hat. With delta = beta_hat
-    - beta and lam_bar = max_i (G x)_i / x_i >= rho(G) at x = max(|v1|, 1e-8 max
-    |v1|) (Collatz-Wielandt: G >= 0, any x > 0): mu >= (1 - alpha lam_bar)^-2,
-    which makes the maximum global, also in a hard case of the projected problem;
-    r / (1 - alpha lam_bar) <= 1e-13 ||s||, which bounds the error of s; KKT
-    s = mu (I - alpha G) delta to 1e-10 ||s||; ||delta||^2 = C to 1e-10 C.
+    r is the norm of the residual (I - alpha G) s - beta_hat, and lam_bar >= rho(G) the
+    Collatz-Wielandt bound max_i (G x)_i / x_i at x = max(|v1|, 1e-8 max |v1|) (G >= 0,
+    any x > 0), None unless alpha lam_bar < 1 (``_collatz_wielandt``), which rejects. With
+    delta = beta_hat - beta and gap = 1 - alpha lam_bar: mu >= gap^-2, which makes the
+    maximum global, also in a hard case of the projected problem; r / gap <= 1e-13 ||s||,
+    which bounds the error of s; KKT s = mu (I - alpha G) delta to 1e-10 ||s||;
+    ||delta||^2 = C to 1e-10 C.
     """
-    x = np.abs(v1)
-    x = np.maximum(x, 1e-8 * x.max())
+    if lam_bar is None:
+        return False
     delta = beta_hat - beta
-    G_delta, G_x = np.stack([delta, x]) @ G  # G is symmetric
-    gap, s_norm = 1.0 - alpha * float(np.max(G_x / x)), np.linalg.norm(s)
-    return bool(gap > 0.0 and mu >= gap**-2 and r <= 1e-13 * gap * s_norm
-                and np.linalg.norm(s - mu * (delta - alpha * G_delta)) <= 1e-10 * s_norm
+    gap, s_norm = 1.0 - alpha * lam_bar, np.linalg.norm(s)
+    return bool(mu >= gap**-2 and r <= 1e-13 * gap * s_norm
+                and np.linalg.norm(s - mu * (delta - alpha * (delta @ G))) <= 1e-10 * s_norm
                 and abs(delta @ delta - C) <= 1e-10 * C)
 
 
@@ -307,8 +314,9 @@ def optimal_intervention(P: np.ndarray, alpha: float, beta: float, C: float) -> 
     ``_secular_solve`` on d_l = (1 - alpha lambda_l)^-2 and c = U^T (beta 1);
     C = 0 leaves beta 1. As c sees G only through 1, the maximizer lies in
     K(G, 1): for beta > 0, ``_welfares`` finds it on the basis of the Lanczos
-    run from 1 that gates the game and reads its welfare there, within 1e-12
-    relative of the welfare ``welfare`` gives it. At beta = 0 (the hard case
+    run from 1 that gates the game, from the step where its top pair settles
+    (its first full eigendecomposition of T), and reads its welfare there,
+    within 1e-12 relative of ``welfare``'s. At beta = 0 (the hard case
     c = 0) it is sqrt(C) v1. Both agree with a dense eigendecomposition on
     T_opt to 1e-12 relative. P must be nonnegative.
     """

@@ -13,7 +13,8 @@ one midpoint and Q/M is P/N, so it solves exactly as its network. Read at a
 sampled network's sorted types in place of the midpoints, with a zero
 diagonal, the same sums apply the weighted network's P/N without P. Top-k
 spectra need neither: both kernel families have exact discretized spectra
-(see ``top_k_eigen``).
+(see ``top_k_eigen``). Every Krylov solve and eigenpair is one ``_Run``, a
+Lanczos run that reads each step only what its caller still asks for.
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -23,6 +24,7 @@ sqrt(M).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,92 +214,167 @@ def _orient(v: np.ndarray, weights=None) -> np.ndarray:
     return v if v[j] >= 0.0 else -v
 
 
-def _lanczos_steps(A, q: np.ndarray, max_iter: int, tol: float | None = None,
-                   alpha: float | None = None):
-    """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11).
+def _top(a: list, b: list, lam: float, tol: float | None):
+    """(theta_max, |s_k|) of the Jacobi matrix T with diagonal a and off-diagonal b[:k - 1].
 
-    The one reader of a run, which only applies A (A @ v). Step k yields (Q,
-    theta, S, beta_k, end, settled, pair, d, x): the rows q_1 .. q_k (a view of
-    a buffer that doubles when full), the eigenpairs of T = Q A Q^T, the next
-    off-diagonal, and whether the space is invariant (beta_k <= eps max |T|) or
-    all of R^n, the last step. ``tol`` gives ``settled``, beta_k |s_k| <= tol
-    max(1, |theta_k|) or ``end``, and from the first settled step the top
-    ``pair`` (Rayleigh quotient, Ritz vector by ``_orient``). ``alpha`` gives
-    d = 1 - alpha theta until I - alpha T turns indefinite (at once for NaN),
-    and x = ||q|| Q^T y, (I - alpha T) y = e_1, once ``_galerkin`` reads it.
-    Unasked reads are None. A non-finite product raises ValueError.
+    Newton from lam <= theta_max on 1 / e_1^T (T - l)^-1 e_1, convex and decreasing from
+    the top eigenvalue of T[1:, 1:] to its root theta_max (Golub & Van Loan, 4th ed., 8.4),
+    until a step is at most tol. Each solves (T - l) u = gamma e_1 upwards from u_k = 1,
+    O(k), and gives s_k = 1 / ||u||. A step down past tol shows lam below that eigenvalue:
+    ``np.linalg.eigvalsh`` then gives theta_max (tol None: lam is exact)."""
+    for _ in range(60):
+        u, u_next, ss = 1.0, 0.0, 1.0
+        for i in range(len(a) - 1, 0, -1):
+            u, u_next = ((lam - a[i]) * u - b[i] * u_next) / b[i - 1], u
+            ss += u * u
+        step = ((a[0] - lam) * u + b[0] * u_next) * u / ss
+        if tol is None or abs(step) <= tol:
+            return lam + (0.0 if tol is None else step), 1.0 / math.sqrt(ss)
+        if step < 0.0:
+            break
+        lam += step
+    return _top(a, b, float(np.linalg.eigvalsh(_tridiagonal(a, b))[-1]), None)
+
+
+def _tridiagonal(a: list, b: list) -> np.ndarray:
+    b = b[:len(a) - 1]
+    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+
+
+class _Run:
+    """Lanczos with full reorthogonalization from q (Golub & Van Loan, ch. 10-11), a step a call.
+
+    ``step()`` applies A once, appending q_k to ``Q`` (a buffer that doubles when full),
+    alpha_k to ``a`` and beta_k to ``b``: T_j = Q_j A Q_j^T has diagonal a[:j], off-diagonal
+    b[:j - 1]. ``end``: invariant (beta_k <= eps max |T|) or R^n. Non-finite: ValueError.
+    ``solve()`` is D-Lanczos (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
+    6.7): O(1) a step, the LDL^T pivots d_j of I - alpha T and z = L^-1 e_1, ``definite``
+    while all are positive (Sylvester). x = ||q|| Q^T y, (I - alpha T) y = e_1, is formed
+    once, at ``end`` or at |alpha| beta_k |y_k| <= eps min_j d_j y_1, y_k = z_k / d_k: the
+    least pivot >= min(1 - alpha theta) stands for that least eigenvalue and y_1 = sum_j
+    z_j^2 / d_j <= ||y|| for ||y||. ``solve(c)``: Q^T y, (I - alpha T) y = c, by ``eig()``
+    and the rule on min(1 - alpha theta) and ||y||. ``top(j)``: theta_max, |s_j| of T_j by
+    ``_top`` from T_j's top eigenvalue on span{(T_(j-1)'s top vector, 0), e_j}, steps
+    walked in order. ``settled(tol, j)``: beta_j |s_j| <= tol max(1, |theta_max|) or
+    ``end``; ``pair(j)`` then reads the top Ritz pair from ``eig(j)``, (theta, S) of T_j by
+    ``np.linalg.eigh``. Counters: ``k``, ``residual`` (the last beta_j |s_j|), ``reason``.
     """
-    n = len(q)
-    Q, T = np.empty((min(n, 16), n)), np.zeros((min(n, 16),) * 2)
-    Q[0] = q / np.linalg.norm(q)
-    T_norm, e1, scale = 0.0, np.ones(1), np.linalg.norm(q)
-    settled = pair = d = x = None
-    for k in range(1, max_iter + 1):
-        w = A @ Q[k - 1]
-        a = T[k - 1, k - 1] = Q[k - 1] @ w
-        if not np.isfinite(a):
+
+    def __init__(self, A, q: np.ndarray, alpha: float | None = None):
+        self.A, self.n, self.alpha, self.scale = A, len(q), alpha, math.sqrt(q.dot(q))
+        self.Q = np.empty((min(self.n, 16), self.n))
+        self.Q[0] = q / self.scale
+        self.a, self.b, self.T_norm, self.k, self.end = [], [], 0.0, 0, False
+        self.definite, self._d, self._z, self._y1 = alpha is not None, [], [], 0.0
+        self._top, self._eig, self.pair_at, self.residual, self.reason = (0,), None, None, 0.0, None
+
+    def step(self) -> None:
+        k, Q = self.k, self.Q
+        if k:
+            if k == len(Q):
+                Q = self.Q = np.concatenate([Q, np.empty_like(Q)])[:self.n]
+            Q[k] = self._w / self.b[-1]
+        w = self.A @ Q[k]
+        a = float(Q[k] @ w)
+        if not math.isfinite(a):
             raise ValueError("matrix and start vector entries must be finite")
         for _ in range(2):
-            w -= Q[:k].T @ (Q[:k] @ w)
-        beta = float(np.linalg.norm(w))
-        T_norm = max(T_norm, abs(a), beta)
-        theta, S = np.linalg.eigh(T[:k, :k])
-        end = beta <= _EPS * T_norm or k == n
-        if tol is not None:
-            settled = beta * abs(S[-1, -1]) <= tol * max(1.0, abs(theta[-1])) or end
-            if pair is None and settled:
-                v = _orient(S[:, -1] @ Q[:k])
-                pair = float(v @ (A @ v) / (v @ v)), v
-        if alpha is not None:
-            d = 1.0 - alpha * theta
-            if not d.min() > 0.0:
-                alpha = d = None  # indefinite: no solve to read
-            elif x is None:
-                x = _galerkin(Q[:k], S, d, abs(alpha) * beta, end, e1, scale)
-        yield Q[:k], theta, S, beta, end, settled, pair, d, x
-        if end:
-            return
-        if k == len(Q):
-            Q, T = np.concatenate([Q, np.empty_like(Q)])[:n], np.pad(T, (0, min(k, n - k)))
-        Q[k] = w / beta
-        T[k, k - 1] = T[k - 1, k] = beta
+            w -= Q[:k + 1].T @ (Q[:k + 1] @ w)
+        beta = math.sqrt(w.dot(w))  # np.linalg.norm(w), without its overhead
+        self.T_norm = max(self.T_norm, abs(a), beta)
+        self.a.append(a)
+        self.b.append(beta)
+        self._w, self.k, self.end = w, k + 1, beta <= _EPS * self.T_norm or k + 1 == self.n
+        if self.definite:  # d_k = 1 - alpha (a_k + g beta_(k-1)), z_k = g z_(k-1)
+            b, g = (self.b[-2], self.alpha * self.b[-2] / self._d[-1]) if k else (0.0, 0.0)
+            d = 1.0 - self.alpha * (a + g * b)
+            self.definite = d > 0.0
+            if self.definite:
+                self._d.append(d)
+                self._z.append(g * self._z[-1] if k else 1.0)
+                self._y1 += self._z[-1] ** 2 / d
 
+    def solve(self, c=None):
+        k, r = self.k, abs(self.alpha) * self.b[-1]
+        if c is not None:
+            theta, S = self.eig()
+            d = 1.0 - self.alpha * theta
+            y = S @ ((c @ S[:len(c)]) / d)
+            solved = r * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or self.end
+            return y @ self.Q[:k] if solved else None
+        d, z = self._d, self._z
+        if not (r * abs(z[-1] / d[-1]) <= _EPS * min(d) * self._y1 or self.end):
+            return None
+        y = np.empty(k)
+        y[-1] = z[-1] / d[-1]
+        for j in range(k - 2, -1, -1):  # L^T y = D^-1 z
+            y[j] = (z[j] + self.alpha * self.b[j] * y[j + 1]) / d[j]
+        return self.scale * (y @ self.Q[:k])
 
-def _galerkin(Q, S, d, r, end, c, scale=1.0):
-    """scale Q^T y, (I - alpha T) y = c on the first len(c) basis vectors, or None.
+    def top(self, j: int | None = None):
+        while self._top[0] < (j or self.k):  # the warm start: a lower bound (class docstring)
+            i, theta, s = self._top if self._top[0] else (0, self.a[0], 0.0)
+            a, c, h = self.a[:i + 1], self.b[i - 1] * s, 0.5 * (theta - self.a[i])
+            lam = max(theta, a[i]) + (c * c / (abs(h) + math.hypot(h, c)) if c else 0.0)
+            self._top = (i + 1, *_top(a, self.b[:i + 1], lam, 4.0 * _EPS * self.T_norm))
+        return self._top[1:]
 
-    The one solve stopping rule, of the one reader ``_lanczos_steps`` and of
-    ``interventions._welfares``: with d = 1 - alpha theta > 0 and r = |alpha| beta_k,
-    y once r |y_k| <= eps ||y|| min(d), a round-off-level error, or at ``end``."""
-    y = S @ ((c @ S[:len(c)]) / d)
-    return scale * (y @ Q) if r * abs(y[-1]) <= _EPS * d.min() * np.linalg.norm(y) or end else None
+    def eig(self, j: int | None = None):
+        j = j or self.k
+        if self._eig is None or self._eig[0] != j:
+            self._eig = (j, *np.linalg.eigh(_tridiagonal(self.a[:j], self.b)))
+        return self._eig[1:]
+
+    def settled(self, tol: float, j: int | None = None) -> bool:
+        j, (theta, s) = j or self.k, self.top(j)
+        self.residual = self.b[j - 1] * s
+        return self.residual <= tol * max(1.0, abs(theta)) or (self.end and j == self.k)
+
+    def pair(self, j: int | None = None):
+        self.pair_at = j = j or self.k
+        v = _orient(self.eig(j)[1][:, -1] @ self.Q[:j])
+        return float(v @ (self.A @ v) / (v @ v)), v
+
+    def stop(self, read: str | None = None) -> None:
+        """Why the run ends: indefinite, invariant, n, ``read``, else settled or solved."""
+        self.reason = ("indefinite" if self.alpha is not None and not self.definite else
+                       ("n" if self.b[-1] > _EPS * self.T_norm else "invariant") if self.end
+                       else read or ("settled" if self.pair_at == self.k else "solved"))
 
 
 def _lanczos(A, q: np.ndarray, tol: float | None = None,
              max_iter: int = POWER_MAX_ITER, alpha: float | None = None, bound=None):
-    """(lam, v, x) from the first step of ``_lanczos_steps`` that has read what was asked.
+    """(lam, v, x) at the first step of a ``_Run`` that has read what was asked.
 
-    ``tol`` asks for the top pair, ``alpha`` for x = (I - alpha A)^-1 q (CG when
-    I - alpha A is positive definite; None if I - alpha T turns indefinite
-    first). ``bound(x)``, called once at the step that reads x, ends the run
-    there with (bound(x), None, x) unless it is None. IterationLimitError
-    after max_iter."""
-    read = None
-    for Q, theta, S, beta, end, settled, pair, d, x in _lanczos_steps(A, q, max_iter, tol, alpha):
-        if x is not read and bound is not None and (lam := bound(x)) is not None:
-            return lam, None, x
-        read = x
-        if (pair is not None or tol is None) and (x is not None or d is None):
+    ``tol`` asks for the top pair, ``alpha`` for x = (I - alpha A)^-1 q (None if I - alpha T
+    turns indefinite first). ``bound(x)``, once x is read, ends the run there with (bound(x),
+    None, x) unless it is None; only then does such a run walk ``top()``, from step 1.
+    IterationLimitError after max_iter, with the top Ritz vector and its beta_k |s_k|."""
+    run, pair, x, j = _Run(A, q, alpha), None, None, 0
+    while run.k < max_iter:
+        run.step()
+        if x is None and run.definite and (x := run.solve()) is not None and bound is not None:
+            if (lam := bound(x)) is not None:
+                run.stop("certified")
+                return lam, None, x
+        while tol is not None and pair is None and j < run.k and (
+                bound is None or x is not None or not run.definite):
+            j += 1
+            pair = run.pair(j) if run.settled(tol, j) else None
+        if (pair is not None or tol is None) and (x is not None or not run.definite):
+            run.stop()
             return (*(pair or (None, None)), x)
+    run.stop("max_iter")
+    S = run.eig()[1] if run.k else None  # the top Ritz vector is S[:, -1] @ Q
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",
-                              last_iterate=S[:, -1] @ Q if max_iter > 0 else None,
-                              residual_history=[beta * abs(S[-1, -1]) if max_iter > 0 else 0.0])
+                              last_iterate=None if S is None else S[:, -1] @ run.Q[:run.k],
+                              residual_history=[0.0 if S is None else run.b[-1] * abs(S[-1, -1])])
 
 
 def power_method(A: np.ndarray, tol: float, max_iter: int):
     """Largest (algebraic) eigenvalue and unit eigenvector of a symmetric matrix.
 
-    The top Ritz pair read by ``_lanczos_steps`` from a start with a component
+    The top Ritz pair read by a ``_Run`` from a start with a component
     in the top eigenspace, so that an invariant Krylov space holds the top
     eigenvalue: all-ones for a nonnegative matrix (Perron), a fixed-seed
     Gaussian vector for a signed one, whose top eigenvector can be orthogonal

@@ -774,3 +774,53 @@ def test_generic_payoff_rejects_non_finite_constants(alpha_U, ell_U):
 def test_contraction_check_rejects_a_nan_factor(ratio, rho):
     with pytest.raises(ContractionError):
         eq._check_contraction(ratio, rho)
+
+
+# --- the run's O(1) solve: pivots of I - alpha T against closed forms ------------
+
+def _complete(n):
+    return (np.ones((n, n)) - np.eye(n)) / n
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+@pytest.mark.parametrize("scale", [0.5, -0.5, 0.999])
+def test_lq_solve_on_the_complete_graph_is_its_closed_form(n, scale):
+    # 1 is an eigenvector of G = (J - I)/n with eigenvalue (n - 1)/n, so the run
+    # is invariant at step 1 and x = 1 / (1 - alpha (n - 1)/n). At these n the
+    # start 1 / sqrt(n) and its products are exact binary fractions, so the
+    # pivot 1 - alpha a_1 is the closed form's own denominator even at
+    # alpha (n - 1)/n = 0.999, where a rounded a_1 would cost 1e-13.
+    alpha = scale if abs(scale) == 0.5 else scale * n / (n - 1)
+    x = eq._lq_solve(_complete(n), alpha, np.ones(n))
+    assert np.max(np.abs(x * (1.0 - alpha * (n - 1) / n) - 1.0)) <= 1e-14
+
+
+def test_a_run_past_the_boundary_of_the_complete_graph_ends_indefinite(monkeypatch):
+    # alpha (n - 1)/n = 1 + 1e-9: the one pivot is -1e-9, so the run ends
+    # indefinite at the step where it is also invariant, and no x is read.
+    n, runs, Run = 64, [], spectral._Run
+    monkeypatch.setattr(spectral, "_Run", lambda *args: runs.append(Run(*args)) or runs[-1])
+    with pytest.raises(ContractionError, match="not positive definite"):
+        eq._lq_solve(_complete(n), (1.0 + 1e-9) * n / (n - 1), np.ones(n))
+    assert [(run.k, run.end, run.reason) for run in runs] == [(1, True, "indefinite")]
+    with pytest.raises(ContractionError):
+        eq._definite(None)
+
+
+@given(a=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+       b=st.lists(st.floats(0.05, 2.0) | st.floats(-2.0, -0.05), min_size=11, max_size=11),
+       alpha=st.floats(-3.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_the_pivot_test_is_the_definiteness_of_i_minus_alpha_t(a, b, alpha):
+    # A run on a Jacobi matrix T from e_1 rebuilds T up to the signs of its
+    # off-diagonal, a similarity: its T_k is T's leading k x k block. All LDL^T
+    # pivots of I - alpha T_k positive is I - alpha T_k positive definite
+    # (Sylvester), wherever the least eigenvalue is clear of zero.
+    n = len(a)
+    T = np.diag(a) + np.diag(b[:n - 1], 1) + np.diag(b[:n - 1], -1)
+    run = spectral._Run(T, np.eye(n)[0], alpha)
+    while not run.end:
+        run.step()
+        least = np.linalg.eigvalsh(np.eye(run.k) - alpha * T[:run.k, :run.k])[0]
+        if abs(least) > 1e-10:
+            assert run.definite == (least > 0.0)

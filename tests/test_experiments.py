@@ -167,16 +167,15 @@ def test_a_distance_trial_holds_no_weighted_matrix(spec):
 
 
 def lanczos_runs(monkeypatch):
-    """Spy on every Lanczos run: per run, whether each step it took had read x."""
-    runs, steps = [], spectral._lanczos_steps
+    """Every Lanczos run started, kept for its counters (steps, end reason)."""
+    runs = []
 
-    def spy(*args, **kwargs):
-        runs.append([])
-        for step in steps(*args, **kwargs):
-            runs[-1].append(step[-1] is not None)
-            yield step
+    class Spy(spectral._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
 
-    monkeypatch.setattr(spectral, "_lanczos_steps", spy)
+    monkeypatch.setattr(spectral, "_Run", Spy)
     return runs
 
 
@@ -190,18 +189,21 @@ def with_the_pair(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.5, -0.5])
 def test_each_run_of_a_distance_trial_ends_where_its_solve_is_read(monkeypatch, N, alpha):
     # The Collatz-Wielandt bound at x = (I - alpha G)^-1 1 certifies both games
-    # of a minmax trial, so neither run goes on to settle the top pair.
+    # of a minmax trial, so neither run goes on to settle the top pair, and
+    # neither calls eigh: the O(1) solve reads x.
     spec, payoff = kernels.minmax(), LqPayoff(alpha, 1.0)
     args = (spec, payoff, N, 1, 9, solve_graphon(spec, payoff, 2 * N).profile.values)
-    runs = lanczos_runs(monkeypatch)
-    got = ex._distance_trial(args)
-    assert got[-1] is None and len(runs) == 2
-    assert all(run.index(True) == len(run) - 1 for run in runs)
+    runs, calls, eigh = lanczos_runs(monkeypatch), [], np.linalg.eigh
+    with monkeypatch.context() as m:  # no eigendecomposition: neither run reads a pair
+        m.setattr(np.linalg, "eigh", lambda T: calls.append(len(T)) or eigh(T))
+        got = ex._distance_trial(args)
+    assert got[-1] is None and len(runs) == 2 and calls == []
+    assert all(run.reason == "certified" for run in runs)  # ended by the bound at the solve
     with_the_pair(monkeypatch)
     assert ex._distance_trial(args) == got
     paired = runs[2:]
-    assert all(len(a) <= len(b) for a, b in zip(runs, paired))
-    assert len(runs[1]) < len(paired[1])  # the 0-1 network's pair settles last
+    assert all(a.k <= b.k for a, b in zip(runs, paired))
+    assert runs[1].k < paired[1].k  # the 0-1 network's pair settles last
 
 
 @pytest.mark.parametrize("spec", [

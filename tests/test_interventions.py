@@ -356,26 +356,20 @@ def _dense_optimum(P, alpha, beta, C):
                                  float(np.sum((beta_hat - beta) ** 2)), "optimal", float(mu))
 
 
-class _Without:
-    """A module whose attributes are those of ``module`` except the ones overridden."""
-
-    def __init__(self, module, **overrides):
-        self._module, self._overrides = module, overrides
-
-    def __getattr__(self, name):
-        return self._overrides.get(name) or getattr(self._module, name)
-
-
 def _without_eigh(monkeypatch):
-    """Make np.linalg.eigh unavailable to the interventions module."""
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("np.linalg.eigh called by interventions")
+    """Allow np.linalg.eigh only on a Lanczos run's tridiagonal T, never on the network."""
+    eigh = np.linalg.eigh
 
-    monkeypatch.setattr(iv, "np", _Without(np, linalg=_Without(np.linalg, eigh=no_eigh)))
+    def tridiagonal_only(T, *args, **kwargs):
+        if np.any(np.triu(T, 2)):
+            raise AssertionError("np.linalg.eigh called on a matrix that is not tridiagonal")
+        return eigh(T, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", tridiagonal_only)
 
 
 def _optimum_and_reference(monkeypatch, P, alpha, beta, C):
-    """(result with eigh unavailable to interventions, path served, dense reference).
+    """(result with eigh only on tridiagonals, path served, dense reference).
 
     The path is "perron" at beta = 0, "certified" when ``_certified`` accepted
     a projection, and "end" when the run served it at its end uncertified."""
@@ -448,8 +442,8 @@ def test_optimal_edge_cases_match_the_dense_reference(monkeypatch, P, beta, path
 
 
 def test_welfare_trials_need_no_full_eigendecomposition(monkeypatch):
-    # eigh is unavailable to the interventions module, and the error is not
-    # one a trial records.
+    # eigh takes only the runs' tridiagonals, never the network, and the error
+    # is not one a trial records.
     _without_eigh(monkeypatch)
     stats = experiments.intervention_experiment(kernels.minmax(), 5.0, 1.0, 0.01, [200], 2,
                                                 optimal_cap=200, seed=42)
@@ -507,16 +501,29 @@ def _sparse_er(N, p, seed):
                                    seed + 1000).A
 
 
-def _projection_spies(monkeypatch):
-    """Record the steps of the last Lanczos run from 1, the solves and the certificate's
-    verdicts, eigh unavailable."""
-    seen = {"steps": 0, "solves": 0, "verdicts": []}
-    steps, solve, certified = iv._lanczos_steps, iv._lq_solve, iv._certified
+def lanczos_runs(monkeypatch, *modules):
+    """Every Lanczos run that ``modules`` start, kept for its counters (steps, end reason)."""
+    runs = []
 
-    def counting_steps(*args):
-        for k, out in enumerate(steps(*args), 1):
-            seen["steps"] = k
-            yield out
+    class Spy(spectral._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_Run", Spy)
+    return runs
+
+
+def _projection_spies(monkeypatch):
+    """Record the Lanczos runs from 1, the solves, the Collatz-Wielandt bounds (one G x
+    each) and the certificate's verdicts, eigh only on tridiagonals."""
+    seen = {"runs": lanczos_runs(monkeypatch, iv), "solves": 0, "bounds": 0, "verdicts": []}
+    solve, certified, bound = iv._lq_solve, iv._certified, iv._collatz_wielandt
+
+    def counting_bounds(*args):
+        seen["bounds"] += 1
+        return bound(*args)
 
     def counting_solves(*args):
         seen["solves"] += 1
@@ -526,8 +533,8 @@ def _projection_spies(monkeypatch):
         seen["verdicts"].append(certified(*args))
         return seen["verdicts"][-1]
 
-    monkeypatch.setattr(iv, "_lanczos_steps", counting_steps)
     monkeypatch.setattr(iv, "_lq_solve", counting_solves)
+    monkeypatch.setattr(iv, "_collatz_wielandt", counting_bounds)
     monkeypatch.setattr(iv, "_certified", recording_verdicts)
     _without_eigh(monkeypatch)
     return seen
@@ -540,16 +547,18 @@ def test_an_uncertified_projection_runs_on_to_the_end(monkeypatch, case):
     # and its welfare is read in the basis. On this sparse ER network near the
     # contraction limit (1 - alpha lam_bar = 0.01) the certificate rejects the
     # projections of steps 26-31, first on KKT and the basis residual, then on
-    # the residual alone, and accepts at step 32; the run ends at step 38,
-    # where it reads x1, not at k = n = 120. Neither case solves.
+    # the residual alone, and accepts at step 32; the run ends at step 35,
+    # where its O(1) solve reads x1, not at k = n = 120. Neither case solves,
+    # and each computes the bound lam_bar at v1 once, where it reads v1.
     P = _path_graph(200) if case == "path-graph" else _sparse_er(120, 0.05, 0)
     N = len(P)
     alpha = (0.5 if case == "path-graph" else 0.99) / np.linalg.eigvalsh(P / N)[-1]
     ref = _dense_optimum(P, alpha, 1.0, 0.01 * N)
     seen = _projection_spies(monkeypatch)
     res = iv.optimal_intervention(P, alpha, 1.0, 0.01 * N)
-    assert seen == ({"steps": 100, "solves": 0, "verdicts": []} if case == "path-graph"
-                    else {"steps": 38, "solves": 0, "verdicts": [False] * 6 + [True]})
+    seen["steps"] = seen.pop("runs")[-1].k
+    assert seen == ({"steps": 100, "solves": 0, "bounds": 1, "verdicts": []} if case == "path-graph"
+                    else {"steps": 35, "solves": 0, "bounds": 1, "verdicts": [False] * 6 + [True]})
     _assert_same_optimum(res, ref)
     assert res.welfare == pytest.approx(iv.welfare(P, alpha, res.beta_hat), rel=1e-12, abs=0)
 
@@ -574,10 +583,12 @@ def test_collatz_wielandt_rejects_where_v1_vanishes(monkeypatch):
     assert lam_bar == pytest.approx(0.75, rel=1e-12) and alpha * lam_bar == pytest.approx(3.9, abs=0.05)
     ref = _dense_optimum(P, alpha, 1.0, 2.0)
     s = np.linalg.solve(np.eye(N) - alpha * P / N, ref.beta_hat)
-    assert not iv._certified(P / N, alpha, 1.0, 2.0, ref.beta_hat, ref.kkt_multiplier, v1, s, 0.0)
+    assert iv._collatz_wielandt(P / N, alpha, x) is None
+    assert not iv._certified(P / N, alpha, 1.0, 2.0, ref.beta_hat, ref.kkt_multiplier, None, s, 0.0)
     seen = _projection_spies(monkeypatch)
     res = iv.optimal_intervention(P, alpha, 1.0, 2.0)
-    assert seen == {"steps": 4, "solves": 0, "verdicts": []}
+    seen["steps"] = seen.pop("runs")[-1].k
+    assert seen == {"steps": 4, "solves": 0, "bounds": 1, "verdicts": []}
     _assert_same_optimum(res, ref)
 
 
@@ -591,7 +602,9 @@ def test_the_certificate_requires_the_basis_residual_to_bound_the_error():
     ref = _dense_optimum(P, alpha, 1.0, 1.0)
     s = np.linalg.solve(np.eye(N) - alpha * P / N, ref.beta_hat)
     v1 = iv._welfares(P / N, alpha, [])[1]
-    args = (P / N, alpha, 1.0, 1.0, ref.beta_hat, ref.kkt_multiplier, v1, s)
+    x = np.maximum(np.abs(v1), 1e-8 * np.abs(v1).max())
+    lam_bar = iv._collatz_wielandt(P / N, alpha, x)
+    args = (P / N, alpha, 1.0, 1.0, ref.beta_hat, ref.kkt_multiplier, lam_bar, s)
     assert iv._certified(*args, 0.0) and not iv._certified(*args, 1e-12 * np.linalg.norm(s))
 
 
@@ -600,9 +613,7 @@ def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
     # that finds I - alpha T indefinite raises itself: a rerun of the same run
     # from 1 could only raise the same error.
     G = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
-    runs, steps = [], spectral._lanczos_steps
-    for module in (spectral, iv):
-        monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    runs = lanczos_runs(monkeypatch, spectral, iv)
     for module in (equilibrium, iv):
         monkeypatch.setattr(module, "_check_contraction", lambda ratio, rho: ratio * rho)
     for call in (lambda: iv._welfares(G, 2.0, [np.ones(3)]),
@@ -611,7 +622,7 @@ def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
         runs.clear()
         with pytest.raises(ContractionError, match="not positive definite"):
             call()
-        assert len(runs) == 1
+        assert len(runs) == 1 and runs[0].reason == "indefinite"
 
 
 # --- the welfare trial: one Lanczos run from 1 per network --------------------------
@@ -625,29 +636,18 @@ def test_a_welfare_trial_at_n_800_takes_at_most_32_lanczos_steps(monkeypatch):
     # The gate, x1, v1, the heuristic's solve and the projected optimum with its
     # certificate share one run; only T_gh solves apart (85 steps in all when
     # each reader ran Lanczos of its own, 44 when the certificate re-solved).
-    seen = {"steps": 0}
-    steps = spectral._lanczos_steps
-
-    def counting_steps(*args):
-        for out in steps(*args):
-            seen["steps"] += 1
-            yield out
-
-    for module in (spectral, iv):
-        monkeypatch.setattr(module, "_lanczos_steps", counting_steps)
+    runs = lanczos_runs(monkeypatch, spectral, iv)
     _without_eigh(monkeypatch)
     for trial in range(5):
-        seen["steps"] = 0
+        runs.clear()
         row = _trial(kernels.minmax(), 5.0, 800, 42, trial)
-        assert row[-1] is None and seen["steps"] <= 32
+        assert row[-1] is None and sum(run.k for run in runs) <= 32
 
 
 def test_a_welfare_trial_starts_two_lanczos_runs_and_certifies_with_no_solve(monkeypatch):
     # The run from 1 and T_gh's solve: the optimum's response and its residual
     # are read in the basis of the run from 1, so the certificate needs none.
-    runs, steps = [], spectral._lanczos_steps
-    for module in (spectral, iv):
-        monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    runs = lanczos_runs(monkeypatch, spectral, iv)
     certified, verdicts = iv._certified, []
 
     def certify_without_solves(*args):
@@ -663,6 +663,25 @@ def test_a_welfare_trial_starts_two_lanczos_runs_and_certifies_with_no_solve(mon
         verdicts.clear()
         row = _trial(kernels.minmax(), 5.0, N, 42, trial)
         assert row[-1] is None and len(runs) == 2 and verdicts == [True]
+
+
+def test_a_welfare_trial_calls_eigh_only_from_the_step_where_its_pair_settles(monkeypatch):
+    # top() reads the run from 1 until its pair settles and the O(1) solve
+    # reads x1 and T_gh's solve, so a full eigendecomposition serves only the
+    # pair, the heuristic's basis solve and the projection, from that step on.
+    runs, calls, eigh = lanczos_runs(monkeypatch, spectral, iv), [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append((len(runs), len(T))) or eigh(T))
+    for trial in range(3):
+        runs.clear()
+        calls.clear()
+        assert _trial(kernels.minmax(), 5.0, 800, 42, trial)[-1] is None
+        first, gh = runs
+        for settled in range(1, first.k + 1):  # the rule on a full eigendecomposition of T_j
+            theta, S = eigh(spectral._tridiagonal(first.a[:settled], first.b))
+            if first.b[settled - 1] * abs(S[-1, -1]) <= 1e-13 * max(1.0, abs(theta[-1])):
+                break
+        assert calls and all(run == 1 and settled <= k <= first.k for run, k in calls)
+        assert gh.reason == "solved" and first.k - settled <= 3
 
 
 def test_the_welfare_trial_does_not_validate_the_network_it_built(monkeypatch):
@@ -765,10 +784,7 @@ def test_welfare_on_a_signed_network_takes_the_gate_and_one_solve(monkeypatch, s
     np.fill_diagonal(P, 0.0)
     alpha = sign * 0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N)))
     b = np.linspace(0.5, 1.5, N)
-    runs = []
-    steps = spectral._lanczos_steps
-    for module in (spectral, iv):
-        monkeypatch.setattr(module, "_lanczos_steps", lambda *args: runs.append(1) or steps(*args))
+    runs = lanczos_runs(monkeypatch, spectral, iv)
     T = iv.welfare(P, alpha, b)
     assert len(runs) == 3
     s = np.linalg.solve(np.eye(N) - alpha * P / N, b)

@@ -732,9 +732,64 @@ def test_lanczos_steps_grow_their_basis_to_the_full_space():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((40, 40))
     A = A + A.T
-    steps = list(spectral._lanczos_steps(A, np.ones(40), 100))
-    assert [s[4] for s in steps] == [False] * 39 + [True]
-    Q, theta, S = steps[-1][:3]
+    run, ends = spectral._Run(A, np.ones(40)), []
+    while not run.end:
+        run.step()
+        ends.append(run.end)
+    assert ends == [False] * 39 + [True]
+    Q, (theta, S) = run.Q[:run.k], run.eig()
     assert np.max(np.abs(Q @ Q.T - np.eye(40))) <= 1e-12
     assert np.max(np.abs(Q @ A @ Q.T - (S * theta) @ S.T)) <= 1e-11 * np.abs(theta).max()
     assert theta == pytest.approx(np.linalg.eigvalsh(A), abs=1e-11 * np.abs(theta).max())
+
+
+def _run_cases():
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((60, 60))
+    P = np.diag(np.ones(49), 1)
+    return {"minmax": (spectral.discretize(kernels.minmax(), 400), np.ones(400)),
+            "sbm": (spectral.discretize(kernels.sbm([[0.8, 0.1], [0.1, 0.5]], [0.75, 0.25]), 300),
+                    np.ones(300)),
+            "gaussian": ((B + B.T) / 60, rng.standard_normal(60)),
+            "path": ((P + P.T) / 50, np.ones(50))}
+
+
+@pytest.mark.parametrize("case", ["minmax", "sbm", "gaussian", "path"])
+def test_a_run_reads_the_top_pair_of_eigh_without_it(case):
+    # top() walks the steps by Newton, warm-started step to step; the minmax
+    # run, taken on well past its settled step, also takes the eigvalsh
+    # fallback. theta_max and |s_k| agree with a full eigendecomposition of
+    # T_k to round-off at every step, and so does the first settled step.
+    A, q = _run_cases()[case]
+    run, settled = spectral._Run(A, q), []
+    while not run.end and run.k < 60:
+        run.step()
+        theta, S = np.linalg.eigh(spectral._tridiagonal(run.a, run.b))
+        top, s = run.top()
+        assert abs(top - theta[-1]) <= 1e-14 * run.T_norm
+        assert abs(s - abs(S[-1, -1])) <= 1e-13
+        settled.append((run.b[-1] * abs(S[-1, -1]) <= 1e-13 * max(1.0, abs(theta[-1])),
+                        run.b[-1] * s <= 1e-13 * max(1.0, abs(top))))
+    assert [ref for ref, _ in settled].index(True) == [got for _, got in settled].index(True)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 3])
+def test_an_exhausted_run_raises_with_its_top_ritz_vector(monkeypatch, max_iter):
+    # One eigendecomposition, at the end: the top Ritz vector of the steps
+    # taken and its residual beta_k |s_k| (none before a step).
+    P = np.diag(np.ones(49), 1)
+    P = (P + P.T) / 50
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(len(T)) or eigh(T))
+    with pytest.raises(IterationLimitError) as err:
+        spectral._lanczos(P, np.ones(50), 1e-13, max_iter)
+    if max_iter == 0:
+        assert err.value.last_iterate is None and err.value.residual_history == [0.0]
+        return
+    run = spectral._Run(P, np.ones(50))
+    for _ in range(max_iter):
+        run.step()
+    theta, S = eigh(spectral._tridiagonal(run.a, run.b))
+    assert calls == [max_iter]
+    assert np.array_equal(err.value.last_iterate, S[:, -1] @ run.Q[:max_iter])
+    assert err.value.residual_history == [run.b[-1] * abs(S[-1, -1])]
