@@ -130,11 +130,11 @@ def _manifest(outdir: Path, command: str, args) -> None:
     })
 
 
-def _sample(spec, N: int, seed, simple: bool):
-    """Sampled network matrix (0-1 when ``simple``) and its types."""
+def _sample(spec, N: int, seed, simple: bool, value: float = 1.0):
+    """Sampled network matrix and its types: P, or if ``simple`` the 0-1 network times ``value``."""
     types = sample_types(N, seed)
     if simple:  # drawn from the kernel at the types, as simple_network draws from P
-        return _kernel_links(spec, types, subseed(seed, 1)), types
+        return _kernel_links(spec, types, subseed(seed, 1), value), types
     return weighted_network(spec, types).P, types
 
 
@@ -169,8 +169,9 @@ def _cmd_solve_network(args, outdir: Path) -> int:
         report = solve_network(load_network_json(args.network_json)[0], payoff)
     elif args.N is None:
         raise UsageError("either --N (to sample) or --network-json is required")
-    elif args.simple:
-        report = solve_network(_sample(build_graphon(args), args.N, args.seed, True)[0], payoff)
+    elif args.simple:  # A/N written by the draw, symmetric, finite and >= 0: no copy, no checks
+        A_N = _sample(build_graphon(args), args.N, args.seed, True, 1.0 / args.N)[0]
+        report = _solve(A_N, True, payoff)
     else:  # the weighted network's P/N, applied at the types without P
         types = sample_types(args.N, args.seed).types
         report = _solve(DiscretizedOperator(build_graphon(args), args.N, types), True, payoff)

@@ -116,13 +116,14 @@ def _sizes(Ns, trials: int) -> list[int]:
 
 
 def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
-    """Sorted types and 0-1 matrix of one trial, each from its own subseed.
+    """Sorted types and A/N, the 0-1 matrix scaled, of one trial, each from its own subseed.
 
-    A is ``simple_network(weighted_network(spec, types), seed).A`` bit for bit,
-    drawn block by block from the kernel at the types: no N x N P is built.
+    A/N is ``simple_network(weighted_network(spec, types), seed).A / N`` bit for
+    bit, drawn from the kernel at the types with no N x N P and written once. The
+    trial owns it, symmetric, finite and >= 0: it is solved with no input checks.
     """
     types = sample_types(N, subseed(seed, N, trial, 0))
-    return types, _kernel_links(spec, types, subseed(seed, N, trial, 1))
+    return types, _kernel_links(spec, types, subseed(seed, N, trial, 1), 1.0 / N)
 
 
 def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
@@ -143,13 +144,11 @@ def _distance_trial(args):
     spec, payoff, N, trial, seed, sbar_values = args
     sbar = GridFunction(sbar_values)
     try:
-        types, A = _trial_networks(spec, N, trial, seed)
-        # The weighted game runs on the kernel's operator at the types, P/N applied
-        # without P. The trial built and owns A, symmetric, finite and >= 0: scaled
-        # in place, with no solve_network input checks.
-        A /= N
+        types, A_N = _trial_networks(spec, N, trial, seed)
+        # The weighted game runs on the kernel's operator at the types, P/N applied without P.
         G = DiscretizedOperator(spec, N, types.types)
-        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None, False) for X in (G, A)]
+        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None, False)
+                for X in (G, A_N)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:
@@ -205,9 +204,8 @@ def _intervention_trial(args):
     spec, alpha, beta, c_per_agent, N, trial, seed, optimal_cap = args
     C = c_per_agent * N
     try:
-        types, A = _trial_networks(spec, N, trial, seed)
-        A /= N  # the trial owns A, symmetric, finite and 0-1: scaled in place, unchecked
-        res = _policies(A, spec, types, alpha, beta, C,
+        types, A_N = _trial_networks(spec, N, trial, seed)
+        res = _policies(A_N, spec, types, alpha, beta, C,
                         POLICIES[1:] if N <= optimal_cap else POLICIES[1:4])
         T, T_hom, T_nh, T_gh, T_opt = (res[p].welfare if p in res else math.nan for p in POLICIES)
         return (N, trial, T, T_hom, T_nh, T_gh, T_opt, abs(T_nh - T_gh), None)

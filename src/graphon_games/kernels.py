@@ -181,6 +181,16 @@ def evaluate(spec: GraphonSpec, x, y):
     return float(out) if np.isscalar(x) and np.isscalar(y) else out
 
 
+def _sorted_rows(spec: GraphonSpec, t: np.ndarray):
+    """``rows(i0, i1, out)`` writes W(t_i, t_j), rows i0:i1 and columns i0: of ascending t, to
+    ``out``: ``evaluate``'s bits where j > i, as there min(t_i, t_j) = t_i and max = t_j."""
+    if spec.kind == "minmax":
+        s = 1.0 - t
+        return lambda i0, i1, out: np.multiply(t[i0:i1, None], s[i0:], out=out)
+    Q, ids = _blocks(spec)[0], _block_index(spec, t)
+    return lambda i0, i1, out: np.take(Q[ids[i0:i1]], ids[i0:], axis=1, out=out)
+
+
 def lipschitz_metadata(spec: GraphonSpec) -> tuple[float, int]:
     """Return (L, Omega): the piecewise Lipschitz constant and breakpoint count.
 

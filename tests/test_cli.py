@@ -142,6 +142,32 @@ def test_sample_simple_is_the_simple_network_of_the_weighted_one(tmp_path, graph
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+@pytest.mark.parametrize("graphon", ["minmax", "sbm"])
+def test_simple_solve_network_is_solve_network_of_the_simple_network(tmp_path, graphon, alpha):
+    # --simple --N solves the A/N the draw wrote, with no copy and no checks:
+    # the same profile and report as solve_network on simple_network's A.
+    from graphon_games import experiments, sampling
+    from graphon_games.equilibrium import LqPayoff, report_to_json, solve_network
+    N, seed = 300, 3
+    code = run(["solve-network", "--graphon", graphon, "--gin", "0.8", "--gout", "0.1",
+                "--w", "0.75,0.25", "--N", str(N), "--seed", str(seed), "--simple",
+                "--alpha", str(alpha), "--beta", "1", "--out", str(tmp_path / "cli")])
+    assert code == 0
+    spec = kernels.minmax() if graphon == "minmax" else kernels.sbm([[0.8, 0.1], [0.1, 0.8]],
+                                                                    [0.75, 0.25])
+    types = sampling.sample_types(N, seed)
+    A = sampling.simple_network(sampling.weighted_network(spec, types),
+                                experiments.subseed(seed, 1)).A
+    report = solve_network(A, LqPayoff(alpha, 1.0))
+    (tmp_path / "ref").mkdir()
+    cli._write_json(tmp_path / "ref", "equilibrium.json", report_to_json(report))
+    cli._write_csv(tmp_path / "ref" / "profile.csv", "index,value",
+                   enumerate(report.profile_array()))
+    for name in ("equilibrium.json", "profile.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 # --- intervene -------------------------------------------------------------------------
 
 def test_intervene_all_policies(tmp_path):

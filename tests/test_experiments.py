@@ -128,15 +128,17 @@ def test_generic_payoff_distance_results_independent_of_jobs(tmp_path):
 @pytest.mark.parametrize("alpha", [0.5, -0.5])
 def test_distance_trial_matches_the_public_solver(spec, alpha):
     # The trial solves the weighted game on the kernel's operator at the types
-    # and the 0-1 game on the matrix it drew; the public solve_network on P and
-    # on A, with all its checks, gives the same tuple, the weighted distance to
-    # round-off (the operator sums in another order than P @ s) and the rest bit
-    # for bit.
+    # and the 0-1 game on the matrix A/N it drew; the public solve_network on P
+    # and on the 0-1 network of P, with all its checks, gives the same tuple, the
+    # weighted distance to round-off (the operator sums in another order than
+    # P @ s) and the rest bit for bit.
     payoff = LqPayoff(alpha, 1.0)
     sbar = solve_graphon(spec, payoff, 300).profile
     for N, trial in ((1, 0), (40, 2), (150, 5)):
-        types, A = ex._trial_networks(spec, N, trial, 31)
+        types = ex._trial_networks(spec, N, trial, 31)[0]
         P = sampling.weighted_network(spec, types).P
+        A = sampling.simple_network(sampling.WeightedNetwork(P, types),
+                                    ex.subseed(31, N, trial, 1)).A
         reps = [solve_network(X, payoff) for X in (P, A)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         got = ex._distance_trial((spec, payoff, N, trial, 31, sbar.values))

@@ -724,7 +724,8 @@ def test_the_shared_run_matches_dense_references(spec, alpha, kind):
 def test_welfare_gap_and_network_heuristic_read_the_trial_values():
     spec, N, seed = kernels.minmax(), 200, 42
     T_nh, T_gh, T_opt, gap = _trial(spec, 5.0, N, seed)[4:8]
-    types, A = experiments._trial_networks(spec, N, 0, seed)
+    types = experiments._trial_networks(spec, N, 0, seed)[0]  # the trial holds A/N: A drawn again
+    A = sampling._kernel_links(spec, types, experiments.subseed(seed, N, 0, 1), 1.0)
     Ps = sampling.SimpleNetwork(A, types)
     assert iv.welfare_gap(Ps, spec, 5.0, 1.0, 0.01 * N) == (T_nh, T_gh, gap)
     nh = iv.evaluate_policy(iv.network_heuristic(A, 1.0, 0.01 * N), A, 5.0)

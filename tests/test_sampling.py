@@ -167,20 +167,53 @@ KINDS = {"er": kernels.erdos_renyi(0.4), "sbm": kernels.sbm([[0.8, 0.1], [0.1, 0
 _B = sampling._BLOCK_ROWS
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, _B - 1, _B, _B + 1, 300])
+@pytest.mark.parametrize("N", [1, 2, 3, 49, _B - 1, _B, _B + 1, 2 * _B + 1, 300])
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_trial_draws_the_simple_network_of_its_weighted_network(kind, N):
-    # A trial reads the kernel at its types block by block and builds no P:
-    # its A is the 0-1 network drawn from the weighted network, bit for bit.
+    # A trial reads the kernel's closed form at its types block by block and
+    # builds no P: its matrix is the 0-1 network drawn from the weighted
+    # network, divided by N, bit for bit. The reference is divided, never the
+    # result multiplied back: fl(fl(1/49) * 49) != 1.
     from graphon_games import experiments as ex
     spec = KINDS[kind]
-    types, A = ex._trial_networks(spec, N, 4, 19)
+    types, A_N = ex._trial_networks(spec, N, 4, 19)
     P = sampling.weighted_network(spec, types).P
     seed = ex.subseed(19, N, 4, 1)
-    assert A.dtype == np.float64 and A.shape == (N, N)
-    Pw = sampling.WeightedNetwork(P, types)
-    assert A.tobytes() == sampling.simple_network(Pw, seed).A.tobytes()
+    assert A_N.dtype == np.float64 and A_N.shape == (N, N)
+    A = sampling.simple_network(sampling.WeightedNetwork(P, types), seed).A
+    assert A_N.tobytes() == (A / N).tobytes()
     assert A.tobytes() == _triu_reference(P, seed).tobytes()
+    assert sampling._kernel_links(spec, types, seed, 1.0).tobytes() == A.tobytes()
+
+
+def test_a_draw_makes_no_kernel_evaluate_call(monkeypatch):
+    # The draw reads the kernel's closed form at the sorted types, not evaluate
+    # over pairs: a call of evaluate fails the test.
+    def fail(*args, **kwargs):
+        raise AssertionError("kernels.evaluate called")
+
+    for module in (kernels, sampling):
+        monkeypatch.setattr(module, "evaluate", fail, raising=False)
+    for spec in KINDS.values():
+        types = sampling.sample_types(2 * _B + 1, seed=3)
+        assert sampling._kernel_links(spec, types, 5, 1.0).any()
+
+
+def test_a_draw_keeps_only_a_and_its_link_mask():
+    # At N = 800 a minmax draw peaks near 5.9 MB: A/N (8 N^2 bytes) and the bool
+    # link mask (N^2), plus block buffers freed before A is written.
+    import tracemalloc
+    N = 800
+    types = sampling.sample_types(N, seed=1)
+    sampling._kernel_links(kernels.minmax(), types, 2, 1.0 / N)
+    tracemalloc.start()
+    try:
+        A_N = sampling._kernel_links(kernels.minmax(), types, 2, 1.0 / N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A_N.nbytes == 8 * N * N
+    assert peak <= A_N.nbytes + N * N + 0.3e6
 
 
 def test_mean_consistency():
