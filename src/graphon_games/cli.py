@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -193,10 +192,10 @@ def _cmd_solve_graphon(args, outdir: Path) -> int:
 
 def _cmd_intervene(args, outdir: Path) -> int:
     spec = build_graphon(args)
-    A, types = _sample(spec, args.N, args.seed, simple=True)
+    A_N, types = _sample(spec, args.N, args.seed, True, 1.0 / args.N)
     C = args.C if args.C is not None else args.c_per_agent * args.N
     names = POLICIES[1:] if args.policy == "all" else (args.policy,)
-    results = list(_policies(A / args.N, spec, types, args.alpha, args.beta, C, names).values())
+    results = list(_policies(A_N, spec, types, args.alpha, args.beta, C, names).values())
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":
         _write_csv(outdir / "interventions.csv", "policy,welfare,budget_used",
@@ -206,19 +205,17 @@ def _cmd_intervene(args, outdir: Path) -> int:
     return 0
 
 
-def _jobs(args) -> int:  # 0 means all cores
+def _check_jobs(args) -> None:  # accepted for compatibility; trials run in this process
     if args.jobs < 0:
         raise UsageError(f"--jobs must be nonnegative, got {args.jobs}")
-    return args.jobs or os.cpu_count()
 
 
 def _cmd_distance_exp(args, outdir: Path) -> int:
+    _check_jobs(args)
     spec = build_graphon(args)
     payoff = LqPayoff(args.alpha, args.beta)
-    stats = distance_experiment(
-        spec, payoff, _parse_ns(args.Ns), args.trials, args.delta, args.M, args.seed,
-        jobs=_jobs(args), csv_path=outdir / "distances.csv",
-    )
+    stats = distance_experiment(spec, payoff, _parse_ns(args.Ns), args.trials, args.delta,
+                                args.M, args.seed, csv_path=outdir / "distances.csv")
     rows = [(st.N, st.kind, *(st.percentiles.get(f"p{p}", math.nan) for p in _PCTS),
              st.bound_weighted, st.bound_simple, st.failures) for st in stats]
     _write_table(args, outdir, "summary",
@@ -228,10 +225,11 @@ def _cmd_distance_exp(args, outdir: Path) -> int:
 
 
 def _cmd_welfare_exp(args, outdir: Path) -> int:
+    _check_jobs(args)
     spec = build_graphon(args)
     stats = intervention_experiment(
         spec, args.alpha, args.beta, args.c_per_agent, _parse_ns(args.Ns), args.trials,
-        args.optimal_cap, args.seed, jobs=_jobs(args), csv_path=outdir / "welfare.csv",
+        args.optimal_cap, args.seed, csv_path=outdir / "welfare.csv",
     )
     rows = [(st.N, st.mean_T, st.mean_T_hom, st.mean_T_nh, st.mean_T_gh, st.mean_T_opt,
              st.gap_percentiles.get("p50", math.nan), st.ratio_percentiles.get("p50", math.nan),
@@ -263,6 +261,7 @@ def build_parser() -> _Parser:
     game = argparse.ArgumentParser(add_help=False)
     game.add_argument("--alpha", type=float, default=None)
     game.add_argument("--beta", type=float, default=None)
+    jobs_help = "ignored, kept for compatibility: every trial runs in this process"
 
     def add(name, summary, func, required=None, parents=(graphon, game)):
         sp = subs.add_parser(name, help=summary, parents=list(parents))
@@ -301,8 +300,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--M", type=int, default=2000)
-    sp.add_argument("--jobs", type=int, default=0,
-                    help="worker processes, 0 = all cores; results do not depend on it")
+    sp.add_argument("--jobs", type=int, default=0, help=jobs_help)
 
     sp = add("welfare-exp", "welfare of intervention policies vs population size",
              _cmd_welfare_exp, ("alpha", "beta", "Ns"))
@@ -310,7 +308,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--Ns", default=None)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--optimal-cap", type=int, default=150)
-    sp.add_argument("--jobs", type=int, default=0, help="worker processes, 0 = all cores")
+    sp.add_argument("--jobs", type=int, default=0, help=jobs_help)
 
     sp = add("bne-epsilon", "Monte Carlo Bayesian suboptimality estimates",
              _cmd_bne_epsilon, ("alpha", "beta", "Ns"))

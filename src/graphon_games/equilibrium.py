@@ -284,26 +284,25 @@ def _collatz_wielandt(G, ratio: float, x):
 
 def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None,
                       lam_wanted: bool = True):
-    """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given, v).
+    """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given).
 
-    v is the top Ritz vector (``_orient``). If G is ``nonneg``, rho is lambda_max and one
-    ``_lanczos`` run from all-ones gives it, v and x; unless ``lam_wanted``, it ends at x
-    if ``_collatz_wielandt`` certifies there, before any top() read, with q = ratio *
-    lam_bar, lambda_max NaN and v None. A signed G adds lambda_max(-G) and solves for x
-    apart. Raises ContractionError unless q < 1, or if the pivots of the run for x found
-    I - alpha G indefinite all the same.
+    If G is ``nonneg``, rho is lambda_max and one ``_lanczos`` run from all-ones gives it
+    and x; unless ``lam_wanted``, it ends at x if ``_collatz_wielandt`` certifies there,
+    before any top() read, with q = ratio * lam_bar and lambda_max NaN. A signed G adds
+    lambda_max(-G) and solves for x apart. Raises ContractionError unless q < 1, or if the
+    pivots of the run for x found I - alpha G indefinite all the same.
     """
     if nonneg:
         bound = None if lam_wanted else lambda x: _collatz_wielandt(G, ratio, x)
         lam, v, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha, bound=bound)
         if v is None:  # certified at x
-            return math.nan, ratio * lam, x, None
+            return math.nan, ratio * lam, x
         q = _check_contraction(ratio, lam)
     else:
-        lam, v = power_method(G, POWER_TOL, POWER_MAX_ITER)
+        lam = power_method(G, POWER_TOL, POWER_MAX_ITER)[0]
         q = _check_contraction(ratio, max(lam, matrix_dominant_eigenvalue(-G)))
         x = None if alpha is None else _lanczos(G, np.ones(len(G)), alpha=alpha)[2]
-    return lam, q, x if alpha is None else _definite(x), v
+    return lam, q, x if alpha is None else _definite(x)
 
 
 def _solve(G, nonneg: bool, payoff, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
@@ -321,8 +320,8 @@ def _solve(G, nonneg: bool, payoff, tol: float = DEFAULT_TOL, max_iter: int = DE
     possibly a bound on it with lambda_max NaN (``_contraction_gate``).
     """
     lq = isinstance(payoff, LqPayoff)
-    lam, q, x, _ = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff),
-                                     payoff.alpha if lq else None, lam_wanted)
+    lam, q, x = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff),
+                                  payoff.alpha if lq else None, lam_wanted)
     n = len(G)
     if lq:
         s = payoff.beta * x
@@ -437,7 +436,7 @@ def lq_s_max(p: LqPayoff, lambda_max: float) -> float:
 
 @dataclass(frozen=True)
 class _LqGradient:
-    """Strategy gradient beta + alpha z - s of an LQ payoff (picklable for worker pools)."""
+    """Strategy gradient beta + alpha z - s of an LQ payoff (a class, so a payoff pickles)."""
 
     p: LqPayoff
 

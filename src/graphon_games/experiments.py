@@ -8,14 +8,14 @@ compares welfare under the policies of the interventions module on sampled
 0-1 networks.
 
 Every trial owns a seed derived deterministically from (root seed, N, trial
-index), so results are reproducible bit for bit and independent of the worker
-count. Failed trials are counted, never dropped silently.
+index), so results are reproducible bit for bit, whichever process runs which
+population sizes; every trial runs in the calling process. Failed trials are
+counted, never dropped silently.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import ContractionError, IterationLimitError
 from .interventions import POLICIES, _policies
 from .kernels import GraphonSpec, lipschitz_metadata
 from .sampling import _kernel_links, sample_types
-from .spectral import DiscretizedOperator, GridFunction
+from .spectral import DiscretizedOperator
 
 __all__ = [
     "DistanceStats",
@@ -126,14 +126,9 @@ def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
     return types, _kernel_links(spec, types, subseed(seed, N, trial, 1), 1.0 / N)
 
 
-def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
-    """Run ``worker`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}."""
-    tasks = [(*head, n, t, seed, *tail) for n in Ns for t in range(trials)]
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+def _run_trials(trial_fn, head, tail, Ns, trials: int, seed):
+    """Run ``trial_fn`` on each (*head, N, trial, seed, *tail); {N: (successes, failure count)}."""
+    results = [trial_fn((*head, n, t, seed, *tail)) for n in Ns for t in range(trials)]
     ok = {n: [r for r in results if r[0] == n and r[-1] is None] for n in Ns}
     return {n: (ok[n], trials - len(ok[n])) for n in Ns}
 
@@ -141,8 +136,7 @@ def _run_trials(worker, head, tail, Ns, trials: int, seed, jobs):
 def _distance_trial(args):
     """(N, trial, d_w, d_s, max type deviation, None or the error). Its solves read no
     lambda_max, so each may gate on the Collatz-Wielandt bound at its x (``_solve``)."""
-    spec, payoff, N, trial, seed, sbar_values = args
-    sbar = GridFunction(sbar_values)
+    spec, payoff, N, trial, seed, sbar = args
     try:
         types, A_N = _trial_networks(spec, N, trial, seed)
         # The weighted game runs on the kernel's operator at the types, P/N applied without P.
@@ -163,7 +157,8 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
     (N, trial) solves the weighted game on the kernel's operator at the
     sorted types (no N x N P) and the game on a sampled 0-1 network, and
     records L2 distances plus the applicable theoretical bounds at confidence
-    delta.
+    delta. ``jobs`` is accepted for compatibility and ignored: every trial
+    runs in the calling process.
     Returns one DistanceStats per (N, kind), weighted before simple, in the
     order of Ns. When csv_path is given, per-trial rows are also written in
     the fixed distances schema.
@@ -179,7 +174,7 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
     L, Omega = lipschitz_metadata(spec)
     per_n_bounds = {n: bound_rho(n, delta, L, Omega, Ktilde) for n in Ns}
 
-    by_n = _run_trials(_distance_trial, (spec, payoff), (sbar.values,), Ns, trials, seed, jobs)
+    by_n = _run_trials(_distance_trial, (spec, payoff), (sbar,), Ns, trials, seed)
 
     rows = []
     stats = []
@@ -223,10 +218,11 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     certified, or exact once the run from 1 ends; T_opt read in its basis) is
     computed only for N up to optimal_cap. Returns one WelfareStats per N. Like
     every policy, it requires alpha > 0 and beta >= 0: else, or at NaN, ValueError.
+    ``jobs`` is ignored, as in ``distance_experiment``.
     """
     Ns = _sizes(Ns, trials)
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),
-                       Ns, trials, seed, jobs)
+                       Ns, trials, seed)
 
     rows = []
     stats = []

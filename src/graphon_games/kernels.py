@@ -76,8 +76,8 @@ class GraphonSpec:
     ``kind`` is one of ``"er"``, ``"sbm"``, ``"minmax"``, ``"grid"``. Only the
     fields relevant to the kind are set; use the module-level constructors
     rather than instantiating directly. The constructors store read-only
-    copies of their arrays, so instances are immutable and safe to share
-    across workers.
+    copies of their arrays, so instances are immutable, and stay so when
+    unpickled.
     """
 
     kind: str

@@ -186,6 +186,51 @@ def test_intervene_all_policies(tmp_path):
         1.21, abs=1e-9)
 
 
+@pytest.mark.parametrize("graphon", ["minmax", "sbm"])
+def test_intervene_solves_the_simple_network_of_the_weighted_one(tmp_path, graphon):
+    # intervene hands the policies the A/N its draw wrote: the same tables and
+    # JSON as _policies on simple_network's A of the weighted network, over N.
+    from graphon_games import experiments, sampling
+    N, seed, alpha = 300, 3, 1.0
+    assert run(["intervene", "--graphon", graphon, "--gin", "0.8", "--gout", "0.1",
+                "--w", "0.75,0.25", "--N", str(N), "--seed", str(seed), "--alpha", str(alpha),
+                "--beta", "1", "--out", str(tmp_path / "cli")]) == 0
+    spec = kernels.minmax() if graphon == "minmax" else kernels.sbm([[0.8, 0.1], [0.1, 0.8]],
+                                                                    [0.75, 0.25])
+    types = sampling.sample_types(N, seed)
+    A = sampling.simple_network(sampling.weighted_network(spec, types),
+                                experiments.subseed(seed, 1)).A
+    results = list(interventions._policies(A / N, spec, types, alpha, 1.0, 0.01 * N,
+                                           interventions.POLICIES[1:]).values())
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    cli._write_json(ref, "interventions.json", [interventions.result_to_json(r) for r in results])
+    cli._write_csv(ref / "interventions.csv", "policy,welfare,budget_used",
+                   [(r.policy, r.welfare, r.budget_used) for r in results])
+    cli._write_csv(ref / "allocations.csv", "index," + ",".join(r.policy for r in results),
+                   [(i, *row) for i, row in enumerate(zip(*(r.beta_hat for r in results)))])
+    for name in ("interventions.json", "interventions.csv", "allocations.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_intervene_holds_one_n_by_n_matrix(tmp_path):
+    # The command keeps the A/N its draw wrote (8 N^2 bytes) and the draw's link
+    # mask (N^2), plus vectors: dividing a drawn A into a second matrix would
+    # take another 8 N^2 bytes (5.1 MB at N = 800).
+    import tracemalloc
+    N = 800
+    args = ["intervene", "--graphon", "minmax", "--N", str(N), "--alpha", "5", "--beta", "1",
+            "--seed", "3", "--out", str(tmp_path)]
+    assert run(args) == 0
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N + N * N + 1_000_000
+
+
 _MINMAX_60 = ["intervene", "--graphon", "minmax", "--N", "60", "--beta", "1", "--seed", "3"]
 
 
@@ -447,17 +492,44 @@ def test_module_invocation_exits_with_the_command_code(tmp_path):
     assert (tmp_path / "good" / "eigenfunctions.csv").exists()
 
 
-def test_welfare_exp_csvs_do_not_depend_on_jobs(tmp_path):
+_EXPERIMENT_OUTPUTS = {"distance-exp": ("distances.csv", "summary.csv"),
+                       "welfare-exp": ("welfare.csv", "summary.csv")}
+
+
+@pytest.mark.parametrize("args", [
+    ["distance-exp", "--graphon", "minmax", "--alpha", "0.5", "--Ns", "30,60", "--trials", "4",
+     "--M", "150"],
+    ["distance-exp", "--graphon", "minmax", "--alpha", "-0.5", "--Ns", "30,60", "--trials", "4",
+     "--M", "150"],
     # At N = 100 and 120 the optimum comes from the Lanczos projection, well short of k = N.
+    ["welfare-exp", "--graphon", "minmax", "--alpha", "5", "--Ns", "100,120", "--trials", "2",
+     "--optimal-cap", "120"],
+    ["welfare-exp", "--graphon", "sbm", "--gin", "0.7", "--gout", "0.1", "--w", "0.6,0.4",
+     "--alpha", "2", "--Ns", "20,40", "--trials", "3", "--optimal-cap", "40"],
+], ids=["distance-exp-complements", "distance-exp-substitutes", "welfare-exp-minmax",
+        "welfare-exp-sbm"])
+def test_experiment_csvs_do_not_depend_on_jobs_and_no_pool_is_loaded(tmp_path, args):
+    # --jobs is accepted and ignored: every trial runs in the calling process, so
+    # the default (0) and --jobs 1 and 2 write the same bytes, and a default run
+    # loads no process-pool machinery at all.
+    args = [*args, "--beta", "1", "--seed", "3"]
+    names = _EXPERIMENT_OUTPUTS[args[0]]
     outs = []
     for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert run(["welfare-exp", "--graphon", "minmax", "--alpha", "5", "--beta", "1",
-                    "--Ns", "100,120", "--trials", "2", "--optimal-cap", "120", "--seed", "3",
-                    "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append([(out / name).read_bytes() for name in ("welfare.csv", "summary.csv")])
-    assert outs[0] == outs[1]
-    assert b",," not in outs[0][0]  # every trial has its T_opt
+        assert run([*args, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        outs.append([(tmp_path / jobs / name).read_bytes() for name in names])
+    code = ("import sys; from graphon_games.cli import main; code = main(sys.argv[1:]); "
+            "print(*(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)); "
+            "sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(graphon_games.__file__).parents[1]))
+    default = subprocess.run([sys.executable, "-c", code, *args, "--out", str(tmp_path / "0")],
+                             env=env, capture_output=True, text=True, timeout=120)
+    assert default.returncode == 0, default.stderr
+    assert default.stdout.strip() == ""
+    outs.append([(tmp_path / "0" / name).read_bytes() for name in names])
+    assert outs[0] == outs[1] == outs[2]
+    if args[0] == "welfare-exp":
+        assert b",," not in outs[0][0]  # every trial has its T_opt
 
 
 # --- NaN parameters, usage errors and the --graphon er path ------------------------

@@ -149,7 +149,7 @@ def _int(flag, default, help=None):
     return ([flag], default, "int", None, help)
 
 
-JOBS_HELP = "worker processes, 0 = all cores"
+JOBS_HELP = "ignored, kept for compatibility: every trial runs in this process"
 PINNED = {
     "sample": (("N",), {"N": _int("--N", None),
                         "simple": (["--simple"], False, None, None, "draw the 0-1 network")}),
@@ -169,7 +169,7 @@ PINNED = {
         **ALPHA_BETA, "Ns": (["--Ns"], None, None, None, "comma-separated population sizes"),
         "trials": _int("--trials", 50), "delta": (["--delta"], 0.05, "float", None, None),
         "M": _int("--M", 2000),
-        "jobs": _int("--jobs", 0, JOBS_HELP + "; results do not depend on it")}),
+        "jobs": _int("--jobs", 0, JOBS_HELP)}),
     "welfare-exp": (("alpha", "beta", "Ns"), {
         **ALPHA_BETA, "c_per_agent": (["--c-per-agent"], 0.01, "float", None, None),
         "Ns": (["--Ns"], None, None, None, None), "trials": _int("--trials", 20),

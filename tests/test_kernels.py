@@ -159,7 +159,7 @@ def test_spec_arrays_are_read_only(spec, field):
     (kernels.sbm(SBM_Q, SBM_W), "w"),
 ])
 def test_spec_arrays_stay_read_only_through_pickle(spec, field):
-    # Process-pool workers receive specs by pickle, and caches keyed on a
+    # An unpickled spec is as immutable as the original: caches keyed on a
     # spec's identity rely on its arrays staying fixed.
     copy = pickle.loads(pickle.dumps(spec))
     assert np.array_equal(getattr(copy, field), getattr(spec, field))
