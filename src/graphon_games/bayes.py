@@ -20,13 +20,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .equilibrium import LqPayoff, lq_s_max, solve_graphon
-from .kernels import GraphonSpec, _cell_index, evaluate
+from .errors import _check_size
+from .kernels import GraphonSpec, _cell_index, _values
 from .spectral import DiscretizedOperator, GridFunction, discretize, dominant_eigenpair
 
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
 
 DEFAULT_RESOLUTION = 1000
-_CHUNK_BYTES = 1 << 20  # per-chunk array budget of estimate_epsilon; larger chunks leave cache
+# Per-chunk budget of estimate_epsilon's (c, 2N - 1) uniforms. A chunk's working set, those
+# plus a few (c, N - 1) link, cell index and value arrays, peaks near 3.5x this and so stays
+# in a 2 MiB L2: 256 KiB ran the bne configuration fastest of 64 KiB-2 MiB (2-vCPU Xeon).
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,17 +80,18 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     Trials run in chunks of c, each drawing one (c, 2N - 1) block of
     uniforms: per row t_i, the N - 1 t_j, then the N - 1 link uniforms, the
     stream and the bits of one trial at a time. c >= 1 bounds each chunk's
-    largest array (2N - 1 doubles per trial) by _CHUNK_BYTES.
+    uniforms (2N - 1 doubles per trial) by _CHUNK_BYTES = 256 KiB, so its
+    working set, those and a few (c, N - 1) arrays, peaks near 3.5 budgets
+    and stays in a 2 MiB L2 cache: of 64 KiB-2 MiB, 256 KiB ran the bne
+    configuration fastest. Memory is that working set plus O(trials + M),
+    whatever N. N and trials must be integers (numpy ones too).
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
     ``lq_L_U`` is applied to lambda_max of the operator on sbar's grid.
     ``sbar`` (nonempty, finite) is the precomputed equilibrium on the M-point
     grid; it is solved here when omitted, and that solve's lambda_max is reused.
     """
-    if N < 2:
-        raise ValueError(f"population size must be at least 2, got {N}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    N, trials = _check_size(N, "population size N", 2), _check_size(trials, "trials", 1)
     lam = None
     if sbar is None:
         limit = solve_graphon(spec, payoff, M)
@@ -107,8 +112,9 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     for start in range(0, trials, chunk):
         u = rng.random((min(chunk, trials - start), 2 * N - 1))
         types[start:start + len(u)], tj = u[:, 0], u[:, 1:N]
-        links = u[:, N:] < evaluate(spec, u[:, :1], tj)
-        vals = sbar.values[_cell_index(tj, sbar.M)]  # draws in [0, 1): no value_at check
+        links = _values(spec, u[:, :1], tj)  # draws in [0, 1): no range checks
+        np.less(u[:, N:], links, out=links)  # the link probabilities become 1.0 / 0.0 links
+        vals = sbar.values[_cell_index(tj, sbar.M)]
         zeta[start:start + len(u)] = (links[:, None, :] @ vals[:, :, None])[:, 0, 0] / (N - 1)
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 

@@ -1,4 +1,13 @@
-"""Shared exception types for the numerical solvers."""
+"""Shared exception types and size checks for the numerical solvers."""
+
+import numpy as np
+
+
+def _check_size(value, name: str, minimum: int) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
 
 
 class ContractionError(ValueError):

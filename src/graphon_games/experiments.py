@@ -32,7 +32,7 @@ from .equilibrium import (
     solve_graphon,
     step_function_embed,
 )
-from .errors import ContractionError, IterationLimitError
+from .errors import ContractionError, IterationLimitError, _check_size
 from .interventions import POLICIES, _policies
 from .kernels import GraphonSpec, lipschitz_metadata
 from .sampling import _kernel_links, sample_types
@@ -106,13 +106,11 @@ def _max_type_deviation(types: np.ndarray) -> float:
     return float(np.max(np.maximum(np.abs(types - lefts), np.abs(types - rights))))
 
 
-def _sizes(Ns, trials: int) -> list[int]:
-    Ns = [int(n) for n in Ns]
-    if trials < 1:
-        raise ValueError("need at least one trial")
+def _sizes(Ns, trials: int) -> tuple[list[int], int]:
+    Ns = [_check_size(n, "each of Ns", 1) for n in Ns]
     if len(set(Ns)) < len(Ns):
         raise ValueError(f"population sizes must be distinct, got {Ns}")
-    return Ns
+    return Ns, _check_size(trials, "trials", 1)
 
 
 def _trial_networks(spec: GraphonSpec, N: int, trial: int, seed):
@@ -163,7 +161,7 @@ def distance_experiment(spec: GraphonSpec, payoff, Ns, trials: int, delta: float
     order of Ns. When csv_path is given, per-trial rows are also written in
     the fixed distances schema.
     """
-    Ns = _sizes(Ns, trials)
+    Ns, trials = _sizes(Ns, trials)
     if M < 2 * max(Ns):
         raise ValueError(f"reference resolution M={M} must be at least twice max N={max(Ns)}")
 
@@ -220,7 +218,7 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     every policy, it requires alpha > 0 and beta >= 0: else, or at NaN, ValueError.
     ``jobs`` is ignored, as in ``distance_experiment``.
     """
-    Ns = _sizes(Ns, trials)
+    Ns, trials = _sizes(Ns, trials)
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),
                        Ns, trials, seed)
 

@@ -137,9 +137,10 @@ step_graphon_from_matrix = grid_kernel
 
 
 def _cell_index(x, n_cells):
-    # Right-open cells, last cell closed at 1: floor(x * n) clipped to n - 1.
-    idx = np.floor(np.asarray(x) * n_cells).astype(int)
-    return np.minimum(idx, n_cells - 1)
+    # Right-open cells, last cell closed at 1: on [0, 1] truncating x * n is its floor,
+    # clipped in place to n - 1 where x * n rounds up to n.
+    idx = np.asarray(np.asarray(x) * n_cells).astype(np.intp)
+    return np.minimum(idx, n_cells - 1, out=idx)
 
 
 def _sbm_block_index(x, w):
@@ -166,19 +167,23 @@ def evaluate(spec: GraphonSpec, x, y):
     """Evaluate W(x, y). Accepts scalars or broadcasting arrays in [0, 1].
 
     Evaluation is exactly symmetric: evaluate(spec, x, y) == evaluate(spec, y, x)
-    bitwise, for every kernel family.
+    bitwise, for every kernel family. The points are range-checked, then read by
+    ``_values``, which only callers whose float arrays lie in [0, 1) by
+    construction (such as fresh uniform draws) may call directly.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     _check_unit_interval(xa, "coordinate x")
     _check_unit_interval(ya, "coordinate y")
-
-    if spec.kind == "minmax":
-        out = np.minimum(xa, ya) * (1.0 - np.maximum(xa, ya))
-    else:  # a step kernel, er included
-        out = _blocks(spec)[0][_block_index(spec, xa), _block_index(spec, ya)]
-
+    out = _values(spec, xa, ya)
     return float(out) if np.isscalar(x) and np.isscalar(y) else out
+
+
+def _values(spec: GraphonSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W(x, y) of broadcasting float arrays in [0, 1], unchecked: a new array of evaluate's bits."""
+    if spec.kind == "minmax":
+        return np.minimum(x, y) * (1.0 - np.maximum(x, y))
+    return _blocks(spec)[0][_block_index(spec, x), _block_index(spec, y)]  # a step kernel, er too
 
 
 def _sorted_rows(spec: GraphonSpec, t: np.ndarray):

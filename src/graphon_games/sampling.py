@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_size
 from .kernels import GraphonSpec, _check_unit_interval, _sorted_rows, _validate_symmetric
 from .spectral import DiscretizedOperator
 
@@ -81,9 +82,8 @@ class SimpleNetwork:
 
 
 def sample_types(N: int, seed) -> TypeVector:
-    """Draw N iid Uniform[0,1] types and sort them ascending."""
-    if N < 1:
-        raise ValueError(f"population size must be positive, got {N}")
+    """Draw N iid Uniform[0,1] types and sort them ascending; N is a positive integer."""
+    N = _check_size(N, "population size N", 1)
     rng = np.random.default_rng(seed)
     return TypeVector(types=np.sort(rng.random(N)), seed=seed)
 

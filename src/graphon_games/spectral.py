@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IterationLimitError
+from .errors import IterationLimitError, _check_size
 from .kernels import (GraphonSpec, _block_index, _blocks, _cell_index, _check_unit_interval,
                       _validate_sbm, evaluate)
 
@@ -481,8 +481,7 @@ def sbm_eigen_analytic(Q, w, k: int | None = None) -> list[tuple[float, np.ndarr
 
 def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
     """Closed-form eigenpair of the minmax kernel: (1/(pi h)^2, sqrt(2) sin(h pi x)) on M midpoints."""
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (h, M)):
-        raise ValueError(f"mode index and resolution must be positive integers, got {h!r}, {M!r}")
+    h, M = _check_size(h, "mode index h", 1), _check_size(M, "resolution M", 1)
     lam = 1.0 / (np.pi * h) ** 2
     psi = np.sqrt(2.0) * np.sin(h * np.pi * midpoints(M))
     return lam, GridFunction(psi)

@@ -128,6 +128,24 @@ def test_epsilon_estimate_validation():
         bayes.estimate_epsilon(kernels.minmax(), gen_like, None, 10, 10, seed=0, sbar=sbar)
 
 
+@pytest.mark.parametrize("sizes,name", [
+    ((3.0, 5), "population size N"), ((np.float64(3), 5), "population size N"),
+    ((3, 2.5), "trials"), ((3, True), "trials"),
+])
+def test_epsilon_sizes_must_be_integers(sizes, name):
+    sbar = GridFunction(np.ones(10))
+    with pytest.raises(ValueError, match=name):
+        bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, 1.0, *sizes, seed=0, sbar=sbar)
+
+
+def test_epsilon_accepts_numpy_integer_sizes():
+    sbar = GridFunction(np.linspace(0.5, 2.0, 10))
+    est = bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, 1.0, np.int64(9), np.int32(7),
+                                 seed=0, sbar=sbar)
+    assert est == bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, 1.0, 9, 7, seed=0, sbar=sbar)
+    assert type(est.N) is int and type(est.trials) is int
+
+
 def test_epsilon_discretizes_once_when_solving_its_own_profile(monkeypatch, minmax_sbar):
     # Without sbar, the solve's lambda_max gives L_U; the operator is not
     # discretized and power-iterated a second time. The result matches the
@@ -175,16 +193,20 @@ def reference_estimate(spec, sbar, N, trials, seed, L_U=1.5):
     return 2.0 * L_U * float(devs.mean()), 2.0 * L_U * se
 
 
-def record_evaluate_sizes(monkeypatch):
-    """Points of each kernel evaluation estimate_epsilon makes, in call order."""
+def record_kernel_read_sizes(monkeypatch):
+    """Points of each kernel read estimate_epsilon makes, in call order.
+
+    The trial loop reads the kernel with the unchecked ``kernels._values``,
+    its draws lying in [0, 1) by construction.
+    """
     sizes = []
-    real = bayes.evaluate
+    real = bayes._values
 
     def counting(spec, x, y):
         sizes.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
         return real(spec, x, y)
 
-    monkeypatch.setattr(bayes, "evaluate", counting)
+    monkeypatch.setattr(bayes, "_values", counting)
     return sizes
 
 
@@ -217,7 +239,7 @@ def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, tri
     spec = BATCH_SPECS["minmax"]
     sbar = GridFunction(np.linspace(0.5, 2.0, 10))
     ref = reference_estimate(spec, sbar, N, trials, 3)
-    sizes = record_evaluate_sizes(monkeypatch)
+    sizes = record_kernel_read_sizes(monkeypatch)
     est = bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, N, trials, seed=3, sbar=sbar)
     assert_same_estimate(est, ref)
     chunk = max(rows, 1)
@@ -225,6 +247,26 @@ def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, tri
     assert max(sizes) <= max(budget // 8, row_bytes // 8)
     if trials == 1:
         assert math.isnan(est.stderr)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
+    # Chunk arrays peak near 3.5 budgets: a chunk's uniforms, drawn before the
+    # last chunk's link and value rows are freed, plus the kernel read's
+    # temporaries. The rest is O(trials + M). One (trials, N) array alone
+    # would take 2.56 MB, above the 1.2 MB bound.
+    import tracemalloc
+
+    spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
+    N, trials = 1600, 200
+    bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, 20, 5, seed=0, sbar=sbar)  # warm up
+    tracemalloc.start()
+    try:
+        bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, N, trials, seed=0, sbar=sbar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * bayes._CHUNK_BYTES + 16 * 8 * (trials + sbar.M)
 
 
 # Block boundaries of the step kernels in BATCH_SPECS (er and minmax have none).
@@ -265,7 +307,7 @@ def test_estimate_epsilon_evaluates_the_kernel_only_for_the_links(monkeypatch):
     # trials' N - 1 link probabilities.
     sbar = GridFunction(np.random.default_rng(2).random(5000))
     N, trials = 5, 300
-    sizes, aggregates = record_evaluate_sizes(monkeypatch), []
+    sizes, aggregates = record_kernel_read_sizes(monkeypatch), []
     real = bayes.expected_aggregate
 
     def counting(spec, sbar, x):
@@ -303,7 +345,7 @@ def test_a_one_point_sbar_still_works(kind):
 
 def test_bne_configuration_evaluates_the_kernel_in_few_bounded_chunks(monkeypatch, minmax_sbar):
     # criterion 9's configuration: minmax, alpha = 3, Ns 100, 400, 1600, 2000 trials
-    sizes = record_evaluate_sizes(monkeypatch)
+    sizes = record_kernel_read_sizes(monkeypatch)
     for n in (100, 400, 1600):
         bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, None, n, 2000, seed=n,
                                sbar=minmax_sbar)

@@ -91,6 +91,29 @@ def test_distance_experiment_validates_resolution():
                                Ns=[300], trials=1, delta=0.05, M=400, seed=0)
 
 
+@pytest.mark.parametrize("sizes,name", [
+    (dict(Ns=[20.7]), "each of Ns"), (dict(Ns=[np.float64(20)]), "each of Ns"),
+    (dict(trials=2.5), "trials"), (dict(trials=0), "trials"),
+])
+def test_experiment_sizes_must_be_integers(sizes, name):
+    # a float N would run int(N) agents under the label N; a float trial count
+    # would fail later, in range()
+    args = {"Ns": [20], "trials": 1, **sizes}
+    with pytest.raises(ValueError, match=name):
+        ex.distance_experiment(kernels.minmax(), LqPayoff(0.5, 1.0), **args, delta=0.05, M=60,
+                               seed=0)
+    with pytest.raises(ValueError, match=name):
+        ex.intervention_experiment(kernels.minmax(), 5.0, 1.0, 0.01, **args, optimal_cap=20,
+                                   seed=0)
+
+
+def test_numpy_integer_sizes_run_the_int_experiment():
+    args = dict(spec=kernels.minmax(), payoff=LqPayoff(0.5, 1.0), delta=0.05, M=60, seed=0)
+    as_numpy = ex.distance_experiment(**args, Ns=np.array([20, 30]), trials=np.int64(2))
+    assert as_numpy == ex.distance_experiment(**args, Ns=[20, 30], trials=2)
+    assert all(type(s.N) is int and type(s.trials) is int for s in as_numpy)
+
+
 def test_distance_csv_reproducible(tmp_path):
     args = dict(spec=kernels.minmax(), payoff=LqPayoff(0.5, 1.0),
                 Ns=[30, 60], trials=3, delta=0.05, M=150, seed=99)

@@ -48,6 +48,17 @@ def test_zero_population_rejected():
         sampling.sample_types(0, seed=1)
 
 
+@pytest.mark.parametrize("N", [3.0, 2.5, "3", True, None])
+def test_a_non_integer_population_is_rejected_by_name(N):
+    with pytest.raises(ValueError, match="population size N"):
+        sampling.sample_types(N, seed=1)
+
+
+def test_a_numpy_integer_population_draws_the_same_types():
+    assert np.array_equal(sampling.sample_types(np.int32(7), seed=1).types,
+                          sampling.sample_types(7, seed=1).types)
+
+
 # --- weighted network ----------------------------------------------------------
 
 def test_weighted_full_er():
