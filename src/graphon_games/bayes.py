@@ -4,9 +4,9 @@ When agents know the kernel and their own type but not the realized network,
 the infinite-population equilibrium played as a type-contingent strategy is an
 approximate Bayesian equilibrium. Two quantities are measured here:
 
-  * the expected local aggregate of an agent of type x, which equals the
-    kernel-weighted average int W(x, y) s(y) dy exactly (for any population
-    size distribution), and
+  * the expected local aggregate of an agent of type x, the kernel-weighted
+    average int W(x, y) s(y) dy (for any population size distribution), by
+    midpoint quadrature on the profile's grid, and
   * a Monte Carlo estimate of the suboptimality epsilon = 2 L_U E|zeta - z(x)|,
     where zeta is the realized aggregate over random types and links,
     normalized by 1/(N-1) so the linear-quadratic equivalence is exact.
@@ -28,7 +28,7 @@ __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"
 
 DEFAULT_RESOLUTION = 1000
 # Per-chunk budget of estimate_epsilon's (c, 2N - 1) uniforms. A chunk's working set, those
-# plus a few (c, N - 1) link, cell index and value arrays, peaks near 3.5x this and so stays
+# plus a few (c, N - 1) link, cell index and value arrays, peaks near 2.5x this and so stays
 # in a 2 MiB L2: 256 KiB ran the bne configuration fastest of 64 KiB-2 MiB (2-vCPU Xeon).
 _CHUNK_BYTES = 1 << 18
 
@@ -53,10 +53,10 @@ def _check_sbar(sbar: GridFunction) -> None:
 def expected_aggregate(spec: GraphonSpec, sbar: GridFunction, x):
     """int W(x, y) sbar(y) dy by midpoint quadrature: the operator on sbar's grid applied at x.
 
-    This equals the expected realized aggregate of an agent of type x under
-    type and link randomness, for any population size. A scalar x gives a
-    float; an array of types gives an array of their aggregates, each with
-    the bits of its scalar call. An empty or non-finite sbar is a ValueError.
+    The integral is the expected realized aggregate of a type-x agent, for any population
+    size; the quadrature is off it by O(M^-2), 1.3e-6 relative on minmax (alpha = 3,
+    M = 1000, x = 0.1234). A scalar x gives a float; an array of types gives an array of
+    their aggregates, each with the bits of its scalar call. Empty or non-finite sbar: ValueError.
     """
     _check_sbar(sbar)
     return DiscretizedOperator(spec, sbar.M).at(x, sbar.values)
@@ -81,7 +81,7 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     uniforms: per row t_i, the N - 1 t_j, then the N - 1 link uniforms, the
     stream and the bits of one trial at a time. c >= 1 bounds each chunk's
     uniforms (2N - 1 doubles per trial) by _CHUNK_BYTES = 256 KiB, so its
-    working set, those and a few (c, N - 1) arrays, peaks near 3.5 budgets
+    working set, those and a few (c, N - 1) arrays, peaks near 2.5 budgets
     and stays in a 2 MiB L2 cache: of 64 KiB-2 MiB, 256 KiB ran the bne
     configuration fastest. Memory is that working set plus O(trials + M),
     whatever N. N and trials must be integers (numpy ones too).
@@ -116,6 +116,7 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
         np.less(u[:, N:], links, out=links)  # the link probabilities become 1.0 / 0.0 links
         vals = sbar.values[_cell_index(tj, sbar.M)]
         zeta[start:start + len(u)] = (links[:, None, :] @ vals[:, :, None])[:, 0, 0] / (N - 1)
+        del u, tj, links, vals  # freed before the next chunk is drawn
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 
     se = float(deviations.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan

@@ -10,12 +10,9 @@ the contraction condition (lipschitz ratio of the payoff times the spectral
 radius rho(G) below one) the best-response map is a Banach contraction, so
 the equilibrium is unique and best-response iteration converges
 geometrically. For a nonnegative G, rho(G) is lambda_max, the largest
-eigenvalue of G; a signed G also needs the largest eigenvalue of -G. Both
-are top Ritz values of ``spectral._Run`` Lanczos runs, which read at each
-step only what their caller asks (the top pair by Newton on the tridiagonal,
-the solve below in O(1)) and orient every Ritz vector by one rule
-(``_orient``). The returned EquilibriumReport carries lambda_max, so bounds
-do not recompute it.
+eigenvalue of G; for a signed G it is max(lambda_max, -lambda_min), read
+off both ends of one ``spectral._Run`` Lanczos run. The returned
+EquilibriumReport carries lambda_max, so bounds do not recompute it.
 
 Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
 Lanczos (CG on the positive definite I - alpha G, which the run's LDL^T
@@ -191,11 +188,10 @@ def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = POWER_TOL,
                                max_iter: int = POWER_MAX_ITER) -> float:
     """Largest eigenvalue of a symmetric matrix by Lanczos (``power_method``).
 
-    For the nonnegative matrices arising here this is also the spectral
-    radius (Perron), which is what the contraction checks need.
+    For a nonnegative matrix this is also the spectral radius (Perron); the
+    contraction gate reads a signed one's from both ends of one run.
     """
-    lam, _ = power_method(A, tol, max_iter)
-    return lam
+    return power_method(A, tol, max_iter)[0]
 
 
 def _check_contraction(ratio: float, rho: float) -> float:
@@ -288,9 +284,9 @@ def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None,
 
     If G is ``nonneg``, rho is lambda_max and one ``_lanczos`` run from all-ones gives it
     and x; unless ``lam_wanted``, it ends at x if ``_collatz_wielandt`` certifies there,
-    before any top() read, with q = ratio * lam_bar and lambda_max NaN. A signed G adds
-    lambda_max(-G) and solves for x apart. Raises ContractionError unless q < 1, or if the
-    pivots of the run for x found I - alpha G indefinite all the same.
+    before any top() read, with q = ratio * lam_bar and lambda_max NaN. A signed G reads rho
+    off both ends of one ``radius`` run from ``power_method``'s start, and x apart, from 1.
+    Raises ContractionError unless q < 1, or if the run for x found I - alpha G indefinite.
     """
     if nonneg:
         bound = None if lam_wanted else lambda x: _collatz_wielandt(G, ratio, x)
@@ -299,8 +295,9 @@ def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None,
             return math.nan, ratio * lam, x
         q = _check_contraction(ratio, lam)
     else:
-        lam = power_method(G, POWER_TOL, POWER_MAX_ITER)[0]
-        q = _check_contraction(ratio, max(lam, matrix_dominant_eigenvalue(-G)))
+        start = np.random.default_rng(0).standard_normal(len(G))
+        lam, rho, _ = _lanczos(G, start, POWER_TOL, radius=True)
+        q = _check_contraction(ratio, rho)
         x = None if alpha is None else _lanczos(G, np.ones(len(G)), alpha=alpha)[2]
     return lam, q, x if alpha is None else _definite(x)
 

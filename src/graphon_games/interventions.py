@@ -91,7 +91,7 @@ def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     G = P / len(P)
     if P.min() >= 0.0:
         return _welfares(G, alpha, [beta_hat])[0][0]
-    _contraction_gate(G, False, abs(alpha))  # rho(G) needs lambda_max(-G) too
+    _contraction_gate(G, False, abs(alpha))  # rho(G) reads both ends of one run
     return float(np.sum(_lq_solve(G, alpha, beta_hat) ** 2) / (2.0 * len(G)))
 
 

@@ -187,10 +187,8 @@ def midpoints(M: int) -> np.ndarray:
 
 
 def discretize(spec: GraphonSpec, M: int) -> DiscretizedOperator:
-    """The kernel's operator on the M x M grid of cell midpoints."""
-    if M < 2:
-        raise ValueError(f"resolution must be at least 2, got {M}")
-    return DiscretizedOperator(spec, M)
+    """The kernel's operator on the M x M grid of cell midpoints (M an integer >= 2)."""
+    return DiscretizedOperator(spec, _check_size(M, "resolution M", 2))
 
 
 def apply(op: DiscretizedOperator, f: GridFunction) -> GridFunction:
@@ -253,11 +251,12 @@ class _Run:
     once, at ``end`` or at |alpha| beta_k |y_k| <= eps min_j d_j y_1, y_k = z_k / d_k: the
     least pivot >= min(1 - alpha theta) stands for that least eigenvalue and y_1 = sum_j
     z_j^2 / d_j <= ||y|| for ||y||. ``solve(c)``: Q^T y, (I - alpha T) y = c, by ``eig()``
-    and the rule on min(1 - alpha theta) and ||y||. ``top(j)``: theta_max, |s_j| of T_j by
-    ``_top`` from T_j's top eigenvalue on span{(T_(j-1)'s top vector, 0), e_j}, steps
-    walked in order. ``settled(tol, j)``: beta_j |s_j| <= tol max(1, |theta_max|) or
-    ``end``; ``pair(j)`` then reads the top Ritz pair from ``eig(j)``, (theta, S) of T_j by
-    ``np.linalg.eigh``. Counters: ``k``, ``residual`` (the last beta_j |s_j|), ``reason``.
+    and the rule on min(1 - alpha theta) and ||y||. ``top(j, end)``: theta_max, |s_j| of T_j
+    (end -1: of -T_j, so -theta_min) by ``_top`` from T_j's top eigenvalue on
+    span{(T_(j-1)'s top vector, 0), e_j}, steps walked in order, each end on its own.
+    ``settled(tol, j, end)``: beta_j |s_j| <= tol max(1, |theta|) or ``end``; ``pair(j)``
+    then reads the top Ritz pair from ``eig(j)``, (theta, S) of T_j by ``np.linalg.eigh``.
+    Counters: ``k``, ``residual`` (the last beta_j |s_j|), ``reason``.
     """
 
     def __init__(self, A, q: np.ndarray, alpha: float | None = None):
@@ -266,7 +265,8 @@ class _Run:
         self.Q[0] = q / self.scale
         self.a, self.b, self.T_norm, self.k, self.end = [], [], 0.0, 0, False
         self.definite, self._d, self._z, self._y1 = alpha is not None, [], [], 0.0
-        self._top, self._eig, self.pair_at, self.residual, self.reason = (0,), None, None, 0.0, None
+        self._ends = {1: (0,), -1: (0,)}  # per end: steps walked, theta, |s|
+        self._eig, self.pair_at, self.residual, self.reason = None, None, 0.0, None
 
     def step(self) -> None:
         k, Q = self.k, self.Q
@@ -311,13 +311,14 @@ class _Run:
             y[j] = (z[j] + self.alpha * self.b[j] * y[j + 1]) / d[j]
         return self.scale * (y @ self.Q[:k])
 
-    def top(self, j: int | None = None):
-        while self._top[0] < (j or self.k):  # the warm start: a lower bound (class docstring)
-            i, theta, s = self._top if self._top[0] else (0, self.a[0], 0.0)
-            a, c, h = self.a[:i + 1], self.b[i - 1] * s, 0.5 * (theta - self.a[i])
+    def top(self, j: int | None = None, end: int = 1):
+        while self._ends[end][0] < (j or self.k):  # the warm start: a lower bound (class docstring)
+            i, theta, s = self._ends[end] if self._ends[end][0] else (0, end * self.a[0], 0.0)
+            a = self.a[:i + 1] if end > 0 else [-x for x in self.a[:i + 1]]
+            c, h = self.b[i - 1] * s, 0.5 * (theta - a[i])
             lam = max(theta, a[i]) + (c * c / (abs(h) + math.hypot(h, c)) if c else 0.0)
-            self._top = (i + 1, *_top(a, self.b[:i + 1], lam, 4.0 * _EPS * self.T_norm))
-        return self._top[1:]
+            self._ends[end] = (i + 1, *_top(a, self.b[:i + 1], lam, 4.0 * _EPS * self.T_norm))
+        return self._ends[end][1:]
 
     def eig(self, j: int | None = None):
         j = j or self.k
@@ -325,8 +326,8 @@ class _Run:
             self._eig = (j, *np.linalg.eigh(_tridiagonal(self.a[:j], self.b)))
         return self._eig[1:]
 
-    def settled(self, tol: float, j: int | None = None) -> bool:
-        j, (theta, s) = j or self.k, self.top(j)
+    def settled(self, tol: float, j: int | None = None, end: int = 1) -> bool:
+        j, (theta, s) = j or self.k, self.top(j, end)
         self.residual = self.b[j - 1] * s
         return self.residual <= tol * max(1.0, abs(theta)) or (self.end and j == self.k)
 
@@ -336,21 +337,24 @@ class _Run:
         return float(v @ (self.A @ v) / (v @ v)), v
 
     def stop(self, read: str | None = None) -> None:
-        """Why the run ends: indefinite, invariant, n, ``read``, else settled or solved."""
+        """Why the run ends: indefinite, invariant, n, ``read``, else solved or settled."""
         self.reason = ("indefinite" if self.alpha is not None and not self.definite else
                        ("n" if self.b[-1] > _EPS * self.T_norm else "invariant") if self.end
-                       else read or ("settled" if self.pair_at == self.k else "solved"))
+                       else read or ("solved" if self.alpha is not None and self.pair_at != self.k
+                                     else "settled"))
 
 
-def _lanczos(A, q: np.ndarray, tol: float | None = None,
-             max_iter: int = POWER_MAX_ITER, alpha: float | None = None, bound=None):
+def _lanczos(A, q: np.ndarray, tol: float | None = None, max_iter: int = POWER_MAX_ITER,
+             alpha: float | None = None, bound=None, radius: bool = False):
     """(lam, v, x) at the first step of a ``_Run`` that has read what was asked.
 
     ``tol`` asks for the top pair, ``alpha`` for x = (I - alpha A)^-1 q (None if I - alpha T
     turns indefinite first). ``bound(x)``, once x is read, ends the run there with (bound(x),
     None, x) unless it is None; only then does such a run walk ``top()``, from step 1.
+    ``radius`` runs on from the top pair, read where it would be, until -theta_min settles
+    by ``tol`` too, and gives the spectral radius max(lam, -theta_min) in v's place.
     IterationLimitError after max_iter, with the top Ritz vector and its beta_k |s_k|."""
-    run, pair, x, j = _Run(A, q, alpha), None, None, 0
+    run, pair, x, j, low = _Run(A, q, alpha), None, None, 0, None if radius else -math.inf
     while run.k < max_iter:
         run.step()
         if x is None and run.definite and (x := run.solve()) is not None and bound is not None:
@@ -361,9 +365,11 @@ def _lanczos(A, q: np.ndarray, tol: float | None = None,
                 bound is None or x is not None or not run.definite):
             j += 1
             pair = run.pair(j) if run.settled(tol, j) else None
-        if (pair is not None or tol is None) and (x is not None or not run.definite):
+        if low is None and run.settled(tol, end=-1):
+            low = run.top(end=-1)[0]
+        if (pair or tol is None) and (x is not None or not run.definite) and low is not None:
             run.stop()
-            return (*(pair or (None, None)), x)
+            return (pair[0], max(pair[0], low), x) if radius else (*(pair or (None, None)), x)
     run.stop("max_iter")
     S = run.eig()[1] if run.k else None  # the top Ritz vector is S[:, -1] @ Q
     raise IterationLimitError(f"Lanczos did not converge in {max_iter} steps",
@@ -437,8 +443,8 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     this as 1 / gap, as round-off does for any eigensolver. Eigenfunctions
     have unit L2 norm and are oriented by the rule of ``dominant_eigenpair``.
     """
-    M = op.M
-    if k < 1 or k > M:
+    M, k = op.M, _check_size(k, "k", 1)
+    if k > M:
         raise ValueError(f"k must lie in [1, {M}], got {k}")
     if op.spec.kind == "minmax":
         h = np.arange(1, k + 1)
@@ -508,12 +514,11 @@ def _step_pairs(spec: GraphonSpec):
     return sbm_eigen_analytic(Q, w, min(2, len(w)))
 
 
-@dataclass(frozen=True, eq=False)
 class _Difference:
     """s -> a @ s - b @ s, a symmetric operator given only by the products of a and b."""
 
-    a: DiscretizedOperator
-    b: DiscretizedOperator
+    def __init__(self, a: DiscretizedOperator, b: DiscretizedOperator):
+        self.a, self.b = a, b
 
     def __matmul__(self, s) -> np.ndarray:
         return self.a @ s - self.b @ s
@@ -523,12 +528,9 @@ def operator_distance(a: DiscretizedOperator, b: DiscretizedOperator) -> float:
     """L2 -> L2 operator norm of the difference of two discretized operators.
 
     For symmetric operators this is the largest absolute eigenvalue of
-    D = a - b, that is max(lambda_max(D), lambda_max(-D)), both by Lanczos at
-    ``POWER_TOL`` on the products a @ s - b @ s and b @ s - a @ s, with no
-    M x M matrix, from ``power_method``'s start for a signed matrix.
+    D = a - b, max(theta_max, -theta_min), both ends read at ``POWER_TOL``
+    from one Lanczos run on the products a @ s - b @ s, with no M x M matrix,
+    from ``power_method``'s start for a signed matrix.
     """
-    if a.M != b.M:
-        raise ValueError(f"resolution mismatch: {a.M} vs {b.M}")
-    q = np.random.default_rng(0).standard_normal(a.M)
-    return max(_lanczos(_Difference(a, b), q, POWER_TOL)[0],
-               _lanczos(_Difference(b, a), q, POWER_TOL)[0])
+    q = np.random.default_rng(0).standard_normal(a.M)  # b's product rejects another M
+    return _lanczos(_Difference(a, b), q, POWER_TOL, radius=True)[1]

@@ -251,10 +251,10 @@ def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, tri
 
 @pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
 def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
-    # Chunk arrays peak near 3.5 budgets: a chunk's uniforms, drawn before the
-    # last chunk's link and value rows are freed, plus the kernel read's
-    # temporaries. The rest is O(trials + M). One (trials, N) array alone
-    # would take 2.56 MB, above the 1.2 MB bound.
+    # Chunk arrays peak near 2.5 budgets: a chunk's uniforms plus its link and
+    # value rows and the kernel read's temporaries; the last chunk's arrays are
+    # freed before the next is drawn. The rest is O(trials + M). One
+    # (trials, N) array alone would take 2.56 MB, above the 0.94 MB bound.
     import tracemalloc
 
     spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
@@ -266,7 +266,7 @@ def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * bayes._CHUNK_BYTES + 16 * 8 * (trials + sbar.M)
+    assert peak <= 3 * bayes._CHUNK_BYTES + 16 * 8 * (trials + sbar.M)
 
 
 # Block boundaries of the step kernels in BATCH_SPECS (er and minmax have none).

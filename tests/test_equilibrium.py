@@ -715,6 +715,25 @@ def test_a_signed_network_with_a_negative_linear_response_takes_br_iteration():
     assert_direct_solve_matches_lu(rep, P / 3.0, payoff)
 
 
+@pytest.mark.parametrize("lq", [True, False], ids=["lq", "generic"])
+def test_a_signed_solve_reads_rho_from_both_ends_of_one_run(monkeypatch, lq):
+    # One run from power_method's Gaussian start reads lambda_max where
+    # power_method reads it and steps on until the bottom end settles, here
+    # after the top, and ends "settled"; an LQ payoff adds the run for x from
+    # 1. No -G is formed.
+    N = 40
+    P = random_network(np.random.default_rng(1), N) - 0.5
+    np.fill_diagonal(P, 0.0)
+    payoff = eq.LqPayoff(0.5 / np.max(np.abs(np.linalg.eigvalsh(P / N))), 1.0)
+    runs, Run = [], spectral._Run
+    monkeypatch.setattr(spectral, "_Run", lambda *args: runs.append(Run(*args)) or runs[-1])
+    rep = eq.solve_network(P, payoff if lq else eq.lq_as_generic(payoff, 100.0))
+    assert len(runs) == (2 if lq else 1)
+    assert runs[0].reason == "settled" and runs[0].pair_at < runs[0].k
+    assert rep.lambda_max == eq.matrix_dominant_eigenvalue(P / N)
+    assert rep.contraction_factor == pytest.approx(0.5, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("alpha", [0.9, -0.9])
 def test_direct_solve_on_an_invariant_start(alpha):
     # The all-ones vector is an eigenvector of the er kernel matrix, so the

@@ -778,8 +778,8 @@ def test_the_network_heuristic_is_the_one_the_policies_read(signed):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_welfare_on_a_signed_network_takes_the_gate_and_one_solve(monkeypatch, sign):
-    # The gate's power_method(G) and power_method(-G), then the solve from the
-    # allocation: 3 Lanczos runs (4 when a run from 1 served the planner's gate too).
+    # The gate's one run, which reads both ends of G's spectrum, then the solve
+    # from the allocation: 2 Lanczos runs (3 when a run from 1 served the planner's gate too).
     N = 40
     P = random_network(np.random.default_rng(11), N) - 0.5
     np.fill_diagonal(P, 0.0)
@@ -787,7 +787,7 @@ def test_welfare_on_a_signed_network_takes_the_gate_and_one_solve(monkeypatch, s
     b = np.linspace(0.5, 1.5, N)
     runs = lanczos_runs(monkeypatch, spectral, iv)
     T = iv.welfare(P, alpha, b)
-    assert len(runs) == 3
+    assert len(runs) == 2
     s = np.linalg.solve(np.eye(N) - alpha * P / N, b)
     assert T == pytest.approx(np.sum(s**2) / (2 * N), rel=1e-12, abs=0)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_games import kernels, spectral
+from graphon_games import equilibrium as eq, kernels, spectral
 from graphon_games.errors import IterationLimitError
 
 SBM_Q = np.array([[0.8, 0.1], [0.1, 0.8]])
@@ -48,6 +48,21 @@ def test_discretize_minmax_m2():
 def test_discretize_rejects_small_m():
     with pytest.raises(ValueError):
         spectral.discretize(kernels.minmax(), 1)
+
+
+@pytest.mark.parametrize("size", [10.5, 10.0, np.float64(12), True, "12"], ids=repr)
+def test_sizes_are_integers_where_they_enter(size):
+    # A float M once weighted 11 midpoints as 10.5, and a float k read 2 pairs
+    # for 1.5; every size is a Python or numpy integer, never a bool.
+    op = spectral.discretize(kernels.minmax(), 20)
+    with pytest.raises(ValueError, match="resolution M"):
+        spectral.discretize(kernels.minmax(), size)
+    with pytest.raises(ValueError, match="resolution M"):
+        eq.solve_graphon(kernels.minmax(), eq.LqPayoff(0.5, 1.0), size)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        spectral.top_k_eigen(op, size)
+    assert type(spectral.discretize(kernels.minmax(), np.int64(12)).M) is int
+    assert len(spectral.top_k_eigen(op, np.int64(12))) == 12
 
 
 # --- operator application ---------------------------------------------------
@@ -414,12 +429,17 @@ def test_operator_distance_constant_kernels():
     assert spectral.operator_distance(a, b) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_operator_distance_matches_the_dense_spectrum_without_a_matrix():
-    # Lanczos on the products a @ s - b @ s, both signs: the largest |eigenvalue|
-    # of the dense difference, with no M x M matrix built on either side.
+def test_operator_distance_matches_the_dense_spectrum_without_a_matrix(monkeypatch):
+    # One Lanczos run on the products a @ s - b @ s, read at both ends: the
+    # largest |eigenvalue| of the dense difference, with no M x M matrix built
+    # on either side.
+    runs, Run = [], spectral._Run
+    monkeypatch.setattr(spectral, "_Run", lambda *args: runs.append(Run(*args)) or runs[-1])
     for b_spec in (kernels.sbm(SBM_Q, SBM_W), kernels.erdos_renyi(0.1)):
         a, b = spectral.discretize(kernels.minmax(), 300), spectral.discretize(b_spec, 300)
+        runs.clear()
         got = spectral.operator_distance(a, b)
+        assert [run.reason for run in runs] == ["settled"]
         assert "kernel_matrix" not in vars(a) and "kernel_matrix" not in vars(b)
         want = np.max(np.abs(np.linalg.eigvalsh(a.matrix() - b.matrix())))
         assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -428,8 +448,9 @@ def test_operator_distance_matches_the_dense_spectrum_without_a_matrix():
 def test_operator_distance_mismatch():
     a = spectral.discretize(kernels.erdos_renyi(0.7), 60)
     b = spectral.discretize(kernels.erdos_renyi(0.2), 61)
-    with pytest.raises(ValueError):
-        spectral.operator_distance(a, b)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="resolution mismatch"):
+            spectral.operator_distance(x, y)
 
 
 def test_eigenvalue_perturbation_bound():
@@ -556,6 +577,20 @@ def test_power_method_matches_eigvalsh(kind, n, seed):
     assert abs(lam - ref) <= 1e-10 * max(1.0, abs(ref))
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert v.sum() >= 0.0
+
+
+@given(kind=st.sampled_from(["nonnegative", "signed", "bipartite", "low-rank", "scalar"]),
+       n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_one_run_reads_the_spectral_radius_from_both_ends(kind, n, seed):
+    # The top pair where a run without the bottom read takes it, then the
+    # bottom end of the same run: max(theta_max, -theta_min) is max |eigenvalue|.
+    A = _symmetric_case(kind, n, np.random.default_rng(seed))
+    q = np.random.default_rng(0).standard_normal(len(A))
+    lam, rho, _ = spectral._lanczos(A, q, 1e-13, radius=True)
+    ref = np.max(np.abs(np.linalg.eigvalsh(A)))
+    assert abs(rho - ref) <= 1e-12 * max(1.0, ref)
+    assert lam == spectral._lanczos(A, q, 1e-13)[0]
 
 
 @pytest.mark.parametrize("A", [[[0.0, math.nan], [math.nan, 0.0]], [[1.0, math.inf], [math.inf, 1.0]]])
