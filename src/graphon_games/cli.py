@@ -108,7 +108,7 @@ def _write_json(outdir: Path, name: str, doc) -> None:
 
 def _write_table(args, outdir: Path, name: str, header: str, rows, docs) -> None:
     # name.csv always; name.json as well under --format json
-    _write_csv(outdir / f"{name}.csv", header, rows)
+    _write_csv(outdir / f"{name}.csv", header, list(zip(*rows)))
     if args.format == "json":
         _write_json(outdir, f"{name}.json", docs)
 
@@ -155,10 +155,10 @@ def _cmd_eigen(args, outdir: Path) -> int:
         })
     else:
         _write_csv(outdir / "eigenvalues.csv", "rank,value",
-                   enumerate((p.value for p in pairs), start=1))
+                   [range(1, len(pairs) + 1), [p.value for p in pairs]])
         header = "midpoint," + ",".join(f"psi{i}" for i in range(1, len(pairs) + 1))
         _write_csv(outdir / "eigenfunctions.csv", header,
-                   zip(midpoints(args.M), *(p.function.values for p in pairs)))
+                   [midpoints(args.M), *(p.function.values for p in pairs)])
     return 0
 
 
@@ -176,7 +176,8 @@ def _cmd_solve_network(args, outdir: Path) -> int:
         report = _solve(DiscretizedOperator(build_graphon(args), args.N, types), True, payoff)
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
-        _write_csv(outdir / "profile.csv", "index,value", enumerate(report.profile_array()))
+        _write_csv(outdir / "profile.csv", "index,value",
+                   [range(len(report.profile)), report.profile_array()])
     return 0
 
 
@@ -185,8 +186,7 @@ def _cmd_solve_graphon(args, outdir: Path) -> int:
     report = solve_graphon(spec, LqPayoff(args.alpha, args.beta), args.M)
     _write_json(outdir, "equilibrium.json", report_to_json(report))
     if args.format == "csv":
-        _write_csv(outdir / "profile.csv", "midpoint,value",
-                   zip(midpoints(args.M), report.profile_array()))
+        report.profile.write_csv(outdir / "profile.csv")
     return 0
 
 
@@ -199,9 +199,9 @@ def _cmd_intervene(args, outdir: Path) -> int:
     _write_json(outdir, "interventions.json", [result_to_json(r) for r in results])
     if args.format == "csv":
         _write_csv(outdir / "interventions.csv", "policy,welfare,budget_used",
-                   [(r.policy, r.welfare, r.budget_used) for r in results])
+                   list(zip(*[(r.policy, r.welfare, r.budget_used) for r in results])))
         _write_csv(outdir / "allocations.csv", "index," + ",".join(r.policy for r in results),
-                   [(i, *row) for i, row in enumerate(zip(*(r.beta_hat for r in results)))])
+                   [range(args.N), *(r.beta_hat for r in results)])
     return 0
 
 

@@ -113,17 +113,12 @@ class GenericPayoff:
     def _spot_check(self):
         lo, hi = self.bounds
         probes_s = np.array([lo, 0.5 * (lo + hi), hi])
-        for z in (0.0, 1.0):
-            g = np.asarray(self.grad_s(probes_s, np.full(3, z)), dtype=float)
-            for i in range(2):
-                slope = (g[i + 1] - g[i]) / (probes_s[i + 1] - probes_s[i])
-                if slope > -self.alpha_U * (1.0 - 1e-6):
-                    raise ValueError(
-                        "grad_s is not decreasing in s at the declared rate "
-                        f"(slope {slope:.6g} at z={z})"
-                    )
-        g0 = np.asarray(self.grad_s(probes_s, np.zeros(3)), dtype=float)
-        g1 = np.asarray(self.grad_s(probes_s, np.ones(3)), dtype=float)
+        g0, g1 = (_grad(self, probes_s, np.full(3, z)) for z in (0.0, 1.0))
+        for z, g in ((0.0, g0), (1.0, g1)):
+            slope = float(np.max(np.diff(g) / np.diff(probes_s)))
+            if slope > -self.alpha_U * (1.0 - 1e-6):
+                raise ValueError("grad_s is not decreasing in s at the declared rate "
+                                 f"(slope {slope:.6g} at z={z})")
         if np.max(np.abs(g1 - g0)) > self.ell_U * (1.0 + 1e-6) + 1e-9:
             raise ValueError("grad_s varies in z faster than the declared ell_U")
 
@@ -227,33 +222,51 @@ def _br_iterate(br, s0: np.ndarray, tol: float, max_iter: int):
     )
 
 
-def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
-    """Best response by monotone bisection of grad_s over the strategy box.
+def _grad(payoff: GenericPayoff, s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    g = np.asarray(payoff.grad_s(s, z), dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError(f"grad_s is not finite at some s in [{s.min():.17g}, {s.max():.17g}]")
+    return g
 
-    Strong concavity makes grad_s strictly decreasing in s, so the argmax is
-    lo where the gradient is already nonpositive, hi where it is still
-    nonnegative, and the unique interior root otherwise.
+
+def _br_generic(payoff: GenericPayoff, z: np.ndarray) -> np.ndarray:
+    """Best response by Chandrupatla's bracketed method on grad_s over the strategy box.
+
+    Strong concavity makes grad_s strictly decreasing in s, so the argmax is lo where the
+    gradient is already nonpositive, hi where it is still nonnegative, and else the root in
+    its bracket [a, b]. Inverse quadratic interpolation or bisection, each step at least
+    tol / 2 inside, shrinks that to tol = ``_BISECT_TOL`` plus 4 ulps (Chandrupatla, Adv.
+    Eng. Software 28, 1997), and its midpoint is returned; a bracket still open after
+    ``_BISECT_MAX`` steps raises IterationLimitError.
     """
     lo, hi = payoff.bounds
     z = np.asarray(z, dtype=float)
-    g_lo = np.asarray(payoff.grad_s(np.full_like(z, lo), z), dtype=float)
-    g_hi = np.asarray(payoff.grad_s(np.full_like(z, hi), z), dtype=float)
+    g_lo, g_hi = (_grad(payoff, np.full_like(z, v), z) for v in (lo, hi))
     out = np.where(g_lo <= 0.0, lo, np.where(g_hi >= 0.0, hi, np.nan))
     interior = np.isnan(out)
-    if np.any(interior):
-        zi = z[interior]
-        a = np.full_like(zi, lo)
-        b = np.full_like(zi, hi)
+    if not interior.any():
+        return out
+    zi = z[interior]  # a is the newest point, c the one last dropped from the bracket
+    a, b, t = np.full_like(zi, hi), np.full_like(zi, lo), 0.5
+    fa, fb = g_hi[interior], g_lo[interior]
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_BISECT_MAX):
-            mid = 0.5 * (a + b)
-            g_mid = np.asarray(payoff.grad_s(mid, zi), dtype=float)
-            up = g_mid > 0.0
-            a = np.where(up, mid, a)
-            b = np.where(up, b, mid)
-            if float(np.max(b - a)) <= _BISECT_TOL:
-                break
-        out[interior] = 0.5 * (a + b)
-    return out
+            fx = _grad(payoff, x := a + t * (b - a), zi)
+            kept = (fx > 0.0) == (fa > 0.0)  # the root lies in [x, b], else in [x, a]
+            c, fc = np.where(kept, a, b), np.where(kept, fa, fb)
+            a, fa, b, fb = x, fx, np.where(kept, b, a), np.where(kept, fb, fa)
+            b = np.where(fa == 0.0, a, b)  # a root hit exactly closes its bracket
+            width, tol = np.abs(b - a), _BISECT_TOL + 4.0 * np.spacing(np.abs(a))
+            if (width <= tol).all():
+                out[interior] = 0.5 * (a + b)
+                return out
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                         fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa)
+                         * fb / (fc - fb), 0.5)
+            # a closed bracket steps to its own a (t = 0), which keeps it as it is
+            t = np.where(width <= tol, 0.0, np.clip(t, 0.5 * tol / width, 1.0 - 0.5 * tol / width))
+    raise IterationLimitError(f"a best response's bracket is still open after {_BISECT_MAX} steps")
 
 
 def _definite(x):

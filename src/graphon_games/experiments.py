@@ -265,25 +265,27 @@ def rate_fit(Ns, medians, delta: float):
     return float(slope), float(intercept), float(r2)
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+_CSV_BLOCK = 4096  # rows formatted at a time: a table's cell strings never all exist at once
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Write the header, then one LF-terminated line per row of ``_fmt`` cells."""
+def _cells(block) -> list:
+    """Floats by repr, NaN and None as empty cells, anything else by str; arrays by tolist."""
+    return ["" if v is None or v != v else repr(float(v)) if isinstance(v, float) else str(v)
+            for v in (block.tolist() if isinstance(block, np.ndarray) else block)]
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """The header, then one LF-terminated line per row of the equal-length ``columns``."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        for i in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+            block = [_cells(col[i:i + _CSV_BLOCK]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_distance_csv(rows, path) -> None:
-    _write_csv(path, DISTANCE_CSV_HEADER, rows)
+    _write_csv(path, DISTANCE_CSV_HEADER, list(zip(*rows)))
 
 
 def write_welfare_csv(rows, path) -> None:
-    _write_csv(path, WELFARE_CSV_HEADER, rows)
+    _write_csv(path, WELFARE_CSV_HEADER, list(zip(*rows)))

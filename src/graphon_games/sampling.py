@@ -18,7 +18,6 @@ and the kernel's closed form at the sorted types, with no P
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -161,13 +160,10 @@ def network_from_json(doc: dict) -> tuple[np.ndarray, TypeVector]:
 
 def write_edge_csv(matrix: np.ndarray, path) -> None:
     """Write the upper triangle as (i, j, weight) rows, zero edges omitted."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "weight"])
-        iu, ju = np.nonzero(np.triu(matrix, 1))  # row-major: rows ascending, then columns
-        for i, j, wij in zip(iu.tolist(), ju.tolist(), matrix[iu, ju].tolist()):
-            writer.writerow([i, j, repr(float(wij))])
+    from .experiments import _write_csv  # experiments imports this module
+    matrix = np.asarray(matrix, dtype=float)
+    iu, ju = np.nonzero(np.triu(matrix, 1))  # row-major: rows ascending, then columns
+    _write_csv(path, "i,j,weight", [iu, ju, matrix[iu, ju]])
 
 
 def load_network_json(path) -> tuple[np.ndarray, TypeVector]:

@@ -85,10 +85,8 @@ class GridFunction:
 
     def write_csv(self, path) -> None:
         """Plot-ready (grid midpoint, value) rows."""
-        with open(path, "w") as fh:
-            fh.write("midpoint,value\n")
-            for x, v in zip(midpoints(self.M), self.values):
-                fh.write(f"{float(x)!r},{float(v)!r}\n")
+        from .experiments import _write_csv  # experiments imports this module
+        _write_csv(path, "midpoint,value", [midpoints(self.M), self.values])
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,8 +472,8 @@ def sbm_eigen_analytic(Q, w, k: int | None = None) -> list[tuple[float, np.ndarr
     mean weighted by w; pairs are sorted by descending eigenvalue.
     """
     Q, w = _validate_sbm(Q, w)
-    k = len(w) if k is None else k
-    if k < 1 or k > len(w):
+    k = len(w) if k is None else _check_size(k, "k", 1)
+    if k > len(w):
         raise ValueError(f"k must lie in [1, {len(w)}], got {k}")
     sw = np.sqrt(w)
     values, U = np.linalg.eigh(sw[:, None] * Q * sw[None, :])

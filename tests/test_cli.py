@@ -162,8 +162,9 @@ def test_simple_solve_network_is_solve_network_of_the_simple_network(tmp_path, g
     report = solve_network(A, LqPayoff(alpha, 1.0))
     (tmp_path / "ref").mkdir()
     cli._write_json(tmp_path / "ref", "equilibrium.json", report_to_json(report))
+    profile = report.profile_array()
     cli._write_csv(tmp_path / "ref" / "profile.csv", "index,value",
-                   enumerate(report.profile_array()))
+                   [range(len(profile)), profile])
     for name in ("equilibrium.json", "profile.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
@@ -206,9 +207,10 @@ def test_intervene_solves_the_simple_network_of_the_weighted_one(tmp_path, graph
     ref.mkdir()
     cli._write_json(ref, "interventions.json", [interventions.result_to_json(r) for r in results])
     cli._write_csv(ref / "interventions.csv", "policy,welfare,budget_used",
-                   [(r.policy, r.welfare, r.budget_used) for r in results])
+                   [[r.policy for r in results], [r.welfare for r in results],
+                    [r.budget_used for r in results]])
     cli._write_csv(ref / "allocations.csv", "index," + ",".join(r.policy for r in results),
-                   [(i, *row) for i, row in enumerate(zip(*(r.beta_hat for r in results)))])
+                   [range(N), *(r.beta_hat for r in results)])
     for name in ("interventions.json", "interventions.csv", "allocations.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (ref / name).read_bytes()
 

@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from graphon_games import cli
 from graphon_games.spectral import midpoints
@@ -203,6 +204,45 @@ def test_write_csv_formats_cells(tmp_path):
     from graphon_games.experiments import _write_csv
 
     path = tmp_path / "t.csv"
-    _write_csv(path, "a,b,c,d,e", [(1, np.float64(0.1), math.nan, None, "w"),
-                                   (np.int64(2), 1e-20, 3.0, 7, "s")])
+    _write_csv(path, "a,b,c,d,e", [(1, np.int64(2)), (np.float64(0.1), 1e-20),
+                                   np.array([math.nan, 3.0]), (None, 7), ("w", "s")])
     assert path.read_bytes() == b"a,b,c,d,e\n1,0.1,,,w\n2,1e-20,3.0,7,s\n"
+
+
+def _fmt(value) -> str:
+    """The per-cell rule the CSV writer keeps, as it read when it ran once per cell."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2 blocks + 1"])
+def test_write_csv_keeps_the_per_cell_bytes_across_blocks(tmp_path, extra):
+    # Cells are formatted a column block at a time; the bytes are those of the
+    # per-cell rule, row by row, at and around each block boundary.
+    from graphon_games.experiments import _CSV_BLOCK, _write_csv
+
+    n = 2 * _CSV_BLOCK + 1 if extra == "2 blocks + 1" else _CSV_BLOCK + extra
+    specials = [math.nan, -0.0, 1e-5, 1e16, 1e-300, 0.1, -2.5, math.inf]
+    floats = np.array([specials[i % len(specials)] * (1 + i % 3) for i in range(n)])
+    mixed = [[None, 3, np.int64(-4), True, np.bool_(False), "lq", np.float64(1e-5),
+              math.nan, np.float64(math.nan), -0.0, 7.25][i % 11] for i in range(n)]
+    columns = [range(n), floats, mixed, np.arange(n) - 5, floats[::-1] * 1e-300,
+               np.arange(n) % 2 == 0]
+    path = tmp_path / "t.csv"
+    _write_csv(path, "i,f,m,k,g,b", columns)
+    want = "i,f,m,k,g,b\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+                                     for row in zip(*columns))
+    assert path.read_bytes() == want.encode()
+    assert len(path.read_bytes().split(b"\n")) == n + 2
+
+
+def test_write_csv_writes_only_the_header_of_an_empty_table(tmp_path):
+    from graphon_games.experiments import _write_csv, write_distance_csv
+
+    _write_csv(tmp_path / "a.csv", "x,y", [np.array([]), []])
+    write_distance_csv([], tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\n"
+    assert (tmp_path / "b.csv").read_bytes() == b"N,trial,kind,distance,bound,d_N_event\n"

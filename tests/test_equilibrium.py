@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from graphon_games import equilibrium as eq
 from graphon_games import kernels, sampling, spectral
-from graphon_games.errors import ContractionError
+from graphon_games.errors import ContractionError, IterationLimitError
 
 
 def random_network(rng, N):
@@ -193,6 +193,86 @@ def test_generic_nonlinear_payoff_converges():
     s = rep.profile_array()
     z = eq.local_aggregate(P, s)
     assert np.max(np.abs(s - np.clip(0.5 + np.tanh(z), 0.0, 3.0))) <= 1e-9
+
+
+class _CountingGradient:
+    """grad_s of an LQ payoff, counting its calls."""
+
+    def __init__(self, p):
+        self.p, self.calls = p, 0
+
+    def __call__(self, s, z):
+        self.calls += 1
+        return self.p.beta + self.p.alpha * z - s
+
+
+def _counted(p, lo, hi):
+    grad = _CountingGradient(p)
+    return eq.GenericPayoff(grad, alpha_U=1.0, ell_U=abs(p.alpha), bounds=(lo, hi)), grad
+
+
+def test_generic_graphon_solve_takes_few_gradient_calls():
+    # The benchmark's generic solve (minmax, lq_as_generic(LqPayoff(-0.5, 1), hi=1),
+    # M = 2000) took 342 grad_s calls by bisection; Chandrupatla's method takes 36.
+    gen, grad = _counted(eq.LqPayoff(-0.5, 1.0), 0.0, 1.0)
+    rep = eq.solve_graphon(kernels.minmax(), gen, 2000)
+    assert grad.calls <= 60
+    lq = eq.solve_graphon(kernels.minmax(), eq.LqPayoff(-0.5, 1.0), 2000)
+    assert np.max(np.abs(rep.profile_array() - lq.profile_array())) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, beta, lo, hi", [(-0.5, 1.0, 0.0, 1.0), (0.5, 1.0, 0.0, 1.2),
+                                                 (3.0, -1.0, 0.0, 10.0), (-2.0, 0.3, 0.1, 0.7),
+                                                 (1.0, 1e4 + 1.0 / 3.0, 0.0, 3e4)])
+def test_best_response_lies_within_the_bracket_tolerance_of_the_root(alpha, beta, lo, hi):
+    # The exact best response is the root beta + alpha z clipped to the box.
+    p = eq.LqPayoff(alpha, 1.0)
+    object.__setattr__(p, "beta", beta)  # a negative beta too, to clip at lo
+    gen, grad = _counted(p, lo, hi)
+    z = np.random.default_rng(5).uniform(-1.0, 1.0, 500)
+    root = np.clip(beta + alpha * z, lo, hi)
+    grad.calls = 0
+    got = eq._br_generic(gen, z)
+    tol = eq._BISECT_TOL + 4.0 * np.spacing(np.abs(root))
+    assert np.all(np.abs(got - root) <= 0.5 * tol + 2.0 * np.spacing(np.abs(root)))
+    assert lo <= got.min() and got.max() <= hi
+    # bisection took 42 calls here, and all 202 near s = 1e4, where ulp(1e4) > 1e-12
+    assert grad.calls <= 15
+
+
+def test_best_response_stops_within_ulps_of_a_large_root():
+    # A root at s = 1e4 has ulp 1.8e-12 > _BISECT_TOL: bisection ran all _BISECT_MAX
+    # steps (202 calls for 3 agents), and a box of (0, 1e80) left it 3.1e19 off a
+    # root near 1. The stop rule allows 4 ulps of s on top of _BISECT_TOL.
+    gen, grad = _counted(eq.LqPayoff(0.0, 1e4 + 1.0 / 3.0), 0.0, 3e4)
+    grad.calls = 0
+    got = eq._br_generic(gen, np.zeros(3))
+    assert grad.calls <= 15
+    assert np.all(np.abs(got - (1e4 + 1.0 / 3.0)) <= 1e-11)
+    gen, grad = _counted(eq.LqPayoff(0.5, 1.0), 0.0, 1e80)
+    assert np.max(np.abs(eq._br_generic(gen, np.array([0.0, 1.0, 2.0])) - [1.0, 1.5, 2.0])) <= 1e-12
+
+
+def test_best_response_raises_when_its_bracket_stays_open(monkeypatch):
+    gen, _ = _counted(eq.LqPayoff(-0.5, 1.0), 0.0, 1.0)
+    monkeypatch.setattr(eq, "_BISECT_MAX", 1)  # a linear gradient closes in 2 or 3 steps
+    with pytest.raises(IterationLimitError, match="bracket"):
+        eq._br_generic(gen, np.linspace(0.1, 0.3, 7))
+    with pytest.raises(IterationLimitError):
+        eq.solve_graphon(kernels.minmax(), gen, 50)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_gradient_raises_a_value_error(bad):
+    # A gradient NaN on (0.3, 0.9) once read as "<= 0", and the best response came back 0.3.
+    def grad_s(s, z):
+        return np.where((s > 0.3) & (s < 0.9), bad, 0.6 + 0.0 * z - s)
+
+    gen = eq.GenericPayoff(grad_s, alpha_U=1.0, ell_U=0.0, bounds=(0.0, 2.0))  # probes 0, 1, 2
+    with pytest.raises(ValueError, match="grad_s is not finite"):
+        eq._br_generic(gen, np.zeros(4))
+    with pytest.raises(ValueError, match="grad_s is not finite"):
+        eq.GenericPayoff(grad_s, alpha_U=1.0, ell_U=0.0, bounds=(0.0, 1.0))  # probe 0.5
 
 
 def test_uniqueness_from_distinct_starts():

@@ -383,6 +383,14 @@ def test_sbm_analytic_top_k_matches_the_full_spectrum():
             spectral.sbm_eigen_analytic(Q, w, k)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1), True, "2"], ids=repr)
+def test_sbm_eigen_analytic_checks_k_is_an_integer(k):
+    # k = 1.5 once reached a slice and raised a TypeError about slice indices.
+    with pytest.raises(ValueError, match="k must be an integer"):
+        spectral.sbm_eigen_analytic(SBM_Q, SBM_W, k)
+    assert len(spectral.sbm_eigen_analytic(SBM_Q, SBM_W, np.int64(1))) == 1
+
+
 def test_sbm_analytic_matches_numeric_function():
     # Analytic and discretized dominant eigenfunctions agree in L2 at M = 400.
     M = 400
