@@ -17,9 +17,9 @@ EquilibriumReport carries lambda_max, so bounds do not recompute it.
 Linear-quadratic payoffs admit a direct solve of (I - alpha G) s = beta by
 Lanczos (CG on the positive definite I - alpha G, which the run's LDL^T
 pivots of I - alpha T certify), for a nonnegative G in
-the very run that gives lambda_max, or for a caller that reads no lambda_max
-(the distance trial) in the run that ends at that solve where
-x = (I - alpha G)^-1 1 certifies the contraction (Collatz-Wielandt). It is
+the very run that gives lambda_max; a caller that reads no lambda_max (the
+distance trial) first runs for x = (I - alpha G)^-1 1 alone, which is the
+whole gate where x certifies the contraction (Collatz-Wielandt). It is
 the equilibrium, a fixed point of s = max(0, alpha G s + beta), exactly when
 it is nonnegative (always for complements on a nonnegative G: s >= beta);
 otherwise projected best-response iteration takes over. Generic payoffs
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractionError, IterationLimitError
+from .errors import ContractionError, IterationLimitError, _check_size
 from .kernels import GraphonSpec, _validate_symmetric
 from .spectral import POWER_MAX_ITER, POWER_TOL, GridFunction, _lanczos, discretize, power_method
 
@@ -174,8 +174,8 @@ def _lipschitz_ratio(payoff) -> float:
 
 def contraction_factor(payoff, lambda_max: float) -> float:
     """The Banach modulus (ell_U / alpha_U) * lambda_max; pass the spectral radius as lambda_max."""
-    if lambda_max < 0.0:
-        raise ValueError("lambda_max must be nonnegative")
+    if not lambda_max >= 0.0:
+        raise ValueError(f"lambda_max must be nonnegative, got {lambda_max}")
     return _lipschitz_ratio(payoff) * lambda_max
 
 
@@ -295,17 +295,17 @@ def _contraction_gate(G, nonneg: bool, ratio: float, alpha: float | None = None,
                       lam_wanted: bool = True):
     """(lambda_max(G), q = ratio * rho(G), x = (I - alpha G)^-1 1 if alpha is given).
 
-    If G is ``nonneg``, rho is lambda_max and one ``_lanczos`` run from all-ones gives it
-    and x; unless ``lam_wanted``, it ends at x if ``_collatz_wielandt`` certifies there,
-    before any top() read, with q = ratio * lam_bar and lambda_max NaN. A signed G reads rho
-    off both ends of one ``radius`` run from ``power_method``'s start, and x apart, from 1.
-    Raises ContractionError unless q < 1, or if the run for x found I - alpha G indefinite.
+    Unless ``lam_wanted`` (G nonneg, alpha given), x alone is read from 1 as ``_lq_solve``
+    reads it: if ``_collatz_wielandt`` certifies there, q = ratio * lam_bar, lambda_max NaN.
+    Else a ``nonneg`` G's rho is lambda_max, read with x (the same bits) by one run from 1; a
+    signed G reads rho off both ends of one ``radius`` run from ``power_method``'s start, and
+    x apart, from 1. Raises ContractionError unless q < 1, or if I - alpha G is indefinite.
     """
     if nonneg:
-        bound = None if lam_wanted else lambda x: _collatz_wielandt(G, ratio, x)
-        lam, v, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha, bound=bound)
-        if v is None:  # certified at x
-            return math.nan, ratio * lam, x
+        x = None if lam_wanted else _lanczos(G, np.ones(len(G)), alpha=alpha)[2]
+        if x is not None and (lam_bar := _collatz_wielandt(G, ratio, x)) is not None:
+            return math.nan, ratio * lam_bar, x
+        lam, _, x = _lanczos(G, np.ones(len(G)), POWER_TOL, alpha=alpha)
         q = _check_contraction(ratio, lam)
     else:
         start = np.random.default_rng(0).standard_normal(len(G))
@@ -329,6 +329,8 @@ def _solve(G, nonneg: bool, payoff, tol: float = DEFAULT_TOL, max_iter: int = DE
     contraction factor uses the spectral radius of G, or unless ``lam_wanted``
     possibly a bound on it with lambda_max NaN (``_contraction_gate``).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lq = isinstance(payoff, LqPayoff)
     lam, q, x = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff),
                                   payoff.alpha if lq else None, lam_wanted)
@@ -402,12 +404,14 @@ def bound_rho(N: int, delta: float, L: float, Omega: int, Ktilde: float):
 
     The (L^2 - Omega^2) d_N^2 term can go negative when Omega > L; it is
     clamped at zero (with a warning), which keeps the expression a valid,
-    slightly larger radius.
+    slightly larger radius. N >= 2 and Omega >= 0 are integers, L and Ktilde
+    finite and nonnegative: anything else raises ValueError.
     """
     if not 0.0 < delta <= math.exp(-1.0):
         raise ValueError(f"delta must lie in (0, e^-1], got {delta}")
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
+    N, Omega = _check_size(N, "N", 2), _check_size(Omega, "Omega", 0)
+    if not (0.0 <= L < math.inf and 0.0 <= Ktilde < math.inf):
+        raise ValueError(f"L and Ktilde must be nonnegative and finite, got {L} and {Ktilde}")
     d_N = 1.0 / N + math.sqrt(8.0 * math.log(N / delta) / N)
     radicand_sq = (L * L - Omega * Omega) * d_N * d_N
     if radicand_sq < 0.0:

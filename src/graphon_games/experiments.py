@@ -21,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     LqPayoff,
     _solve,
     bound_rho,
@@ -139,8 +137,7 @@ def _distance_trial(args):
         types, A_N = _trial_networks(spec, N, trial, seed)
         # The weighted game runs on the kernel's operator at the types, P/N applied without P.
         G = DiscretizedOperator(spec, N, types.types)
-        reps = [_solve(X, True, payoff, DEFAULT_TOL, DEFAULT_MAX_ITER, None, False)
-                for X in (G, A_N)]
+        reps = [_solve(X, True, payoff, lam_wanted=False) for X in (G, A_N)]
         dist_w, dist_s = (l2_distance(step_function_embed(r.profile_array()), sbar) for r in reps)
         return (N, trial, dist_w, dist_s, _max_type_deviation(types.types), None)
     except _TRIAL_ERRORS as exc:
@@ -254,7 +251,7 @@ def rate_fit(Ns, medians, delta: float):
     """
     Ns = np.asarray(Ns, dtype=float)
     medians = np.asarray(medians, dtype=float)
-    if np.any(medians <= 0.0):
+    if not np.all(medians > 0.0):
         raise ValueError("medians must be positive for a log-log fit")
     x = np.log(np.sqrt(np.log(Ns / delta) / Ns))
     y = np.log(medians)

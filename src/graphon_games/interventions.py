@@ -33,6 +33,7 @@ import numpy as np
 
 from .equilibrium import (_check_contraction, _collatz_wielandt, _contraction_gate, _definite,
                           _lq_solve)
+from .errors import _check_size
 from .kernels import GraphonSpec, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
@@ -86,12 +87,11 @@ def _result(beta_hat, beta, policy, welfare=math.nan, mu=None) -> InterventionRe
 def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 of the linear response s = (I - alpha P/N)^-1 beta_hat.
 
-    That is the equilibrium in the planner's domain; on any other game s may go negative."""
+    That is the equilibrium in the planner's domain; on any other game s may go negative.
+    Any symmetric P passes ``_contraction_gate`` before the solve from beta_hat."""
     P = _validate_symmetric(P, "network matrix")
     G = P / len(P)
-    if P.min() >= 0.0:
-        return _welfares(G, alpha, [beta_hat])[0][0]
-    _contraction_gate(G, False, abs(alpha))  # rho(G) reads both ends of one run
+    _contraction_gate(G, P.min() >= 0.0, abs(alpha))
     return float(np.sum(_lq_solve(G, alpha, beta_hat) ** 2) / (2.0 * len(G)))
 
 
@@ -183,12 +183,13 @@ def _check_network(P) -> np.ndarray:
 
 def no_intervention(beta: float, N: int) -> InterventionResult:
     _check_params(beta)
-    return _result(np.full(N, float(beta)), beta, "none")
+    return _result(np.full(_check_size(N, "N", 1), float(beta)), beta, "none")
 
 
 def homogeneous_policy(beta: float, C: float, N: int) -> InterventionResult:
     """Split the budget equally: beta_hat = beta + sqrt(C/N) for everyone."""
     _check_params(beta, C)
+    N = _check_size(N, "N", 1)
     return _result(np.full(N, beta + math.sqrt(C / N)), beta, "homogeneous")
 
 
@@ -333,7 +334,7 @@ def evaluate_policy(result: InterventionResult, P: np.ndarray, alpha: float) -> 
     b = np.asarray(result.beta_hat, dtype=float)
     if not b.min() >= -_ALLOCATION_FLOOR * np.abs(b).max():
         raise ValueError("planner interventions require a nonnegative allocation beta_hat")
-    return replace(result, welfare=_welfares(P / len(P), alpha, [b])[0][0])
+    return replace(result, welfare=welfare(P, alpha, b))
 
 
 def welfare_gap(P_s: SimpleNetwork, spec: GraphonSpec, alpha: float, beta: float, C: float):

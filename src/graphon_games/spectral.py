@@ -249,12 +249,12 @@ class _Run:
     once, at ``end`` or at |alpha| beta_k |y_k| <= eps min_j d_j y_1, y_k = z_k / d_k: the
     least pivot >= min(1 - alpha theta) stands for that least eigenvalue and y_1 = sum_j
     z_j^2 / d_j <= ||y|| for ||y||. ``solve(c)``: Q^T y, (I - alpha T) y = c, by ``eig()``
-    and the rule on min(1 - alpha theta) and ||y||. ``top(j, end)``: theta_max, |s_j| of T_j
-    (end -1: of -T_j, so -theta_min) by ``_top`` from T_j's top eigenvalue on
-    span{(T_(j-1)'s top vector, 0), e_j}, steps walked in order, each end on its own.
-    ``settled(tol, j, end)``: beta_j |s_j| <= tol max(1, |theta|) or ``end``; ``pair(j)``
-    then reads the top Ritz pair from ``eig(j)``, (theta, S) of T_j by ``np.linalg.eigh``.
-    Counters: ``k``, ``residual`` (the last beta_j |s_j|), ``reason``.
+    and the rule on min(1 - alpha theta) and ||y||. The rest read T_k at the current step:
+    ``top(end)``: theta_max, |s_k| (end -1: of -T_k, so -theta_min) by ``_top`` from T_k's
+    top eigenvalue on span{(T_(k-1)'s top vector, 0), e_k}, steps walked in order, each end
+    on its own. ``settled(tol, end)``: beta_k |s_k| <= tol max(1, |theta|) or ``end``;
+    ``pair()`` then reads the top Ritz pair from ``eig()``, (theta, S) of T_k by ``eigh``,
+    cached per step. Counters: ``k``, ``residual`` (the last beta_k |s_k|), ``reason``.
     """
 
     def __init__(self, A, q: np.ndarray, alpha: float | None = None):
@@ -309,8 +309,8 @@ class _Run:
             y[j] = (z[j] + self.alpha * self.b[j] * y[j + 1]) / d[j]
         return self.scale * (y @ self.Q[:k])
 
-    def top(self, j: int | None = None, end: int = 1):
-        while self._ends[end][0] < (j or self.k):  # the warm start: a lower bound (class docstring)
+    def top(self, end: int = 1):
+        while self._ends[end][0] < self.k:  # the warm start: a lower bound (class docstring)
             i, theta, s = self._ends[end] if self._ends[end][0] else (0, end * self.a[0], 0.0)
             a = self.a[:i + 1] if end > 0 else [-x for x in self.a[:i + 1]]
             c, h = self.b[i - 1] * s, 0.5 * (theta - a[i])
@@ -318,20 +318,19 @@ class _Run:
             self._ends[end] = (i + 1, *_top(a, self.b[:i + 1], lam, 4.0 * _EPS * self.T_norm))
         return self._ends[end][1:]
 
-    def eig(self, j: int | None = None):
-        j = j or self.k
-        if self._eig is None or self._eig[0] != j:
-            self._eig = (j, *np.linalg.eigh(_tridiagonal(self.a[:j], self.b)))
+    def eig(self):
+        if self._eig is None or self._eig[0] != self.k:
+            self._eig = (self.k, *np.linalg.eigh(_tridiagonal(self.a, self.b)))
         return self._eig[1:]
 
-    def settled(self, tol: float, j: int | None = None, end: int = 1) -> bool:
-        j, (theta, s) = j or self.k, self.top(j, end)
-        self.residual = self.b[j - 1] * s
-        return self.residual <= tol * max(1.0, abs(theta)) or (self.end and j == self.k)
+    def settled(self, tol: float, end: int = 1) -> bool:
+        theta, s = self.top(end)
+        self.residual = self.b[-1] * s
+        return self.residual <= tol * max(1.0, abs(theta)) or self.end
 
-    def pair(self, j: int | None = None):
-        self.pair_at = j = j or self.k
-        v = _orient(self.eig(j)[1][:, -1] @ self.Q[:j])
+    def pair(self):
+        self.pair_at = self.k
+        v = _orient(self.eig()[1][:, -1] @ self.Q[:self.k])
         return float(v @ (self.A @ v) / (v @ v)), v
 
     def stop(self, read: str | None = None) -> None:
@@ -343,26 +342,24 @@ class _Run:
 
 
 def _lanczos(A, q: np.ndarray, tol: float | None = None, max_iter: int = POWER_MAX_ITER,
-             alpha: float | None = None, bound=None, radius: bool = False):
+             alpha: float | None = None, radius: bool = False):
     """(lam, v, x) at the first step of a ``_Run`` that has read what was asked.
 
-    ``tol`` asks for the top pair, ``alpha`` for x = (I - alpha A)^-1 q (None if I - alpha T
-    turns indefinite first). ``bound(x)``, once x is read, ends the run there with (bound(x),
-    None, x) unless it is None; only then does such a run walk ``top()``, from step 1.
-    ``radius`` runs on from the top pair, read where it would be, until -theta_min settles
-    by ``tol`` too, and gives the spectral radius max(lam, -theta_min) in v's place.
-    IterationLimitError after max_iter, with the top Ritz vector and its beta_k |s_k|."""
-    run, pair, x, j, low = _Run(A, q, alpha), None, None, 0, None if radius else -math.inf
+    Each step reads only what is still open: x = (I - alpha A)^-1 q if ``alpha`` is given
+    and I - alpha T is definite (x None if it turns indefinite first); the top pair if a
+    positive, finite ``tol`` is given (else ValueError) and it settles at this step; under
+    ``radius``, -theta_min once it settles by ``tol`` too, and then the spectral radius
+    max(lam, -theta_min) in v's place. IterationLimitError after max_iter, with the top
+    Ritz vector and its beta_k |s_k|."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    run, pair, x, low = _Run(A, q, alpha), None, None, None if radius else -math.inf
     while run.k < max_iter:
         run.step()
-        if x is None and run.definite and (x := run.solve()) is not None and bound is not None:
-            if (lam := bound(x)) is not None:
-                run.stop("certified")
-                return lam, None, x
-        while tol is not None and pair is None and j < run.k and (
-                bound is None or x is not None or not run.definite):
-            j += 1
-            pair = run.pair(j) if run.settled(tol, j) else None
+        if x is None and run.definite:
+            x = run.solve()
+        if tol is not None and pair is None and run.settled(tol):
+            pair = run.pair()
         if low is None and run.settled(tol, end=-1):
             low = run.top(end=-1)[0]
         if (pair or tol is None) and (x is not None or not run.definite) and low is not None:
@@ -400,8 +397,6 @@ def dominant_eigenpair(
     ||apply(op, psi) - lam psi|| <= tol * max(1, |lam|). The eigenfunction is
     returned with unit L2 norm, oriented by ``_orient``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     lam, v = _lanczos(op, np.ones(op.M), tol, max_iter)[:2]
     return EigenPair(lam, GridFunction(v / np.sqrt(np.mean(v**2))))  # v: unit, oriented
 

@@ -504,6 +504,69 @@ def test_bound_rho_validates_delta():
         eq.bound_rho(1, 0.05, L=2.0, Omega=0, Ktilde=1.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((100, 0.05, math.nan, 0, 1.0), "L and Ktilde"),
+    ((100, 0.05, 2.0, 0, math.nan), "L and Ktilde"),
+    ((100, 0.05, -1.0, 0, 1.0), "L and Ktilde"),
+    ((100, 0.05, 2.0, 0, math.inf), "L and Ktilde"),
+    ((100, 0.05, 0.0, -1, 1.0), "Omega"),
+    ((100, 0.05, 0.0, 1.5, 1.0), "Omega"),
+    ((100.5, 0.05, 2.0, 0, 1.0), "N must be an integer"),
+    ((np.float64(100), 0.05, 2.0, 0, 1.0), "N must be an integer"),
+], ids=["nan-L", "nan-Ktilde", "negative-L", "inf-Ktilde", "negative-Omega", "float-Omega",
+        "float-N", "numpy-float-N"])
+def test_bound_rho_rejects_what_would_give_a_nan_or_a_wrong_bound(args, name):
+    # A NaN L or Ktilde once gave NaN bounds, and Omega = -1 or N = 100.5 were used as given.
+    with pytest.raises(ValueError, match=name):
+        eq.bound_rho(*args)
+    assert eq.bound_rho(np.int64(100), 0.05, 2.0, np.int64(0), 1.0) == eq.bound_rho(
+        100, 0.05, 2.0, 0, 1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, -0.1])
+def test_contraction_factor_rejects_a_nan_or_negative_lambda(lam):
+    # A NaN lambda_max once passed the test lambda_max < 0 and gave a NaN factor.
+    with pytest.raises(ValueError, match="lambda_max must be nonnegative"):
+        eq.contraction_factor(eq.LqPayoff(0.5, 1.0), lam)
+
+
+SIGNED_BR = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+def test_both_solvers_reject_a_tolerance_that_is_not_positive_and_finite(tol):
+    # A NaN tol once ran all 10^6 best-response iterations of this signed game
+    # before the iteration limit; it is checked once, in _solve.
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        eq.solve_graphon(kernels.minmax(), eq.LqPayoff(0.5, 1.0), 20, tol=tol)
+
+
+def test_best_response_iteration_raises_at_its_iteration_limit():
+    # The signed game's linear response has a negative entry, so it takes
+    # best-response iteration, which one iteration cannot finish.
+    assert eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0)).method == "br-iteration"
+    with pytest.raises(IterationLimitError, match="did not reach tol") as err:
+        eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), max_iter=1)
+    assert err.value.last_iterate.shape == (3,) and len(err.value.residual_history) == 1
+
+
+def test_generic_payoff_rejects_bounds_that_are_not_an_interval():
+    with pytest.raises(ValueError, match="bounds must satisfy"):
+        eq.GenericPayoff(grad_s=lambda s, z: 1.0 - s, alpha_U=1.0, ell_U=0.0, bounds=(1.0, 0.5))
+
+
+def test_step_function_embed_rejects_an_empty_profile():
+    with pytest.raises(ValueError, match="at least one entry"):
+        eq.step_function_embed([])
+
+
+def test_contraction_error_has_a_default_message():
+    err = ContractionError(1.5)
+    assert err.factor == 1.5 and str(err) == "contraction condition violated: factor 1.5 >= 1"
+
+
 def test_comparative_statics_bound_values():
     assert eq.comparative_statics_bound(eq.LqPayoff(0.5, 1.0), 1.0, 2.0) == pytest.approx(2.0)
     assert eq.comparative_statics_bound(eq.LqPayoff(0.0, 1.0), 1.0, 2.0) == 0.0

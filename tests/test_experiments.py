@@ -41,6 +41,12 @@ def test_rate_fit_rejects_nonpositive():
         ex.rate_fit([50, 100], [0.1, 0.0], 0.05)
 
 
+def test_rate_fit_rejects_a_nan_median():
+    # A NaN median once passed the test medians <= 0 and gave (nan, nan, nan).
+    with pytest.raises(ValueError, match="medians must be positive"):
+        ex.rate_fit([10, 20, 40], [0.1, math.nan, 0.05], 0.05)
+
+
 # --- distance experiment ---------------------------------------------------------
 
 def test_midpoint_types_give_zero_weighted_distance():
@@ -200,7 +206,7 @@ def lanczos_runs(monkeypatch):
 def with_the_pair(monkeypatch):
     """Make the trial's solves read the top pair, as the public solvers do."""
     solve = ex._solve
-    monkeypatch.setattr(ex, "_solve", lambda *args: solve(*args[:6]))
+    monkeypatch.setattr(ex, "_solve", lambda *args, **kwargs: solve(*args))
 
 
 @pytest.mark.parametrize("N", [50, 800])
@@ -216,7 +222,7 @@ def test_each_run_of_a_distance_trial_ends_where_its_solve_is_read(monkeypatch, 
         m.setattr(np.linalg, "eigh", lambda T: calls.append(len(T)) or eigh(T))
         got = ex._distance_trial(args)
     assert got[-1] is None and len(runs) == 2 and calls == []
-    assert all(run.reason == "certified" for run in runs)  # ended by the bound at the solve
+    assert all(run.reason == "solved" for run in runs)  # certified by the bound at the solve
     with_the_pair(monkeypatch)
     assert ex._distance_trial(args) == got
     paired = runs[2:]
@@ -338,10 +344,10 @@ def test_a_failed_distance_trial_is_counted_not_dropped(monkeypatch, tmp_path):
     ref = ex.distance_experiment(*args, jobs=1, csv_path=tmp_path / "ref.csv")
     solve = ex._solve
 
-    def failing_at_20(G, *rest):
+    def failing_at_20(G, *rest, **kwargs):
         if len(G) == 20:
             raise ContractionError(1.5, "contraction violated")
-        return solve(G, *rest)
+        return solve(G, *rest, **kwargs)
 
     monkeypatch.setattr(ex, "_solve", failing_at_20)
     stats = ex.distance_experiment(*args, jobs=1, csv_path=tmp_path / "failed.csv")

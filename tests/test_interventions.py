@@ -488,7 +488,25 @@ def test_every_policy_rejects_a_nan_infinite_or_negative_budget(policy, C):
         run()
 
 
+@pytest.mark.parametrize("N", [0, -3, 2.5, True])
+def test_constant_policies_check_the_population_size(N):
+    # N = 0 once raised ZeroDivisionError in the homogeneous split and gave
+    # an empty allocation with no intervention.
+    with pytest.raises(ValueError, match="N must be an integer of at least 1"):
+        iv.homogeneous_policy(1.0, 1.0, N)
+    with pytest.raises(ValueError, match="N must be an integer of at least 1"):
+        iv.no_intervention(1.0, N)
+
+
 # --- branches of the projection, the graphon heuristic and the secular solve -------
+
+def test_graphon_heuristic_rejects_types_where_the_eigenfunction_vanishes():
+    # The dominant eigenfunction of this block kernel is zero on the first block.
+    spec = kernels.sbm([[0.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+    types = sampling.TypeVector(np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="vanishes at every sampled type"):
+        iv.graphon_heuristic(spec, types, 1.0, 0.5)
+
 
 def _path_graph(N):
     P = np.diag(np.ones(N - 1), 1)

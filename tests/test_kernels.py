@@ -192,6 +192,22 @@ def test_sbm_invariants_enforced():
         kernels.sbm([[1.2, 0.1], [0.1, 0.8]], SBM_W)  # out of range
 
 
+@pytest.mark.parametrize("w", [[1.0], [0.5, 0.25, 0.25], [[0.75, 0.25]]])
+def test_sbm_rejects_masses_that_do_not_match_the_blocks(w):
+    with pytest.raises(ValueError, match="w must be a vector matching the block count"):
+        kernels.sbm(SBM_Q, w)
+
+
+@pytest.mark.parametrize("spec, text", [
+    (kernels.minmax(), "GraphonSpec(minmax)"),
+    (kernels.erdos_renyi(0.3), "GraphonSpec(er, p=0.3)"),
+    (kernels.sbm(SBM_Q, SBM_W), "GraphonSpec(sbm, K=2)"),
+    (kernels.grid_kernel(np.full((3, 3), 0.5)), "GraphonSpec(grid, K=3)"),
+], ids=["minmax", "er", "sbm", "grid"])
+def test_graphon_spec_repr_names_its_kind(spec, text):
+    assert repr(spec) == text
+
+
 @pytest.mark.parametrize("w", [[math.nan, math.nan], [math.nan, 0.5], [math.inf, 0.5]])
 def test_sbm_rejects_nan_or_infinite_masses(w):
     # NaN fails both the positivity and the unit-sum comparison, so it must

@@ -90,6 +90,11 @@ def test_weighted_symmetric_zero_diagonal():
 
 # --- simple network -------------------------------------------------------------
 
+def test_simple_network_size_is_its_node_count():
+    net = sampling.weighted_network(kernels.minmax(), sampling.sample_types(7, seed=0))
+    assert sampling.simple_network(net, seed=1).N == 7
+
+
 def test_simple_zero_and_complete():
     tv = sampling.sample_types(5, seed=0)
     zero = sampling.weighted_network(kernels.erdos_renyi(0.0), tv)

@@ -293,6 +293,17 @@ def test_power_method_signed_matrix_algebraic_max():
     assert lam == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan, -1.0, math.inf])
+def test_every_lanczos_read_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # A NaN tol once got past dominant_eigenpair's tol <= 0 test and ran until
+    # the Krylov space was invariant; _lanczos checks it for every caller.
+    op = spectral.discretize(kernels.minmax(), 64)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        spectral.dominant_eigenpair(op, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        spectral.power_method(np.eye(3), tol, 100)
+
+
 def test_dominant_iteration_limit():
     op = spectral.discretize(kernels.minmax(), 64)
     with pytest.raises(IterationLimitError) as err:
