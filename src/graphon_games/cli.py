@@ -23,7 +23,8 @@ from . import __version__
 from .bayes import estimate_epsilon, lq_L_U
 from .equilibrium import LqPayoff, _solve, report_to_json, solve_graphon, solve_network
 from .errors import ContractionError, IterationLimitError
-from .experiments import _PCTS, _write_csv, distance_experiment, intervention_experiment, subseed
+from .experiments import (_PCTS, _json_chunks, _write_csv, distance_experiment,
+                          intervention_experiment, subseed)
 from .interventions import POLICIES, _policies, result_to_json
 from .kernels import erdos_renyi, from_json as graphon_from_json, minmax, sbm
 from .sampling import (
@@ -101,8 +102,10 @@ def _parse_ns(value: str) -> list[int]:
 
 
 def _write_json(outdir: Path, name: str, doc) -> None:
+    """The bytes of ``json.dump(doc, fh, indent=2)`` plus a newline, written a piece at a
+    time; the floats of a list are formatted once per run of equal values."""
     with open(outdir / name, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.writelines(_json_chunks(doc))
         fh.write("\n")
 
 

@@ -28,6 +28,7 @@ always use best-response iteration.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -382,15 +383,24 @@ def step_function_embed(s) -> GridFunction:
     return GridFunction(s)
 
 
+@functools.lru_cache(maxsize=1)
+def _merged_cells(m: int, n: int) -> np.ndarray:
+    """Read-only rows: the m-grid and n-grid cell of each cell between merged breakpoints, and
+    its width in units of 1 / (m n). A trial's distances to one limit share the one entry."""
+    # Breakpoints i / m and j / n in units of 1 / (m n), exact integers.
+    # Both runs are sorted, so a stable sort (timsort) merges them in one pass.
+    edges = np.sort(np.concatenate((np.arange(m + 1) * n, np.arange(n + 1) * m)), kind="stable")
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    cells = np.stack((edges[:-1] // n, edges[:-1] // m, np.diff(edges)))
+    cells.flags.writeable = False
+    return cells
+
+
 def l2_distance(f: GridFunction, g: GridFunction) -> float:
     """L2 distance of two step functions over their merged breakpoints (equal grids too)."""
-    # Breakpoints i / f.M and j / g.M in units of 1 / (f.M g.M), exact integers.
-    # Both runs are sorted, so a stable sort (timsort) merges them in one pass.
-    edges = np.sort(np.concatenate((np.arange(f.M + 1) * g.M, np.arange(g.M + 1) * f.M)),
-                    kind="stable")
-    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    diff = f.values[edges[:-1] // g.M] - g.values[edges[:-1] // f.M]
-    return float(np.sqrt(np.sum(np.diff(edges) * diff**2) / (f.M * g.M)))
+    fi, gi, widths = _merged_cells(f.M, g.M)
+    diff = f.values[fi] - g.values[gi]
+    return float(np.sqrt(np.sum(widths * diff**2) / (f.M * g.M)))
 
 
 def bound_rho(N: int, delta: float, L: float, Omega: int, Ktilde: float):
@@ -431,8 +441,10 @@ def comparative_statics_bound(payoff, lambda_max: float, s_max: float) -> float:
     """Sensitivity constant: (ratio * s_max) / (1 - ratio * lambda_max).
 
     Multiplied by an operator-norm perturbation it bounds the L2 movement of
-    the equilibrium.
+    the equilibrium. A NaN, infinite or negative s_max raises ValueError.
     """
+    if not 0.0 <= s_max < math.inf:
+        raise ValueError(f"s_max must be finite and nonnegative, got {s_max}")
     ratio = _lipschitz_ratio(payoff)
     return ratio * s_max / (1.0 - _check_contraction(ratio, lambda_max))
 

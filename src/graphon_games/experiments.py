@@ -15,6 +15,7 @@ counted, never dropped silently.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -247,10 +248,15 @@ def rate_fit(Ns, medians, delta: float):
     """Least-squares fit of log(median) against log sqrt(log(N/delta)/N).
 
     Returns (slope, intercept, r2). A slope near one means the medians decay
-    at the theoretical sampling rate.
+    at the theoretical sampling rate. Each N is an integer >= 2 and delta lies in (0, e^-1],
+    as in ``bound_rho``; two or more N, one median each. Anything else raises ValueError.
     """
-    Ns = np.asarray(Ns, dtype=float)
+    Ns = np.asarray([_check_size(n, "each of Ns", 2) for n in Ns], dtype=float)
     medians = np.asarray(medians, dtype=float)
+    if medians.shape != Ns.shape or len(Ns) < 2:
+        raise ValueError(f"Ns and medians must have one length >= 2, got {Ns.size}, {medians.size}")
+    if not 0.0 < delta <= math.exp(-1.0):
+        raise ValueError(f"delta must lie in (0, e^-1], got {delta}")
     if not np.all(medians > 0.0):
         raise ValueError("medians must be positive for a log-log fit")
     x = np.log(np.sqrt(np.log(Ns / delta) / Ns))
@@ -263,21 +269,67 @@ def rate_fit(Ns, medians, delta: float):
 
 
 _CSV_BLOCK = 4096  # rows formatted at a time: a table's cell strings never all exist at once
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_reprs(a, spelling: dict) -> list:
+    """repr of each float64 of the non-empty ``a``, made once per run of equal bits (0.0 and
+    -0.0 apart), with 'nan', 'inf' and '-inf' respelled by ``spelling``."""
+    a = np.asarray(a, dtype=np.float64)
+    bits = a.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    heads = a[starts]
+    strs = list(map(repr, heads.tolist()))
+    if not np.isfinite(heads).all():
+        strs = [spelling.get(s, s) for s in strs]
+    if len(strs) == len(a):
+        return strs
+    return np.repeat(np.array(strs, dtype=object), np.diff(starts, append=len(a))).tolist()
 
 
 def _cells(block) -> list:
-    """Floats by repr, NaN and None as empty cells, anything else by str; arrays by tolist."""
-    return ["" if v is None or v != v else repr(float(v)) if isinstance(v, float) else str(v)
-            for v in (block.tolist() if isinstance(block, np.ndarray) else block)]
+    """Lists and tuples cell by cell: floats by repr, NaN and None as empty cells, anything
+    else by str. Float arrays by ``_float_reprs``, NaN empty; other arrays and ranges by str."""
+    if isinstance(block, (list, tuple)):
+        return ["" if v is None or v != v else repr(float(v)) if isinstance(v, float) else str(v)
+                for v in block]
+    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+        return _float_reprs(block, {"nan": ""})
+    return list(map(str, block.tolist() if isinstance(block, np.ndarray) else block))
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """The header, then one LF-terminated line per row of the equal-length ``columns``."""
+    """The header, then one LF-terminated line per row of the equal-length ``columns``. Cells
+    go by ``_cells`` a block of rows at a time, a float column's once per run of equal values."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
             block = [_cells(col[i:i + _CSV_BLOCK]) for col in columns]
             fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+def _json_chunks(doc, pad: str = ""):
+    """``json.dumps(doc, indent=2)`` in pieces, each line after the first indented by ``pad``;
+    the floats of a list by ``_float_reprs``, ``_CSV_BLOCK`` at a time."""
+    inner = pad + "  "
+    if isinstance(doc, dict) and doc and all(isinstance(key, str) for key in doc):
+        for i, (key, value) in enumerate(doc.items()):
+            yield ("{\n" if i == 0 else ",\n") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(value, inner)
+        yield "\n" + pad + "}"
+    elif isinstance(doc, (list, tuple)) and doc:
+        for i in range(0, len(doc), _CSV_BLOCK):
+            block = doc[i:i + _CSV_BLOCK]
+            if set(map(type, block)) == {float}:
+                yield ("[\n" if i == 0 else ",\n") + inner + (",\n" + inner).join(
+                    _float_reprs(block, _JSON_SPELLING))
+                continue
+            for j, value in enumerate(block, i):
+                yield ("[\n" if j == 0 else ",\n") + inner
+                yield from _json_chunks(value, inner)
+        yield "\n" + pad + "]"
+    else:  # a leaf, an empty container or a dict with a key json must convert
+        yield json.dumps(doc, indent=2).replace("\n", "\n" + pad)
 
 
 def write_distance_csv(rows, path) -> None:

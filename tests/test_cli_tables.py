@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphon_games import cli
 from graphon_games.spectral import midpoints
@@ -229,12 +230,18 @@ def test_write_csv_keeps_the_per_cell_bytes_across_blocks(tmp_path, extra):
     floats = np.array([specials[i % len(specials)] * (1 + i % 3) for i in range(n)])
     mixed = [[None, 3, np.int64(-4), True, np.bool_(False), "lq", np.float64(1e-5),
               math.nan, np.float64(math.nan), -0.0, 7.25][i % 11] for i in range(n)]
+    # Float columns are formatted once per run of equal bits: runs of 1000 that
+    # cross every block boundary, a NaN run across the first boundary, and runs
+    # of 0.0 next to runs of -0.0.
+    runs = np.array([specials[1:][(i // 1000) % 7] for i in range(n)])
+    nan_run = np.where(abs(np.arange(n) - _CSV_BLOCK) < 700, math.nan, 2.5)
+    zeros = np.where(np.arange(n) // 3 % 2 == 0, 0.0, -0.0)
     columns = [range(n), floats, mixed, np.arange(n) - 5, floats[::-1] * 1e-300,
-               np.arange(n) % 2 == 0]
+               np.arange(n) % 2 == 0, runs, nan_run, zeros]
     path = tmp_path / "t.csv"
-    _write_csv(path, "i,f,m,k,g,b", columns)
-    want = "i,f,m,k,g,b\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
-                                     for row in zip(*columns))
+    _write_csv(path, "i,f,m,k,g,b,r,n,z", columns)
+    want = "i,f,m,k,g,b,r,n,z\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+                                           for row in zip(*columns))
     assert path.read_bytes() == want.encode()
     assert len(path.read_bytes().split(b"\n")) == n + 2
 
@@ -246,3 +253,37 @@ def test_write_csv_writes_only_the_header_of_an_empty_table(tmp_path):
     write_distance_csv([], tmp_path / "b.csv")
     assert (tmp_path / "a.csv").read_bytes() == b"x,y\n"
     assert (tmp_path / "b.csv").read_bytes() == b"N,trial,kind,distance,bound,d_N_event\n"
+
+
+_json_floats = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+_json_float_runs = st.lists(st.tuples(_json_floats, st.integers(1, 4))).map(
+    lambda runs: [v for v, k in runs for _ in range(k)])
+_json_docs = st.recursive(
+    _json_floats | _json_float_runs | st.integers(-2**70, 2**70) | st.booleans() | st.none()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.dictionaries(st.text(max_size=5) | st.integers(-3, 3), inner, max_size=5)),
+    max_leaves=40)
+
+
+@given(doc=_json_docs)
+@settings(max_examples=300, deadline=None)
+def test_write_json_writes_the_bytes_of_json_dump(tmp_path_factory, doc):
+    # Lists of floats are formatted once per run of equal bits, a block at a
+    # time; the file is json.dump(doc, indent=2) and a newline all the same.
+    # An integer key, which json turns into a string, sends its dict to json.
+    out = tmp_path_factory.mktemp("json")
+    cli._write_json(out, "doc.json", doc)
+    assert (out / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_write_json_keeps_the_bytes_of_float_runs_across_blocks(tmp_path):
+    from graphon_games.experiments import _CSV_BLOCK
+
+    n = 2 * _CSV_BLOCK + 1
+    values = [0.1, math.nan, -0.0, 0.0, math.inf, -math.inf, 5e-324]
+    runs = [values[(i // 1000) % 7] for i in range(n)]
+    doc = {"runs": runs, "rows": [runs[:_CSV_BLOCK + 1], [1.5] * n], "mixed": runs + [1]}
+    cli._write_json(tmp_path, "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"

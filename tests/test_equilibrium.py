@@ -419,6 +419,18 @@ def _l2_distance_union1d(f, g):
     return float(np.sqrt(np.sum(np.diff(edges) * diff**2) / (f.M * g.M)))
 
 
+def test_l2_distance_reuses_one_read_only_merge_per_grid_pair():
+    # The merged cells of the last (f.M, g.M) are kept: calls on other pairs in
+    # between give the bits of the formula all the same.
+    rng = np.random.default_rng(3)
+    fs = [spectral.GridFunction(rng.standard_normal(m)) for m in (50, 2000, 50, 7, 50)]
+    g = spectral.GridFunction(rng.standard_normal(2000))
+    for f in fs + fs[::-1]:
+        assert eq.l2_distance(f, g) == _l2_distance_union1d(f, g)
+        assert eq.l2_distance(g, f) == _l2_distance_union1d(g, f)
+    assert not eq._merged_cells(50, 2000).flags.writeable
+
+
 @given(data=st.data(), relation=st.sampled_from(["equal", "dividing", "coprime", "any"]),
        swap=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
@@ -574,6 +586,13 @@ def test_comparative_statics_bound_values():
         eq.comparative_statics_bound(eq.LqPayoff(1.0, 1.0), 1.0, 2.0)
     near_pole = eq.comparative_statics_bound(eq.LqPayoff(0.999999, 1.0), 1.0, 1.0)
     assert near_pole > 1e5
+
+
+@pytest.mark.parametrize("s_max", [math.nan, math.inf, -1.0])
+def test_comparative_statics_bound_rejects_a_bad_s_max(s_max):
+    # A NaN s_max once gave a NaN bound, and s_max = -1 the bound -1.0.
+    with pytest.raises(ValueError, match="s_max"):
+        eq.comparative_statics_bound(eq.LqPayoff(0.5, 1.0), 1.0, s_max)
 
 
 def test_comparative_statics_invariant():

@@ -47,6 +47,25 @@ def test_rate_fit_rejects_a_nan_median():
         ex.rate_fit([10, 20, 40], [0.1, math.nan, 0.05], 0.05)
 
 
+@pytest.mark.parametrize("Ns, medians, delta, name", [
+    ([50, math.nan, 200], [0.3, 0.2, 0.1], 0.05, "each of Ns"),
+    ([0, 100, 200], [0.3, 0.2, 0.1], 0.05, "each of Ns"),
+    ([1, 100, 200], [0.3, 0.2, 0.1], 0.05, "each of Ns"),
+    ([50.0, 100, 200], [0.3, 0.2, 0.1], 0.05, "each of Ns"),
+    ([50, 100, 200], [0.3, 0.2, 0.1], math.nan, "delta"),
+    ([50, 100, 200], [0.3, 0.2, 0.1], 0.0, "delta"),
+    ([50, 100, 200], [0.3, 0.2, 0.1], 0.5, "delta"),
+    ([50], [0.3], 0.05, "Ns and medians"),
+    ([50, 100, 200], [0.3, 0.2], 0.05, "Ns and medians"),
+], ids=["nan-N", "zero-N", "one-N", "float-N", "nan-delta", "zero-delta", "large-delta",
+        "one-point", "length-mismatch"])
+def test_rate_fit_rejects_bad_inputs_where_they_enter(Ns, medians, delta, name):
+    # A NaN N or delta once raised LinAlgError from LAPACK, N = 0 a RuntimeWarning,
+    # and a single point gave r2 = 1 after a RankWarning.
+    with pytest.raises(ValueError, match=name):
+        ex.rate_fit(Ns, medians, delta)
+
+
 # --- distance experiment ---------------------------------------------------------
 
 def test_midpoint_types_give_zero_weighted_distance():
