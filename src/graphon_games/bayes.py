@@ -21,15 +21,15 @@ import numpy as np
 
 from .equilibrium import LqPayoff, lq_s_max, solve_graphon
 from .errors import _check_size
-from .kernels import GraphonSpec, _cell_index, _values
+from .kernels import GraphonSpec, _values
 from .spectral import DiscretizedOperator, GridFunction, discretize, dominant_eigenpair
 
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
 
 DEFAULT_RESOLUTION = 1000
-# Per-chunk budget of estimate_epsilon's (c, 2N - 1) uniforms. A chunk's working set, those
-# plus a few (c, N - 1) link, cell index and value arrays, peaks near 2.5x this and so stays
-# in a 2 MiB L2: 256 KiB ran the bne configuration fastest of 64 KiB-2 MiB (2-vCPU Xeon).
+# Per-chunk budget of estimate_epsilon's (c, 2N - 1) uniforms. The buffers every chunk reuses,
+# those plus (c, N - 1) link, value and cell index arrays, take 2.5x this and so stay in a
+# 2 MiB L2: 256 KiB ran the bne configuration fastest of 64 KiB-2 MiB (2-vCPU Xeon).
 _CHUNK_BYTES = 1 << 18
 
 
@@ -80,11 +80,10 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     Trials run in chunks of c, each drawing one (c, 2N - 1) block of
     uniforms: per row t_i, the N - 1 t_j, then the N - 1 link uniforms, the
     stream and the bits of one trial at a time. c >= 1 bounds each chunk's
-    uniforms (2N - 1 doubles per trial) by _CHUNK_BYTES = 256 KiB, so its
-    working set, those and a few (c, N - 1) arrays, peaks near 2.5 budgets
-    and stays in a 2 MiB L2 cache: of 64 KiB-2 MiB, 256 KiB ran the bne
-    configuration fastest. Memory is that working set plus O(trials + M),
-    whatever N. N and trials must be integers (numpy ones too).
+    uniforms by _CHUNK_BYTES = 256 KiB. Every chunk runs in buffers allocated
+    once per call: the uniforms and (c, N - 1) link, value and cell index
+    arrays, 2.5 budgets, which stay in a 2 MiB L2 cache. Memory is those plus
+    O(trials + M), whatever N. N and trials must be integers (numpy ones too).
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
     ``lq_L_U`` is applied to lambda_max of the operator on sbar's grid.
@@ -108,15 +107,18 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
 
     rng = np.random.default_rng(seed)
     types, zeta = np.empty(trials), np.empty(trials)
-    chunk = max(1, _CHUNK_BYTES // (8 * (2 * N - 1)))
-    for start in range(0, trials, chunk):
-        u = rng.random((min(chunk, trials - start), 2 * N - 1))
-        types[start:start + len(u)], tj = u[:, 0], u[:, 1:N]
-        links = _values(spec, u[:, :1], tj)  # draws in [0, 1): no range checks
-        np.less(u[:, N:], links, out=links)  # the link probabilities become 1.0 / 0.0 links
-        vals = sbar.values[_cell_index(tj, sbar.M)]
-        zeta[start:start + len(u)] = (links[:, None, :] @ vals[:, :, None])[:, 0, 0] / (N - 1)
-        del u, tj, links, vals  # freed before the next chunk is drawn
+    rows = min(trials, max(1, _CHUNK_BYTES // (8 * (2 * N - 1))))
+    u, links, vals = np.empty((rows, 2 * N - 1)), np.empty((rows, N - 1)), np.empty((rows, N - 1))
+    idx = np.empty((rows, N - 1), np.intp)
+    for start in range(0, trials, rows):  # each chunk in the leading c rows of the buffers
+        c = min(rows, trials - start)
+        uc, lc, vc, ic = rng.random(out=u[:c]), links[:c], vals[:c], idx[:c]
+        types[start:start + c], tj = uc[:, 0], uc[:, 1:N]
+        _values(spec, uc[:, :1], tj, lc, vc, ic)  # draws in [0, 1): no range checks
+        np.less(uc[:, N:], lc, out=lc)  # the link probabilities become 1.0 / 0.0 links
+        np.copyto(ic, np.multiply(tj, sbar.M, out=vc), casting="unsafe")  # sbar's cell of t_j,
+        sbar.values.take(ic, out=vc, mode="clip")  # clipped to M - 1 as by _cell_index
+        zeta[start:start + c] = (lc[:, None, :] @ vc[:, :, None])[:, 0, 0] / (N - 1)
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 
     se = float(deviations.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan

@@ -30,7 +30,6 @@ from .kernels import erdos_renyi, from_json as graphon_from_json, minmax, sbm
 from .sampling import (
     _kernel_links,
     load_network_json,
-    network_to_json,
     sample_types,
     weighted_network,
     write_edge_csv,
@@ -142,7 +141,7 @@ def _sample(spec, N: int, seed, simple: bool, value: float = 1.0):
 
 def _cmd_sample(args, outdir: Path) -> int:
     matrix, types = _sample(build_graphon(args), args.N, args.seed, args.simple)
-    _write_json(outdir, "network.json", network_to_json(matrix, types))
+    _write_json(outdir, "network.json", {"types": types.types, "matrix": matrix})  # by rows
     if args.format == "csv":
         write_edge_csv(matrix, outdir / "edges.csv")
     return 0

@@ -212,11 +212,12 @@ def intervention_experiment(spec: GraphonSpec, alpha: float, beta: float, c_per_
     The total budget is C = c_per_agent * N; the graphon heuristic reads the
     kernel at its own resolution. The exact optimum (a Lanczos projection,
     certified, or exact once the run from 1 ends; T_opt read in its basis) is
-    computed only for N up to optimal_cap. Returns one WelfareStats per N. Like
+    computed only for N up to optimal_cap (an integer >= 0). One WelfareStats per N. Like
     every policy, it requires alpha > 0 and beta >= 0: else, or at NaN, ValueError.
     ``jobs`` is ignored, as in ``distance_experiment``.
     """
     Ns, trials = _sizes(Ns, trials)
+    optimal_cap = _check_size(optimal_cap, "optimal_cap", 0)
     by_n = _run_trials(_intervention_trial, (spec, alpha, beta, c_per_agent), (optimal_cap,),
                        Ns, trials, seed)
 
@@ -309,8 +310,10 @@ def _write_csv(path, header: str, columns) -> None:
 
 
 def _json_chunks(doc, pad: str = ""):
-    """``json.dumps(doc, indent=2)`` in pieces, each line after the first indented by ``pad``;
-    the floats of a list by ``_float_reprs``, ``_CSV_BLOCK`` at a time."""
+    """``json.dumps(doc, indent=2)`` in pieces, each line after the first indented by ``pad``,
+    a float64 array as its ``tolist()`` a row at a time; list floats by ``_float_reprs``."""
+    if isinstance(doc, np.ndarray) and doc.dtype == np.float64 and doc.ndim:
+        doc = list(doc) if doc.ndim > 1 else doc.tolist()
     inner = pad + "  "
     if isinstance(doc, dict) and doc and all(isinstance(key, str) for key in doc):
         for i, (key, value) in enumerate(doc.items()):

@@ -136,11 +136,12 @@ def grid_kernel(values) -> GraphonSpec:
 step_graphon_from_matrix = grid_kernel
 
 
-def _cell_index(x, n_cells):
-    # Right-open cells, last cell closed at 1: on [0, 1] truncating x * n is its floor,
-    # clipped in place to n - 1 where x * n rounds up to n.
-    idx = np.asarray(np.asarray(x) * n_cells).astype(np.intp)
-    return np.minimum(idx, n_cells - 1, out=idx)
+def _cell_index(x, n_cells, out=None, tmp=None):
+    # Right-open cells, last cell closed at 1: on [0, 1] truncating x * n is its floor, clipped
+    # in place to n - 1 where x * n rounds up to n; in ``out`` (intp) via ``tmp`` if given.
+    out = np.empty(np.shape(x), np.intp) if out is None else out
+    np.copyto(out, np.multiply(x, n_cells, out=tmp), casting="unsafe")
+    return np.minimum(out, n_cells - 1, out=out)
 
 
 def _sbm_block_index(x, w):
@@ -156,10 +157,10 @@ def _blocks(spec: GraphonSpec):
     return (np.array([[spec.p]]), np.ones(1)) if spec.kind == "er" else (spec.Q, spec.w)
 
 
-def _block_index(spec: GraphonSpec, x):
-    """The block of ``_blocks(spec)`` that holds each point x."""
+def _block_index(spec: GraphonSpec, x, out=None, tmp=None):
+    """The block of ``_blocks(spec)`` that holds each point x; a grid's in ``out`` via ``tmp``."""
     if spec.kind == "grid":
-        return _cell_index(x, len(spec.values))
+        return _cell_index(x, len(spec.values), out, tmp)
     return _sbm_block_index(x, _blocks(spec)[1])
 
 
@@ -175,15 +176,20 @@ def evaluate(spec: GraphonSpec, x, y):
     ya = np.asarray(y, dtype=float)
     _check_unit_interval(xa, "coordinate x")
     _check_unit_interval(ya, "coordinate y")
-    out = _values(spec, xa, ya)
-    return float(out) if np.isscalar(x) and np.isscalar(y) else out
+    shape = np.broadcast_shapes(xa.shape, ya.shape)
+    out = _values(spec, xa, ya, np.empty(shape), np.empty(shape), np.empty(shape, np.intp))
+    return float(out) if np.isscalar(x) and np.isscalar(y) else out if out.ndim else out[()]
 
 
-def _values(spec: GraphonSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """W(x, y) of broadcasting float arrays in [0, 1], unchecked: a new array of evaluate's bits."""
-    if spec.kind == "minmax":
-        return np.minimum(x, y) * (1.0 - np.maximum(x, y))
-    return _blocks(spec)[0][_block_index(spec, x), _block_index(spec, y)]  # a step kernel, er too
+def _values(spec: GraphonSpec, x: np.ndarray, y: np.ndarray, out, tmp, idx) -> np.ndarray:
+    """W(x, y) of broadcasting float arrays in [0, 1], unchecked, in ``out`` with evaluate's bits
+    via scratch ``tmp`` (float) and ``idx`` (intp) of its shape; sbm and er allocate y's blocks."""
+    if spec.kind == "minmax":  # min(x, y) * (1 - max(x, y))
+        np.subtract(1.0, np.maximum(x, y, out=tmp), out=tmp)
+        return np.multiply(np.minimum(x, y, out=out), tmp, out=out)
+    Q = _blocks(spec)[0]  # a step kernel, er too: Q[i, j] is Q's flat entry K i + j
+    np.add(len(Q) * _block_index(spec, x), _block_index(spec, y, idx, out), out=idx)
+    return Q.take(idx, out=out, mode="clip")  # in range: clip only skips take's buffer
 
 
 def _sorted_rows(spec: GraphonSpec, t: np.ndarray):

@@ -197,14 +197,14 @@ def record_kernel_read_sizes(monkeypatch):
     """Points of each kernel read estimate_epsilon makes, in call order.
 
     The trial loop reads the kernel with the unchecked ``kernels._values``,
-    its draws lying in [0, 1) by construction.
+    its draws lying in [0, 1) by construction, into the chunk's buffers.
     """
     sizes = []
     real = bayes._values
 
-    def counting(spec, x, y):
+    def counting(spec, x, y, *buffers):
         sizes.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
-        return real(spec, x, y)
+        return real(spec, x, y, *buffers)
 
     monkeypatch.setattr(bayes, "_values", counting)
     return sizes
@@ -249,12 +249,25 @@ def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, tri
         assert math.isnan(est.stderr)
 
 
+def chunk_layout_bytes(kind, N):
+    """Bytes of estimate_epsilon's per-call buffers at N, plus the one temporary a step
+    kernel's read allocates: searchsorted's block indices for sbm and er. At N = 1600
+    the buffers take 2.44 budgets, the temporary 0.49 more."""
+    rows = max(1, bayes._CHUNK_BYTES // (8 * (2 * N - 1)))
+    uniforms, links, values, cells = (8 * rows * n for n in (2 * N - 1, N - 1, N - 1, N - 1))
+    return uniforms + links + values + cells + (cells if kind in ("er", "sbm") else 0)
+
+
+# numpy's ufunc iterator buffers a strided or broadcast operand of a short row in
+# np.getbufsize() doubles, 64 KiB; the kernel read has two such operands at once.
+UFUNC_BUFFERS = 2 * 8 * np.getbufsize()
+
+
 @pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
 def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
-    # Chunk arrays peak near 2.5 budgets: a chunk's uniforms plus its link and
-    # value rows and the kernel read's temporaries; the last chunk's arrays are
-    # freed before the next is drawn. The rest is O(trials + M). One
-    # (trials, N) array alone would take 2.56 MB, above the 0.94 MB bound.
+    # The buffers, allocated once per call, plus the step kernels' temporary and
+    # numpy's iterator buffers; the rest is O(trials + M). One (trials, N) array
+    # alone would take 2.56 MB, above the 0.85 MB bound for minmax.
     import tracemalloc
 
     spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
@@ -266,7 +279,46 @@ def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * bayes._CHUNK_BYTES + 16 * 8 * (trials + sbar.M)
+    assert chunk_layout_bytes(kind, N) <= (2.5 + 0.5 * (kind in ("er", "sbm"))) * bayes._CHUNK_BYTES
+    assert peak <= chunk_layout_bytes(kind, N) + UFUNC_BUFFERS + 8 * 8 * (trials + sbar.M)
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+def test_chunks_after_the_first_allocate_no_chunk_sized_array(monkeypatch, kind):
+    # 8 chunks peak as 1 does, within the O(trials) bytes of the 70 more trials.
+    # And from one kernel read to the next, traced memory never rises by a chunk's
+    # array: every chunk runs in the buffers allocated once per call, and only the
+    # step kernels' temporary and numpy's iterator buffers come and go. Arrays
+    # drawn again per chunk would lift each rise to a chunk's working set, about
+    # 2.4 budgets here, and leave the whole call's peak where it was.
+    import tracemalloc
+
+    spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
+    N = 1600
+    rows = bayes._CHUNK_BYTES // (8 * (2 * N - 1))
+    rises, real = [], bayes._values
+
+    def reading(spec, x, y, *buffers):
+        current, peak = tracemalloc.get_traced_memory()
+        rises.append(peak - current)  # since the previous read began
+        tracemalloc.reset_peak()
+        return real(spec, x, y, *buffers)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            bayes.estimate_epsilon(spec, MINMAX_LQ, 1.5, N, trials, seed=0, sbar=sbar)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(rows)
+    assert abs(peak(8 * rows) - one) <= 64 * 7 * rows
+    monkeypatch.setattr(bayes, "_values", reading)
+    peak(8 * rows)
+    assert len(rises) == 8
+    temporary = chunk_layout_bytes(kind, N) - chunk_layout_bytes("minmax", N)
+    assert max(rises[1:]) <= temporary + UFUNC_BUFFERS + 64 * rows
 
 
 # Block boundaries of the step kernels in BATCH_SPECS (er and minmax have none).

@@ -142,6 +142,38 @@ def test_sample_simple_is_the_simple_network_of_the_weighted_one(tmp_path, graph
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
+@pytest.mark.parametrize("N", [1, 40])
+@pytest.mark.parametrize("simple", [False, True])
+def test_sample_writes_network_json_of_network_to_json(tmp_path, N, simple):
+    # The command writes the matrix from the array, a row at a time, with the
+    # bytes of network_to_json's nested lists under json.dump(indent=2).
+    from graphon_games import sampling
+    args = ["sample", "--graphon", "minmax", "--N", str(N), "--seed", "4", "--out", str(tmp_path)]
+    assert run(args + ["--simple"] * simple) == 0
+    types = sampling.sample_types(N, 4)
+    matrix = (cli._sample(kernels.minmax(), N, 4, simple)[0] if simple
+              else sampling.weighted_network(kernels.minmax(), types).P)
+    want = json.dumps(sampling.network_to_json(matrix, types), indent=2) + "\n"
+    assert (tmp_path / "network.json").read_text() == want
+
+
+def test_sample_holds_no_nested_lists_of_the_matrix(tmp_path):
+    # At N = 600 the 0-1 matrix takes 2.9 MB and the command peaks near 3.5 MB;
+    # written through nested Python lists of the matrix it peaked at 14.6 MB.
+    import tracemalloc
+    N = 600
+    args = ["sample", "--graphon", "minmax", "--N", str(N), "--simple", "--format", "json",
+            "--out", str(tmp_path)]
+    assert run(args) == 0
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N + N * N + 1_000_000
+
+
 @pytest.mark.parametrize("alpha", [0.5, -0.5])
 @pytest.mark.parametrize("graphon", ["minmax", "sbm"])
 def test_simple_solve_network_is_solve_network_of_the_simple_network(tmp_path, graphon, alpha):
@@ -567,6 +599,14 @@ def test_intervene_with_a_nan_budget_exits_1(tmp_path, capsys):
     assert run(["intervene", "--graphon", "minmax", "--N", "20", "--alpha", "0.5", "--beta", "1",
                 "--C", "nan", "--out", str(tmp_path)]) == 1
     assert "budget must be nonnegative" in capsys.readouterr().err
+
+
+def test_welfare_exp_with_a_negative_optimal_cap_exits_1(tmp_path, capsys):
+    # checked where it enters: a negative cap would silently skip every optimum
+    assert run(["welfare-exp", "--graphon", "minmax", "--alpha", "5", "--beta", "1", "--Ns", "20",
+                "--trials", "1", "--optimal-cap", "-3", "--out", str(tmp_path)]) == 1
+    assert "optimal_cap must be an integer of at least 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "welfare.csv").exists()
 
 
 @pytest.mark.parametrize("args, message", [

@@ -278,6 +278,21 @@ def test_write_json_writes_the_bytes_of_json_dump(tmp_path_factory, doc):
     assert (out / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
 
 
+@given(rows=st.integers(0, 5), cols=st.integers(0, 5), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_write_json_writes_a_float_array_as_its_tolist(tmp_path_factory, rows, cols, data):
+    # A float64 array of any dimension is written a row at a time, with the bytes
+    # its nested lists would have: the empty array and its empty rows included.
+    a = np.array(data.draw(st.lists(_json_floats, min_size=rows * cols,
+                                    max_size=rows * cols)), dtype=float).reshape(rows, cols)
+    out = tmp_path_factory.mktemp("json")
+    for doc in (a, a.reshape(-1), {"m": a, "t": a[:, :1], "3d": a[None]}):
+        cli._write_json(out, "doc.json", doc)
+        want = json.dumps(doc.tolist() if isinstance(doc, np.ndarray)
+                          else {k: v.tolist() for k, v in doc.items()}, indent=2)
+        assert (out / "doc.json").read_text() == want + "\n"
+
+
 def test_write_json_keeps_the_bytes_of_float_runs_across_blocks(tmp_path):
     from graphon_games.experiments import _CSV_BLOCK
 

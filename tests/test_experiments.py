@@ -132,6 +132,13 @@ def test_experiment_sizes_must_be_integers(sizes, name):
                                    seed=0)
 
 
+@pytest.mark.parametrize("cap", [-3, math.nan, 2.5, True, None])
+def test_optimal_cap_is_checked_where_it_enters(cap):
+    # a negative or NaN cap would compare false against every N and skip the optimum
+    with pytest.raises(ValueError, match="optimal_cap"):
+        ex.intervention_experiment(kernels.minmax(), 5.0, 1.0, 0.01, [20], 1, cap, seed=0)
+
+
 def test_numpy_integer_sizes_run_the_int_experiment():
     args = dict(spec=kernels.minmax(), payoff=LqPayoff(0.5, 1.0), delta=0.05, M=60, seed=0)
     as_numpy = ex.distance_experiment(**args, Ns=np.array([20, 30]), trials=np.int64(2))
