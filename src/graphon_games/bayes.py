@@ -15,6 +15,7 @@ approximate Bayesian equilibrium. Two quantities are measured here:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,10 +28,11 @@ from .spectral import DiscretizedOperator, GridFunction, discretize, dominant_ei
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
 
 DEFAULT_RESOLUTION = 1000
-# Per-chunk budget of estimate_epsilon's (c, 2N - 1) uniforms. The buffers every chunk reuses,
-# those plus (c, N - 1) link, value and cell index arrays, take 2.5x this and so stay in a
-# 2 MiB L2: 256 KiB ran the bne configuration fastest of 64 KiB-2 MiB (2-vCPU Xeon).
-_CHUNK_BYTES = 1 << 18
+# Per-chunk budget of estimate_epsilon's (c, 2N - 1) uniforms. Two such buffers, one drawn while
+# the other is reduced, plus (c, N - 1) link, value and cell index arrays take 3.4x this, 2.4x on
+# the caller's core: 512 KiB ran the pipelined bne loops fastest of 128 KiB-1 MiB (2-vCPU Xeon,
+# 2 MiB L2 per core: about 32 ms, 40 at 256 KiB and 47 for the serial loop at 256 KiB).
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,13 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     Trials run in chunks of c, each drawing one (c, 2N - 1) block of
     uniforms: per row t_i, the N - 1 t_j, then the N - 1 link uniforms, the
     stream and the bits of one trial at a time. c >= 1 bounds each chunk's
-    uniforms by _CHUNK_BYTES = 256 KiB. Every chunk runs in buffers allocated
-    once per call: the uniforms and (c, N - 1) link, value and cell index
-    arrays, 2.5 budgets, which stay in a 2 MiB L2 cache. Memory is those plus
+    uniforms by _CHUNK_BYTES = 512 KiB. A helper thread draws chunk k + 1
+    into the second of two uniforms buffers while the caller reduces chunk
+    k; two semaphores hand the buffers over in chunk order, so thread timing
+    cannot change a bit. The helper is joined before the call returns or
+    raises, and an error it meets is raised here. Every chunk runs in
+    buffers allocated once per call: the two uniforms buffers and (c, N - 1)
+    link, value and cell index arrays, 3.4 budgets. Memory is those plus
     O(trials + M), whatever N. N and trials must be integers (numpy ones too).
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
@@ -108,17 +114,44 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     rng = np.random.default_rng(seed)
     types, zeta = np.empty(trials), np.empty(trials)
     rows = min(trials, max(1, _CHUNK_BYTES // (8 * (2 * N - 1))))
-    u, links, vals = np.empty((rows, 2 * N - 1)), np.empty((rows, N - 1)), np.empty((rows, N - 1))
+    u = np.empty((2, rows, 2 * N - 1))  # chunk k's uniforms in u[k % 2]
+    links, vals = np.empty((rows, N - 1)), np.empty((rows, N - 1))
     idx = np.empty((rows, N - 1), np.intp)
-    for start in range(0, trials, rows):  # each chunk in the leading c rows of the buffers
-        c = min(rows, trials - start)
-        uc, lc, vc, ic = rng.random(out=u[:c]), links[:c], vals[:c], idx[:c]
-        types[start:start + c], tj = uc[:, 0], uc[:, 1:N]
-        _values(spec, uc[:, :1], tj, lc, vc, ic)  # draws in [0, 1): no range checks
-        np.less(uc[:, N:], lc, out=lc)  # the link probabilities become 1.0 / 0.0 links
-        np.copyto(ic, np.multiply(tj, sbar.M, out=vc), casting="unsafe")  # sbar's cell of t_j,
-        sbar.values.take(ic, out=vc, mode="clip")  # clipped to M - 1 as by _cell_index
-        zeta[start:start + c] = (lc[:, None, :] @ vc[:, :, None])[:, 0, 0] / (N - 1)
+    starts = range(0, trials, rows)
+    free, drawn, stop, failed = threading.Semaphore(2), threading.Semaphore(0), [], []
+
+    def draw():  # the helper thread: chunk k into u[k % 2] once chunk k - 2 is reduced
+        try:
+            for k, start in enumerate(starts):
+                free.acquire()
+                if stop:
+                    return
+                rng.random(out=u[k % 2, :min(rows, trials - start)])
+                drawn.release()
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failed.append(exc)
+            drawn.release()
+
+    helper = threading.Thread(target=draw, name="estimate_epsilon draws", daemon=True)
+    helper.start()
+    try:
+        for k, start in enumerate(starts):  # each chunk in the leading c rows of the buffers
+            drawn.acquire()
+            if failed:
+                raise failed[0]
+            c = min(rows, trials - start)
+            uc, lc, vc, ic = u[k % 2, :c], links[:c], vals[:c], idx[:c]
+            types[start:start + c], tj = uc[:, 0], uc[:, 1:N]
+            _values(spec, uc[:, :1], tj, lc, vc, ic)  # draws in [0, 1): no range checks
+            np.less(uc[:, N:], lc, out=lc)  # the link probabilities become 1.0 / 0.0 links
+            np.copyto(ic, np.multiply(tj, sbar.M, out=vc), casting="unsafe")  # sbar's cell of t_j,
+            sbar.values.take(ic, out=vc, mode="clip")  # clipped to M - 1 as by _cell_index
+            zeta[start:start + c] = (lc[:, None, :] @ vc[:, :, None])[:, 0, 0] / (N - 1)
+            free.release()
+    finally:  # a helper waiting for a buffer wakes, sees stop and returns
+        stop.append(True)
+        free.release()
+        helper.join()
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 
     se = float(deviations.std(ddof=1)) / math.sqrt(trials) if trials > 1 else math.nan

@@ -302,11 +302,18 @@ def _cells(block) -> list:
 def _write_csv(path, header: str, columns) -> None:
     """The header, then one LF-terminated line per row of the equal-length ``columns``. Cells
     go by ``_cells`` a block of rows at a time, a float column's once per run of equal values."""
+    _write_csv_parts(path, header, [columns])
+
+
+def _write_csv_parts(path, header: str, parts) -> None:
+    """``_write_csv`` of the ``parts`` in turn, each a list of equal-length columns: the rows of
+    one part, then the next's, so that a caller can make the parts one at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
-            block = [_cells(col[i:i + _CSV_BLOCK]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        for columns in parts:
+            for i in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+                block = [_cells(col[i:i + _CSV_BLOCK]) for col in columns]
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _json_chunks(doc, pad: str = ""):

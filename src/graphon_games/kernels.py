@@ -161,6 +161,8 @@ def _block_index(spec: GraphonSpec, x, out=None, tmp=None):
     """The block of ``_blocks(spec)`` that holds each point x; a grid's in ``out`` via ``tmp``."""
     if spec.kind == "grid":
         return _cell_index(x, len(spec.values), out, tmp)
+    if tmp is not None and tmp.shape == np.shape(x):  # else searchsorted copies a strided x
+        x = np.copyto(tmp, x) or tmp
     return _sbm_block_index(x, _blocks(spec)[1])
 
 

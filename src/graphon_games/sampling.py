@@ -159,11 +159,19 @@ def network_from_json(doc: dict) -> tuple[np.ndarray, TypeVector]:
 
 
 def write_edge_csv(matrix: np.ndarray, path) -> None:
-    """Write the upper triangle as (i, j, weight) rows, zero edges omitted."""
-    from .experiments import _write_csv  # experiments imports this module
+    """Write the upper triangle as (i, j, weight) rows, zero edges omitted, rows ascending and
+    then columns. Rows are read a block of 4 CSV blocks' entries at a time, so neither a copy
+    of the whole triangle nor all the edges at once are held."""
+    from .experiments import _CSV_BLOCK, _write_csv_parts  # experiments imports this module
     matrix = np.asarray(matrix, dtype=float)
-    iu, ju = np.nonzero(np.triu(matrix, 1))  # row-major: rows ascending, then columns
-    _write_csv(path, "i,j,weight", [iu, ju, matrix[iu, ju]])
+    rows = max(1, 4 * _CSV_BLOCK // max(1, len(matrix)))
+
+    def edges(i):  # rows i to i + rows: row-major nonzeros right of the diagonal
+        iu, ju = np.nonzero(np.triu(matrix[i:i + rows], i + 1))
+        iu += i
+        return [iu, ju, matrix[iu, ju]]
+
+    _write_csv_parts(path, "i,j,weight", map(edges, range(0, len(matrix), rows)))
 
 
 def load_network_json(path) -> tuple[np.ndarray, TypeVector]:

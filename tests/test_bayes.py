@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -251,11 +254,12 @@ def test_chunk_boundaries_keep_the_stream_and_the_bits(monkeypatch, N, rows, tri
 
 def chunk_layout_bytes(kind, N):
     """Bytes of estimate_epsilon's per-call buffers at N, plus the one temporary a step
-    kernel's read allocates: searchsorted's block indices for sbm and er. At N = 1600
-    the buffers take 2.44 budgets, the temporary 0.49 more."""
+    kernel's read allocates: searchsorted's block indices for sbm and er. The buffers are
+    two of uniforms, one drawn while the other is reduced, and the link, value and cell
+    index arrays. At N = 1600 they take 3.42 budgets, the temporary 0.49 more."""
     rows = max(1, bayes._CHUNK_BYTES // (8 * (2 * N - 1)))
     uniforms, links, values, cells = (8 * rows * n for n in (2 * N - 1, N - 1, N - 1, N - 1))
-    return uniforms + links + values + cells + (cells if kind in ("er", "sbm") else 0)
+    return 2 * uniforms + links + values + cells + (cells if kind in ("er", "sbm") else 0)
 
 
 # numpy's ufunc iterator buffers a strided or broadcast operand of a short row in
@@ -267,7 +271,7 @@ UFUNC_BUFFERS = 2 * 8 * np.getbufsize()
 def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
     # The buffers, allocated once per call, plus the step kernels' temporary and
     # numpy's iterator buffers; the rest is O(trials + M). One (trials, N) array
-    # alone would take 2.56 MB, above the 0.85 MB bound for minmax.
+    # alone would take 2.56 MB, above the 2.0 MB bound for minmax.
     import tracemalloc
 
     spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
@@ -279,18 +283,18 @@ def test_estimate_epsilon_peaks_within_its_chunk_budget(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunk_layout_bytes(kind, N) <= (2.5 + 0.5 * (kind in ("er", "sbm"))) * bayes._CHUNK_BYTES
+    assert chunk_layout_bytes(kind, N) <= (3.5 + 0.5 * (kind in ("er", "sbm"))) * bayes._CHUNK_BYTES
     assert peak <= chunk_layout_bytes(kind, N) + UFUNC_BUFFERS + 8 * 8 * (trials + sbar.M)
 
 
 @pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
 def test_chunks_after_the_first_allocate_no_chunk_sized_array(monkeypatch, kind):
-    # 8 chunks peak as 1 does, within the O(trials) bytes of the 70 more trials.
+    # 8 chunks peak as 1 does, within the O(trials) bytes of the 7 more chunks' trials.
     # And from one kernel read to the next, traced memory never rises by a chunk's
     # array: every chunk runs in the buffers allocated once per call, and only the
     # step kernels' temporary and numpy's iterator buffers come and go. Arrays
     # drawn again per chunk would lift each rise to a chunk's working set, about
-    # 2.4 budgets here, and leave the whole call's peak where it was.
+    # 3.4 budgets here, and leave the whole call's peak where it was.
     import tracemalloc
 
     spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
@@ -319,6 +323,114 @@ def test_chunks_after_the_first_allocate_no_chunk_sized_array(monkeypatch, kind)
     assert len(rises) == 8
     temporary = chunk_layout_bytes(kind, N) - chunk_layout_bytes("minmax", N)
     assert max(rises[1:]) <= temporary + UFUNC_BUFFERS + 64 * rows
+
+
+# --- the helper thread that draws the next chunk ---------------------------------
+
+def run_bounded(*calls):
+    """Each call on a daemon thread of its own, all at once, joined with a timeout: what each
+    returned or raised. None is left running: estimate_epsilon neither deadlocked nor left
+    its helper thread behind, so the thread count is back to its value before the calls."""
+    before, outcomes = threading.active_count(), [None] * len(calls)
+
+    def target(i):
+        try:
+            outcomes[i] = calls[i]()
+        except Exception as exc:
+            outcomes[i] = exc
+
+    runners = [threading.Thread(target=target, args=(i,), daemon=True) for i in range(len(calls))]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(60)
+    assert not any(runner.is_alive() for runner in runners)
+    assert threading.active_count() == before
+    return outcomes
+
+
+def ten_chunk_call(monkeypatch, seed=3):
+    """estimate_epsilon on minmax at N = 50 over 40 trials in 10 chunks of 4, as a call to make."""
+    monkeypatch.setattr(bayes, "_CHUNK_BYTES", 4 * 8 * (2 * 50 - 1))
+    sbar = GridFunction(np.linspace(0.5, 2.0, 10))
+    return lambda: bayes.estimate_epsilon(kernels.minmax(), MINMAX_LQ, 1.5, 50, 40, seed, sbar)
+
+
+def test_a_multi_chunk_call_leaves_no_thread_behind(monkeypatch):
+    sizes = record_kernel_read_sizes(monkeypatch)
+    est, = run_bounded(ten_chunk_call(monkeypatch))
+    assert len(sizes) == 10
+    sbar = GridFunction(np.linspace(0.5, 2.0, 10))
+    assert_same_estimate(est, reference_estimate(kernels.minmax(), sbar, 50, 40, 3))
+
+
+class GatedDraws(np.random.Generator):
+    """A Generator whose ``random`` call numbered ``call`` sets ``entered``, then waits for
+    ``proceed`` and raises ``error`` if ``fail``, or waits a fifth of a second and fills."""
+
+    def gate(self, call, fail):
+        self.calls, self.call, self.fail, self.error = 0, call, fail, RuntimeError("draw")
+        self.entered, self.proceed = threading.Event(), threading.Event()
+        return self
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.call:
+            self.entered.set()
+            self.proceed.wait(10 if self.fail else 0.2)
+            if self.fail:
+                raise self.error
+        return super().random(*args, **kwargs)
+
+
+def at_kernel_read(monkeypatch, read, act):
+    """Call act() as estimate_epsilon reads the kernel for its chunk numbered ``read``."""
+    real, reads = bayes._values, itertools.count(1)
+
+    def reading(*args):
+        if next(reads) == read:
+            act()
+        return real(*args)
+
+    monkeypatch.setattr(bayes, "_values", reading)
+
+
+def test_an_error_in_the_reduction_reaches_the_caller_and_stops_the_helper(monkeypatch):
+    # Chunk 2's reduction raises while the helper is still drawing chunk 3: the call
+    # must wake the helper for its stop, and wait for it, before it raises.
+    rng, error = GatedDraws(np.random.PCG64(3)).gate(call=3, fail=False), RuntimeError("chunk 2")
+
+    def fail():
+        assert rng.entered.wait(10)
+        raise error
+
+    at_kernel_read(monkeypatch, 2, fail)
+    outcome, = run_bounded(ten_chunk_call(monkeypatch, seed=rng))
+    assert outcome is error
+
+
+def test_an_error_in_a_draw_reaches_the_caller_and_stops_the_helper(monkeypatch):
+    # estimate_epsilon draws from the Generator passed as its seed, which default_rng
+    # returns as it is. The second draw raises once chunk 1 is being reduced, so only
+    # the helper's error hand-over can wake the caller waiting for chunk 2.
+    rng = GatedDraws(np.random.PCG64(3)).gate(call=2, fail=True)
+    at_kernel_read(monkeypatch, 1, rng.proceed.set)
+    outcome, = run_bounded(ten_chunk_call(monkeypatch, seed=rng))
+    assert rng.calls == 2 and outcome is rng.error
+
+
+def test_concurrent_calls_under_a_short_switch_interval_keep_their_bits(monkeypatch):
+    # Eight calls at once on two cores, their helpers preempted every microsecond: each
+    # estimate has the bits of its call made alone.
+    calls = [ten_chunk_call(monkeypatch, seed) for seed in range(8)]
+    alone = [call() for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        together = run_bounded(*calls)
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == alone
 
 
 # Block boundaries of the step kernels in BATCH_SPECS (er and minmax have none).

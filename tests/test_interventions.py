@@ -452,7 +452,7 @@ def test_welfare_trials_need_no_full_eigendecomposition(monkeypatch):
                                       stats[0].mean_T_gh)
 
 
-def test_welfare_of_a_constant_allocation_scales_the_solve_from_ones():
+def test_welfare_of_a_constant_allocation_matches_a_dense_solve():
     P = random_network(np.random.default_rng(8), 30)
     s = np.linalg.solve(np.eye(30) - 1.5 * P / 30, np.full(30, 1.1))
     assert iv.welfare(P, 1.5, np.full(30, 1.1)) == pytest.approx(np.sum(s**2) / 60.0, rel=1e-12)

@@ -293,6 +293,53 @@ def test_edge_csv_lines_end_in_lf(tmp_path):
     assert b"\r" not in data and data.count(b"\n") == 7  # header and six pairs
 
 
+EDGE_SPECS = {
+    "er": kernels.erdos_renyi(0.3),
+    "sbm": kernels.sbm([[0.8, 0.1], [0.1, 0.6]], [0.75, 0.25]),
+    "minmax": kernels.minmax(),
+    "grid": kernels.grid_kernel([[0.9, 0.2, 0.4], [0.2, 0.5, 0.1], [0.4, 0.1, 0.7]]),
+}
+
+
+def whole_triangle_edge_csv(matrix, path):
+    """The edge list as written from one copy of the whole upper triangle."""
+    from graphon_games.experiments import _write_csv
+    iu, ju = np.nonzero(np.triu(matrix, 1))
+    _write_csv(path, "i,j,weight", [iu, ju, matrix[iu, ju]])
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_SPECS))
+@pytest.mark.parametrize("simple", [False, True])
+@pytest.mark.parametrize("N,csv_block", [(1, 4096), (2, 4096), (150, 4096), (150, 100), (40, 1)])
+def test_edge_csv_has_the_bytes_of_the_whole_triangle(tmp_path, monkeypatch, kind, simple, N,
+                                                      csv_block):
+    # Blocks of 109 and 2 rows at N = 150, of 1 at N = 40: the same lines, in the same
+    # row-major order.
+    from graphon_games import experiments
+    monkeypatch.setattr(experiments, "_CSV_BLOCK", csv_block)
+    net = sampling.weighted_network(EDGE_SPECS[kind], sampling.sample_types(N, 5))
+    matrix = sampling.simple_network(net, 6).A if simple else net.P
+    sampling.write_edge_csv(matrix, tmp_path / "blocks.csv")
+    whole_triangle_edge_csv(matrix, tmp_path / "whole.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_edge_csv_peaks_well_below_the_matrix(tmp_path):
+    # A block of rows at a time: one copy of the upper triangle alone would take the
+    # matrix's 8 MB, and its edge columns more.
+    import tracemalloc
+
+    net = sampling.weighted_network(kernels.erdos_renyi(0.02), sampling.sample_types(1000, 2))
+    A = sampling.simple_network(net, 3).A
+    tracemalloc.start()
+    try:
+        sampling.write_edge_csv(A, tmp_path / "edges.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= A.nbytes / 16
+
+
 _GOOD_NET = {"types": [0.2, 0.8], "matrix": [[0.0, 1.0], [1.0, 0.0]]}
 
 
