@@ -22,7 +22,7 @@ import numpy as np
 
 from .equilibrium import LqPayoff, lq_s_max, solve_graphon
 from .errors import _check_size
-from .kernels import GraphonSpec, _values
+from .kernels import GraphonSpec
 from .spectral import DiscretizedOperator, GridFunction, discretize, dominant_eigenpair
 
 __all__ = ["EpsilonEstimate", "expected_aggregate", "estimate_epsilon", "lq_L_U"]
@@ -142,7 +142,7 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
             c = min(rows, trials - start)
             uc, lc, vc, ic = u[k % 2, :c], links[:c], vals[:c], idx[:c]
             types[start:start + c], tj = uc[:, 0], uc[:, 1:N]
-            _values(spec, uc[:, :1], tj, lc, vc, ic)  # draws in [0, 1): no range checks
+            spec._family.values(uc[:, :1], tj, lc, vc, ic)  # draws in [0, 1): no range checks
             np.less(uc[:, N:], lc, out=lc)  # the link probabilities become 1.0 / 0.0 links
             np.copyto(ic, np.multiply(tj, sbar.M, out=vc), casting="unsafe")  # sbar's cell of t_j,
             sbar.values.take(ic, out=vc, mode="clip")  # clipped to M - 1 as by _cell_index

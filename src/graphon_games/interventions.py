@@ -34,12 +34,11 @@ import numpy as np
 from .equilibrium import (_check_contraction, _collatz_wielandt, _contraction_gate, _definite,
                           _lq_solve)
 from .errors import _check_size
-from .kernels import GraphonSpec, _validate_symmetric
+from .kernels import GraphonSpec, _check_unit_interval, _validate_symmetric
 from .sampling import SimpleNetwork, TypeVector
 from .spectral import (
     POWER_MAX_ITER,
     POWER_TOL,
-    _psi1_at_types,
     _Run,
     power_method,
 )
@@ -207,9 +206,11 @@ def graphon_heuristic(spec: GraphonSpec, types: TypeVector, beta: float,
 
     beta_hat_i = beta + kappa psi1(t_i), kappa spending the budget exactly, with
     psi1 exact for every kernel family; no knowledge of the realized network.
+    Types outside [0, 1], or NaN, raise ValueError.
     """
     _check_params(beta, C)
-    psi_t, gap = _psi1_at_types(spec, types.types)
+    _check_unit_interval(types.types, "types")
+    psi_t, gap = spec._family.psi1(types.types)
     if gap <= _GAP_WARN:
         warnings.warn(
             f"spectral gap {gap:.3g} is not positive; the dominant eigenfunction "

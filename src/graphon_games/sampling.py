@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_size
-from .kernels import GraphonSpec, _check_unit_interval, _sorted_rows, _validate_symmetric
+from .kernels import GraphonSpec, _check_unit_interval, _validate_symmetric
 from .spectral import DiscretizedOperator
 
 __all__ = [
@@ -101,7 +101,7 @@ def simple_network(Pw: WeightedNetwork, seed) -> SimpleNetwork:
 def _kernel_links(spec: GraphonSpec, types: TypeVector, seed, value: float) -> np.ndarray:
     """``simple_network(weighted_network(spec, types), seed).A`` times ``value``, bit for bit
     (with value = 1/N, A/N), from the kernel at the sorted types: no P."""
-    return _links(types.N, seed, _sorted_rows(spec, types.types), value)
+    return _links(types.N, seed, spec._family.sorted_rows(types.types), value)
 
 
 _BLOCK_ROWS = 128

@@ -13,8 +13,11 @@ one midpoint and Q/M is P/N, so it solves exactly as its network. Read at a
 sampled network's sorted types in place of the midpoints, with a zero
 diagonal, the same sums apply the weighted network's P/N without P. Top-k
 spectra need neither: both kernel families have exact discretized spectra
-(see ``top_k_eigen``). Every Krylov solve and eigenpair is one ``_Run``, a
-Lanczos run that reads each step only what its caller still asks for.
+(see ``top_k_eigen``). The product and the spectra are each family's own
+(``at`` and ``top_k`` of the spec's ``_family``, in ``kernels``); this module
+wraps them and never tests the kind. Every Krylov solve and eigenpair is one
+``_Run``, a Lanczos run that reads each step only what its caller still asks
+for.
 
 Functions on the grid are step functions; their L2 norm is
 sqrt(mean(values**2)), so a vector with unit L2 norm has Euclidean norm
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IterationLimitError, _check_size
-from .kernels import (GraphonSpec, _block_index, _blocks, _cell_index, _check_unit_interval,
-                      _validate_sbm, evaluate)
+from .kernels import (GraphonSpec, _cell_index, _check_unit_interval, _orient, evaluate, midpoints,
+                      sbm_eigen_analytic)
 
 __all__ = [
     "GridFunction",
@@ -121,11 +124,8 @@ class DiscretizedOperator:
         return K
 
     @functools.cached_property
-    def _runs(self):
-        # A step kernel's Q/M, and the ids, starts and lengths of its runs of nodes.
-        idx = _block_index(self.spec, self._nodes)
-        starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        return _blocks(self.spec)[0] / self.M, idx[starts], starts, np.diff(starts, append=self.M)
+    def _runs(self):  # a step kernel's Q/M and its runs of nodes, which its family reads
+        return self.spec._family.runs(self._nodes, self.M)
 
     def __len__(self) -> int:
         return self.M
@@ -148,27 +148,7 @@ class DiscretizedOperator:
         s = np.asarray(s, dtype=float)
         if s.shape != (self.M,):
             raise ValueError(f"resolution mismatch: operator M={self.M}, operand {s.shape}")
-        if self.spec.kind == "minmax":
-            # W(x, t_i) = t_i (1 - x) for t_i <= x, else x (1 - t_i): prefix sums A of t s and
-            # suffix sums B of (1 - t) s, read at j = #{t_i <= x}, which is i + 1 at node i
-            # (its own term in A[i + 1]; a zero diagonal reads the exclusive A[i]).
-            t = self._nodes
-            A, B = np.zeros(self.M + 1), np.zeros(self.M + 1)
-            np.cumsum(t * s, out=A[1:])
-            np.cumsum(((1.0 - t) * s)[::-1], out=B[-2::-1])
-            if x is None:
-                a = A[1:] if self._types is None else A[:-1]
-                return ((1.0 - t) * a + t * B[1:]) / self.M
-            j = np.searchsorted(t, x, side="right")
-            return ((1.0 - x) * A[j] + x * B[j]) / self.M
-        Q_over_M, ids, starts, counts = self._runs  # a step kernel: Q/M times the block sums
-        v = Q_over_M @ np.bincount(ids, np.add.reduceat(s, starts), len(Q_over_M))
-        if x is not None:
-            return v[_block_index(self.spec, x)]
-        out = np.repeat(v[ids], counts)
-        if self._types is not None:  # drop the own terms W(t_i, t_i) s_i / M of a zero diagonal
-            out -= np.repeat(np.diag(Q_over_M)[ids], counts) * s
-        return out
+        return self.spec._family.at(self, x, s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +160,6 @@ class EigenPair:
         return {"value": self.value, "function": self.function.to_json()}
 
 
-def midpoints(M: int) -> np.ndarray:
-    return (np.arange(M) + 0.5) / M
-
-
 def discretize(spec: GraphonSpec, M: int) -> DiscretizedOperator:
     """The kernel's operator on the M x M grid of cell midpoints (M an integer >= 2)."""
     return DiscretizedOperator(spec, _check_size(M, "resolution M", 2))
@@ -192,22 +168,6 @@ def discretize(spec: GraphonSpec, M: int) -> DiscretizedOperator:
 def apply(op: DiscretizedOperator, f: GridFunction) -> GridFunction:
     """Apply the discretized operator: (1/M) * kernel_matrix @ f."""
     return GridFunction(op @ f.values)
-
-
-def _orient(v: np.ndarray, weights=None) -> np.ndarray:
-    # Fix the +/- ambiguity: make the (weighted) mean nonnegative; if the mean
-    # is essentially zero, make the first near-largest-magnitude entry
-    # positive. Both tests are relative to the largest entry with a margin far
-    # above round-off, so a mean that is zero in exact arithmetic, or peaks
-    # that are equal in it (sin(2 pi x) at x = 1/4 and 3/4), give the same
-    # sign whatever the BLAS or the eigensolver.
-    a = np.abs(v)
-    peak = a.max()
-    m = np.average(v, weights=weights)
-    if abs(m) > 1e-8 * peak:
-        return v if m >= 0.0 else -v
-    j = int(np.argmax(a >= (1.0 - 1e-8) * peak))
-    return v if v[j] >= 0.0 else -v
 
 
 def _top(a: list, b: list, lam: float, tol: float | None):
@@ -401,22 +361,6 @@ def dominant_eigenpair(
     return EigenPair(lam, GridFunction(v / np.sqrt(np.mean(v**2))))  # v: unit, oriented
 
 
-def _helmert(c: np.ndarray, t: int) -> np.ndarray:
-    """The t-th Helmert contrast inside consecutive blocks of c points, unit Euclidean norm.
-
-    Block b holds contrasts j = 1 .. c_b - 1, ones on its first j points and
-    -j on the next: an orthonormal basis of the vectors summing to 0 on each block.
-    """
-    ends = np.cumsum(c - 1)  # contrasts before the end of each block
-    b = int(np.searchsorted(ends, t, side="right"))
-    j = int(t - ends[b] + c[b])
-    v = np.zeros(int(c.sum()))
-    start = int(c[:b].sum())
-    v[start:start + j] = 1.0
-    v[start + j] = -j
-    return v / np.sqrt(j * (j + 1.0))
-
-
 def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     """The k largest (algebraic) eigenvalues with L2-orthonormal eigenfunctions.
 
@@ -439,43 +383,7 @@ def top_k_eigen(op: DiscretizedOperator, k: int) -> list[EigenPair]:
     M, k = op.M, _check_size(k, "k", 1)
     if k > M:
         raise ValueError(f"k must lie in [1, {M}], got {k}")
-    if op.spec.kind == "minmax":
-        h = np.arange(1, k + 1)
-        F = np.sin(np.pi * np.outer(h, midpoints(M)))
-        F /= np.sqrt(np.mean(F**2, axis=1, keepdims=True))  # 1/sqrt(2), but 1 at h = M
-        values = (2.0 * M * np.sin(h * np.pi / (2 * M))) ** -2.0
-        return [EigenPair(float(lam), GridFunction(_orient(f))) for lam, f in zip(values, F)]
-    _, ids, _, c = op._runs
-    blocks = sbm_eigen_analytic(_blocks(op.spec)[0][np.ix_(ids, ids)], c / M)
-    values = np.array([lam for lam, _ in blocks] + [0.0] * min(k, M - len(c)))
-    pairs = []
-    for i in np.argsort(-values, kind="stable")[:k]:
-        f = np.repeat(blocks[i][1], c) if i < len(c) else _helmert(c, i - len(c)) * np.sqrt(M)
-        pairs.append(EigenPair(float(values[i]), GridFunction(_orient(f))))
-    return pairs
-
-
-def sbm_eigen_analytic(Q, w, k: int | None = None) -> list[tuple[float, np.ndarray]]:
-    """Exact spectrum of a block-constant kernel: its k largest pairs (all K by default).
-
-    The kernel operator shares its eigenvalues with the K x K matrix
-    E = Q diag(w); eigenfunctions are constant on each community. They come
-    from ``np.linalg.eigh`` of the symmetric similar matrix
-    diag(sqrt(w)) Q diag(sqrt(w)), which has the same spectrum and is
-    numerically stable. Returned per-block values give eigenfunctions with
-    unit L2 norm, oriented by the rule of ``dominant_eigenpair`` with the
-    mean weighted by w; pairs are sorted by descending eigenvalue.
-    """
-    Q, w = _validate_sbm(Q, w)
-    k = len(w) if k is None else _check_size(k, "k", 1)
-    if k > len(w):
-        raise ValueError(f"k must lie in [1, {len(w)}], got {k}")
-    sw = np.sqrt(w)
-    values, U = np.linalg.eigh(sw[:, None] * Q * sw[None, :])
-    # Per-block eigenfunction values: u / sqrt(w) has unit L2 norm since
-    # sum_k w_k * (u_k / sqrt(w_k))**2 = sum_k u_k**2 = 1.
-    return [(float(lam), _orient(u / sw, weights=w))
-            for lam, u in zip(values[::-1][:k], U.T[::-1])]
+    return [EigenPair(lam, GridFunction(f)) for lam, f in op.spec._family.top_k(op, k)]
 
 
 def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
@@ -484,27 +392,6 @@ def minmax_eigen_analytic(h: int, M: int) -> tuple[float, GridFunction]:
     lam = 1.0 / (np.pi * h) ** 2
     psi = np.sqrt(2.0) * np.sin(h * np.pi * midpoints(M))
     return lam, GridFunction(psi)
-
-
-def _psi1_at_types(spec: GraphonSpec, t: np.ndarray):
-    """Dominant kernel eigenfunction at the given points, plus the spectral gap.
-
-    Closed forms: minmax's sine, and for a step kernel (constant, block, grid)
-    its block spectrum by ``sbm_eigen_analytic``, computed once per spec.
-    """
-    if spec.kind == "minmax":
-        psi = np.sqrt(2.0) * np.sin(np.pi * t)
-        return psi, 1.0 / np.pi**2 - 1.0 / (4.0 * np.pi**2)
-    pairs = _step_pairs(spec)
-    lam2 = pairs[1][0] if len(pairs) > 1 else 0.0
-    return pairs[0][1][_block_index(spec, t)], pairs[0][0] - lam2
-
-
-@functools.lru_cache(maxsize=4)
-def _step_pairs(spec: GraphonSpec):
-    # keyed by identity (GraphonSpec has eq=False); safe as a spec's arrays are read-only
-    Q, w = _blocks(spec)
-    return sbm_eigen_analytic(Q, w, min(2, len(w)))
 
 
 class _Difference:

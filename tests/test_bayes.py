@@ -196,20 +196,25 @@ def reference_estimate(spec, sbar, N, trials, seed, L_U=1.5):
     return 2.0 * L_U * float(devs.mean()), 2.0 * L_U * se
 
 
-def record_kernel_read_sizes(monkeypatch):
-    """Points of each kernel read estimate_epsilon makes, in call order.
+def spy_on_kernel_reads(monkeypatch, spy):
+    """Route every kernel family's unchecked read ``values`` through ``spy(real, family, ...)``.
 
-    The trial loop reads the kernel with the unchecked ``kernels._values``,
-    its draws lying in [0, 1) by construction, into the chunk's buffers.
+    The trial loop reads the kernel with its spec's ``_family.values``, its
+    draws lying in [0, 1) by construction, into the chunk's buffers.
     """
+    for family in (kernels._MinMax, kernels._Step):  # _Grid reads by _Step.values
+        monkeypatch.setattr(family, "values", lambda *args, real=family.values: spy(real, *args))
+
+
+def record_kernel_read_sizes(monkeypatch):
+    """Points of each kernel read estimate_epsilon makes, in call order."""
     sizes = []
-    real = bayes._values
 
-    def counting(spec, x, y, *buffers):
+    def counting(real, family, x, y, *buffers):
         sizes.append(math.prod(np.broadcast_shapes(np.shape(x), np.shape(y))))
-        return real(spec, x, y, *buffers)
+        return real(family, x, y, *buffers)
 
-    monkeypatch.setattr(bayes, "_values", counting)
+    spy_on_kernel_reads(monkeypatch, counting)
     return sizes
 
 
@@ -300,13 +305,13 @@ def test_chunks_after_the_first_allocate_no_chunk_sized_array(monkeypatch, kind)
     spec, sbar = BATCH_SPECS[kind], GridFunction(np.linspace(0.5, 2.0, 1000))
     N = 1600
     rows = bayes._CHUNK_BYTES // (8 * (2 * N - 1))
-    rises, real = [], bayes._values
+    rises = []
 
-    def reading(spec, x, y, *buffers):
+    def reading(real, family, x, y, *buffers):
         current, peak = tracemalloc.get_traced_memory()
         rises.append(peak - current)  # since the previous read began
         tracemalloc.reset_peak()
-        return real(spec, x, y, *buffers)
+        return real(family, x, y, *buffers)
 
     def peak(trials):
         tracemalloc.start()
@@ -318,7 +323,7 @@ def test_chunks_after_the_first_allocate_no_chunk_sized_array(monkeypatch, kind)
 
     one = peak(rows)
     assert abs(peak(8 * rows) - one) <= 64 * 7 * rows
-    monkeypatch.setattr(bayes, "_values", reading)
+    spy_on_kernel_reads(monkeypatch, reading)
     peak(8 * rows)
     assert len(rises) == 8
     temporary = chunk_layout_bytes(kind, N) - chunk_layout_bytes("minmax", N)
@@ -385,14 +390,14 @@ class GatedDraws(np.random.Generator):
 
 def at_kernel_read(monkeypatch, read, act):
     """Call act() as estimate_epsilon reads the kernel for its chunk numbered ``read``."""
-    real, reads = bayes._values, itertools.count(1)
+    reads = itertools.count(1)
 
-    def reading(*args):
+    def reading(real, *args):
         if next(reads) == read:
             act()
         return real(*args)
 
-    monkeypatch.setattr(bayes, "_values", reading)
+    spy_on_kernel_reads(monkeypatch, reading)
 
 
 def test_an_error_in_the_reduction_reaches_the_caller_and_stops_the_helper(monkeypatch):

@@ -315,16 +315,14 @@ def test_intervention_experiment_requires_complements():
 def test_grid_intervention_experiment_computes_the_eigenpairs_once(monkeypatch):
     # The grid kernel's dominant eigenpairs depend on the spec alone, so a
     # serial multi-trial run computes them once, not once per trial.
-    from graphon_games import spectral
-
     calls = []
-    real = spectral.sbm_eigen_analytic
+    real = kernels.sbm_eigen_analytic
 
     def counting(Q, w, k=None):
         calls.append(len(w))
         return real(Q, w, k)
 
-    monkeypatch.setattr(spectral, "sbm_eigen_analytic", counting)
+    monkeypatch.setattr(kernels, "sbm_eigen_analytic", counting)
     spec = kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1], [0.2, 0.1, 0.5]])
     stats = ex.intervention_experiment(spec, 2.0, 1.0, 0.01, [20, 30], 3, 0, 5, jobs=1)
     assert [s.failures for s in stats] == [0, 0]

@@ -867,6 +867,31 @@ def test_the_optimum_at_beta_zero_is_the_perron_direction():
         assert np.array_equal(res.beta_hat, iv.network_heuristic(P, 0.0, 1.0).beta_hat)
 
 
+@pytest.mark.parametrize("types", [[0.2, 1.7], [0.2, math.nan], [-0.7, 0.3]])
+@pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm([[0.8, 0.2], [0.2, 0.5]],
+                                                                         [0.5, 0.5]),
+                                  kernels.minmax(), kernels.grid_kernel([[0.8, 0.2], [0.2, 0.5]])],
+                         ids=["er", "sbm", "minmax", "grid"])
+def test_graphon_heuristic_rejects_types_outside_the_unit_interval(spec, types):
+    # minmax's sine would go below beta at 1.7, NaN would spread to every
+    # allocation, and -0.7 would wrap to a grid's last cell.
+    with pytest.raises(ValueError, match="types outside"):
+        iv.graphon_heuristic(spec, sampling.TypeVector(types), 1.0, 1.0)
+
+
+def test_a_spec_does_not_outlive_its_caller():
+    # The step kernel's dominant pair is kept with the spec, so nothing holds
+    # the spec, or its 400 x 400 cell values, once the caller drops it.
+    import weakref
+
+    V = np.random.default_rng(0).random((400, 400))
+    spec = kernels.grid_kernel(np.triu(V) + np.triu(V, 1).T)
+    iv.graphon_heuristic(spec, sampling.sample_types(50, 1), 1.0, 1.0)
+    ref = weakref.ref(spec)
+    del spec
+    assert ref() is None
+
+
 def test_graphon_heuristic_on_a_grid_kernel_matches_its_blocks():
     # A grid kernel takes the discretized operator; the same blocks as an sbm
     # take the closed form.

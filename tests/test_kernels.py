@@ -167,6 +167,25 @@ def test_spec_arrays_stay_read_only_through_pickle(spec, field):
         getattr(copy, field)[0] = 0.0
 
 
+ALL_KINDS = {"er": kernels.erdos_renyi(0.3), "sbm": kernels.sbm(SBM_Q, SBM_W),
+             "minmax": kernels.minmax(), "grid": kernels.grid_kernel([[0.2, 0.6], [0.6, 0.9]])}
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_an_unpickled_spec_reads_the_kernel_bit_for_bit(kind):
+    spec = ALL_KINDS[kind]
+    copy = pickle.loads(pickle.dumps(spec))
+    x = np.random.default_rng(0).random((40, 1))
+    assert repr(copy) == repr(spec)
+    assert np.array_equal(kernels.evaluate(copy, x, x.T), kernels.evaluate(spec, x, x.T))
+    assert kernels.lipschitz_metadata(copy) == kernels.lipschitz_metadata(spec)
+
+
+def test_an_unknown_kind_is_rejected_where_the_spec_is_built():
+    with pytest.raises(ValueError, match="unknown graphon kind 'foo'"):
+        kernels.GraphonSpec("foo")
+
+
 # --- metadata ---------------------------------------------------------------
 
 @pytest.mark.parametrize("spec,expected", [

@@ -145,7 +145,7 @@ def test_structured_product_with_a_community_holding_no_midpoint(w):
     M = 100
     Q = np.full((len(w), len(w)), 0.3) + 0.5 * np.eye(len(w))
     op = spectral.discretize(kernels.sbm(Q, w), M)
-    assert len(np.unique(kernels._sbm_block_index(spectral.midpoints(M), w))) < len(w)
+    assert len(np.unique(op.spec._family.index(spectral.midpoints(M)))) < len(w)
     rng = np.random.default_rng(0)
     s = rng.standard_normal(M)
     assert_product_matches_the_dense_one(op, s)
