@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, validation or memory error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,24 +47,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _add_common(sub):
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="root RNG seed")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--config", default=None, help="JSON config file; flags override it")
-
-
-def _add_graphon(sub):
-    sub.add_argument("--graphon", choices=("er", "sbm", "minmax", "grid"), default=None)
-    sub.add_argument("--er", type=float, default=None, help="shorthand: constant kernel with this p")
-    sub.add_argument("--p", type=float, default=None, help="edge probability for --graphon er")
-    sub.add_argument("--gin", type=float, default=None, help="within-community probability")
-    sub.add_argument("--gout", type=float, default=None, help="across-community probability")
-    sub.add_argument("--w", default=None, help="comma-separated community masses")
-    sub.add_argument("--Q", default=None, help="JSON K x K community matrix (overrides gin/gout)")
-    sub.add_argument("--graphon-json", default=None, help="file with a serialized graphon")
 
 
 def build_graphon(args):
@@ -102,7 +85,7 @@ def _parse_ns(value: str) -> list[int]:
 
 def _write_json(outdir: Path, name: str, doc) -> None:
     """The bytes of ``json.dump(doc, fh, indent=2)`` plus a newline, written a piece at a
-    time; the floats of a list are formatted once per run of equal values."""
+    time; the floats of a list are formatted once per distinct value."""
     with open(outdir / name, "w") as fh:
         fh.writelines(_json_chunks(doc))
         fh.write("\n")
@@ -115,11 +98,8 @@ def _write_table(args, outdir: Path, name: str, header: str, rows, docs) -> None
         _write_json(outdir, f"{name}.json", docs)
 
 
-_NOT_PARAMS = {"func", "config", "required_params"}
-
-
 def _manifest(outdir: Path, command: str, args) -> None:
-    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    params = {k: v for k, v in vars(args).items() if k not in ("config", "required_params")}
     _write_json(outdir, "manifest.json", {
         "command": command,
         "params": params,
@@ -257,39 +237,47 @@ def _cmd_bne_epsilon(args, outdir: Path) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphon-games", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-    graphon = argparse.ArgumentParser(add_help=False)
-    _add_graphon(graphon)
-    _add_common(graphon)
+    graphon = argparse.ArgumentParser(add_help=False)  # every command's flags
+    arg = graphon.add_argument
+    arg("--graphon", choices=("er", "sbm", "minmax", "grid"), default=None)
+    arg("--er", type=float, default=None, help="shorthand: constant kernel with this p")
+    arg("--p", type=float, default=None, help="edge probability for --graphon er")
+    arg("--gin", type=float, default=None, help="within-community probability")
+    arg("--gout", type=float, default=None, help="across-community probability")
+    arg("--w", default=None, help="comma-separated community masses")
+    arg("--Q", default=None, help="JSON K x K community matrix (overrides gin/gout)")
+    arg("--graphon-json", default=None, help="file with a serialized graphon")
+    arg("--out", default=".", help="output directory")
+    arg("--seed", type=int, default=0, help="root RNG seed")
+    arg("--format", choices=("csv", "json"), default="csv")
+    arg("--config", default=None, help="JSON config file; flags override it")
     game = argparse.ArgumentParser(add_help=False)
     game.add_argument("--alpha", type=float, default=None)
     game.add_argument("--beta", type=float, default=None)
     jobs_help = "ignored, kept for compatibility: every trial runs in this process"
 
-    def add(name, summary, func, required=None, parents=(graphon, game)):
+    def add(name, summary, required=None, parents=(graphon, game)):  # runs _cmd_<name>
         sp = subs.add_parser(name, help=summary, parents=list(parents))
-        sp.set_defaults(func=func, required_params=required)
+        sp.set_defaults(required_params=required)
         return sp
 
-    sp = add("sample", "sample a network from a graphon", _cmd_sample, ("N",), (graphon,))
+    sp = add("sample", "sample a network from a graphon", ("N",), (graphon,))
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--simple", action="store_true", help="draw the 0-1 network")
 
-    sp = add("eigen", "leading spectrum of the discretized kernel", _cmd_eigen, None, (graphon,))
+    sp = add("eigen", "leading spectrum of the discretized kernel", None, (graphon,))
     sp.add_argument("--M", type=int, default=2000)
     sp.add_argument("--k", type=int, default=1)
 
-    sp = add("solve-network", "equilibrium of a sampled or given network game",
-             _cmd_solve_network, ("alpha", "beta"))
+    sp = add("solve-network", "equilibrium of a sampled or given network game", ("alpha", "beta"))
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--simple", action="store_true")
     sp.add_argument("--network-json", default=None, help="load the network instead of sampling")
 
-    sp = add("solve-graphon", "equilibrium of the discretized graphon game",
-             _cmd_solve_graphon, ("alpha", "beta"))
+    sp = add("solve-graphon", "equilibrium of the discretized graphon game", ("alpha", "beta"))
     sp.add_argument("--M", type=int, default=2000)
 
-    sp = add("intervene", "budget allocation policies on a sampled network",
-             _cmd_intervene, ("N", "alpha", "beta"))
+    sp = add("intervene", "budget allocation policies on a sampled network", ("N", "alpha", "beta"))
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--C", type=float, default=None, help="total budget")
     sp.add_argument("--c-per-agent", type=float, default=0.01, help="per-agent budget, C = c N")
@@ -297,7 +285,7 @@ def build_parser() -> _Parser:
                     default="all")
 
     sp = add("distance-exp", "equilibrium distance statistics vs population size",
-             _cmd_distance_exp, ("alpha", "beta", "Ns"))
+             ("alpha", "beta", "Ns"))
     sp.add_argument("--Ns", default=None, help="comma-separated population sizes")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--delta", type=float, default=0.05)
@@ -305,21 +293,23 @@ def build_parser() -> _Parser:
     sp.add_argument("--jobs", type=int, default=0, help=jobs_help)
 
     sp = add("welfare-exp", "welfare of intervention policies vs population size",
-             _cmd_welfare_exp, ("alpha", "beta", "Ns"))
+             ("alpha", "beta", "Ns"))
     sp.add_argument("--c-per-agent", type=float, default=0.01)
     sp.add_argument("--Ns", default=None)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--optimal-cap", type=int, default=150)
     sp.add_argument("--jobs", type=int, default=0, help=jobs_help)
 
-    sp = add("bne-epsilon", "Monte Carlo Bayesian suboptimality estimates",
-             _cmd_bne_epsilon, ("alpha", "beta", "Ns"))
+    sp = add("bne-epsilon", "Monte Carlo Bayesian suboptimality estimates", ("alpha", "beta", "Ns"))
     sp.add_argument("--Ns", default=None)
     sp.add_argument("--trials", type=int, default=2000)
     sp.add_argument("--M", type=int, default=1000)
     sp.add_argument("--L-U", type=float, default=None, dest="L_U")
 
     return parser
+
+
+_parser = functools.cache(build_parser)  # main's: one per process
 
 
 def _config_flags(path) -> list[str]:
@@ -340,8 +330,10 @@ def _config_flags(path) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code. The parser is built once per process and reused, and the
+    command runs as the module's ``_cmd_<name>`` looked up at call time."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:  # re-parsed so that config values are checked like flags and flags win
@@ -352,7 +344,7 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         _manifest(outdir, args.command, args)
-        return args.func(args, outdir)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args, outdir)
     except (UsageError, OSError, MemoryError) as exc:  # bad input or output path; huge array
         print(f"error: {exc}", file=sys.stderr)
         return 1

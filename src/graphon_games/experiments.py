@@ -274,34 +274,35 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_reprs(a, spelling: dict) -> list:
-    """repr of each float64 of the non-empty ``a``, made once per run of equal bits (0.0 and
-    -0.0 apart), with 'nan', 'inf' and '-inf' respelled by ``spelling``."""
+    """repr of each float64 of the non-empty ``a``, made once per distinct bit pattern (0.0 and
+    -0.0 apart), with 'nan', 'inf' and '-inf' respelled by ``spelling``. Runs of equal bits are
+    found first; only a value that recurs apart from its run costs a sort of the run heads."""
     a = np.asarray(a, dtype=np.float64)
     bits = a.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    heads = a[starts]
-    strs = list(map(repr, heads.tolist()))
-    if not np.isfinite(heads).all():
+    heads, which = bits[starts], slice(None)  # which: the distinct head each run reads
+    if (np.diff(np.sort(heads)) == 0).any():
+        heads, which = np.unique(heads, return_inverse=True)
+    strs = list(map(repr, heads.view(np.float64).tolist()))
+    if not np.isfinite(heads.view(np.float64)).all():
         strs = [spelling.get(s, s) for s in strs]
     if len(strs) == len(a):
         return strs
-    return np.repeat(np.array(strs, dtype=object), np.diff(starts, append=len(a))).tolist()
+    return np.repeat(np.array(strs, dtype=object)[which], np.diff(starts, append=len(a))).tolist()
 
 
 def _cells(block) -> list:
-    """Lists and tuples cell by cell: floats by repr, NaN and None as empty cells, anything
-    else by str. Float arrays by ``_float_reprs``, NaN empty; other arrays and ranges by str."""
-    if isinstance(block, (list, tuple)):
-        return ["" if v is None or v != v else repr(float(v)) if isinstance(v, float) else str(v)
-                for v in block]
-    if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+    """A column block as numpy types it: floats by ``_float_reprs`` with NaN as an empty cell,
+    anything else (ints, bools, strings) by str. A missing float is NaN."""
+    block = np.asarray(block)
+    if block.dtype.kind == "f":
         return _float_reprs(block, {"nan": ""})
-    return list(map(str, block.tolist() if isinstance(block, np.ndarray) else block))
+    return list(map(str, block.tolist()))
 
 
 def _write_csv(path, header: str, columns) -> None:
     """The header, then one LF-terminated line per row of the equal-length ``columns``. Cells
-    go by ``_cells`` a block of rows at a time, a float column's once per run of equal values."""
+    go by ``_cells`` a block of rows at a time, a float column's once per distinct value."""
     _write_csv_parts(path, header, [columns])
 
 

@@ -88,7 +88,7 @@ class GraphonSpec:
     fields relevant to the kind are set; use the module-level constructors
     rather than instantiating directly. The constructors store read-only
     copies of their arrays, so instances are immutable, and stay so when
-    unpickled. An unknown kind is a ValueError.
+    unpickled. An unknown kind, or a kind without its fields, is a ValueError.
     """
 
     kind: str
@@ -100,6 +100,9 @@ class GraphonSpec:
     def __post_init__(self):  # the one dispatch on kind
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown graphon kind {self.kind!r}")
+        missing = [name for name in _FIELDS[self.kind] if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"graphon kind {self.kind!r} requires {', '.join(missing)}")
         object.__setattr__(self, "_family", _FAMILIES[self.kind](self))
 
     def __repr__(self):
@@ -110,8 +113,7 @@ class GraphonSpec:
         return f"GraphonSpec({self.kind}, K={len(self._family.Q)})"
 
     def __reduce__(self):  # unpickled by its constructor: read-only copies and a new family
-        fields = (getattr(self, name) for name in _FIELDS)
-        return _CONSTRUCTORS[self.kind], tuple(value for value in fields if value is not None)
+        return _CONSTRUCTORS[self.kind], tuple(getattr(self, name) for name in _FIELDS[self.kind])
 
 
 def erdos_renyi(p: float) -> GraphonSpec:
@@ -373,18 +375,14 @@ def lipschitz_metadata(spec: GraphonSpec) -> tuple[float, int]:
     return spec._family.lipschitz
 
 
-_FIELDS = ("p", "Q", "w", "values")
+_FIELDS = {"minmax": (), "er": ("p",), "sbm": ("Q", "w"), "grid": ("values",)}  # of each kind
 _CONSTRUCTORS = {"er": erdos_renyi, "sbm": sbm, "minmax": minmax, "grid": grid_kernel}
 
 
 def to_json(spec: GraphonSpec) -> dict:
-    """Serialize to a plain JSON document: the kind plus the fields it sets."""
-    doc = {"kind": spec.kind}
-    for name in _FIELDS:
-        value = getattr(spec, name)
-        if value is not None:
-            doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return doc
+    """Serialize to a plain JSON document: the kind plus the fields of that kind."""
+    fields = _FIELDS[spec.kind]
+    return {"kind": spec.kind, **{name: np.asarray(getattr(spec, name)).tolist() for name in fields}}
 
 
 def from_json(doc: dict) -> GraphonSpec:

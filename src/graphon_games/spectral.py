@@ -111,6 +111,14 @@ class DiscretizedOperator:
     M: int
     _types: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):  # the family's reads assume M ascending nodes in [0, 1]
+        if self._types is not None:
+            t = np.asarray(self._types, dtype=float)
+            _check_unit_interval(t, "types")
+            if t.shape != (self.M,) or (t[1:] < t[:-1]).any():
+                raise ValueError(f"types must be M={self.M} ascending points, shape {t.shape}")
+            object.__setattr__(self, "_types", t)
+
     @property
     def _nodes(self) -> np.ndarray:  # the midpoints are made per use: none are kept
         return midpoints(self.M) if self._types is None else self._types

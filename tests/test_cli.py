@@ -526,6 +526,55 @@ def test_module_invocation_exits_with_the_command_code(tmp_path):
     assert (tmp_path / "good" / "eigenfunctions.csv").exists()
 
 
+# One process reuses its parser: runs back to back, each after another run whose
+# flags or config set other values, write what a fresh process per run writes.
+_BACK_TO_BACK = [
+    ["eigen", "--graphon", "minmax", "--M", "40", "--k", "3", "--out", "k3"],
+    ["eigen", "--graphon", "minmax", "--M", "40", "--out", "k-default"],
+    ["solve-graphon", "--config", "solve.json", "--out", "config"],
+    ["solve-graphon", "--graphon", "minmax", "--alpha", "0.5", "--beta", "1", "--out", "flags"],
+    ["eigen", "--config", "eigen.json", "--out", "config-eigen"],
+    ["eigen", "--er", "0.5", "--M", "6", "--out", "flags-eigen"],
+]
+_SBM = {"graphon": "sbm", "gin": 0.8, "gout": 0.1, "w": [0.75, 0.25], "M": 30, "seed": 7,
+        "format": "json"}
+_CONFIGS = {"solve.json": {**_SBM, "alpha": -0.5, "beta": 2}, "eigen.json": {**_SBM, "k": 2}}
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_runs_in_one_process_write_the_bytes_of_fresh_processes(tmp_path, monkeypatch):
+    for side in ("fresh", "reused"):
+        (tmp_path / side).mkdir()
+        for name, config in _CONFIGS.items():
+            (tmp_path / side / name).write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=str(Path(graphon_games.__file__).parents[1]))
+    for args in _BACK_TO_BACK:
+        fresh = subprocess.run([sys.executable, "-m", "graphon_games.cli", *args], env=env,
+                               cwd=tmp_path / "fresh", capture_output=True, text=True,
+                               timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+    monkeypatch.chdir(tmp_path / "reused")
+    assert [run(args) for args in _BACK_TO_BACK] == [0] * len(_BACK_TO_BACK)
+    fresh, reused = _tree(tmp_path / "fresh"), _tree(tmp_path / "reused")
+    assert len(fresh) == 2 + 16 and sum(name.endswith("manifest.json") for name in fresh) == 6
+    assert reused == fresh
+    manifest = json.loads(fresh["k-default/manifest.json"])["params"]
+    assert (manifest["k"], manifest["format"]) == (1, "csv")
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert first.parse_args(["eigen", "--er", "0.5"]).k == 1
+    first.set_defaults(out="elsewhere")  # a caller's change stays in that caller's parser
+    assert second.parse_args(["eigen", "--er", "0.5"]).out == "."
+    assert cli.build_parser().parse_args(["eigen", "--er", "0.5"]).out == "."
+
+
 _EXPERIMENT_OUTPUTS = {"distance-exp": ("distances.csv", "summary.csv"),
                        "welfare-exp": ("welfare.csv", "summary.csv")}
 

@@ -206,13 +206,13 @@ def test_write_csv_formats_cells(tmp_path):
 
     path = tmp_path / "t.csv"
     _write_csv(path, "a,b,c,d,e", [(1, np.int64(2)), (np.float64(0.1), 1e-20),
-                                   np.array([math.nan, 3.0]), (None, 7), ("w", "s")])
-    assert path.read_bytes() == b"a,b,c,d,e\n1,0.1,,,w\n2,1e-20,3.0,7,s\n"
+                                   np.array([math.nan, 3.0]), (math.nan, 7.5), ("w", "s")])
+    assert path.read_bytes() == b"a,b,c,d,e\n1,0.1,,,w\n2,1e-20,3.0,7.5,s\n"
 
 
 def _fmt(value) -> str:
-    """The per-cell rule the CSV writer keeps, as it read when it ran once per cell."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    """The bytes of one cell of a typed column, formatted on its own: a missing float is NaN."""
+    if isinstance(value, float) and math.isnan(value):
         return ""
     if isinstance(value, float):
         return repr(float(value))
@@ -221,29 +221,88 @@ def _fmt(value) -> str:
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2 blocks + 1"])
 def test_write_csv_keeps_the_per_cell_bytes_across_blocks(tmp_path, extra):
-    # Cells are formatted a column block at a time; the bytes are those of the
-    # per-cell rule, row by row, at and around each block boundary.
+    # Cells are formatted a column block at a time; the bytes are those of each
+    # cell formatted on its own, row by row, at and around each block boundary.
+    # Lists and tuples are typed by numpy like arrays: ints, bools, strings and
+    # floats (Python or numpy, NaN for a missing value) each in a column.
     from graphon_games.experiments import _CSV_BLOCK, _write_csv
 
     n = 2 * _CSV_BLOCK + 1 if extra == "2 blocks + 1" else _CSV_BLOCK + extra
     specials = [math.nan, -0.0, 1e-5, 1e16, 1e-300, 0.1, -2.5, math.inf]
     floats = np.array([specials[i % len(specials)] * (1 + i % 3) for i in range(n)])
-    mixed = [[None, 3, np.int64(-4), True, np.bool_(False), "lq", np.float64(1e-5),
-              math.nan, np.float64(math.nan), -0.0, 7.25][i % 11] for i in range(n)]
-    # Float columns are formatted once per run of equal bits: runs of 1000 that
-    # cross every block boundary, a NaN run across the first boundary, and runs
-    # of 0.0 next to runs of -0.0.
+    ints = [[3, np.int64(-4)][i % 2] for i in range(n)]
+    flags = [[True, np.bool_(False)][i % 3 % 2] for i in range(n)]
+    words = [["lq", "w", "s"][i % 3] for i in range(n)]
+    listed = tuple([np.float64(1e-5), math.nan, np.float64(math.nan), -0.0, 7.25][i % 5]
+                   for i in range(n))
+    # Float columns are formatted once per distinct value, found among the runs
+    # of equal bits: runs of 1000 that cross every block boundary, a NaN run
+    # across the first boundary, and runs of 0.0 next to runs of -0.0.
     runs = np.array([specials[1:][(i // 1000) % 7] for i in range(n)])
     nan_run = np.where(abs(np.arange(n) - _CSV_BLOCK) < 700, math.nan, 2.5)
     zeros = np.where(np.arange(n) // 3 % 2 == 0, 0.0, -0.0)
-    columns = [range(n), floats, mixed, np.arange(n) - 5, floats[::-1] * 1e-300,
-               np.arange(n) % 2 == 0, runs, nan_run, zeros]
+    columns = [range(n), floats, ints, flags, words, listed, np.arange(n) - 5,
+               floats[::-1] * 1e-300, np.arange(n) % 2 == 0, runs, nan_run, zeros]
     path = tmp_path / "t.csv"
-    _write_csv(path, "i,f,m,k,g,b,r,n,z", columns)
-    want = "i,f,m,k,g,b,r,n,z\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+    _write_csv(path, "i,f,m,l,w,x,k,g,b,r,n,z", columns)
+    want = "i,f,m,l,w,x,k,g,b,r,n,z\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
                                            for row in zip(*columns))
     assert path.read_bytes() == want.encode()
     assert len(path.read_bytes().split(b"\n")) == n + 2
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+# Float64 bit patterns: any float, the signed zeros, infinities and smallest
+# subnormals, and NaNs with any payload and either sign.
+_float_bits = (st.floats(allow_subnormal=True).map(_bits)
+               | st.sampled_from([_bits(x) for x in (0.0, -0.0, math.inf, -math.inf, 5e-324,
+                                                     -5e-324, 1e-310, 2.2250738585072014e-308)])
+               | st.tuples(st.integers(1, 2**52 - 1), st.sampled_from([0x7FF, 0xFFF])).map(
+                   lambda nan: nan[1] << 52 | nan[0]))
+
+
+@given(atoms=st.lists(_float_bits, min_size=1, max_size=6), data=st.data(),
+       spelling=st.sampled_from([{"nan": ""}, {"nan": "NaN", "inf": "Infinity",
+                                               "-inf": "-Infinity"}]))
+@settings(max_examples=300, deadline=None)
+def test_float_reprs_is_the_repr_of_each_float(atoms, data, spelling):
+    # A few distinct patterns drawn in any order, so that values repeat both in
+    # runs and far apart; every cell is its own float's repr, respelled.
+    from graphon_games.experiments import _float_reprs
+
+    picks = data.draw(st.lists(st.integers(0, len(atoms) - 1), min_size=1, max_size=60))
+    a = np.array([atoms[i] for i in picks], dtype=np.uint64).view(np.float64)
+    assert _float_reprs(a, spelling) == [spelling.get(repr(x), repr(x)) for x in a.tolist()]
+
+
+def test_float_reprs_calls_repr_once_per_distinct_value(monkeypatch):
+    # A block mirrored about its middle, as a minmax profile is (cell i and cell
+    # M - 1 - i agree), formats each value once, as does the M = 2000 minmax
+    # profile itself; a strided view and NaN payloads count by bits.
+    from graphon_games import equilibrium, experiments, kernels
+
+    calls = []
+    monkeypatch.setattr(experiments, "repr", lambda x: calls.append(x) or repr(x),
+                        raising=False)
+    half = np.random.default_rng(0).random(1000)
+    mirrored = np.concatenate([half, half[::-1]])
+    assert experiments._float_reprs(mirrored, {}) == list(map(repr, mirrored.tolist()))
+    assert len(calls) == 1000
+    calls.clear()
+    profile = equilibrium.solve_graphon(kernels.minmax(), equilibrium.LqPayoff(0.5, 1.0),
+                                        2000).profile.values
+    assert experiments._float_reprs(profile, {}) == list(map(repr, profile.tolist()))
+    assert len(calls) == len(np.unique(profile.view(np.int64)))
+    calls.clear()
+    nans = np.array([_bits(math.nan), _bits(math.nan) | 1, _bits(-0.0), 0] * 3,
+                    dtype=np.uint64).view(np.float64)
+    assert experiments._float_reprs(nans[::-1][::2], {"nan": ""}) == ["0.0", "", "0.0", "",
+                                                                       "0.0", ""]
+    assert experiments._float_reprs(nans, {"nan": ""}) == ["", "", "-0.0", "0.0"] * 3
+    assert len(calls) == 2 + 4
 
 
 def test_write_csv_writes_only_the_header_of_an_empty_table(tmp_path):

@@ -186,6 +186,13 @@ def test_an_unknown_kind_is_rejected_where_the_spec_is_built():
         kernels.GraphonSpec("foo")
 
 
+@pytest.mark.parametrize("kind,fields,missing", [
+    ("sbm", {}, "Q, w"), ("sbm", {"Q": np.eye(2)}, "w"), ("grid", {}, "values"), ("er", {}, "p")])
+def test_a_kind_without_its_fields_is_rejected_naming_them(kind, fields, missing):
+    with pytest.raises(ValueError, match=f"graphon kind '{kind}' requires {missing}$"):
+        kernels.GraphonSpec(kind, **fields)
+
+
 # --- metadata ---------------------------------------------------------------
 
 @pytest.mark.parametrize("spec,expected", [

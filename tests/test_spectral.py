@@ -235,6 +235,20 @@ def test_node_product_of_one_node_and_of_tied_types(kind, t):
         assert out.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("t,match", [
+    ([0.9, 0.1, 0.5, 0.3], "M=4 ascending points"), ([0.1, 0.3, 0.5, 0.49999999999999994], "M=4"),
+    ([0.1, 0.3, math.nan, 0.9], r"types outside \[0, 1\]"), ([-0.1, 0.3, 0.5, 0.9], "outside"),
+    ([0.1, 0.3, 0.5, 1.5], "outside"), ([0.1, 0.3, 0.5], "M=4 ascending points"),
+    ([[0.1, 0.3], [0.5, 0.9]], "M=4 ascending points")])
+@pytest.mark.parametrize("kind", _NODE_SPECS)
+def test_operator_at_types_rejects_types_its_reads_get_wrong(kind, t, match):
+    # Each family reads the nodes as M ascending points of [0, 1]: unsorted
+    # types gave a silently wrong product (minmax: 1.3725 against the matrix's
+    # 0.0725 at the first node).
+    with pytest.raises(ValueError, match=match):
+        spectral.DiscretizedOperator(_NODE_SPECS[kind], 4, np.array(t))
+
+
 @pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
                                   kernels.minmax(),
                                   kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1],
