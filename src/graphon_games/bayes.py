@@ -84,12 +84,13 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     stream and the bits of one trial at a time. c >= 1 bounds each chunk's
     uniforms by _CHUNK_BYTES = 512 KiB. A helper thread draws chunk k + 1
     into the second of two uniforms buffers while the caller reduces chunk
-    k; two semaphores hand the buffers over in chunk order, so thread timing
-    cannot change a bit. The helper is joined before the call returns or
-    raises, and an error it meets is raised here. Every chunk runs in
-    buffers allocated once per call: the two uniforms buffers and (c, N - 1)
-    link, value and cell index arrays, 3.4 budgets. Memory is those plus
-    O(trials + M), whatever N. N and trials must be integers (numpy ones too).
+    k; the two meet at one barrier once per chunk, so thread timing cannot
+    change a bit. An error on either side, or the caller leaving, aborts the
+    barrier; the helper is joined before the call returns or raises, and an
+    error it meets is raised here. Every chunk runs in buffers allocated once
+    per call: the two uniforms buffers and (c, N - 1) link, value and cell
+    index arrays, 3.4 budgets. Memory is those plus O(trials + M), whatever
+    N. N and trials must be integers (numpy ones too).
 
     ``L_U`` may be None for linear-quadratic payoffs, in which case
     ``lq_L_U`` is applied to lambda_max of the operator on sbar's grid.
@@ -118,27 +119,27 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
     links, vals = np.empty((rows, N - 1)), np.empty((rows, N - 1))
     idx = np.empty((rows, N - 1), np.intp)
     starts = range(0, trials, rows)
-    free, drawn, stop, failed = threading.Semaphore(2), threading.Semaphore(0), [], []
+    meet, failed = threading.Barrier(2), []  # meeting k: chunk k drawn, chunk k - 1 reduced
 
-    def draw():  # the helper thread: chunk k into u[k % 2] once chunk k - 2 is reduced
+    def draw():  # the helper thread: chunk k into u[k % 2], then meeting k
         try:
             for k, start in enumerate(starts):
-                free.acquire()
-                if stop:
-                    return
                 rng.random(out=u[k % 2, :min(rows, trials - start)])
-                drawn.release()
-        except BaseException as exc:  # handed to the calling thread, which raises it
+                meet.wait()
+        except threading.BrokenBarrierError:  # the caller has left. Not kept: its traceback
+            pass  # would tie the buffers into a cycle that only the cyclic collector frees
+        except BaseException as exc:  # handed to the waiting caller, which raises it
             failed.append(exc)
-            drawn.release()
+            meet.abort()
 
     helper = threading.Thread(target=draw, name="estimate_epsilon draws", daemon=True)
     helper.start()
     try:
         for k, start in enumerate(starts):  # each chunk in the leading c rows of the buffers
-            drawn.acquire()
-            if failed:
-                raise failed[0]
+            try:
+                meet.wait()
+            except threading.BrokenBarrierError:  # only the helper breaks it while we wait
+                raise failed.pop() from None  # popped, else it and its traceback form a cycle
             c = min(rows, trials - start)
             uc, lc, vc, ic = u[k % 2, :c], links[:c], vals[:c], idx[:c]
             types[start:start + c], tj = uc[:, 0], uc[:, 1:N]
@@ -147,10 +148,8 @@ def estimate_epsilon(spec: GraphonSpec, payoff, L_U: float | None, N: int, trial
             np.copyto(ic, np.multiply(tj, sbar.M, out=vc), casting="unsafe")  # sbar's cell of t_j,
             sbar.values.take(ic, out=vc, mode="clip")  # clipped to M - 1 as by _cell_index
             zeta[start:start + c] = (lc[:, None, :] @ vc[:, :, None])[:, 0, 0] / (N - 1)
-            free.release()
-    finally:  # a helper waiting for a buffer wakes, sees stop and returns
-        stop.append(True)
-        free.release()
+    finally:  # a helper still drawing or waiting stops at its next meeting
+        meet.abort()
         helper.join()
     deviations = np.abs(zeta - expected_aggregate(spec, sbar, types))  # one O(M) pass over sbar
 

@@ -173,11 +173,16 @@ def _lipschitz_ratio(payoff) -> float:
     return payoff.ell_U / payoff.alpha_U
 
 
-def contraction_factor(payoff, lambda_max: float) -> float:
-    """The Banach modulus (ell_U / alpha_U) * lambda_max; pass the spectral radius as lambda_max."""
+def _check_lambda(lambda_max: float) -> float:
+    """lambda_max, unless it is negative or NaN (which fails the comparison): ValueError."""
     if not lambda_max >= 0.0:
         raise ValueError(f"lambda_max must be nonnegative, got {lambda_max}")
-    return _lipschitz_ratio(payoff) * lambda_max
+    return lambda_max
+
+
+def contraction_factor(payoff, lambda_max: float) -> float:
+    """The Banach modulus (ell_U / alpha_U) * lambda_max; pass the spectral radius as lambda_max."""
+    return _lipschitz_ratio(payoff) * _check_lambda(lambda_max)
 
 
 def matrix_dominant_eigenvalue(A: np.ndarray, tol: float = POWER_TOL,
@@ -328,14 +333,17 @@ def _solve(G, nonneg: bool, payoff, tol: float = DEFAULT_TOL, max_iter: int = DE
     best-response iteration runs from ``start`` (default: beta for LQ, the
     best response to z = 0 otherwise), a contraction behind the gate. The
     contraction factor uses the spectral radius of G, or unless ``lam_wanted``
-    possibly a bound on it with lambda_max NaN (``_contraction_gate``).
+    possibly a bound on it with lambda_max NaN (``_contraction_gate``). A tol, max_iter or
+    start (n finite values) out of range raises ValueError before any solve.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    max_iter, n = _check_size(max_iter, "max_iter", 1), len(G)
+    if start is not None and not (np.shape(start) == (n,) and np.isfinite(start).all()):
+        raise ValueError(f"start must be {n} finite values, got shape {np.shape(start)}")
     lq = isinstance(payoff, LqPayoff)
     lam, q, x = _contraction_gate(G, nonneg, _lipschitz_ratio(payoff),
                                   payoff.alpha if lq else None, lam_wanted)
-    n = len(G)
     if lq:
         s = payoff.beta * x
         if s.min() >= _ACCEPT_NEG:
@@ -441,20 +449,22 @@ def comparative_statics_bound(payoff, lambda_max: float, s_max: float) -> float:
     """Sensitivity constant: (ratio * s_max) / (1 - ratio * lambda_max).
 
     Multiplied by an operator-norm perturbation it bounds the L2 movement of
-    the equilibrium. A NaN, infinite or negative s_max raises ValueError.
+    the equilibrium. A NaN, infinite or negative s_max, or a NaN or negative lambda_max,
+    raises ValueError.
     """
     if not 0.0 <= s_max < math.inf:
         raise ValueError(f"s_max must be finite and nonnegative, got {s_max}")
     ratio = _lipschitz_ratio(payoff)
-    return ratio * s_max / (1.0 - _check_contraction(ratio, lambda_max))
+    return ratio * s_max / (1.0 - _check_contraction(ratio, _check_lambda(lambda_max)))
 
 
 def lq_s_max(p: LqPayoff, lambda_max: float) -> float:
     """Box bound on LQ equilibrium strategies, for use inside bound formulas.
 
     Complements: the Neumann-series supremum beta / (1 - alpha lambda_max).
-    Substitutes: best responses never exceed beta.
+    Substitutes: best responses never exceed beta. A NaN or negative lambda_max: ValueError.
     """
+    _check_lambda(lambda_max)
     if p.alpha > 0.0:
         return p.beta / (1.0 - _check_contraction(p.alpha, lambda_max))
     return p.beta

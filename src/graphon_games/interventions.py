@@ -87,8 +87,11 @@ def welfare(P: np.ndarray, alpha: float, beta_hat: np.ndarray) -> float:
     """Average welfare (1/(2N)) ||s||^2 of the linear response s = (I - alpha P/N)^-1 beta_hat.
 
     That is the equilibrium in the planner's domain; on any other game s may go negative.
-    Any symmetric P passes ``_contraction_gate`` before the solve from beta_hat."""
+    Any symmetric P passes ``_contraction_gate`` before the solve from beta_hat, which must
+    be N finite values (else ValueError)."""
     P = _validate_symmetric(P, "network matrix")
+    if not (np.shape(beta_hat) == (len(P),) and np.isfinite(beta_hat).all()):
+        raise ValueError(f"beta_hat must be {len(P)} finite values, got shape {np.shape(beta_hat)}")
     G = P / len(P)
     _contraction_gate(G, P.min() >= 0.0, abs(alpha))
     return float(np.sum(_lq_solve(G, alpha, beta_hat) ** 2) / (2.0 * len(G)))
@@ -110,7 +113,8 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
     |u_k|, at the first settled step with beta_k |z_k| <= 1e-13 ||z|| that ``_certified``
     accepts (on lam_bar at v1, computed once), else at ``end``, where K(G, 1) holds a top
     eigenvector (Perron-Frobenius) and so the optimum. T_opt = ||s||^2 / (2N) is within
-    1e-12 of ``welfare``. An indefinite I - alpha T raises ContractionError.
+    1e-12 of ``welfare``. A run that turns I - alpha T indefinite, even after x1 is read, ends
+    with ContractionError after its loop (so |alpha| rho(G) >= 1, by interlacing).
     """
     n = len(G)
     T = lambda s: float(np.sum(s**2) / (2.0 * n))
@@ -119,8 +123,7 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
     project = opt and beta > 0.0 and C > 0.0
     while True:
         run.step()
-        if x1 is None and run.definite:
-            x1 = run.solve()
+        x1 = (run.solve() if x1 is None else x1) if run.definite else None  # None once indefinite
         if v1 is None and run.settled(POWER_TOL):
             lam, v1 = run.pair()
             _check_contraction(abs(alpha), lam)
@@ -149,7 +152,7 @@ def _welfares(G: np.ndarray, alpha: float, allocations, beta: float = 0.0,
     sols = [b[0] * x1 if b.shape == x1.shape and np.all(b == b[0]) else _lq_solve(G, alpha, b)
             for b in map(np.asarray, allocations)]
     if nh:
-        sols.append(_lq_solve(G, alpha, beta + math.sqrt(C) * v1) if s_nh is None else s_nh)
+        sols.append(s_nh)
     if opt and C == 0.0:
         found = np.full(n, float(beta)), None, T(float(beta) * x1)
     elif opt and beta == 0.0:

@@ -98,12 +98,13 @@ class GraphonSpec:
     values: np.ndarray | None = None
 
     def __post_init__(self):  # the one dispatch on kind
-        if self.kind not in _FAMILIES:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown graphon kind {self.kind!r}")
-        missing = [name for name in _FIELDS[self.kind] if getattr(self, name) is None]
+        _, fields, family = _KINDS[self.kind]
+        missing = [name for name in fields if getattr(self, name) is None]
         if missing:
             raise ValueError(f"graphon kind {self.kind!r} requires {', '.join(missing)}")
-        object.__setattr__(self, "_family", _FAMILIES[self.kind](self))
+        object.__setattr__(self, "_family", family(self))
 
     def __repr__(self):
         if self.kind == "minmax":
@@ -113,7 +114,8 @@ class GraphonSpec:
         return f"GraphonSpec({self.kind}, K={len(self._family.Q)})"
 
     def __reduce__(self):  # unpickled by its constructor: read-only copies and a new family
-        return _CONSTRUCTORS[self.kind], tuple(getattr(self, name) for name in _FIELDS[self.kind])
+        constructor, fields, _ = _KINDS[self.kind]
+        return constructor, tuple(getattr(self, name) for name in fields)
 
 
 def erdos_renyi(p: float) -> GraphonSpec:
@@ -340,11 +342,12 @@ class _Grid(_Step):
         return _cell_index(x, len(self.Q), out, tmp)
 
 
-_FAMILIES = {
-    "minmax": lambda spec: _MinMax(),
-    "er": lambda spec: _Step(np.array([[spec.p]]), np.ones(1)),
-    "sbm": lambda spec: _Step(spec.Q, spec.w),
-    "grid": lambda spec: _Grid(spec.values),
+# Per kind: its constructor, the fields it takes (and ``to_json`` writes), its family from a spec.
+_KINDS = {
+    "er": (erdos_renyi, ("p",), lambda spec: _Step(np.array([[spec.p]]), np.ones(1))),
+    "sbm": (sbm, ("Q", "w"), lambda spec: _Step(spec.Q, spec.w)),
+    "minmax": (minmax, (), lambda spec: _MinMax()),
+    "grid": (grid_kernel, ("values",), lambda spec: _Grid(spec.values)),
 }
 
 
@@ -375,23 +378,19 @@ def lipschitz_metadata(spec: GraphonSpec) -> tuple[float, int]:
     return spec._family.lipschitz
 
 
-_FIELDS = {"minmax": (), "er": ("p",), "sbm": ("Q", "w"), "grid": ("values",)}  # of each kind
-_CONSTRUCTORS = {"er": erdos_renyi, "sbm": sbm, "minmax": minmax, "grid": grid_kernel}
-
-
 def to_json(spec: GraphonSpec) -> dict:
     """Serialize to a plain JSON document: the kind plus the fields of that kind."""
-    fields = _FIELDS[spec.kind]
+    fields = _KINDS[spec.kind][1]
     return {"kind": spec.kind, **{name: np.asarray(getattr(spec, name)).tolist() for name in fields}}
 
 
 def from_json(doc: dict) -> GraphonSpec:
     """Rebuild a GraphonSpec from its JSON document; a missing or extra field is a ValueError."""
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in _CONSTRUCTORS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown graphon kind {kind!r}")
     fields = {name: value for name, value in doc.items() if name != "kind"}
     try:
-        return _CONSTRUCTORS[kind](**fields)
+        return _KINDS[kind][0](**fields)
     except TypeError as exc:
         raise ValueError(f"bad fields for graphon kind {kind!r}: {exc}") from exc

@@ -104,14 +104,15 @@ class DiscretizedOperator:
     With ``_types``, M sorted sampled types t, it is instead the weighted
     sampled network's operator P/M, P_ij = W(t_i, t_j) with a zero diagonal:
     the nodes are the types, and ``op @ s`` drops each node's own term
-    (``at`` keeps every term).
+    (``at`` keeps every term). M must be an integer >= 1, else ValueError.
     """
 
     spec: GraphonSpec
     M: int
     _types: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):  # the family's reads assume M ascending nodes in [0, 1]
+    def __post_init__(self):  # the family's reads assume M >= 1 ascending nodes in [0, 1]
+        object.__setattr__(self, "M", _check_size(self.M, "resolution M", 1))
         if self._types is not None:
             t = np.asarray(self._types, dtype=float)
             _check_unit_interval(t, "types")
@@ -314,7 +315,8 @@ def _lanczos(A, q: np.ndarray, tol: float | None = None, max_iter: int = POWER_M
     """(lam, v, x) at the first step of a ``_Run`` that has read what was asked.
 
     Each step reads only what is still open: x = (I - alpha A)^-1 q if ``alpha`` is given
-    and I - alpha T is definite (x None if it turns indefinite first); the top pair if a
+    and I - alpha T is definite, x None from a run that turns indefinite even after x is read
+    (I - alpha T_k indefinite shows |alpha| rho(A) >= 1 by interlacing); the top pair if a
     positive, finite ``tol`` is given (else ValueError) and it settles at this step; under
     ``radius``, -theta_min once it settles by ``tol`` too, and then the spectral radius
     max(lam, -theta_min) in v's place. IterationLimitError after max_iter, with the top
@@ -324,8 +326,7 @@ def _lanczos(A, q: np.ndarray, tol: float | None = None, max_iter: int = POWER_M
     run, pair, x, low = _Run(A, q, alpha), None, None, None if radius else -math.inf
     while run.k < max_iter:
         run.step()
-        if x is None and run.definite:
-            x = run.solve()
+        x = (run.solve() if x is None else x) if run.definite else None
         if tol is not None and pair is None and run.settled(tol):
             pair = run.pair()
         if low is None and run.settled(tol, end=-1):

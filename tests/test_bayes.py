@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import sys
@@ -422,6 +423,24 @@ def test_an_error_in_a_draw_reaches_the_caller_and_stops_the_helper(monkeypatch)
     at_kernel_read(monkeypatch, 1, rng.proceed.set)
     outcome, = run_bounded(ten_chunk_call(monkeypatch, seed=rng))
     assert rng.calls == 2 and outcome is rng.error
+
+
+def test_a_helper_stopped_as_the_caller_leaves_keeps_no_error(monkeypatch):
+    # The caller aborts the barrier as it leaves, so a helper not yet woken from the last
+    # meeting sees BrokenBarrierError. Kept in the error list, its traceback tied the
+    # helper's frame, and so the 1 MiB of uniforms buffers, into a cycle that lived until
+    # the cyclic collector ran: about a third of these calls left one, and the bne
+    # workload's peak RSS rose by 1 MB.
+    call = ten_chunk_call(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            call()
+        kept = [o for o in gc.get_objects() if isinstance(o, threading.BrokenBarrierError)]
+    finally:
+        gc.enable()
+    assert not kept
 
 
 def test_concurrent_calls_under_a_short_switch_interval_keep_their_bits(monkeypatch):

@@ -542,6 +542,22 @@ def test_contraction_factor_rejects_a_nan_or_negative_lambda(lam):
         eq.contraction_factor(eq.LqPayoff(0.5, 1.0), lam)
 
 
+@pytest.mark.parametrize("lam", [math.nan, -5.0])
+@pytest.mark.parametrize("alpha", [0.5, -0.5])
+def test_lq_s_max_rejects_a_nan_or_negative_lambda(lam, alpha):
+    # lq_s_max(LqPayoff(0.5, 1), -5) once gave 0.2857, below beta and so below every
+    # complements equilibrium, and substitutes at a NaN lambda_max gave beta.
+    with pytest.raises(ValueError, match="lambda_max must be nonnegative"):
+        eq.lq_s_max(eq.LqPayoff(alpha, 1.0), lam)
+
+
+@pytest.mark.parametrize("lam", [math.nan, -1.0])
+def test_comparative_statics_bound_rejects_a_nan_or_negative_lambda(lam):
+    # A lambda_max of -1 once gave the bound 0.333.
+    with pytest.raises(ValueError, match="lambda_max must be nonnegative"):
+        eq.comparative_statics_bound(eq.LqPayoff(0.5, 1.0), lam, 1.0)
+
+
 SIGNED_BR = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
@@ -553,6 +569,28 @@ def test_both_solvers_reject_a_tolerance_that_is_not_positive_and_finite(tol):
         eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         eq.solve_graphon(kernels.minmax(), eq.LqPayoff(0.5, 1.0), 20, tol=tol)
+
+
+def test_a_nan_start_is_rejected_before_the_solve():
+    # A NaN start once ran all 10^6 best-response iterations of this signed game
+    # (13 s) before it failed as an IterationLimitError.
+    with pytest.raises(ValueError, match="start must be 3 finite values"):
+        eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), start=np.array([0.0, math.nan, 0.0]))
+
+
+@pytest.mark.parametrize("start", [np.zeros(2), np.zeros((3, 1))])
+def test_a_start_of_the_wrong_length_is_rejected(start):
+    # It once surfaced numpy's matmul message from the first best response.
+    with pytest.raises(ValueError, match="start must be 3 finite values"):
+        eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), start=start)
+
+
+@pytest.mark.parametrize("max_iter", [1.5, 0, True])
+def test_max_iter_must_be_an_integer_of_at_least_one(max_iter):
+    # max_iter = 1.5 once raised a TypeError from range(); a numpy integer is fine.
+    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+        eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), max_iter=max_iter)
+    assert eq.solve_network(SIGNED_BR, eq.LqPayoff(1.9, 1.0), max_iter=np.int64(10**6)).iterations
 
 
 def test_best_response_iteration_raises_at_its_iteration_limit():

@@ -51,6 +51,14 @@ def test_welfare_contraction_checked():
         iv.welfare(np.ones((4, 4)), 1.5, np.ones(4))
 
 
+@pytest.mark.parametrize("beta_hat", [np.ones(3), np.ones((4, 1)), [1.0, math.nan, 1.0, 1.0],
+                                      [1.0, math.inf, 1.0, 1.0]])
+def test_welfare_rejects_a_beta_hat_that_is_not_n_finite_values(beta_hat):
+    # A beta_hat of the wrong length once surfaced numpy's matmul message.
+    with pytest.raises(ValueError, match="beta_hat must be 4 finite values"):
+        iv.welfare(np.ones((4, 4)) / 2.0, 0.5, beta_hat)
+
+
 # --- homogeneous policy ----------------------------------------------------------
 
 def test_homogeneous_zero_budget():
@@ -641,6 +649,44 @@ def test_an_indefinite_run_raises_from_the_run_that_found_it(monkeypatch):
         with pytest.raises(ContractionError, match="not positive definite"):
             call()
         assert len(runs) == 1 and runs[0].reason == "indefinite"
+
+
+def test_a_run_indefinite_after_x1_is_read_raises_from_that_run(monkeypatch):
+    # The run reads x1 = (I - alpha G)^-1 1 at step 7 and is made indefinite at the
+    # next step, before the pair settles and the heuristic's allocation is solved.
+    # An indefinite I - alpha T_k shows |alpha| rho(G) >= 1 (interlacing), so with the
+    # gate stubbed out the call raises from that one run: no second run re-solves the
+    # heuristic's allocation, and _lanczos returns no x from such a run.
+    G = sampled_instance(kernels.minmax(), 40, 1)[1].P / 40
+    runs = []
+
+    class TurnsIndefinite(spectral._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.read = False
+            runs.append(self)
+
+        def solve(self, c=None):
+            x = super().solve(c)
+            self.read = self.read or (c is None and x is not None)
+            return x
+
+        def step(self):
+            super().step()
+            self.definite = self.definite and not self.read
+
+    for module in (spectral, iv):
+        monkeypatch.setattr(module, "_Run", TurnsIndefinite)
+    for module in (equilibrium, iv):
+        monkeypatch.setattr(module, "_check_contraction", lambda ratio, rho: ratio * rho)
+    for call in (lambda: iv._welfares(G, 1.0, [np.ones(40)], 1.0, 0.4, nh=True),
+                 lambda: equilibrium._contraction_gate(G, True, 1.0, 1.0)):
+        runs.clear()
+        with pytest.raises(ContractionError, match="not positive definite"):
+            call()
+        assert len(runs) == 1 and runs[0].read and runs[0].reason == "indefinite"
+    lam, v, x = spectral._lanczos(G, np.ones(40), spectral.POWER_TOL, alpha=1.0)
+    assert x is None and lam > 0.0 and runs[-1].read
 
 
 # --- the welfare trial: one Lanczos run from 1 per network --------------------------

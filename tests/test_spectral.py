@@ -249,6 +249,16 @@ def test_operator_at_types_rejects_types_its_reads_get_wrong(kind, t, match):
         spectral.DiscretizedOperator(_NODE_SPECS[kind], 4, np.array(t))
 
 
+@pytest.mark.parametrize("M", [1.5, -3, 0, True, "4"])
+def test_an_operator_takes_an_integer_resolution_of_at_least_one(M):
+    # M = 1.5 was once accepted and failed every product with a "resolution
+    # mismatch", and M = -3 gave an empty matrix(); N = 1 operators still build.
+    with pytest.raises(ValueError, match="resolution M must be an integer of at least 1"):
+        spectral.DiscretizedOperator(kernels.minmax(), M)
+    op = spectral.DiscretizedOperator(kernels.minmax(), np.int64(1))
+    assert type(op.M) is int and op @ np.ones(1) == pytest.approx([0.25])
+
+
 @pytest.mark.parametrize("spec", [kernels.erdos_renyi(0.4), kernels.sbm(SBM_Q, SBM_W),
                                   kernels.minmax(),
                                   kernels.grid_kernel([[0.3, 0.1, 0.2], [0.1, 0.4, 0.1],

@@ -5,8 +5,9 @@
 The matrix runs every command for every kernel family (er, sbm, minmax and a
 5 x 5 grid) at --format csv and json, at small sizes, plus edge cases: N = 1
 and N = 2, a signed network given by --network-json, welfare tables with NaN
-T_opt cells (N above --optimal-cap) and an all-failed welfare row, and a
-block-constant eigen table of several CSV blocks. Each run writes into
+T_opt cells (N above --optimal-cap) and an all-failed welfare row, a
+block-constant eigen table of several CSV blocks, and a bne-epsilon run whose
+trials take four chunks. Each run writes into
 OUT/<run>/, and OUT/<run>/console.txt holds its exit code and what it printed.
 OUT/SHA256SUMS gets one "<sha256>  <path>" line per file under OUT, sorted.
 
@@ -69,6 +70,9 @@ EDGES = {
                            "--alpha", "5", "--beta", "1", "--format", "json"],
     "eigen-blocks": ["eigen", "--graphon", "sbm", "--gin", "0.8", "--gout", "0.1",
                      "--w", "0.75,0.25", "--M", "20000", "--k", "2"],
+    # four chunks of 82 trials at N = 400, so both uniforms buffers are used twice
+    "bne-epsilon-chunks": ["bne-epsilon", "--graphon", "minmax", "--Ns", "400", "--trials", "300",
+                           "--M", "200", *GAME],
 }
 GRID = [[0.9, 0.2, 0.4, 0.1, 0.3], [0.2, 0.7, 0.5, 0.2, 0.1], [0.4, 0.5, 0.6, 0.3, 0.2],
         [0.1, 0.2, 0.3, 0.8, 0.6], [0.3, 0.1, 0.2, 0.6, 0.5]]
